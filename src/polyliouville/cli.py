@@ -176,6 +176,19 @@ def _initial_data(args) -> dict:
     return {"initial_derivatives": derivs}
 
 
+def _fit_u_minus_v(traj, rep, vprof):
+    """Even-polynomial fit of u - v whose degree inference ignores content
+    below 10x the solver's w0 error estimate."""
+    u = traj.sample_w(0, vprof.grid)
+    floor = rep.w0_error_estimate
+    if not math.isfinite(floor):
+        floor = 0.0
+    return fit_even_polynomial(
+        (vprof.grid, u - vprof.values), max(2, 2 * traj.m - 2),
+        contribution_floor=10.0 * floor,
+    )
+
+
 def _pipeline(cfg: ShootingConfig):
     """shoot -> v-profile -> u-v fit -> classification, for one config."""
     traj, rep = shoot(cfg)
@@ -183,14 +196,7 @@ def _pipeline(cfg: ShootingConfig):
     if traj.termination == "reached_end" and traj.r_max >= 100.0:
         radii = np.geomspace(max(1.0, traj.r_max / 1000.0), traj.r_max / 2.0, 24)
         vprof = compute_v(traj, radii)
-        u = traj.sample_w(0, radii)
-        floor = rep.w0_error_estimate
-        if not math.isfinite(floor):
-            floor = 0.0
-        fit = fit_even_polynomial(
-            (radii, u - vprof.values), max(2, 2 * cfg.m - 2),
-            contribution_floor=10.0 * floor,
-        )
+        fit = _fit_u_minus_v(traj, rep, vprof)
     else:
         # truncated run: classification will be inconclusive regardless
         lo = max(float(traj.grid[1]), traj.r_max * 0.05)
@@ -294,8 +300,7 @@ def _cmd_represent(args) -> int:
     else:
         radii = np.geomspace(max(1.0, traj.r_max / 1000.0), traj.r_max / 2.0, args.points)
     vprof = compute_v(traj, radii)
-    u = traj.sample_w(0, radii)
-    fit = fit_even_polynomial((radii, u - vprof.values), max(2, 2 * args.m - 2))
+    fit = _fit_u_minus_v(traj, rep, vprof)
     vprof.to_csv(out / "v_profile.csv", header=("r", "v", "err_bar"))
     _write_json(out / "fit.json", _fit_json(fit))
     print(f"v evaluated at {radii.size} radii, max err bar {float(np.max(vprof.err)):.3g}")

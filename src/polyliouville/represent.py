@@ -7,32 +7,38 @@ conformal volume, the representation
 
 differs from u by a polynomial p = u - v of even degree at most 2m-2, and
 v(0) = 0 by construction.  For radial u the 2m-dimensional integral reduces
-to a 1D radial quadrature against spherical averages of the kernel:
+to a 1D radial integral of g(s) = exp(2m u(s)) against spherical averages
+of the kernel,
 
     avg over |y| = s, |x| = r  of  log(s/|x-y|)        (for v), or
-    avg of |x-y|^{-2j}                                  (for Delta^j v),
+    avg of |x-y|^{-2j}                                  (for Delta^j v).
 
-each an integral over the polar angle theta with weight sin^{2m-2} theta.
-The angular rule is Gauss-Legendre in theta itself (the cos theta
-substitution turns the weight into the non-analytic (1-t^2)^{m-3/2}, which
-degrades Gauss-Legendre for every m and is singular for m = 1), with a
-dyadic composite rule near theta = 0 when r and s are within 5% of each
-other, where the integrand is peaked or log-singular.  Angular weights are
-normalized by their own sum, so constants average exactly.
+Both averages are terminating hypergeometric sums in t = (min/max)^2
+(KernelCache), so they split into powers of r times powers of s on each
+side of the kink at s = r.  With n = 2m, the prefix moments
+P_p(r) = int_0^r g s^p ds, the suffix moments Q_p(r) = int_r^{r_end} g s^p ds
+and the log moment L(r) = int_0^r g s^{n-1} log s ds give the integral at
+every radius at once:
 
-The radial quadrature runs over the trajectory grid enriched with panel
-midpoints: per panel the integrand is interpolated quadratically and
-integrated against exact moments of the s^{2m-1} weight (the weight
-vanishes to high order at 0, so standard rules misjudge the first panels).
-The two panels around each evaluation radius are additionally subdivided
-dyadically, because the kernel average has a kink (log-divergent
-s-derivative) across s = r.
+    Delta^j:  sum_k c_jk [ r^{-2j-2k} P_{n-1+2k}(r) + r^{2k} Q_{n-1-2j-2k}(r) ]
+    log:      L(r) - log(r) P_{n-1}(r) + the j = 0 sum above.
 
-Error bars are additive and conservative: angular-doubling difference +
-near-diagonal refinement size + a radial Richardson term (full grid vs the
-2x-decimated grid, same quadratic rule) + an explicit bound on the
-truncated tail s > r_end, where exp(2m u) <= C s^-q with q fitted on the
-trajectory tail.
+Every exponent p is a nonnegative integer.  g and g log s are
+interpolated quadratically on each panel of the trajectory grid through
+its ends and midpoint and integrated exactly against s^p by binomial
+moments (on the panel starting at s = 0 the log is integrated exactly
+against the quadratic of g instead).  The panel holding r is split at r,
+and both parts get their own quadratic through fresh samples of g, so the
+kink of the kernel at s = r costs no accuracy.  Suffix moments are
+accumulated from the far end: total minus prefix would cancel
+catastrophically once multiplied by r^{2k}.  Radii at or beyond r_end
+take P = total and Q = 0.  One pass over the grid serves every radius, so
+the cost grows with panels + radii, not with their product.
+
+Error bars are additive and conservative: a radial Richardson term (the
+same scheme on the 2x-decimated grid, odd nodes acting as midpoints) plus
+an explicit bound on the truncated tail s > r_end, where
+exp(2m u) <= C s^-q with q fitted on the trajectory tail.
 """
 
 from __future__ import annotations
@@ -41,10 +47,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .exactconst import constant_table
-from .greenball import RadialProfile, _weighted_panel_integrals
+from .greenball import RadialProfile
 from .shooter import RadialTrajectory
 from . import tailfit
 
@@ -61,54 +66,47 @@ __all__ = [
 PolyFit1D = tailfit.PolyFit1D
 
 _EXP_CAP = 700.0
-_NEAR_DIAG = 0.05      # relative |r-s| gap below which the fine rule kicks in
-_DYADIC_LEVELS = 40    # fine rule resolves angular scales down to pi * 2^-41
 
 
-def _gl_panel(a: float, b: float, n: int):
-    x, w = leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+def _rising(a: int, k: int) -> int:
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1)."""
+    return math.prod(range(a, a + k))
+
+
+def _kernel_coeff(m: int, j: int, k: int) -> float:
+    if j == 0:
+        if k == 0:
+            return 0.0
+        return _rising(1 - m, k) / (2 * _rising(m, k) * k)
+    return _rising(j, k) * _rising(j + 1 - m, k) / (_rising(m, k) * math.factorial(k))
 
 
 @dataclass
 class KernelCache:
-    """Angular quadrature rules and memoized kernel averages for one m.
+    """Closed-form spherical kernel averages for one m.
 
-    base rule: n_theta-point Gauss-Legendre over [0, pi].  fine rule: a
-    dyadic composite toward theta = 0 for near-diagonal (r ~ s) pairs.
-    Weights carry the sin^{2m-2} theta measure and are normalized by their
-    sum, so they add to exactly 1.
+    With M = max(r, s) and t = (min(r, s)/M)^2, the averages over |y| = s
+    at |x| = r are
+
+        avg |x-y|^{-2j}   = M^{-2j} sum_k coeffs[j][k] t^k     (1 <= j <= m-1)
+        avg log(s/|x-y|)  = log(s/M) + sum_k coeffs[0][k] t^k,
+
+    coeffs[j][k] = (j)_k (j+1-m)_k / ((m)_k k!) and coeffs[0][k] =
+    (1-m)_k / (2 (m)_k k) with coeffs[0][0] = 0, (a)_k the rising
+    factorial; both sums stop at k = m-1-j.  For m = 1 the log average is
+    Newton's log(s/max(r, s)).
     """
 
     m: int
-    n_theta: int = 96
-    _memo: dict = field(default_factory=dict, repr=False)
+    coeffs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.n_theta < 64:
-            raise ValueError("need at least 64 angular nodes")
-        self.base_theta, self.base_w = self._weighted(
-            *_gl_panel(0.0, math.pi, self.n_theta)
+        self.coeffs = tuple(
+            tuple(_kernel_coeff(self.m, j, k) for k in range(self.m - j))
+            for j in range(self.m)
         )
-        nodes = [_gl_panel(math.pi / 2, math.pi, 24)]
-        hi = math.pi / 2
-        for _ in range(_DYADIC_LEVELS):
-            nodes.append(_gl_panel(hi / 2, hi, 12))
-            hi /= 2
-        nodes.append(_gl_panel(0.0, hi, 12))
-        theta = np.concatenate([t for t, _ in nodes])
-        raww = np.concatenate([w for _, w in nodes])
-        self.fine_theta, self.fine_w = self._weighted(theta, raww)
-
-    def _weighted(self, theta, raw_w):
-        w = raw_w * np.sin(theta) ** (2 * self.m - 2)
-        return theta, w / w.sum()
-
-    def _rule(self, near: bool):
-        return (self.fine_theta, self.fine_w) if near else (self.base_theta, self.base_w)
 
     def average(self, r: float, s: float, j: int = 0) -> float:
         """Spherical average of log(s/|x-y|) (j = 0) or |x-y|^{-2j} over
@@ -117,52 +115,36 @@ class KernelCache:
             raise ValueError("j must lie in 0..m-1 (kernel integrable)")
         if r < 0 or s < 0:
             raise ValueError("radii must be non-negative")
-        if s == 0.0 and j >= 1:
-            if r == 0.0:
-                raise ValueError("kernel undefined at r = s = 0 for j >= 1")
-            return r ** (-2 * j)
-        if s == 0.0:
-            # log(|y|/|x-y|) degenerates with the measure; the s^{2m-1}
-            # weight kills this endpoint in every integral we form
-            return 0.0
-        key = (r, s, j)
-        got = self._memo.get(key)
-        if got is None:
-            got = float(self.average_many(r, np.array([s]), j)[0])
-            self._memo[key] = got
-        return got
+        if s == 0.0 and r == 0.0 and j >= 1:
+            raise ValueError("kernel undefined at r = s = 0 for j >= 1")
+        return float(self.average_many(r, np.array([s]), j)[0])
 
     def average_many(self, r: float, s: np.ndarray, j: int = 0) -> np.ndarray:
-        """Vectorized averages over an array of source radii s."""
+        """Vectorized averages over an array of source radii s.
+
+        At s = 0 the log average is taken as 0: log(|y|/|x-y|) degenerates
+        with the measure, and the s^{2m-1} weight kills that endpoint in
+        every integral formed from it."""
         s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        gap = np.abs(s - r) <= _NEAR_DIAG * np.maximum(s, r)
-        for near in (False, True):
-            sel = gap if near else ~gap
-            if not np.any(sel):
-                continue
-            theta, w = self._rule(near)
-            ssel = s[sel][:, None]
-            # (r-s)^2 + 4 r s sin^2(theta/2): exact, cancellation-free
-            dist_sq = (r - ssel) ** 2 + 4.0 * r * ssel * np.sin(theta / 2) ** 2
-            with np.errstate(divide="ignore"):
-                if j == 0:
-                    vals = np.log(np.maximum(ssel, 1e-300)) - 0.5 * np.log(dist_sq)
-                    vals = np.where(ssel > 0, vals, 0.0)
-                else:
-                    vals = dist_sq ** (-j)
-            out[sel] = vals @ w
+        big = np.maximum(r, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (np.minimum(r, s) / big) ** 2
+            acc = np.zeros_like(t)
+            for c in reversed(self.coeffs[j]):
+                acc = acc * t + c
+            out = big ** (-2 * j) * acc
+            if j == 0:
+                out = np.where(s > 0, out + np.log(s / big), 0.0)
         return out
 
 
 _CACHE: dict = {}
 
 
-def _get_cache(m: int, n_theta: int = 96) -> KernelCache:
-    key = (m, n_theta)
-    if key not in _CACHE:
-        _CACHE[key] = KernelCache(m, n_theta)
-    return _CACHE[key]
+def _get_cache(m: int) -> KernelCache:
+    if m not in _CACHE:
+        _CACHE[m] = KernelCache(m)
+    return _CACHE[m]
 
 
 def kernel_avg(r: float, s: float, m: int, j: int = 0) -> float:
@@ -170,27 +152,104 @@ def kernel_avg(r: float, s: float, m: int, j: int = 0) -> float:
     return _get_cache(m).average(r, s, j)
 
 
-def _quadratic_panel_integrals(grid, f_grid, mids, f_mid, n):
-    """Per-panel integrals of s^{n-1} * (quadratic interpolant of f).
+def _moment(a, x, coef, p: int):
+    """int_a^{a+x} (c0 + c1 tau + c2 tau^2) s^p ds, tau = s - a, elementwise.
 
-    The quadratic passes through both panel ends and the midpoint; moments
-    of s^{n-1} tau^k (tau the offset from the left end) are evaluated by
-    binomial expansion, every term nonnegative, so the weight's high-order
-    vanishing at 0 costs no accuracy.
-    """
-    a = grid[:-1]
-    h = np.diff(grid)
-    tc = mids - a
-    f0, f1, fc = f_grid[:-1], f_grid[1:], f_mid
-    d2 = ((f1 - f0) / h - (fc - f0) / tc) / (h - tc)
-    d1 = (fc - f0) / tc - d2 * tc
-    moments = [np.zeros_like(h) for _ in range(3)]
-    for k in range(3):
-        for i in range(n):
-            moments[k] += (
-                math.comb(n - 1, i) * a ** (n - 1 - i) * h ** (i + k + 1) / (i + k + 1)
-            )
-    return f0 * moments[0] + d1 * moments[1] + d2 * moments[2]
+    s^p is expanded binomially about a, so every moment is a sum of
+    nonnegative terms and the weight's high-order vanishing at 0 costs no
+    accuracy."""
+    out = 0.0
+    for i in range(p + 1):
+        w = math.comb(p, i) * a ** (p - i)
+        for k, c in enumerate(coef):
+            out = out + c * w * x ** (i + k + 1) / (i + k + 1)
+    return out
+
+
+def _log_moment_from_zero(x, coef, p: int):
+    """int_0^x (c0 + c1 s + c2 s^2) s^p log s ds, exact (0 for x = 0)."""
+    out = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, c in enumerate(coef):
+            q = p + k + 1
+            out = out + c * x**q * (np.log(x) / q - 1.0 / q**2)
+    return np.where(x > 0, out, 0.0)
+
+
+def _quadratic(left, right, mid, f_left, f_right, f_mid):
+    """Coefficients (f0, d1, d2) of f0 + d1 tau + d2 tau^2, tau = s - left,
+    the quadratic through both panel ends and the midpoint."""
+    h, tc = right - left, mid - left
+    d2 = ((f_right - f_left) / h - (f_mid - f_left) / tc) / (h - tc)
+    d1 = (f_mid - f_left) / tc - d2 * tc
+    return f_left, d1, d2
+
+
+class _SeparableIntegral:
+    """Prefix and suffix moments of g = exp(2mu) at fixed radii on one grid,
+    and the kernel integrals built from them (see the module docstring)."""
+
+    def __init__(self, nodes, mids, g_nodes, g_mids, radii, traj: RadialTrajectory):
+        self.radii, self.n = radii, 2 * traj.m
+        self.lo, self.h = nodes[:-1], np.diff(nodes)
+        self.i = np.clip(np.searchsorted(nodes, radii, side="right") - 1, 0, self.h.size - 1)
+        a, b = nodes[self.i], nodes[self.i + 1]
+        r = np.clip(radii, a, b)
+        g_r, g_lower, g_upper = np.split(
+            _density_at(traj, np.concatenate([r, 0.5 * (a + r), 0.5 * (r + b)])), 3)
+        self.a, self.r, self.x_lower, self.x_upper = a, r, r - a, b - r
+        # (whole panels, [a, r], [r, b]) for g and for g log s
+        self.quad = {}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for log in (False, True):
+                def f(s, g):
+                    return np.where(s > 0, g * np.log(s), 0.0) if log else g
+
+                f_nodes, f_r = f(nodes, g_nodes), f(r, g_r)
+                self.quad[log] = (
+                    _quadratic(self.lo, nodes[1:], mids, f_nodes[:-1], f_nodes[1:],
+                               f(mids, g_mids)),
+                    _quadratic(a, r, 0.5 * (a + r), f_nodes[self.i], f_r,
+                               f(0.5 * (a + r), g_lower)),
+                    _quadratic(r, b, 0.5 * (r + b), f_r, f_nodes[self.i + 1],
+                               f(0.5 * (r + b), g_upper)),
+                )
+
+    def _split(self, p: int, log: bool = False):
+        """(P, Q): moments of g s^p (g s^p log s if log) below and above each
+        radius.  Suffixes add up from the far end; radii at or past the last
+        node clamp to P = total and Q = 0."""
+        whole, lower, upper = self.quad[log]
+        full = _moment(self.lo, self.h, whole, p)
+        with np.errstate(invalid="ignore"):
+            part_lower = np.where(self.x_lower > 0, _moment(self.a, self.x_lower, lower, p), 0.0)
+            part_upper = np.where(self.x_upper > 0, _moment(self.r, self.x_upper, upper, p), 0.0)
+            if log:
+                g_whole, g_lower, _ = self.quad[False]
+                full[0] = _log_moment_from_zero(self.h[0], [c[0] for c in g_whole], p)
+                part_lower = np.where(
+                    self.a == 0, _log_moment_from_zero(self.x_lower, g_lower, p), part_lower)
+        below = np.concatenate([[0.0], np.cumsum(full)])
+        above = np.concatenate([np.cumsum(full[::-1])[::-1], [0.0]])
+        return below[self.i] + part_lower, above[self.i + 1] + part_upper
+
+    def integral(self, coeffs, j: int):
+        """int_0^{r_end} g(s) s^{n-1} avg_kernel_j(r, s) ds at every radius."""
+        n, radii = self.n, self.radii
+        inner = np.zeros_like(radii)
+        outer = np.zeros_like(radii)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, c in enumerate(coeffs[j]):
+                if c == 0.0:
+                    continue
+                inner += c * radii ** (-2 * j - 2 * k) * self._split(n - 1 + 2 * k)[0]
+                outer += c * radii ** (2 * k) * self._split(n - 1 - 2 * j - 2 * k)[1]
+            if j == 0:
+                mass = self._split(n - 1)[0]
+                inner += self._split(n - 1, log=True)[0] - np.log(radii) * mass
+            # every s < r term carries a prefix moment that vanishes at r = 0
+            inner = np.where(radii > 0, inner, 0.0)
+        return inner + outer
 
 
 def _density(traj: RadialTrajectory) -> np.ndarray:
@@ -238,73 +297,6 @@ def _check_alpha_converged(traj: RadialTrajectory) -> None:
         )
 
 
-class _RadialIntegrator:
-    """Shared radial-quadrature state for one trajectory and kernel order."""
-
-    def __init__(self, traj: RadialTrajectory):
-        self.traj = traj
-        self.n = 2 * traj.m
-        self.grid = traj.grid
-        self.mids = 0.5 * (self.grid[:-1] + self.grid[1:])
-        self.g_grid = _density(traj)
-        self.g_mid = _density_at(traj, self.mids)
-
-    def _g_quadratic(self, panel: int, pts: np.ndarray) -> np.ndarray:
-        """Quadratic interpolation of the density inside one panel."""
-        s0, s1 = self.grid[panel], self.grid[panel + 1]
-        sc = self.mids[panel]
-        f0, f1, fc = self.g_grid[panel], self.g_grid[panel + 1], self.g_mid[panel]
-        h, tc = s1 - s0, sc - s0
-        d2 = ((f1 - f0) / h - (fc - f0) / tc) / (h - tc)
-        d1 = (fc - f0) / tc - d2 * tc
-        tau = pts - s0
-        return f0 + d1 * tau + d2 * tau**2
-
-    def integral(self, r: float, cache: KernelCache, j: int, fine_zone: int = 3):
-        """Returns (value, radial Richardson estimate, near-diagonal delta)."""
-        kv_grid = cache.average_many(r, self.grid, j)
-        kv_mid = cache.average_many(r, self.mids, j)
-        h_grid = self.g_grid * kv_grid
-        h_mid = self.g_mid * kv_mid
-        panels = _quadratic_panel_integrals(self.grid, h_grid, self.mids, h_mid, self.n)
-        # decimated grid reuses kernel values: odd points act as midpoints
-        k = (h_grid.size - 1) // 2 * 2
-        decimated = _quadratic_panel_integrals(
-            self.grid[: k + 1 : 2], h_grid[: k + 1 : 2],
-            self.grid[1 : k + 1 : 2], h_grid[1 : k + 1 : 2], self.n,
-        )
-        radial_est = abs(float(np.sum(panels[:k])) - float(np.sum(decimated)))
-
-        pos = int(np.searchsorted(self.grid, r))
-        correction = 0.0
-        for i in range(max(0, pos - fine_zone), min(panels.size, pos + fine_zone)):
-            s0, s1 = self.grid[i], self.grid[i + 1]
-            if not (
-                abs(s0 - r) <= _NEAR_DIAG * max(s0, r)
-                or abs(s1 - r) <= _NEAR_DIAG * max(s1, r)
-            ):
-                continue
-            pts = {s0, s1, self.mids[i]}
-            if s0 < r < s1:
-                for k in range(1, 9):
-                    pts.add(r + (s1 - r) * 2.0**-k)
-                    pts.add(r - (r - s0) * 2.0**-k)
-                pts.add(r)
-            else:
-                if abs(s0 - r) < abs(s1 - r):
-                    edge, other = s0, s1
-                else:
-                    edge, other = s1, s0
-                for k in range(1, 9):
-                    pts.add(edge + (other - edge) * 2.0**-k)
-            sub = np.array(sorted(pts))
-            hz = self._g_quadratic(i, sub) * cache.average_many(r, sub, j)
-            refined = float(np.sum(_weighted_panel_integrals(sub, hz, self.n)))
-            correction += abs(refined - panels[i])
-            panels[i] = refined
-        return float(np.sum(panels)), radial_est, correction
-
-
 def _tail_bound(traj, r, c, q, j):
     """Bound on the dropped integral over s in (r_end, infinity)."""
     if math.isinf(q):
@@ -321,13 +313,11 @@ def _tail_bound(traj, r, c, q, j):
     return float(np.trapezoid(integrand, s))
 
 
-def _profile(traj, j, eval_radii, n_theta, max_err=None):
+def _profile(traj, j, eval_radii, max_err=None):
     radii = np.asarray(eval_radii, dtype=float)
     if radii.ndim != 1 or np.any(np.diff(radii) <= 0):
         raise ValueError("eval_radii must be strictly increasing")
     m = traj.m
-    integ = _RadialIntegrator(traj)
-    c_tail, q_tail = _tail_decay(traj)
     tab = constant_table(m)
     if j == 0:
         pref = math.factorial(2 * m - 1) / float(tab.gamma_m) * float(tab.omega_n)
@@ -342,56 +332,60 @@ def _profile(traj, j, eval_radii, n_theta, max_err=None):
             / float(tab.vol_sphere_2m)
         )
         pref = const * float(tab.omega_n)
-    coarse = _get_cache(m, n_theta)
-    fine = _get_cache(m, 2 * n_theta)
-    vals = np.empty_like(radii)
-    errs = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        i_coarse, _, _ = integ.integral(r, coarse, j)
-        i_fine, radial_est, refine_delta = integ.integral(r, fine, j)
-        tail = _tail_bound(traj, r, c_tail, q_tail, j)
-        err = abs(pref) * (abs(i_fine - i_coarse) + radial_est + refine_delta + tail)
-        if max_err is not None and err > max_err:
-            vals[i] = math.nan
-            errs[i] = math.inf
-        else:
-            vals[i] = pref * i_fine
-            errs[i] = err
+    coeffs = _get_cache(m).coeffs
+    grid = traj.grid
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    g_grid, g_mid = _density(traj), _density_at(traj, mids)
+    fine = _SeparableIntegral(grid, mids, g_grid, g_mid, radii, traj)
+    # decimated grid: odd nodes act as midpoints; an odd last panel is kept
+    k = (grid.size - 1) // 2 * 2
+    ends = np.r_[0 : k + 1 : 2, k + 1 : grid.size]
+    coarse = _SeparableIntegral(
+        grid[ends], np.append(grid[1:k:2], mids[k:]),
+        g_grid[ends], np.append(g_grid[1:k:2], g_mid[k:]), radii, traj,
+    )
+    value = fine.integral(coeffs, j)
+    radial_est = np.abs(value - coarse.integral(coeffs, j))
+    c_tail, q_tail = _tail_decay(traj)
+    tail = np.array([_tail_bound(traj, r, c_tail, q_tail, j) for r in radii])
+    vals = pref * value
+    errs = abs(pref) * (radial_est + tail)
+    if max_err is not None:
+        skip = errs > max_err
+        vals[skip] = math.nan
+        errs[skip] = math.inf
     return RadialProfile(grid=radii, values=vals, m=m, err=errs)
 
 
-def compute_v(
-    traj: RadialTrajectory,
-    eval_radii,
-    n_theta: int = 96,
-) -> RadialProfile:
+def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
     """Evaluate the representation integral at the requested radii.
 
-    Values come from the doubled angular rule; the error bar stacks the
-    angular-doubling difference, the radial Richardson estimate, the
-    near-diagonal refinement size, and the truncated-tail bound.  Refuses
-    trajectories whose conformal volume has not converged (the tail bound
-    would be meaningless)."""
+    All radii come from one pass over the prefix, suffix and log moments
+    of exp(2mu) (see the module docstring); v(0) = 0 exactly.  The error
+    bar adds the radial Richardson estimate and the truncated-tail bound.
+    Radii past r_end use the moments of [0, r_end] and the same tail
+    bound.  Refuses trajectories whose conformal volume has not converged
+    (the tail bound would be meaningless)."""
     _check_alpha_converged(traj)
-    return _profile(traj, 0, eval_radii, n_theta)
+    return _profile(traj, 0, eval_radii)
 
 
 def compute_lap_v(
     traj: RadialTrajectory,
     j: int,
     eval_radii,
-    n_theta: int = 96,
     max_err: float = 1e-5,
 ) -> RadialProfile:
     """Delta^j v at the requested radii through the power kernel and the
     closed-form constant (-1)^j 2^{2j} (j-1)! (m-1)! / ((m-j-1)! |S^{2m}|).
 
-    Radii whose quadrature error estimate exceeds max_err are skipped:
-    their value is NaN and their error bar infinite."""
+    Same prefix/suffix moment pass and error bar as compute_v.  Radii whose
+    error bar exceeds max_err are skipped: their value is NaN and their
+    error bar infinite."""
     if not 1 <= j <= traj.m - 1:
         raise ValueError("j must lie in 1..m-1")
     _check_alpha_converged(traj)
-    return _profile(traj, j, eval_radii, n_theta, max_err=max_err)
+    return _profile(traj, j, eval_radii, max_err=max_err)
 
 
 def fit_even_polynomial(samples, max_deg: int, contribution_floor: float = 0.0) -> PolyFit1D:
@@ -417,12 +411,7 @@ def fit_even_polynomial(samples, max_deg: int, contribution_floor: float = 0.0) 
     )
 
 
-def rescale_check(
-    traj: RadialTrajectory,
-    scale_r: float,
-    eval_radii=None,
-    n_theta: int = 96,
-) -> float:
+def rescale_check(traj: RadialTrajectory, scale_r: float, eval_radii=None) -> float:
     """Max |v~(x) - v(scale_r * x)| over a test grid, where v~ belongs to
     the rescaled solution u(scale_r x) + log scale_r.
 
@@ -437,6 +426,6 @@ def rescale_check(
         eval_radii = np.geomspace(0.25, top, 12)
     eval_radii = np.asarray(eval_radii, dtype=float)
     scaled_traj = traj.rescaled(scale_r)
-    v_scaled = compute_v(scaled_traj, eval_radii, n_theta=n_theta)
-    v_orig = compute_v(traj, scale_r * eval_radii, n_theta=n_theta)
+    v_scaled = compute_v(scaled_traj, eval_radii)
+    v_orig = compute_v(traj, scale_r * eval_radii)
     return float(np.max(np.abs(v_scaled.values - v_orig.values)))

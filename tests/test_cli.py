@@ -110,6 +110,26 @@ def test_represent_writes_profile(tmp_path):
     assert "inferred_degree" in fit
 
 
+def test_represent_round_sphere_m3_fits_degree_0(tmp_path):
+    # standard m = 3 data; solver noise must not pass for polynomial content
+    rc = run(
+        [
+            "represent",
+            "--m",
+            "3",
+            "--laplacians",
+            "0.6931471805599453,-12,192",
+            "--r-end",
+            "500",
+            "--out",
+            str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    fit = json.loads(read(tmp_path / "fit.json"))
+    assert fit["inferred_degree"] == 0
+
+
 def test_config_file_and_explicit_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"m=2\nu0={math.log(2.0)!r}\nd2=-3.0\nr-end=150.0\n")

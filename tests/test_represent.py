@@ -1,10 +1,12 @@
 """Integral representation v(r) of the nonlinearity against the log kernel.
 
 For m = 1 the spherical average of the kernel has the closed form
-log(s / max(r, s)), which pins the angular quadrature; the m = 2 standard
-solution pins the full pipeline because u - v must be constant.
+log(s / max(r, s)), and for every m an adaptive quadrature over the polar
+angle is an independent oracle for the closed-form averages; the m = 2
+standard solution pins the full pipeline because u - v must be constant.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,10 +29,32 @@ def test_kernel_average_m1_closed_form():
         assert kernel_avg(r, s, 1) == pytest.approx(expected, abs=1e-10)
 
 
-def test_kernel_average_weights_normalized():
-    cache = KernelCache(2, 96)
-    assert np.sum(cache.base_w) == pytest.approx(1.0, rel=1e-13)
-    assert np.sum(cache.fine_w) == pytest.approx(1.0, rel=1e-13)
+def _oracle_average(r, s, m, j):
+    """The spherical average as an adaptive quadrature over the polar angle
+    with weight sin^{2m-2} theta, independent of the closed form."""
+    from scipy.integrate import quad
+
+    def kernel(theta):
+        dist_sq = (r - s) ** 2 + 4.0 * r * s * math.sin(theta / 2) ** 2
+        val = math.log(s) - 0.5 * math.log(dist_sq) if j == 0 else dist_sq ** (-j)
+        return val * math.sin(theta) ** (2 * m - 2)
+
+    # breakpoints resolve the peak at theta ~ |r - s| / r near the diagonal
+    value, _ = quad(kernel, 0.0, math.pi, points=[1e-7, 1e-5, 1e-3, 1e-1],
+                    limit=500, epsabs=1e-13, epsrel=1e-11)
+    norm = math.sqrt(math.pi) * math.gamma(m - 0.5) / math.gamma(m)
+    return value / norm
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_kernel_average_matches_quadrature_oracle(m):
+    cache = KernelCache(m)
+    for r in (0.4, 2.5):
+        sources = np.array([r / 3, r * (1 - 1e-6), r, r * (1 + 1e-6), 3 * r])
+        for j in range(m):
+            got = cache.average_many(r, sources, j)
+            want = [_oracle_average(r, s, m, j) for s in sources]
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (r, j)
 
 
 def test_kernel_higher_order_at_origin():
@@ -79,6 +103,47 @@ def test_compute_lap_v_matches_trajectory(std2):
     diff = np.abs(prof.values - w1)
     assert np.max(diff) < 5e-6
     assert np.all(diff <= prof.err + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def std3_500():
+    """Standard m = 3 profile at r_end = 500, as reproduce-paper runs it."""
+    return shoot(standard_config(3, r_end=500.0))
+
+
+def test_compute_lap_v_near_origin(std2, std3_500):
+    radii = np.geomspace(0.05, 3.0, 40)
+    for traj, orders in ((std2[0], (1,)), (std3_500[0], (1, 2))):
+        for j in orders:
+            prof = compute_lap_v(traj, j, radii)
+            assert np.all(np.isfinite(prof.values)), j
+            diff = np.abs(prof.values - traj.sample_w(j, radii))
+            assert np.all(diff <= prof.err), j
+
+
+def test_compute_v_covers_closed_form_on_and_off_grid(std2):
+    # r = 0, exact grid nodes, the last node, and past it (clamped moments)
+    traj, _ = std2
+    radii = np.concatenate([[0.0], traj.grid[[1, 2, 50, 400, 900, 1300]],
+                            [traj.r_max, 1.5 * traj.r_max]])
+    prof = compute_v(traj, radii)
+    assert prof.values[0] == 0.0
+    err = np.abs(prof.values + np.log1p(radii**2))
+    assert np.all(err <= prof.err)
+
+
+def test_compute_v_far_field_m3_exact_density(std3_500):
+    # with the closed-form density only quadrature error is left; the r^4
+    # factor on the suffix moments amplifies any cancellation in them
+    traj, _ = std3_500
+    w = traj.w.copy()
+    w[0] = np.log(2.0 / (1.0 + traj.grid**2))
+    exact_traj = dataclasses.replace(traj, w=w)
+    radii = np.geomspace(50.0, 500.0, 8)
+    prof = compute_v(exact_traj, radii)
+    err = np.abs(prof.values + np.log1p(radii**2))
+    assert np.max(err) < 3e-7
+    assert np.all(err <= prof.err)
 
 
 def test_compute_lap_v_validates_order(std2):
