@@ -413,6 +413,10 @@ def _cmd_reproduce_paper(args) -> int:
         target = 2 * traj.m * (2 * traj.m - 1)
         return float(np.max(np.abs(rg - target))) <= 1e-4
 
+    def rg_tail_spherical(row, traj):
+        target = 2 * traj.m * (2 * traj.m - 1)
+        return abs(row["min_tail_rg"] - target) <= 0.01 * target
+
     log2 = math.log(2.0)
     solve_rows = [
         ("standard m=1",
@@ -420,13 +424,15 @@ def _cmd_reproduce_paper(args) -> int:
          [is_standard, alpha_close(1e-3)]),
         ("standard m=2",
          standard_config(2, r_end=args.r_end),
-         [is_standard, alpha_close(1e-4), rg_spherical,
+         [is_standard, alpha_close(1e-4), rg_spherical, rg_tail_spherical,
           lambda row, traj: abs(row["lim_dau"]) <= 1e-3]),
         # m = 3 runs to 500: far enough that log-growth statistics settle,
-        # short enough that float64 r^4-mode noise stays out of the tail
+        # short enough that the r^4-mode growth of the integration error
+        # stays out of the tail.  At 500 the tail R_g spans 29.94..29.99
+        # (target 30); at 1000 it spans -11.6..25.0.
         ("standard m=3",
          standard_config(3, r_end=min(args.r_end, 500.0)),
-         [is_standard, alpha_close(1e-3)]),
+         [is_standard, alpha_close(1e-3), rg_tail_spherical]),
         ("perturbed m=2 (u''(0) = -2.2)",
          ShootingConfig(m=2, initial_derivatives=(log2, -2.2), r_end=args.r_end),
          [is_nonstandard, rg_unbounded]),

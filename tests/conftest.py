@@ -20,6 +20,12 @@ def std3():
 
 
 @pytest.fixture(scope="session")
+def std3_500():
+    """Standard m = 3 profile at r_end = 500, as reproduce-paper runs it."""
+    return shoot(standard_config(3, r_end=500.0))
+
+
+@pytest.fixture(scope="session")
 def nonstd2():
     """m=2 solution with u''(0) = -3, below the standard value -2."""
     cfg = ShootingConfig(m=2, initial_derivatives=(math.log(2.0), -3.0))

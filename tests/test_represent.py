@@ -105,12 +105,6 @@ def test_compute_lap_v_matches_trajectory(std2):
     assert np.all(diff <= prof.err + 1e-12)
 
 
-@pytest.fixture(scope="module")
-def std3_500():
-    """Standard m = 3 profile at r_end = 500, as reproduce-paper runs it."""
-    return shoot(standard_config(3, r_end=500.0))
-
-
 def test_compute_lap_v_near_origin(std2, std3_500):
     radii = np.geomspace(0.05, 3.0, 40)
     for traj, orders in ((std2[0], (1,)), (std3_500[0], (1, 2))):

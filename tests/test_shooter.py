@@ -15,6 +15,7 @@ from polyliouville.shooter import (
     conformal_factor_ratio,
     derivs_to_laplacians,
     diagnose,
+    rhs,
     scalar_curvature,
     series_start,
     shoot,
@@ -55,6 +56,29 @@ class TestStandardSolution:
         far = traj.grid >= 100.0
         gap = np.abs(traj.u[far] + 2.0 * np.log(traj.grid[far]))
         assert np.all(gap <= 0.1 * np.log(traj.grid[far]))
+
+
+class TestVectorField:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rhs_matches_closed_form_derivatives(self, m):
+        # (w, p) of the closed form is a solution, so rhs must return
+        # (p, dp/dr); dp/dr by central difference at h = 1e-6, whose
+        # rounding error is a few 1e-10 of the largest entry
+        h = 1e-6
+        for r in (0.3, 1.0, 2.5, 7.0, 40.0):
+            sol = standard_solution(m, 1.0, np.array([r - h, r, r + h]))
+            state = np.concatenate([sol.w[:, 1], sol.p[:, 1]])
+            dp = (sol.p[:, 2] - sol.p[:, 0]) / (2 * h)
+            got = rhs(state, r, m)
+            np.testing.assert_array_equal(got[:m], sol.p[:, 1])
+            scale = max(1.0, float(np.max(np.abs(dp))))
+            np.testing.assert_allclose(got[m:], dp, rtol=0, atol=1e-6 * scale)
+
+    def test_rhs_validates_input(self):
+        with pytest.raises(ValueError):
+            rhs(np.zeros(4), 0.0, 2)
+        with pytest.raises(ValueError):
+            rhs(np.zeros(3), 1.0, 2)
 
 
 class TestInitialData:
@@ -110,6 +134,24 @@ class TestStandardShots:
         assert np.max(np.abs(traj.u[mask] - exact)) < 1e-6
         rg = scalar_curvature(traj)
         assert np.max(np.abs(rg[traj.grid <= 10.0] - 30.0)) < 1e-4
+
+    def test_m3_tail_curvature_spherical(self, std3_500):
+        # reproduce-paper's m = 3 row: the whole tail window, not just r <= 10
+        traj, rep = std3_500
+        _, rg = rep.scalar_curvature_tail
+        assert np.max(np.abs(rg - 30.0)) <= 0.3
+
+    def test_m2_main_run_cost(self, std2):
+        # evaluation counts repeat exactly: 2858 with the 8th-order pair,
+        # 7376 with the 5th-order one
+        traj, _ = std2
+        assert traj.nfev <= 4000
+
+    @pytest.mark.parametrize("m,r_end", [(1, 1000.0), (2, 1000.0), (3, 500.0)])
+    def test_error_estimate_bounds_end_point_error(self, m, r_end):
+        traj, rep = shoot(standard_config(m, r_end=r_end))
+        exact = standard_solution(m, 1.0, traj.grid[-1:]).u[0]
+        assert rep.w0_error_estimate >= abs(traj.u[-1] - exact)
 
     def test_m1_volume_sweep(self):
         for lam in (0.5, 1.0, 2.0):
