@@ -12,24 +12,11 @@ import math
 
 import numpy as np
 
-from polyliouville.classify import classify
-from polyliouville.represent import compute_v, fit_even_polynomial
-from polyliouville.shooter import ShootingConfig, shoot
+from polyliouville import ShootingConfig, analyze
 
 
 def pipeline(d2):
-    cfg = ShootingConfig(m=2, initial_derivatives=(math.log(2.0), d2))
-    traj, rep = shoot(cfg)
-    if rep.termination == "reached_end" and traj.r_max >= 100.0:
-        radii = np.geomspace(1.0, traj.r_max / 2.0, 24)
-        prof = compute_v(traj, radii)
-        u = np.interp(radii, traj.grid, traj.u)
-        floor = rep.w0_error_estimate if math.isfinite(rep.w0_error_estimate) else 0.0
-        fit = fit_even_polynomial((radii, u - prof.values), 2, contribution_floor=10 * floor)
-    else:
-        r = np.linspace(1.0, min(2.0, traj.r_max), 8)
-        fit = fit_even_polynomial((r, np.zeros_like(r)), 2)
-    return traj, rep, fit, classify(traj, rep, fit)
+    return analyze(ShootingConfig(m=2, initial_derivatives=(math.log(2.0), d2)))
 
 
 def main():
@@ -38,7 +25,8 @@ def main():
     print(header)
     print("-" * len(header))
     for d2 in np.linspace(-2.5, -1.7, 9):
-        traj, rep, fit, out = pipeline(float(d2))
+        a = pipeline(float(d2))
+        rep, fit, out = a.report, a.fit, a.verdict
         lim = rep.delta_limits[0].value if rep.delta_limits else float("nan")
         print(
             f"{d2:>8.3f} {rep.termination:>14} {rep.alpha_final:>9.5f} {lim:>10.4f}"

@@ -8,10 +8,11 @@ Modules:
     tailfit      limit and even-polynomial estimation on tail samples
     represent    integral representation v and polynomial part u - v
     classify     numeric classification standard vs non-standard
-    cli          command line entry points
+    cli          command line entry points and the analyze pipeline
 """
 
-from .classify import ClassificationReport, classify, limit_estimate
+from .classify import ClassificationReport, classify
+from .cli import Analysis, analyze
 from .exactconst import (
     ConstantTable,
     PiRational,
@@ -40,6 +41,7 @@ from .shooter import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "ClassificationReport",
     "ConstantTable",
     "GreenBall",
@@ -50,6 +52,7 @@ __all__ = [
     "ShootingConfig",
     "SolveReport",
     "almansi_random",
+    "analyze",
     "ball_average",
     "classify",
     "compute_lap_v",
@@ -58,7 +61,6 @@ __all__ = [
     "exp_integrability",
     "fit_even_polynomial",
     "green_ball",
-    "limit_estimate",
     "navier_solve_radial",
     "pizzetti_check",
     "pizzetti_coefficients",

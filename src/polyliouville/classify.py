@@ -33,7 +33,6 @@ from .shooter import RadialTrajectory, SolveReport, conformal_factor_ratio, scal
 __all__ = [
     "ClassificationReport",
     "classify",
-    "limit_estimate",
     "EPS_STD",
     "EPS_GROWTH",
     "R_BIG",
@@ -111,25 +110,6 @@ class ClassificationReport:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def limit_estimate(curve) -> tuple[float, float]:
-    """(value, confidence) for the large-r limit of sampled tail data.
-
-    curve: either a pair of arrays (r, values) or a sequence of (r, v)
-    pairs, already restricted to the tail window; needs >= 12 samples.
-    Fits a + b/r^2 over three nested sub-windows; the widest window's
-    constant is the value, the max pairwise spread the confidence.
-    """
-    if isinstance(curve, tuple) and len(curve) == 2:
-        r, vals = curve
-    else:
-        arr = np.asarray(list(curve), dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("curve must be (r, values) arrays or (r, v) pairs")
-        r, vals = arr[:, 0], arr[:, 1]
-    est = tailfit.tail_limit(np.asarray(r, float), np.asarray(vals, float))
-    return est.value, est.confidence
 
 
 def _inconclusive_report(m: int) -> ClassificationReport:

@@ -11,11 +11,18 @@ Subcommands (long flags only):
     a2m-check        positivity, scaling covariance, and exp-integrability
     reproduce-paper  fixed verification suite with a summary table
 
+shoot, represent, classify and reproduce-paper all go through `analyze`,
+the one shoot -> v-profile -> u - v fit -> classify pipeline, which the
+package also exports for library use.  It reaches those four stages
+through this module's globals, which perfbench/spans.py wraps to trace
+each layer.
+
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Identical argv
 (and seed) produce byte-identical CSV/JSON outputs.  The default output
 directory is $POLYLIOUVILLE_OUT, falling back to the working directory.  An
-optional config file holds "key = value" lines (long flag names without the
-dashes); explicit flags override it.
+optional config file, named by --config PATH or --config=PATH, holds
+"key = value" lines (long flag names without the dashes); explicit flags
+override it.
 """
 
 from __future__ import annotations
@@ -26,29 +33,27 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .classify import classify
+from .classify import ClassificationReport, classify
 from .exactconst import constant_table, format_table, verify_gamma_identity
 from .greenball import RadialProfile, exp_integrability, green_ball, navier_solve_radial
 from .polyfield import almansi_random, pizzetti_check
 from .represent import compute_v, fit_even_polynomial
-from .shooter import ShootingConfig, scalar_curvature, shoot, standard_config
-
-__all__ = ["run", "main"]
-
-_SUBCOMMANDS = (
-    "constants",
-    "pizzetti",
-    "green",
-    "shoot",
-    "represent",
-    "classify",
-    "a2m-check",
-    "reproduce-paper",
+from .shooter import (
+    RadialTrajectory,
+    ShootingConfig,
+    SolveReport,
+    scalar_curvature,
+    shoot,
+    standard_config,
 )
+from .tailfit import PolyFit1D
+
+__all__ = ["Analysis", "analyze", "run", "main"]
 
 
 def _read_config(path: str) -> list[tuple[str, str]]:
@@ -67,12 +72,23 @@ def _read_config(path: str) -> list[tuple[str, str]]:
 def _inject_config(argv: list[str]) -> list[str]:
     """Insert config-file pairs as flags ahead of the explicit ones.
 
-    argparse keeps the last occurrence of a repeated flag, so explicit
-    command-line flags override the config file.
+    The file is named by `--config PATH` or `--config=PATH`.  argparse keeps
+    the last occurrence of a repeated flag, so explicit command-line flags
+    override the config file.
     """
-    if not argv or argv[0] not in _SUBCOMMANDS or "--config" not in argv:
+    if not argv or argv[0] not in _HANDLERS:
         return argv
-    path = argv[argv.index("--config") + 1]
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise ValueError("--config needs a file path")
+            path = argv[i + 1]
+            break
+        if arg.startswith("--config="):
+            path = arg.split("=", 1)[1]
+            break
+    else:
+        return argv
     extra: list[str] = []
     for key, value in _read_config(path):
         flag = "--" + key.replace("_", "-")
@@ -92,6 +108,13 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,56 +177,82 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-paper", parents=[common],
                        help="fixed verification suite")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers for the independent solve rows")
     p.add_argument("--r-end", type=float, default=1000.0)
 
     return parser
 
 
-# -- shared solve/classify pipeline -----------------------------------------
+# -- the analysis pipeline ---------------------------------------------------
 
 
-def _initial_data(args) -> dict:
-    if args.laplacians is not None:
-        values = tuple(float(x) for x in args.laplacians.split(","))
-        if len(values) != args.m:
-            raise ValueError(f"--laplacians needs exactly m={args.m} values")
-        return {"initial_laplacians": values}
-    if args.u0 is None:
-        raise ValueError("either --u0 (with --d2/--d4/--d6) or --laplacians is required")
-    derivs = (args.u0, args.d2, args.d4, args.d6)[: args.m]
-    return {"initial_derivatives": derivs}
+@dataclass(frozen=True)
+class Analysis:
+    """One run through shoot -> v-profile -> u - v fit -> classify.
+
+    vprof is None when the run never reached the far field and no radii
+    were asked for; fit is then a zero placeholder, and the verdict is
+    inconclusive because classify refuses to judge such runs.
+    """
+
+    traj: RadialTrajectory
+    report: SolveReport
+    vprof: RadialProfile | None
+    fit: PolyFit1D
+    verdict: ClassificationReport
 
 
-def _fit_u_minus_v(traj, rep, vprof):
-    """Even-polynomial fit of u - v whose degree inference ignores content
-    below 10x the solver's w0 error estimate."""
-    u = traj.sample_w(0, vprof.grid)
-    floor = rep.w0_error_estimate
-    if not math.isfinite(floor):
-        floor = 0.0
-    return fit_even_polynomial(
-        (vprof.grid, u - vprof.values), max(2, 2 * traj.m - 2),
-        contribution_floor=10.0 * floor,
-    )
+def _far_field_radii(r_max: float, points: int = 24) -> np.ndarray:
+    return np.geomspace(max(1.0, r_max / 1000.0), r_max / 2.0, points)
 
 
-def _pipeline(cfg: ShootingConfig):
-    """shoot -> v-profile -> u-v fit -> classification, for one config."""
+def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
+    """Shoot cfg, evaluate v, fit u - v and classify the run.
+
+    With radii=None, v is evaluated on 24 geometric radii of the far field
+    when the run reached r_end >= 100, and skipped otherwise.  Explicit
+    radii are always evaluated, so compute_v's refusal of a truncated run
+    surfaces as its ValueError.  Degree inference of the even-polynomial
+    fit ignores content below 10x the solver's w0 error estimate.
+    """
     traj, rep = shoot(cfg)
-    vprof = None
-    if traj.termination == "reached_end" and traj.r_max >= 100.0:
-        radii = np.geomspace(max(1.0, traj.r_max / 1000.0), traj.r_max / 2.0, 24)
-        vprof = compute_v(traj, radii)
-        fit = _fit_u_minus_v(traj, rep, vprof)
-    else:
-        # truncated run: classification will be inconclusive regardless
+    if radii is None and traj.termination == "reached_end" and traj.r_max >= 100.0:
+        radii = _far_field_radii(traj.r_max)
+    if radii is None:
+        vprof = None
         lo = max(float(traj.grid[1]), traj.r_max * 0.05)
         rr = np.linspace(lo, traj.r_max * 0.95, 16)
         fit = fit_even_polynomial((rr, np.zeros(16)), 2)
-    verdict = classify(traj, rep, fit)
-    return traj, rep, fit, vprof, verdict
+    else:
+        vprof = compute_v(traj, radii)
+        floor = rep.w0_error_estimate
+        if not math.isfinite(floor):
+            floor = 0.0
+        fit = fit_even_polynomial(
+            (vprof.grid, traj.sample_w(0, vprof.grid) - vprof.values),
+            max(2, 2 * traj.m - 2),
+            contribution_floor=10.0 * floor,
+        )
+    return Analysis(traj, rep, vprof, fit, classify(traj, rep, fit))
+
+
+def _config(args) -> ShootingConfig:
+    """The ShootingConfig named by the shooting flags."""
+    if args.laplacians is not None:
+        data = {"initial_laplacians": tuple(float(x) for x in args.laplacians.split(","))}
+    elif args.u0 is None:
+        raise ValueError("either --u0 (with --d2/--d4/--d6) or --laplacians is required")
+    else:
+        data = {"initial_derivatives": (args.u0, args.d2, args.d4, args.d6)[: args.m]}
+    return ShootingConfig(
+        m=args.m,
+        r_end=args.r_end,
+        rel_tol=args.rel_tol,
+        abs_tol=args.abs_tol,
+        blowup_threshold=args.blowup_threshold,
+        **data,
+    )
 
 
 def _fit_json(fit) -> dict:
@@ -263,63 +312,38 @@ def _cmd_green(args) -> int:
 
 def _cmd_shoot(args) -> int:
     out = _resolve_out(args)
-    cfg = ShootingConfig(
-        m=args.m,
-        r_end=args.r_end,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        blowup_threshold=args.blowup_threshold,
-        **_initial_data(args),
-    )
-    traj, rep, fit, _, verdict = _pipeline(cfg)
-    traj.to_csv(out / "trajectory.csv")
-    payload = rep.to_json_dict()
-    payload["classification"] = verdict.to_json_dict()
-    payload["fit"] = _fit_json(fit)
+    a = analyze(_config(args))
+    a.traj.to_csv(out / "trajectory.csv")
+    payload = a.report.to_json_dict()
+    payload["classification"] = a.verdict.to_json_dict()
+    payload["fit"] = _fit_json(a.fit)
     _write_json(out / "report.json", payload)
-    print(f"termination: {traj.termination} at r = {traj.r_max:.17g}")
-    print(f"alpha = {traj.alpha_final:.17g}")
-    print(f"overall = {verdict.overall}")
+    print(f"termination: {a.traj.termination} at r = {a.traj.r_max:.17g}")
+    print(f"alpha = {a.traj.alpha_final:.17g}")
+    print(f"overall = {a.verdict.overall}")
     print(f"wrote {out / 'trajectory.csv'} and {out / 'report.json'}")
     return 0
 
 
 def _cmd_represent(args) -> int:
     out = _resolve_out(args)
-    cfg = ShootingConfig(
-        m=args.m,
-        r_end=args.r_end,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        blowup_threshold=args.blowup_threshold,
-        **_initial_data(args),
-    )
-    traj, rep = shoot(cfg)
+    cfg = _config(args)
     if args.radii is not None:
         radii = np.array(sorted(float(x) for x in args.radii.split(",")))
     else:
-        radii = np.geomspace(max(1.0, traj.r_max / 1000.0), traj.r_max / 2.0, args.points)
-    vprof = compute_v(traj, radii)
-    fit = _fit_u_minus_v(traj, rep, vprof)
-    vprof.to_csv(out / "v_profile.csv", header=("r", "v", "err_bar"))
-    _write_json(out / "fit.json", _fit_json(fit))
-    print(f"v evaluated at {radii.size} radii, max err bar {float(np.max(vprof.err)):.3g}")
-    print(f"u - v fit: degree {fit.inferred_degree}, residual rms {fit.residual_rms:.3g}")
+        radii = _far_field_radii(cfg.r_end, args.points)
+    a = analyze(cfg, radii)
+    a.vprof.to_csv(out / "v_profile.csv", header=("r", "v", "err_bar"))
+    _write_json(out / "fit.json", _fit_json(a.fit))
+    print(f"v evaluated at {radii.size} radii, max err bar {float(np.max(a.vprof.err)):.3g}")
+    print(f"u - v fit: degree {a.fit.inferred_degree}, residual rms {a.fit.residual_rms:.3g}")
     print(f"wrote {out / 'v_profile.csv'} and {out / 'fit.json'}")
     return 0
 
 
 def _cmd_classify(args) -> int:
     out = _resolve_out(args)
-    cfg = ShootingConfig(
-        m=args.m,
-        r_end=args.r_end,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        blowup_threshold=args.blowup_threshold,
-        **_initial_data(args),
-    )
-    traj, rep, fit, _, verdict = _pipeline(cfg)
+    verdict = analyze(_config(args)).verdict
     verdict.to_json(out / "classification.json")
     for name, (stat, verd) in verdict.criteria().items():
         print(f"({name}) statistic = {stat:.6g}  verdict = {verd}")
@@ -370,21 +394,16 @@ def _cmd_a2m_check(args) -> int:
 
 
 def _reproduce_solve_row(name: str, cfg: ShootingConfig, checks) -> dict:
-    traj, rep, fit, _, verdict = _pipeline(cfg)
-    lim_dau = rep.delta_limits[0].value if rep.delta_limits else math.nan
-    idx = traj.tail_indices()
-    rg_tail = scalar_curvature(traj)[idx]
-    rg_tail = rg_tail[~np.isnan(rg_tail)]
-    min_rg = float(np.min(rg_tail)) if rg_tail.size else math.nan
+    a = analyze(cfg)
     row = {
         "name": name,
-        "alpha": traj.alpha_final,
-        "deg_p": fit.inferred_degree,
-        "lim_dau": lim_dau,
-        "min_tail_rg": min_rg,
-        "verdict": verdict.overall,
+        "alpha": a.traj.alpha_final,
+        "deg_p": a.fit.inferred_degree,
+        "lim_dau": a.report.delta_limits[0].value if a.report.delta_limits else math.nan,
+        "min_tail_rg": a.verdict.crit_v[0],
+        "verdict": a.verdict.overall,
     }
-    row["ok"] = all(check(row, traj) for check in checks)
+    row["ok"] = all(check(row, a.traj) for check in checks)
     return row
 
 
@@ -441,15 +460,12 @@ def _cmd_reproduce_paper(args) -> int:
          [is_nonstandard, rg_unbounded]),
     ]
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_reproduce_solve_row, name, cfg, checks)
-                for name, cfg, checks in solve_rows
-            ]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_reproduce_solve_row(name, cfg, checks) for name, cfg, checks in solve_rows]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        futures = [
+            pool.submit(_reproduce_solve_row, name, cfg, checks)
+            for name, cfg, checks in solve_rows
+        ]
+        rows = [f.result() for f in futures]
 
     exact_rows = []
     gamma_ok = all(verify_gamma_identity(mm) for mm in range(1, 11))

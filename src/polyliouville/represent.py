@@ -389,22 +389,15 @@ def compute_lap_v(
 
 
 def fit_even_polynomial(samples, max_deg: int, contribution_floor: float = 0.0) -> PolyFit1D:
-    """Least-squares even-polynomial fit of (r, value) samples.
+    """Least-squares even-polynomial fit of a pair of arrays (r, values).
 
-    samples: either a pair of arrays (r, values) or a sequence of (r, v)
-    pairs.  Degree inference keeps the highest power whose contribution at
-    the largest radius exceeds both 10x the residual RMS and the optional
+    Degree inference keeps the highest power whose contribution at the
+    largest radius exceeds both 10x the residual RMS and the optional
     contribution_floor; passing the trajectory's w0 error estimate as the
     floor stops solver noise (which grows like the polyharmonic modes) from
     masquerading as genuine polynomial content.
     """
-    if isinstance(samples, tuple) and len(samples) == 2:
-        r, vals = samples
-    else:
-        arr = np.asarray(list(samples), dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("samples must be (r, values) arrays or (r, v) pairs")
-        r, vals = arr[:, 0], arr[:, 1]
+    r, vals = samples
     return tailfit.fit_even_polynomial(
         np.asarray(r, float), np.asarray(vals, float), max_deg,
         contribution_floor=contribution_floor,

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from polyliouville.classify import classify
+from polyliouville.cli import analyze
 from polyliouville.exactconst import (
     PiRational,
     constant_table,
@@ -37,25 +37,6 @@ from polyliouville.shooter import (
 def report(number, ok, detail):
     print(f"[ACCEPTANCE {number}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"acceptance criterion {number} failed: {detail}"
-
-
-def classification_pipeline(traj, rep):
-    """shoot -> represent -> fit -> classify, the library-level pipeline."""
-    if rep.termination == "reached_end" and traj.r_max >= 100.0:
-        radii = np.geomspace(max(1.0, traj.r_max / 1000.0), traj.r_max / 2.0, 24)
-        prof = compute_v(traj, radii)
-        u = np.interp(radii, traj.grid, traj.u)
-        floor = rep.w0_error_estimate
-        if not math.isfinite(floor):
-            floor = 0.0
-        fit = fit_even_polynomial(
-            (radii, u - prof.values), max(2, 2 * traj.m - 2),
-            contribution_floor=10.0 * floor,
-        )
-    else:
-        radii = np.linspace(1.0, min(2.0, traj.r_max), 8)
-        fit = fit_even_polynomial((radii, np.zeros_like(radii)), 2)
-    return classify(traj, rep, fit)
 
 
 def test_acceptance_1_gamma_identity():
@@ -238,9 +219,7 @@ def test_acceptance_8_classifier_agreement():
     agreements = []
     for d2 in np.linspace(-2.5, -1.5, 20):
         cfg = ShootingConfig(m=2, initial_derivatives=(math.log(2.0), float(d2)))
-        traj, rep = shoot(cfg)
-        out = classification_pipeline(traj, rep)
-        agreements.append(out.agreement)
+        agreements.append(analyze(cfg).verdict.agreement)
     sweep_ok = all(agreements)
     alpha_ok = True
     for a0 in np.linspace(-1.0, 1.0, 5):

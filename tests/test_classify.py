@@ -7,33 +7,28 @@ instead of guessed.
 
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyliouville.classify import ClassificationReport, classify, limit_estimate
-from polyliouville.represent import compute_v, fit_even_polynomial
-from polyliouville.shooter import diagnose, shoot, standard_config
-
-
-def pipeline_fit(traj):
-    """Fit u - v over the far field, the same shape the CLI produces."""
-    radii = np.geomspace(max(1.0, traj.r_max / 1000.0), traj.r_max / 2.0, 24)
-    prof = compute_v(traj, radii)
-    u = np.interp(radii, traj.grid, traj.u)
-    return fit_even_polynomial((radii, u - prof.values), max(2, 2 * traj.m - 2))
+from polyliouville.classify import ClassificationReport, classify
+from polyliouville.cli import analyze
+from polyliouville.represent import fit_even_polynomial
+from polyliouville.shooter import ShootingConfig, diagnose, shoot, standard_config
 
 
 @pytest.fixture(scope="module")
-def std2_report(std2):
-    traj, rep = std2
-    return traj, rep, classify(traj, rep, pipeline_fit(traj))
+def std2_report():
+    a = analyze(standard_config(2))
+    return a.traj, a.report, a.verdict
 
 
 @pytest.fixture(scope="module")
-def nonstd2_report(nonstd2):
-    traj, rep = nonstd2
-    return traj, rep, classify(traj, rep, pipeline_fit(traj))
+def nonstd2_report():
+    a = analyze(ShootingConfig(m=2, initial_derivatives=(math.log(2.0), -3.0)))
+    return a.traj, a.report, a.verdict
 
 
 def test_standard_run_passes_every_criterion(std2_report):
@@ -75,15 +70,6 @@ def test_truncated_run_is_inconclusive():
     assert report.overall == "inconclusive"
     assert report.agreement  # vacuously: nothing decided
     assert report.deltaa_estimate is None
-
-
-def test_limit_estimate_accepts_both_layouts():
-    r = np.geomspace(100.0, 1000.0, 40)
-    vals = -1.5 + 3.0 / r**2
-    v1, c1 = limit_estimate((r, vals))
-    v2, c2 = limit_estimate(list(zip(r, vals)))
-    assert v1 == pytest.approx(-1.5, abs=1e-10)
-    assert (v1, c1) == (v2, c2)
 
 
 def test_mismatched_inputs_rejected(std2):
@@ -134,3 +120,15 @@ def test_json_serializes_infinities():
     stats = {entry["name"]: entry["statistic"] for entry in json.loads(text)["criteria"]}
     assert stats["ii"] == "-inf"
     assert stats["iii"] == "nan"
+
+
+def test_classification_sweep_demo(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "classification_sweep.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("---")) + 1
+    rows = [line.split() for line in lines[first:first + 9]]
+    assert [row[6] for row in rows] == ["nonstandard"] * 5 + ["standard"] + ["inconclusive"] * 3
+    assert all(row[7] == "True" for row in rows)
+    # the round sphere's u - v is the constant log 2
+    assert rows[5][5] == "0.6931"

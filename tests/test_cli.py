@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from polyliouville.cli import run
+from polyliouville.cli import analyze, run
+from polyliouville.shooter import ShootingConfig, standard_config
 
 LOG2 = repr(math.log(2.0))
 
@@ -87,6 +88,16 @@ def test_represent_on_blowup_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_represent_radii_past_r_end_exit_3(tmp_path, capsys):
+    # u is not known past r_end, so neither is the u - v fit there
+    rc = run(
+        ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--r-end", "200",
+         "--radii", "1,5,50,400", "--out", str(tmp_path)]
+    )
+    assert rc == 3
+    assert "beyond the trajectory range" in capsys.readouterr().err
+
+
 def test_represent_writes_profile(tmp_path):
     rc = run(
         [
@@ -148,6 +159,38 @@ def test_config_file_and_explicit_override(tmp_path):
     assert blob2["r_reached"] == pytest.approx(200.0)
 
 
+def test_config_flag_without_path_exits_2(capsys):
+    assert run(["shoot", "--m", "1", "--u0", "0", "--config"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r_end = 200\n")
+    assert run(
+        ["shoot", "--m", "1", "--u0", "0", f"--config={cfg}", "--out", str(tmp_path)]
+    ) == 0
+    blob = json.loads(read(tmp_path / "report.json"))
+    assert blob["r_reached"] == pytest.approx(200.0)
+
+
+def test_analyze_standard_far_field():
+    a = analyze(standard_config(2))
+    assert a.vprof.grid.size == 24
+    assert a.fit.inferred_degree == 0
+    assert a.verdict.overall == "standard"
+
+
+def test_analyze_truncated_run():
+    cfg = ShootingConfig(m=2, initial_derivatives=(math.log(2.0), -1.7))
+    a = analyze(cfg)
+    assert a.traj.termination != "reached_end"
+    assert a.vprof is None
+    assert a.verdict.overall == "inconclusive"
+    with pytest.raises(ValueError):
+        analyze(cfg, radii=[1.0, 5.0])
+
+
 def test_classify_writes_json(tmp_path, capsys):
     rc = run(
         ["classify", "--m", "2", "--u0", LOG2, "--d2", "-3", "--out", str(tmp_path)]
@@ -179,3 +222,7 @@ def test_reproduce_paper_all_rows_pass(tmp_path, capsys):
     rows = [line.rsplit(",", 1) for line in summary[1:]]
     assert len(rows) == 5
     assert all(flag == "True" for _, flag in rows)
+
+
+def test_reproduce_paper_jobs_below_1_exits_2():
+    assert run(["reproduce-paper", "--jobs", "0"]) == 2

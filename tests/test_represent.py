@@ -174,11 +174,8 @@ def test_truncated_trajectory_rejected():
         compute_v(traj, [1.0])
 
 
-def test_fit_wrapper_accepts_pairs():
+def test_fit_wrapper_accepts_arrays():
     r = np.linspace(1.0, 4.0, 10)
     fit = fit_even_polynomial((r, 3.0 - 2.0 * r**2), 4)
     assert fit.inferred_degree == 2
     assert fit.leading_coefficient == pytest.approx(-2.0, rel=1e-10)
-    pairs = list(zip(r, 3.0 - 2.0 * r**2))
-    fit2 = fit_even_polynomial(pairs, 4)
-    assert fit2.inferred_degree == 2
