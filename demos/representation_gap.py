@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from polyliouville.represent import compute_v, fit_even_polynomial, rescale_check
+from polyliouville.represent import compute_v, rescale_check
 from polyliouville.shooter import ShootingConfig, shoot, standard_config
+from polyliouville.tailfit import fit_even_polynomial
 
 
 def show(label, traj, rep):

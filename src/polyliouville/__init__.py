@@ -28,7 +28,7 @@ from .greenball import (
     navier_solve_radial,
 )
 from .polyfield import PolynomialND, almansi_random, ball_average, pizzetti_check
-from .represent import compute_lap_v, compute_v, fit_even_polynomial, rescale_check
+from .represent import compute_lap_v, compute_v, rescale_check
 from .shooter import (
     RadialTrajectory,
     ShootingConfig,
@@ -37,6 +37,7 @@ from .shooter import (
     standard_config,
     standard_solution,
 )
+from .tailfit import fit_even_polynomial
 
 __version__ = "0.1.0"
 

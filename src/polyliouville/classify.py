@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tailfit
-from .shooter import RadialTrajectory, SolveReport, conformal_factor_ratio, scalar_curvature
+from .shooter import RadialTrajectory, SolveReport
 
 __all__ = [
     "ClassificationReport",
@@ -162,9 +162,8 @@ def _crit_iv(fit: tailfit.PolyFit1D) -> tuple[float, str]:
     return (float(deg), "inconclusive")
 
 
-def _crit_v(traj: RadialTrajectory) -> tuple[float, str]:
-    idx = traj.tail_indices()
-    rg = scalar_curvature(traj)[idx]
+def _crit_v(report: SolveReport) -> tuple[float, str]:
+    rg = report.scalar_curvature_tail[1]
     rg = rg[np.isfinite(rg) | (rg == -np.inf)]
     if rg.size == 0:
         return (math.nan, "inconclusive")
@@ -174,9 +173,8 @@ def _crit_v(traj: RadialTrajectory) -> tuple[float, str]:
     return (stat, "standard" if stat > -R_BIG else "nonstandard")
 
 
-def _crit_vi(traj: RadialTrajectory) -> tuple[float, str]:
-    idx = traj.tail_indices()
-    rho = conformal_factor_ratio(traj)[idx]
+def _crit_vi(report: SolveReport) -> tuple[float, str]:
+    rho = report.rho1_tail[1]
     rho = rho[np.isfinite(rho)]
     if rho.size == 0:
         return (math.nan, "inconclusive")
@@ -202,7 +200,10 @@ def classify(
     fit of u - v samples (representation module).  A truncated or short run
     (termination other than reached_end, r_end < 100, or unconverged
     conformal volume) yields all-inconclusive verdicts with vacuous
-    agreement rather than guesses.
+    agreement rather than guesses.  Criteria (v) and (vi) read the tail
+    arrays that `diagnose` stored in report; every run judged here reached
+    r_end >= 100 on the 1.01-ratio grid, so its tail window holds more than
+    the 12 samples diagnose needs to fill them.
     """
     if report.m != traj.m:
         raise ValueError(f"report is for m={report.m}, trajectory for m={traj.m}")
@@ -223,8 +224,8 @@ def classify(
         "ii": _crit_ii(report),
         "iii": _crit_iii(traj),
         "iv": _crit_iv(fit),
-        "v": _crit_v(traj),
-        "vi": _crit_vi(traj),
+        "v": _crit_v(report),
+        "vi": _crit_vi(report),
     }
     decided = [v for _, v in crits.values() if v != "inconclusive"]
     agreement = len(set(decided)) <= 1

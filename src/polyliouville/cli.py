@@ -1,6 +1,6 @@
 """Command-line experiment harness with deterministic file outputs.
 
-Subcommands (long flags only):
+Subcommands (long flags only, spelled out in full):
 
     constants        exact constant table for one order m
     pizzetti         seeded exactness sweep of the ball-average expansion
@@ -42,7 +42,7 @@ from .classify import ClassificationReport, classify
 from .exactconst import constant_table, format_table, verify_gamma_identity
 from .greenball import RadialProfile, exp_integrability, green_ball, navier_solve_radial
 from .polyfield import almansi_random, pizzetti_check
-from .represent import compute_v, fit_even_polynomial
+from .represent import compute_v
 from .shooter import (
     RadialTrajectory,
     ShootingConfig,
@@ -51,7 +51,7 @@ from .shooter import (
     shoot,
     standard_config,
 )
-from .tailfit import PolyFit1D
+from .tailfit import PolyFit1D, fit_even_polynomial
 
 __all__ = ["Analysis", "analyze", "run", "main"]
 
@@ -123,24 +123,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="numerical and exact-arithmetic laboratory for the "
         "polyharmonic Liouville equation on R^{2m}",
     )
+    # allow_abbrev=False on every subcommand: a prefix such as --conf would
+    # otherwise parse as --config without _inject_config reading the file
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value file; flags override it")
     common.add_argument("--out", help="output directory (default $POLYLIOUVILLE_OUT or .)")
 
-    p = sub.add_parser("constants", parents=[common], help="exact constant table")
+    p = sub.add_parser("constants", parents=[common], allow_abbrev=False,
+                       help="exact constant table")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--digits", type=int, default=30)
 
-    p = sub.add_parser("pizzetti", parents=[common], help="seeded exactness sweep")
+    p = sub.add_parser("pizzetti", parents=[common], allow_abbrev=False,
+                       help="seeded exactness sweep")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=6)
 
-    p = sub.add_parser("green", parents=[common], help="exact Green function data")
+    p = sub.add_parser("green", parents=[common], allow_abbrev=False,
+                       help="exact Green function data")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--points", type=int, default=0,
                    help="if > 0, also write green_profile.csv with this many radii")
@@ -157,25 +162,24 @@ def _build_parser() -> argparse.ArgumentParser:
     shooting.add_argument("--r-end", type=float, default=1000.0)
     shooting.add_argument("--rel-tol", type=float, default=1e-10)
     shooting.add_argument("--abs-tol", type=float, default=1e-12)
-    shooting.add_argument("--blowup-threshold", type=float, default=50.0)
 
-    p = sub.add_parser("shoot", parents=[common, shooting],
+    p = sub.add_parser("shoot", parents=[common, shooting], allow_abbrev=False,
                        help="radial trajectory CSV + diagnostic report JSON")
 
-    p = sub.add_parser("represent", parents=[common, shooting],
+    p = sub.add_parser("represent", parents=[common, shooting], allow_abbrev=False,
                        help="v-profile CSV + u-v fit JSON")
     p.add_argument("--radii", help="comma list of evaluation radii")
     p.add_argument("--points", type=int, default=24)
 
-    p = sub.add_parser("classify", parents=[common, shooting],
+    p = sub.add_parser("classify", parents=[common, shooting], allow_abbrev=False,
                        help="equivalence-criteria verdict JSON")
 
-    p = sub.add_parser("a2m-check", parents=[common],
+    p = sub.add_parser("a2m-check", parents=[common], allow_abbrev=False,
                        help="Navier positivity, scaling covariance, integrability")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--points", type=int, default=801)
 
-    p = sub.add_parser("reproduce-paper", parents=[common],
+    p = sub.add_parser("reproduce-paper", parents=[common], allow_abbrev=False,
                        help="fixed verification suite")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers for the independent solve rows")
@@ -250,7 +254,6 @@ def _config(args) -> ShootingConfig:
         r_end=args.r_end,
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
-        blowup_threshold=args.blowup_threshold,
         **data,
     )
 

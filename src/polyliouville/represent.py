@@ -51,19 +51,14 @@ import numpy as np
 from .exactconst import constant_table
 from .greenball import RadialProfile
 from .shooter import RadialTrajectory
-from . import tailfit
 
 __all__ = [
     "KernelCache",
-    "PolyFit1D",
     "kernel_avg",
     "compute_v",
     "compute_lap_v",
-    "fit_even_polynomial",
     "rescale_check",
 ]
-
-PolyFit1D = tailfit.PolyFit1D
 
 _EXP_CAP = 700.0
 
@@ -386,22 +381,6 @@ def compute_lap_v(
         raise ValueError("j must lie in 1..m-1")
     _check_alpha_converged(traj)
     return _profile(traj, j, eval_radii, max_err=max_err)
-
-
-def fit_even_polynomial(samples, max_deg: int, contribution_floor: float = 0.0) -> PolyFit1D:
-    """Least-squares even-polynomial fit of a pair of arrays (r, values).
-
-    Degree inference keeps the highest power whose contribution at the
-    largest radius exceeds both 10x the residual RMS and the optional
-    contribution_floor; passing the trajectory's w0 error estimate as the
-    floor stops solver noise (which grows like the polyharmonic modes) from
-    masquerading as genuine polynomial content.
-    """
-    r, vals = samples
-    return tailfit.fit_even_polynomial(
-        np.asarray(r, float), np.asarray(vals, float), max_deg,
-        contribution_floor=contribution_floor,
-    )
 
 
 def rescale_check(traj: RadialTrajectory, scale_r: float, eval_radii=None) -> float:

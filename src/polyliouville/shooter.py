@@ -16,29 +16,28 @@ own normalized volume without post-hoc integration error.
 
 Initial data live at r = 0, either as A_j = Delta^j u(0) or as the even
 derivatives u^{(2j)}(0) (odd ones vanish for smooth radial data).  The
-integration starts at a small r0 > 0 from a fourth-order Taylor expansion
-to sidestep the coordinate singularity of the radial Laplacian.
+integration starts at r0 = max(1e-6, min(1e-2, abs_tol^(1/4))) from a
+fourth-order Taylor expansion to sidestep the coordinate singularity of the
+radial Laplacian.
 
 The closed-form family
 
     u_lam(x) = log(2 lam / (1 + lam^2 |x|^2)),
 
-the pullback of the round-sphere metric, is evaluated through an exact
-rational recursion in t = lam^2 r^2 and serves as the reference for every
-w_j and p_j without finite differencing.
+the pullback of the round-sphere metric, has Delta^j u_lam = lam^{2j} G_j(t)
+with t = lam^2 r^2, and each G_j is a polynomial with integer coefficients
+in x = 1/(1+t).  It is evaluated by Horner's rule in x and serves as the
+reference for every w_j and p_j without finite differencing.
 
 The exponential source is clamped at exp(700) inside the vector field so
-the right-hand side stays total past a blow-up.  A terminal event on
-w_0 = blowup_threshold flags a blow-up only when the threshold is low
-enough to be reached: a finite-radius blow-up of the m = 2 equation goes
-like u ~ -log(R - r), so u climbs to about 30 before R - r falls to float64
-resolution and the step controller gives up.  With the default threshold
-of 50, supercritical runs therefore end in "step_underflow", not "blowup".
+the right-hand side stays total past a blow-up.  A finite-radius blow-up
+of the m = 2 equation goes like u ~ -log(R - r), so u climbs to about 30
+before R - r falls to float64 resolution and the step controller gives
+up: runs that blow up end in "step_underflow", short of r_end.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -84,6 +83,9 @@ _TOL_SAFETY = 0.03
 # r = 500) the estimate is 4.6x to 18x the true end-point error of u.
 _COMPANION_FACTOR = 8.0
 
+# Ratio of consecutive radii of the sampling grid.
+_GRID_RATIO = 1.01
+
 
 def _sigma(m: int) -> int:
     return -1 if m % 2 else 1
@@ -114,7 +116,7 @@ def derivs_to_laplacians(m, even_derivs):
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Initial data and integrator settings for one radial run.
+    """Initial data, end radius and requested accuracy of one radial run.
 
     Exactly one of initial_laplacians (A_0..A_{m-1}) and initial_derivatives
     (u(0), u''(0), ..., u^{(2m-2)}(0)) must be provided; derivatives are
@@ -128,9 +130,6 @@ class ShootingConfig:
     r_end: float = 1000.0
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    r0: float | None = None
-    grid_ratio: float = 1.01
-    blowup_threshold: float = 50.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -155,8 +154,8 @@ class ShootingConfig:
             )
         if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
             raise ValueError("tolerances must lie in (0, 1)")
-        if not (self.r_end > 0 and self.grid_ratio > 1):
-            raise ValueError("r_end must be positive and grid_ratio > 1")
+        if not self.r_end > 0:
+            raise ValueError("r_end must be positive")
         if self.start_radius() >= self.r_end:
             raise ValueError("start radius must be below r_end")
 
@@ -165,8 +164,6 @@ class ShootingConfig:
         return 2 * self.m
 
     def start_radius(self) -> float:
-        if self.r0 is not None:
-            return self.r0
         return max(1e-6, min(1e-2, self.abs_tol**0.25))
 
 
@@ -248,8 +245,8 @@ class RadialTrajectory:
     """Sampled radial solution with its running conformal volume.
 
     grid starts at r = 0; w and p have shape (m, len(grid)); alpha is the
-    normalized volume of B_r.  termination is one of "reached_end",
-    "blowup", "step_underflow".
+    normalized volume of B_r.  termination is "reached_end", or
+    "step_underflow" when the run stopped short of r_end (a blow-up).
     """
 
     m: int
@@ -341,20 +338,14 @@ class RadialTrajectory:
                 fh.write(",".join("%.17g" % x for x in row) + "\n")
 
 
-def _geometric_grid(r0: float, r_end: float, ratio: float) -> np.ndarray:
-    count = int(math.ceil(math.log(r_end / r0) / math.log(ratio)))
-    pts = r0 * ratio ** np.arange(count + 1)
+def _geometric_grid(r0: float, r_end: float) -> np.ndarray:
+    count = int(math.ceil(math.log(r_end / r0) / math.log(_GRID_RATIO)))
+    pts = r0 * _GRID_RATIO ** np.arange(count + 1)
     pts = pts[pts < r_end * (1 - 1e-12)]
     return np.append(pts, r_end)
 
 
 def _integrate(config: ShootingConfig, t_eval, rtol, atol):
-    def blowup(r, y):
-        return y[0] - config.blowup_threshold
-
-    blowup.terminal = True
-    blowup.direction = 1
-
     r0, y0 = series_start(config)
     return solve_ivp(
         _vector_field(config.m),
@@ -364,7 +355,6 @@ def _integrate(config: ShootingConfig, t_eval, rtol, atol):
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
-        events=[blowup],
     )
 
 
@@ -372,37 +362,24 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     """Integrate one radial trajectory on [0, r_end] and diagnose its tail.
 
     Dormand-Prince adaptive stepping (DOP853: 8th order, with 5th- and
-    3rd-order error estimates) with a terminal event on
-    w_0 = blowup_threshold.  The returned grid always contains r = 0 (exact
-    data) and the final radius reached.  The report's w0_error_estimate
-    comes from a companion integration at 8x looser tolerance: the global
-    error grows with the tolerance, so the end-value difference bounds the
-    main run's error (by 4.6x to 18x on the closed-form family).  Blow-up
-    and underflow set the termination flag, they do not raise.
+    3rd-order error estimates), sampled on a geometric grid of ratio 1.01.
+    The returned grid always contains r = 0 (exact data) and the final
+    radius reached.  The report's w0_error_estimate comes from a companion
+    integration at 8x looser tolerance: the global error grows with the
+    tolerance, so the end-value difference bounds the main run's error (by
+    4.6x to 18x on the closed-form family).  A run that blows up stops
+    short of r_end with termination "step_underflow"; it does not raise.
     """
     m = config.m
     rtol = config.rel_tol * _TOL_SAFETY
     atol = config.abs_tol * _TOL_SAFETY
-    grid = _geometric_grid(config.start_radius(), config.r_end, config.grid_ratio)
+    grid = _geometric_grid(config.start_radius(), config.r_end)
     sol = _integrate(config, grid, rtol, atol)
-    if sol.status == 1:
-        termination = "blowup"
-    elif sol.status == 0:
-        termination = "reached_end"
-    else:
-        termination = "step_underflow"
-
-    t = sol.t
-    y = sol.y
-    if sol.status == 1 and sol.t_events[0].size:
-        te = sol.t_events[0][0]
-        if t.size == 0 or te > t[-1] * (1 + 1e-12):
-            t = np.append(t, te)
-            y = np.column_stack([y, sol.y_events[0][0]])
+    termination = "reached_end" if sol.status == 0 else "step_underflow"
 
     a0 = np.asarray(config.initial_laplacians, dtype=float)
-    full_t = np.concatenate([[0.0], t])
-    full_y = np.column_stack([np.concatenate([a0, np.zeros(m), [0.0]]), y])
+    full_t = np.concatenate([[0.0], sol.t])
+    full_y = np.column_stack([np.concatenate([a0, np.zeros(m), [0.0]]), sol.y])
     traj = RadialTrajectory(
         m=m,
         grid=full_t,
@@ -456,68 +433,38 @@ def conformal_factor_ratio(traj: RadialTrajectory) -> np.ndarray:
         return np.exp(np.minimum(expo, _EXP_CAP))
 
 
-# --- closed-form family via exact rational calculus in t = lam^2 r^2 ---
+# --- closed-form family: Delta^j u_lam = lam^{2j} G_j(t), t = lam^2 r^2 ---
 
-def _poly_deriv(c):
-    return [k * c[k] for k in range(1, len(c))] or [Fraction(0)]
+def _standard_chain(m: int) -> list[list[int]]:
+    """Integer coefficients c (c[k] multiplies x^k, x = 1/(1+t)) of G_j
+    for j = 1..m-1.
 
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-def _poly_scale(a, c):
-    return [c * x for x in a]
-
-def _poly_mul_t(a):
-    return [Fraction(0)] + list(a)
-
-def _poly_mul_1pt(a):
-    return _poly_add(a, _poly_mul_t(a))
-
-
-def _rat_deriv(num, k):
-    """d/dt of num(t)/(1+t)^k -> (num', k+1)."""
-    top = _poly_add(_poly_mul_1pt(_poly_deriv(num)), _poly_scale(num, -k))
-    return top, k + 1
-
-
-def _rat_lift(num, k, k_target):
-    for _ in range(k_target - k):
-        num = _poly_mul_1pt(num)
-    return num
-
-
-def _laplace_t(num, k, n):
-    """The radial Laplacian in t-coordinates: L = 4 t d^2/dt^2 + 2 n d/dt."""
-    d1, k1 = _rat_deriv(num, k)
-    d2, k2 = _rat_deriv(d1, k1)
-    first = _poly_scale(_poly_mul_t(d2), 4)
-    second = _poly_scale(_rat_lift(d1, k1, k2), 2 * n)
-    return _poly_add(first, second), k2
-
-
-def _standard_chain(m: int, length: int):
-    """Rational forms (num, k) of G_j for j = 1..length, where
-    Delta^j u_lam = lam^{2j} G_j(t) and G_1 = (-2n + (4-2n) t)/(1+t)^2."""
-    n = 2 * m
-    g = ([Fraction(-2 * n), Fraction(4 - 2 * n)], 2)
-    chain = [g]
-    for _ in range(length - 1):
-        g = _laplace_t(*g, n)
+    In t the radial Laplacian is 4t d^2/dt^2 + 2n d/dt with n = 2m; as
+    dx/dt = -x^2 it maps x^k to 4k(k+1-m) x^{k+1} - 4k(k+1) x^{k+2}, and
+    G_1 = (4-4m) x - 4 x^2 is the image of u = log(2 lam) - log(1+t).
+    """
+    g = [0, 4 - 4 * m, -4]
+    chain = []
+    for _ in range(m - 1):
         chain.append(g)
+        nxt = [0] * (len(g) + 2)
+        for k, c in enumerate(g):
+            nxt[k + 1] += 4 * k * (k + 1 - m) * c
+            nxt[k + 2] -= 4 * k * (k + 1) * c
+        g = nxt
     return chain
 
 
-def _rat_eval(num, k, t):
-    t = np.asarray(t, dtype=float)
-    acc = np.zeros_like(t)
-    for c in reversed(num):
-        acc = acc * t + float(c)
-    return acc / (1.0 + t) ** k
+def _t_derivative(c: list[int]) -> list[int]:
+    """Coefficients in x of dG/dt for G = sum_k c[k] x^k."""
+    return [0] + [-k * ck for k, ck in enumerate(c)]
+
+
+def _horner(c: list[int], x: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(x)
+    for ck in reversed(c):
+        acc = acc * x + float(ck)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -525,10 +472,7 @@ class StandardSolution:
     """Closed-form profile u = log(2 lam / (1 + lam^2 s^2)), s = |r - x0|,
     and its Laplacian chain.
 
-    w[j], p[j] hold Delta^j u and its radial derivative for
-    j < chain_length.  The full chain is produced for m <= 4; beyond that
-    only u and u' are filled in (the exact numerators grow fast and nothing
-    downstream consumes them).
+    w[j], p[j] hold Delta^j u and its radial derivative for j = 0..m-1.
     """
 
     m: int
@@ -536,7 +480,6 @@ class StandardSolution:
     r: np.ndarray
     w: np.ndarray
     p: np.ndarray
-    chain_length: int
 
     @property
     def u(self) -> np.ndarray:
@@ -558,29 +501,23 @@ def standard_solution(m: int, lam: float, r, x0_offset: float = 0.0) -> Standard
         raise ValueError("lam must be positive")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s = r - x0_offset
-    sign = np.sign(s)
     t = (lam * s) ** 2
-    chain_length = m if m <= 4 else 1
-    w = np.empty((chain_length, r.size))
+    x = 1.0 / (1.0 + t)
+    w = np.empty((m, r.size))
     p = np.empty_like(w)
     w[0] = math.log(2 * lam) - np.log1p(t)
-    p[0] = sign * (-2 * lam**2 * np.abs(s) / (1.0 + t))
-    if chain_length > 1:
-        for j, (num, k) in enumerate(_standard_chain(m, chain_length - 1), start=1):
-            w[j] = lam ** (2 * j) * _rat_eval(num, k, t)
-            dnum, dk = _rat_deriv(num, k)
-            p[j] = sign * (
-                2 * lam ** (2 * j + 2) * np.abs(s) * _rat_eval(dnum, dk, t)
-            )
-    return StandardSolution(m=m, lam=lam, r=r, w=w, p=p, chain_length=chain_length)
+    p[0] = -2 * lam**2 * s / (1.0 + t)
+    for j, c in enumerate(_standard_chain(m), start=1):
+        w[j] = lam ** (2 * j) * _horner(c, x)
+        p[j] = 2 * lam ** (2 * j + 2) * s * _horner(_t_derivative(c), x)
+    return StandardSolution(m=m, lam=lam, r=r, w=w, p=p)
 
 
 def standard_laplacians(m: int, lam: float) -> tuple[float, ...]:
     """Initial data (Delta^j u_lam)(0), j = 0..m-1, for the closed form."""
     out = [math.log(2 * lam)]
-    if m > 1:
-        for j, (num, _k) in enumerate(_standard_chain(m, m - 1), start=1):
-            out.append(float(num[0]) * lam ** (2 * j))
+    for j, c in enumerate(_standard_chain(m), start=1):
+        out.append(float(sum(c)) * lam ** (2 * j))
     return tuple(out)
 
 
@@ -648,11 +585,6 @@ class SolveReport:
             "verdict_inputs": verdict_inputs,
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def diagnose(traj: RadialTrajectory, w0_error_estimate: float = math.nan) -> SolveReport:
     """Extract the tail quantities the classifier consumes.
@@ -679,7 +611,7 @@ def diagnose(traj: RadialTrajectory, w0_error_estimate: float = math.nan) -> Sol
         if wide.size >= max_deg // 2 + 3:
             floor = 20.0 * max(1.0, math.log(traj.r_max))
             growth_fit = fit_even_polynomial(
-                traj.grid[wide], traj.w[0][wide], max_deg, contribution_floor=floor
+                (traj.grid[wide], traj.w[0][wide]), max_deg, contribution_floor=floor
             )
         cur = scalar_curvature(traj)
         rho = conformal_factor_ratio(traj)

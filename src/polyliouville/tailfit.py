@@ -87,9 +87,12 @@ class PolyFit1D:
 
 
 def fit_even_polynomial(
-    r: np.ndarray, vals: np.ndarray, max_degree: int, contribution_floor: float = 0.0
+    samples: tuple[np.ndarray, np.ndarray],
+    max_degree: int,
+    contribution_floor: float = 0.0,
 ) -> PolyFit1D:
-    """Least-squares fit of an even polynomial, with degree inference.
+    """Least-squares fit of an even polynomial to the pair (r, values),
+    with degree inference.
 
     ``max_degree`` must be even.  Columns are scaled by r_max**(2k) so the
     design matrix has unit-size columns.  A power 2k counts toward the
@@ -103,10 +106,14 @@ def fit_even_polynomial(
     near-collinear scaled powers can reproduce a logarithm with large
     canceling coefficients, and only a genuinely polynomial tail clears a
     threshold an order of magnitude above the largest possible log term.
-    Data that are polynomial by construction should keep the default 0.
+    Passing 10x a trajectory's w0 error estimate as the floor when fitting
+    u - v stops solver noise (which grows like the polyharmonic modes) from
+    masquerading as genuine polynomial content.  Data that are polynomial
+    by construction should keep the default 0.
     """
     if max_degree % 2 != 0 or max_degree < 0:
         raise ValueError("max_degree must be a non-negative even integer")
+    r, vals = samples
     r = np.asarray(r, dtype=float)
     vals = np.asarray(vals, dtype=float)
     if r.shape != vals.shape or r.ndim != 1:

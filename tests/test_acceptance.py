@@ -24,7 +24,7 @@ from polyliouville.greenball import (
     navier_solve_radial,
 )
 from polyliouville.polyfield import PolynomialND, almansi_random, ball_average, pizzetti_check
-from polyliouville.represent import compute_v, fit_even_polynomial, rescale_check
+from polyliouville.represent import compute_v, rescale_check
 from polyliouville.shooter import (
     ShootingConfig,
     scalar_curvature,
@@ -32,6 +32,7 @@ from polyliouville.shooter import (
     standard_config,
     standard_solution,
 )
+from polyliouville.tailfit import fit_even_polynomial
 
 
 def report(number, ok, detail):

@@ -15,8 +15,8 @@ import pytest
 
 from polyliouville.classify import ClassificationReport, classify
 from polyliouville.cli import analyze
-from polyliouville.represent import fit_even_polynomial
 from polyliouville.shooter import ShootingConfig, diagnose, shoot, standard_config
+from polyliouville.tailfit import fit_even_polynomial
 
 
 @pytest.fixture(scope="module")

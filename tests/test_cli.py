@@ -174,6 +174,16 @@ def test_config_equals_form_is_read(tmp_path):
     assert blob["r_reached"] == pytest.approx(200.0)
 
 
+def test_abbreviated_config_flag_exits_2(tmp_path):
+    # a prefix of --config must not parse as --config: _inject_config
+    # would never read the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r_end = 200\n")
+    assert run(
+        ["shoot", "--m", "1", "--u0", "0", "--conf", str(cfg), "--out", str(tmp_path)]
+    ) == 2
+
+
 def test_analyze_standard_far_field():
     a = analyze(standard_config(2))
     assert a.vprof.grid.size == 24

@@ -16,11 +16,11 @@ from polyliouville.represent import (
     KernelCache,
     compute_lap_v,
     compute_v,
-    fit_even_polynomial,
     kernel_avg,
     rescale_check,
 )
 from polyliouville.shooter import shoot, standard_config
+from polyliouville.tailfit import fit_even_polynomial
 
 
 def test_kernel_average_m1_closed_form():

@@ -59,7 +59,7 @@ class TestStandardSolution:
 
 
 class TestVectorField:
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_rhs_matches_closed_form_derivatives(self, m):
         # (w, p) of the closed form is a solution, so rhs must return
         # (p, dp/dr); dp/dr by central difference at h = 1e-6, whose
@@ -197,12 +197,12 @@ class TestNonstandardShot:
 
 
 class TestTermination:
-    def test_blowup_is_flagged(self):
-        cfg = ShootingConfig(
-            m=2, initial_laplacians=(LOG2, 2.0), r_end=50.0, blowup_threshold=10.0
-        )
+    def test_blowup_ends_in_step_underflow(self):
+        # u ~ -log(R - r) near the blow-up radius R: the step size
+        # underflows there, and the run stops short of r_end
+        cfg = ShootingConfig(m=2, initial_laplacians=(LOG2, 2.0), r_end=50.0)
         traj, rep = shoot(cfg)
-        assert rep.termination == "blowup"
+        assert rep.termination == "step_underflow"
         assert traj.r_max < 2.0
         assert np.all(np.isfinite(traj.w[-1]))
 

@@ -43,7 +43,7 @@ def test_tail_limit_affine_covariance(shift, scale):
 
 def test_fit_exact_even_polynomial():
     r = np.linspace(1.0, 4.0, 12)
-    fit = fit_even_polynomial(r, 3.0 - 2.0 * r**2, 4)
+    fit = fit_even_polynomial((r, 3.0 - 2.0 * r**2), 4)
     assert isinstance(fit, PolyFit1D)
     assert fit.inferred_degree == 2
     assert fit.leading_coefficient == pytest.approx(-2.0, rel=1e-12)
@@ -54,7 +54,7 @@ def test_fit_exact_even_polynomial():
 
 def test_fit_constant_profile():
     r = np.linspace(1.0, 4.0, 12)
-    fit = fit_even_polynomial(r, np.full_like(r, 7.5), 4)
+    fit = fit_even_polynomial((r, np.full_like(r, 7.5)), 4)
     assert fit.inferred_degree == 0
     assert fit.leading_coefficient == pytest.approx(7.5, rel=1e-12)
 
@@ -62,8 +62,8 @@ def test_fit_constant_profile():
 def test_contribution_floor_suppresses_noise_modes():
     r = np.linspace(1.0, 4.0, 12)
     vals = 3.0 - 2.0 * r**2 + 1e-9 * r**4
-    assert fit_even_polynomial(r, vals, 4).inferred_degree == 4
-    damped = fit_even_polynomial(r, vals, 4, contribution_floor=1e-6)
+    assert fit_even_polynomial((r, vals), 4).inferred_degree == 4
+    damped = fit_even_polynomial((r, vals), 4, contribution_floor=1e-6)
     assert damped.inferred_degree == 2
     assert damped.leading_coefficient == pytest.approx(-2.0, rel=1e-6)
 
@@ -71,4 +71,4 @@ def test_contribution_floor_suppresses_noise_modes():
 def test_fit_requires_enough_samples():
     r = np.linspace(1.0, 2.0, 3)
     with pytest.raises(ValueError):
-        fit_even_polynomial(r, r**2, 4)
+        fit_even_polynomial((r, r**2), 4)
