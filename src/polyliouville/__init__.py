@@ -12,7 +12,6 @@ Modules:
 """
 
 from .classify import ClassificationReport, classify
-from .cli import Analysis, analyze
 from .exactconst import (
     ConstantTable,
     PiRational,
@@ -40,6 +39,16 @@ from .shooter import (
 from .tailfit import fit_even_polynomial
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # analyze lives in cli, which is imported on first use so that
+    # `python -m polyliouville.cli` does not find it already loaded
+    if name in ("Analysis", "analyze"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Analysis",

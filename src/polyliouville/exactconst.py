@@ -220,9 +220,6 @@ class ConstantTable:
     laplog_coeff: tuple[Fraction, ...]      # j = 1 .. m-1
     sigma_m: int
 
-    def pizzetti_fractions(self) -> list[Fraction]:
-        return [c.fraction for c in self.pizzetti_c]
-
 
 def constant_table(m: int) -> ConstantTable:
     """Build the exact constant table for a given order m >= 1."""

@@ -1,8 +1,8 @@
 """Exact multivariate polynomial calculus over the rationals.
 
 Polynomials live in n variables with rational coefficients and support the
-iterated Laplacian, translation, exact ball/sphere moment averages, the
-Pizzetti ball-average identity, and a seeded generator of Almansi-type
+iterated Laplacian, exact moment and ball averages, the Pizzetti
+ball-average identity, and a seeded generator of Almansi-type
 polyharmonic polynomials sum_k |x|^{2k} h_k with each h_k harmonic.
 
 Sphere average of a monomial x^alpha over S^{n-1}(R), all alpha_i even::
@@ -10,7 +10,10 @@ Sphere average of a monomial x^alpha over S^{n-1}(R), all alpha_i even::
     prod_i (alpha_i - 1)!!  /  [ n (n+2) ... (n + |alpha| - 2) ]  *  R^{|alpha|}
 
 and zero when any alpha_i is odd. The ball average carries the extra factor
-n / (n + |alpha|).
+n / (n + |alpha|), leaving prod_i (alpha_i - 1)!! / prod_{j=1}^{|alpha|/2}
+(n + 2j) * R^{|alpha|}. ball_average sums these ball moments directly over
+the binomial expansion of each monomial about the centre, in integers,
+without ever building the translated polynomial.
 
 Exact arithmetic uses gmpy2.mpq when available (several times faster than
 fractions.Fraction) and falls back to the stdlib otherwise. Both types
@@ -19,6 +22,7 @@ interoperate and compare equal, so callers may pass either.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +35,6 @@ except ImportError:  # pragma: no cover - environment without gmpy2
     _RAT = Fraction
 
 _ZERO = _RAT(0)
-_ONE = _RAT(1)
 
 
 def _rat(x) -> "_RAT":
@@ -155,16 +158,6 @@ class PolynomialND:
 
     # -- calculus --------------------------------------------------------
 
-    def partial(self, i: int) -> "PolynomialND":
-        out = {}
-        for a, c in self.terms.items():
-            if a[i] == 0:
-                continue
-            b = list(a)
-            b[i] -= 1
-            out[tuple(b)] = out.get(tuple(b), _ZERO) + c * a[i]
-        return PolynomialND(self.n, out)
-
     def laplacian(self) -> "PolynomialND":
         out = {}
         for a, c in self.terms.items():
@@ -192,45 +185,6 @@ class PolynomialND:
                     v = v * x ** e
             total += v
         return total
-
-    def translate(self, shift) -> "PolynomialND":
-        """P(x) -> P(x + shift), exact, one variable at a time."""
-        shift = [_rat(s) for s in shift]
-        if len(shift) != self.n:
-            raise ValueError("shift length mismatch")
-        poly = self
-        for i, a in enumerate(shift):
-            if a != 0:
-                poly = poly._shift_one(i, a)
-        return poly
-
-    def _shift_one(self, i: int, a) -> "PolynomialND":
-        # group terms by the exponents of the other variables, then do a
-        # univariate Taylor shift (Horner with (x + a)) per group
-        groups: dict[tuple, dict[int, "_RAT"]] = {}
-        for alpha, c in self.terms.items():
-            rest = alpha[:i] + alpha[i + 1:]
-            groups.setdefault(rest, {})[alpha[i]] = c
-        out = {}
-        for rest, uni in groups.items():
-            d = max(uni)
-            coeffs = [uni.get(k, _ZERO) for k in range(d + 1)]
-            shifted = [_ZERO] * (d + 1)
-            for c in reversed(coeffs):
-                # shifted <- shifted * (x + a) + c
-                prev = shifted
-                nxt = [_ZERO] * (d + 1)
-                for k in range(d):
-                    nxt[k + 1] += prev[k]
-                for k in range(d + 1):
-                    nxt[k] += prev[k] * a
-                nxt[0] += c
-                shifted = nxt
-            for k, c in enumerate(shifted):
-                if c != 0:
-                    alpha = rest[:i] + (k,) + rest[i:]
-                    out[alpha] = out.get(alpha, _ZERO) + c
-        return PolynomialND(self.n, out)
 
     def homogeneous_part(self, d: int) -> "PolynomialND":
         return PolynomialND(self.n, {a: c for a, c in self.terms.items() if sum(a) == d})
@@ -286,16 +240,53 @@ def moment_average(alpha, n: int, domain: str = "ball", radius=None) -> MomentVa
     return MomentValue(coeff, deg, rad)
 
 
+def _radius(R) -> Fraction:
+    R = Fraction(_rat(R))
+    if R < 0:
+        raise ValueError(f"radius must be nonnegative, got {R}")
+    return R
+
+
 def ball_average(P: PolynomialND, x0, R) -> Fraction:
-    """Exact average of P over the ball B_R(x0), via translation + moments."""
-    Q = P.translate(x0)
-    R = Fraction(R)
-    total = Fraction(0)
-    for alpha, c in Q.terms.items():
-        mv = moment_average(alpha, P.n, "ball", R)
-        if mv.coefficient != 0:
-            total += Fraction(c) * mv.value
-    return total
+    """Exact average of P over the ball B_R(x0), by a direct moment sum.
+
+    With x = x0 + y, x^alpha averages to the sum over even beta <= alpha of
+    prod_i C(alpha_i, beta_i) x0_i^{alpha_i - beta_i} times the ball moment
+    of y^beta, R^{|beta|} prod_i (beta_i - 1)!! / prod_{j=1}^{|beta|/2} (n + 2j);
+    the translated polynomial is never built. Per monomial the beta-sum is a
+    convolution over k = |beta|/2 of one short list per coordinate, summed
+    in integers: x0 = a/q and R = b/q over a common q, coefficients over
+    their lcm C, moments over L = prod_{j=1}^{deg/2} (n + 2j), every term
+    over q^deg. x0 and R must be exact (floats raise TypeError), R >= 0.
+    """
+    n = P.n
+    x0 = [_rat(s) for s in x0]
+    if len(x0) != n:
+        raise ValueError(f"centre has length {len(x0)}, expected {n}")
+    R = _radius(R)
+    deg = max(P.degree(), 0)
+    q = math.lcm(R.denominator, *(s.denominator for s in x0))
+    a = [s.numerator * (q // s.denominator) for s in x0]
+    b2 = (R.numerator * (q // R.denominator)) ** 2
+    C = math.lcm(1, *(c.denominator for c in P.terms.values()))
+    # w[k] = b^{2k} L / prod_{j=1}^{k} (n + 2j), so w[0] = L
+    w = [b2 ** k * math.prod(range(n + 2 * k + 2, n + deg + 1, 2)) for k in range(deg // 2 + 1)]
+    lists = {(i, e): [math.comb(e, 2 * t) * a[i] ** (e - 2 * t) * double_factorial(2 * t - 1)
+                      for t in range(e // 2 + 1)]
+             for i, e in {(i, e) for alpha in P.terms for i, e in enumerate(alpha) if e}}
+    total = 0
+    for alpha, c in P.terms.items():
+        g = [1]
+        for i, e in enumerate(alpha):
+            if e:
+                f, h = lists[i, e], [0] * (len(g) + e // 2)
+                for s, gs in enumerate(g):
+                    for t, ft in enumerate(f):
+                        h[s + t] += gs * ft
+                g = h
+        moment_sum = sum(gk * wk for gk, wk in zip(g, w))
+        total += c.numerator * (C // c.denominator) * q ** (deg - sum(alpha)) * moment_sum
+    return Fraction(total, C * w[0] * q ** deg)
 
 
 # -- Pizzetti check -------------------------------------------------------
@@ -319,9 +310,10 @@ def pizzetti_check(P: PolynomialND, m: int, x0, R) -> PizzettiReport:
     rhs  = sum_{i=0}^{m-1} c_i R^{2i} (Delta^i P)(x0)
 
     The residual is exactly zero whenever Delta^m P = 0, and equals
-    c_m R^{2m} (Delta^m P)(x0) for any P of degree <= 2m.
+    c_m R^{2m} (Delta^m P)(x0) for any P of degree <= 2m. x0 and R must be
+    exact and R nonnegative, as for ball_average.
     """
-    R = Fraction(R)
+    R = _radius(R)
     lhs = ball_average(P, x0, R)
     cs = pizzetti_coefficients(P.n, m)
     rhs = Fraction(0)

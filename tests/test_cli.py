@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyliouville
 from polyliouville.cli import analyze, run
 from polyliouville.shooter import ShootingConfig, standard_config
 
@@ -21,6 +26,16 @@ def test_constants_prints_exact_gamma(capsys):
     out = capsys.readouterr().out
     assert "gamma_m = 8 * pi^2" in out
     assert "sigma_m = 1" in out
+
+
+def test_module_entry_point_prints_no_warning():
+    # the package must not import cli itself, or runpy warns on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(polyliouville.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "polyliouville.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "reproduce-paper" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_pizzetti_all_exact(capsys):

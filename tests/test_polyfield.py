@@ -1,9 +1,12 @@
 """Exact multivariate polynomials and mean-value identities.
 
 ball_average integrates monomials exactly, and the Pizzetti expansion must
-reproduce it term for term, so every assertion here is zero-tolerance.
+reproduce it term for term, so every assertion here is zero-tolerance. A
+Taylor-shift translation followed by moment_average, a route independent of
+ball_average's direct moment sum, is kept here as its oracle.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,48 @@ def poly_from(n, items):
     for alpha, c in items:
         P = P + PolynomialND.monomial(n, alpha, Fraction(c))
     return P
+
+
+# -- oracle: translate P to the centre, then average monomial by monomial ----
+
+
+def translate(P, shift):
+    """P(x) -> P(x + shift), exact, one variable at a time."""
+    shift = [Fraction(s) for s in shift]
+    assert len(shift) == P.n
+    for i, a in enumerate(shift):
+        if a:
+            P = _shift_one(P, i, a)
+    return P
+
+
+def _shift_one(P, i, a):
+    # group terms by the exponents of the other variables, then do a
+    # univariate Taylor shift (Horner with (x + a)) per group
+    groups = {}
+    for alpha, c in P.terms.items():
+        rest = alpha[:i] + alpha[i + 1:]
+        groups.setdefault(rest, {})[alpha[i]] = c
+    out = {}
+    for rest, uni in groups.items():
+        d = max(uni)
+        shifted = [Fraction(0)] * (d + 1)
+        for k in range(d, -1, -1):
+            # shifted <- shifted * (x + a) + c_k
+            nxt = [Fraction(0)] + shifted[:d]
+            for j in range(d + 1):
+                nxt[j] += shifted[j] * a
+            nxt[0] += uni.get(k, 0)
+            shifted = nxt
+        for k, c in enumerate(shifted):
+            out[rest[:i] + (k,) + rest[i:]] = c
+    return PolynomialND(P.n, out)
+
+
+def oracle_ball_average(P, x0, R):
+    """Average over B_R(x0) of the translated polynomial, by moment_average."""
+    return sum((Fraction(c) * moment_average(alpha, P.n, "ball", R).value
+                for alpha, c in translate(P, x0).terms.items()), Fraction(0))
 
 
 def test_monomial_evaluate():
@@ -118,6 +163,60 @@ def test_pizzetti_remainder_law(m):
         assert ball_average(P, (0,) * n, R) == c_m * R ** (2 * m) * expected_top
 
 
+def _rational(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3, 7]))
+
+
+def test_ball_average_matches_translation_oracle():
+    # 324 seeded cases: n = 1..6, Almansi order m = 1..3, rational centres and
+    # radii (R = 0 included), every seventh centre at the origin, every fifth
+    # polynomial made non-polyharmonic by an extra monomial, and case 0 zero
+    rng = random.Random(20081)
+    for case in range(324):
+        n, m = 1 + case % 6, 1 + (case // 6) % 3
+        if case == 0:
+            P = PolynomialND.zero(n)
+        else:
+            P = almansi_random(m, n, rng.randint(0, 4), seed=case) * _rational(rng, -9, 9)
+        if case % 5 == 1:
+            alpha = tuple(rng.randint(0, 3) for _ in range(n))
+            P = P + PolynomialND.monomial(n, alpha, _rational(rng, -9, 9))
+        x0 = (0,) * n if case % 7 == 0 else tuple(_rational(rng, -3, 3) for _ in range(n))
+        R = _rational(rng, 0, 6)
+        assert ball_average(P, x0, R) == oracle_ball_average(P, x0, R), (case, P, x0, R)
+    assert ball_average(PolynomialND.zero(3), (1, 2, 3), 2) == 0
+
+
+def test_ball_average_rejects_float_radius():
+    P = PolynomialND.monomial(2, (2, 0))
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        ball_average(P, (1, 0), 0.5)
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        pizzetti_check(P, 1, (1, 0), 0.5)
+
+
+def test_ball_average_rejects_float_centre():
+    P = PolynomialND.monomial(2, (2, 0))
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        ball_average(P, (1.0, 0), 1)
+
+
+def test_ball_average_rejects_negative_radius():
+    P = PolynomialND.monomial(2, (2, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ball_average(P, (1, 0), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pizzetti_check(P, 1, (1, 0), Fraction(-1, 2))
+
+
+def test_ball_average_rejects_wrong_centre_length():
+    P = PolynomialND.monomial(2, (2, 0))
+    with pytest.raises(ValueError):
+        ball_average(P, (1, 0, 0), 1)
+    with pytest.raises(ValueError):
+        pizzetti_check(P, 1, (1,), 1)
+
+
 def test_moment_average_values():
     ball = moment_average((2, 0), 2)
     assert (ball.coefficient, ball.exponent) == (Fraction(1, 4), 2)
@@ -152,7 +251,7 @@ point_st = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 @settings(max_examples=60, deadline=None)
 def test_translate_evaluate_identity(items, shift, x):
     P = poly_from(2, items)
-    lhs = P.translate(shift).evaluate(x)
+    lhs = translate(P, shift).evaluate(x)
     rhs = P.evaluate((x[0] + shift[0], x[1] + shift[1]))
     assert lhs == rhs
 
