@@ -3,8 +3,9 @@
 For m = 2 the standard solution has u''(0) = -2.  Pushing the second
 derivative below that value produces solutions whose Laplacian tends to a
 negative constant a, whose profile grows like -|a|/8 r^2, and whose
-curvature statistic dives to -infinity; pushing it above makes the profile
-blow up at finite radius.  The five classification criteria must agree on
+curvature statistic dives to -infinity; pushing it above makes u' turn
+positive (and the profile blow up at finite radius), so the shot stops at
+the first u' > 0.  The five classification criteria must agree on
 every run, whichever side it lands on.
 """
 
@@ -35,8 +36,9 @@ def main():
         )
     print()
     print("below -2: nonstandard (negative limit, quadratic growth, alpha < 1).")
-    print("at -2: the standard solution.  above -2: finite-radius blow-up,")
-    print("reported as inconclusive because the run never reaches the far field.")
+    print("at -2: the standard solution.  above -2: u' turns positive, which no")
+    print("entire m = 2 solution does, so the run stops there (not_entire) and")
+    print("is reported as inconclusive because it never reaches the far field.")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
 from .exactconst import PiRational, constant_table, laplog_coefficients
 
@@ -235,6 +234,8 @@ def _weighted_panel_integrals(grid: np.ndarray, g: np.ndarray, n: int) -> np.nda
 
 def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     """Solve -Delta z = g radially on [0, R], z(R) = 0, z'(0) = 0."""
+    from scipy.integrate import cumulative_trapezoid
+
     grid = np.asarray(grid, dtype=float)
     inner = np.concatenate([[0.0], np.cumsum(_weighted_panel_integrals(grid, g, n))])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -280,6 +281,8 @@ def exp_integrability(v: RadialProfile, m: int | None = None, p: float = 1.0) ->
     If the exponent exceeds the float64 range anywhere, the integral is
     reported as +infinity with the overflow flag set instead of raising.
     """
+    from scipy.integrate import simpson
+
     m = v.m if m is None else m
     expo = 2.0 * m * p * np.abs(v.values)
     omega = float(constant_table(m).omega_n)

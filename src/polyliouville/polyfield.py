@@ -176,6 +176,8 @@ class PolynomialND:
         return out
 
     def evaluate(self, point) -> "_RAT":
+        if len(point) != self.n:
+            raise ValueError(f"point has length {len(point)}, expected {self.n}")
         pt = [_rat(x) for x in point]
         total = _ZERO
         for a, c in self.terms.items():
@@ -216,7 +218,8 @@ def moment_average(alpha, n: int, domain: str = "ball", radius=None) -> MomentVa
     alpha : multi-index (length n)
     n : ambient dimension
     domain : "ball" averages over B_R, "sphere" over S^{n-1}(R)
-    radius : optional rational radius; when given, .value is available
+    radius : optional exact radius R >= 0 (a float raises TypeError, a
+        negative value ValueError); when given, .value is available
 
     Returns zero (as a MomentValue) when any entry of alpha is odd.
     """
@@ -225,7 +228,7 @@ def moment_average(alpha, n: int, domain: str = "ball", radius=None) -> MomentVa
     if domain not in ("ball", "sphere"):
         raise ValueError("domain must be 'ball' or 'sphere'")
     deg = sum(alpha)
-    rad = None if radius is None else Fraction(radius)
+    rad = None if radius is None else _radius(radius)
     if any(a % 2 for a in alpha):
         return MomentValue(Fraction(0), deg, rad)
     num = 1

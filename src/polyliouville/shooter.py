@@ -29,11 +29,14 @@ with t = lam^2 r^2, and each G_j is a polynomial with integer coefficients
 in x = 1/(1+t).  It is evaluated by Horner's rule in x and serves as the
 reference for every w_j and p_j without finite differencing.
 
-The exponential source is clamped at exp(700) inside the vector field so
-the right-hand side stays total past a blow-up.  A finite-radius blow-up
-of the m = 2 equation goes like u ~ -log(R - r), so u climbs to about 30
-before R - r falls to float64 resolution and the step controller gives
-up: runs that blow up end in "step_underflow", short of r_end.
+A run ends in one of three terminations.  "reached_end": it got to
+r_end.  "not_entire" (m = 2 only): u' turned positive, which no entire
+finite-volume solution does (see `shoot`), so the run stops there.
+"step_underflow": the step controller gave up short of r_end.  The
+exponential source is clamped at exp(700) inside the vector field so the
+right-hand side stays total past a blow-up.  A finite-radius blow-up goes
+like u ~ -log(R - r), so u climbs to about 30 before R - r falls to
+float64 resolution and the steps underflow.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .exactconst import double_factorial, pizzetti_coefficients
 from .tailfit import LimitEstimate, PolyFit1D, fit_even_polynomial, tail_limit
@@ -85,6 +86,9 @@ _COMPANION_FACTOR = 8.0
 
 # Ratio of consecutive radii of the sampling grid.
 _GRID_RATIO = 1.01
+
+# solve_ivp status -> termination label: 1 is the m = 2 event on u' > 0
+_TERMINATION = {0: "reached_end", 1: "not_entire", -1: "step_underflow"}
 
 
 def _sigma(m: int) -> int:
@@ -245,8 +249,9 @@ class RadialTrajectory:
     """Sampled radial solution with its running conformal volume.
 
     grid starts at r = 0; w and p have shape (m, len(grid)); alpha is the
-    normalized volume of B_r.  termination is "reached_end", or
-    "step_underflow" when the run stopped short of r_end (a blow-up).
+    normalized volume of B_r.  termination is "reached_end";
+    "not_entire" (m = 2) when the run stopped at the first u' > 0; or
+    "step_underflow" when the steps underflowed short of r_end (a blow-up).
     """
 
     m: int
@@ -279,6 +284,8 @@ class RadialTrajectory:
 
     def sample_w(self, j: int, radii) -> np.ndarray:
         """Cubic interpolation of w_j; uses the known w_j'(0) = 0."""
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(
             self.grid, self.w[j], bc_type=((1, 0.0), "not-a-knot")
         )
@@ -345,7 +352,24 @@ def _geometric_grid(r0: float, r_end: float) -> np.ndarray:
     return np.append(pts, r_end)
 
 
-def _integrate(config: ShootingConfig, t_eval, rtol, atol):
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first call so that commands
+    which never shoot do not load scipy."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
+
+def _m2_u_prime(r, y):
+    """Terminal event of m = 2 runs: p_0 = u' (y[2]) crossing zero upwards."""
+    return y[2]
+
+
+_m2_u_prime.terminal = True
+_m2_u_prime.direction = 1
+
+
+def _integrate(config: ShootingConfig, t_eval, rtol, atol, events=None):
     r0, y0 = series_start(config)
     return solve_ivp(
         _vector_field(config.m),
@@ -355,6 +379,7 @@ def _integrate(config: ShootingConfig, t_eval, rtol, atol):
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
+        events=events,
     )
 
 
@@ -363,19 +388,39 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
 
     Dormand-Prince adaptive stepping (DOP853: 8th order, with 5th- and
     3rd-order error estimates), sampled on a geometric grid of ratio 1.01.
-    The returned grid always contains r = 0 (exact data) and the final
-    radius reached.  The report's w0_error_estimate comes from a companion
-    integration at 8x looser tolerance: the global error grows with the
-    tolerance, so the end-value difference bounds the main run's error (by
-    4.6x to 18x on the closed-form family).  A run that blows up stops
-    short of r_end with termination "step_underflow"; it does not raise.
+    The returned grid always contains r = 0 (exact data) and ends at the
+    last grid radius the run passed.  The report's w0_error_estimate comes
+    from a companion integration at 8x looser tolerance: the global error
+    grows with the tolerance, so the end-value difference bounds the main
+    run's error (by 4.6x to 18x on the closed-form family).  No run
+    raises; one that stops short of r_end ends in "not_entire" or
+    "step_underflow".
+
+    For m = 2 the main run stops at the first upward zero of u'
+    ("not_entire"), because every entire solution with finite volume has
+    u' < 0 for r > 0.  Such a solution is u = v + p with
+    v(x) = (3!/gamma_2) int log(|y|/|x - y|) e^{4u(y)} dy (see `represent`)
+    and p a polynomial of degree <= 2 with Delta p = lim Delta u <= 0 as
+    r -> oo (the source paper; Lin 1998).  In R^4,
+    Delta_x log(1/|x - y|) = -2/|x - y|^2 < 0, so Delta v < 0 and
+    Delta u = Delta v + Delta p < 0.  For radial u,
+    u'(r) = r^{-3} int_0^r Delta u(s) s^3 ds, hence u'(r) < 0.  A single
+    u' > 0 thus proves the data lie off every entire solution.  The
+    event watches u' and not Delta u: u' ~ -2/r decays more slowly than
+    Delta u ~ -4/r^2, so far-field rounding cannot push it across zero.
+    Data that start with u' > 0 (Delta u(0) > 0) never cross upwards and
+    run on to "step_underflow".  The companion run has no event; it runs
+    only after "reached_end".  Other m carry no event: for m = 1,
+    Delta u = -e^{2u} < 0 on every run, so u' never turns positive; for
+    m >= 3 no sign theorem holds (m = 3 data (log 2, -2, 14) turn u' > 0
+    near r = 1.46 and still reach r_end).
     """
     m = config.m
     rtol = config.rel_tol * _TOL_SAFETY
     atol = config.abs_tol * _TOL_SAFETY
     grid = _geometric_grid(config.start_radius(), config.r_end)
-    sol = _integrate(config, grid, rtol, atol)
-    termination = "reached_end" if sol.status == 0 else "step_underflow"
+    sol = _integrate(config, grid, rtol, atol, _m2_u_prime if m == 2 else None)
+    termination = _TERMINATION[sol.status]
 
     a0 = np.asarray(config.initial_laplacians, dtype=float)
     full_t = np.concatenate([[0.0], sol.t])

@@ -38,6 +38,21 @@ def test_module_entry_point_prints_no_warning():
     assert proc.stderr == ""
 
 
+def test_exact_commands_do_not_import_scipy():
+    # scipy is imported by the first shot or quadrature, not at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(polyliouville.__file__).parents[1]))
+    code = (
+        "import sys; import polyliouville.cli as cli; "
+        "cli.run(['constants', '--m', '2']); "
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "gamma_m = 8 * pi^2" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_pizzetti_all_exact(capsys):
     assert run(["pizzetti", "--m", "2", "--n", "4", "--cases", "100", "--seed", "3"]) == 0
     assert "100/100 exact" in capsys.readouterr().out
@@ -225,6 +240,17 @@ def test_classify_writes_json(tmp_path, capsys):
     assert blob["overall"] == "nonstandard"
     names = [entry["name"] for entry in blob["criteria"]]
     assert names == ["ii", "iii", "iv", "v", "vi"]
+
+
+def test_classify_supercritical_is_inconclusive(tmp_path, capsys):
+    # the m = 2 run stops at the first u' > 0, short of the far field
+    rc = run(
+        ["classify", "--m", "2", "--u0", LOG2, "--d2", "-1.7", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    blob = json.loads(read(tmp_path / "classification.json"))
+    assert blob["overall"] == "inconclusive"
+    assert blob["agreement"] is True
 
 
 def test_a2m_check_passes(capsys):

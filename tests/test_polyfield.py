@@ -79,6 +79,15 @@ def test_monomial_evaluate():
     assert P.degree() == 3
 
 
+def test_evaluate_rejects_wrong_point_length():
+    P = PolynomialND.monomial(2, (2, 3))
+    assert P.evaluate((2, 1)) == 4
+    with pytest.raises(ValueError):
+        P.evaluate((2,))
+    with pytest.raises(ValueError):
+        P.evaluate((2, 1, 5))
+
+
 def test_laplacian_hand_values():
     # harmonic: x^2 - y^2
     H = poly_from(2, [((2, 0), 1), ((0, 2), -1)])
@@ -234,6 +243,17 @@ def test_moment_average_ball_sphere_relation():
         ball = moment_average(alpha, n)
         sphere = moment_average(alpha, n, domain="sphere")
         assert ball.coefficient == sphere.coefficient * Fraction(n, n + d)
+
+
+def test_moment_average_rejects_float_radius():
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        moment_average((2, 0), 2, radius=0.5)
+
+
+def test_moment_average_rejects_negative_radius():
+    with pytest.raises(ValueError, match="nonnegative"):
+        moment_average((2, 0), 2, radius=-1)
+    assert moment_average((2, 0), 2, radius=Fraction(1, 2)).value == Fraction(1, 16)
 
 
 def test_moment_average_validates_alpha_length():

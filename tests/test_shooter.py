@@ -206,6 +206,42 @@ class TestTermination:
         assert traj.r_max < 2.0
         assert np.all(np.isfinite(traj.w[-1]))
 
+    @pytest.mark.parametrize("d2", [-1.9, -1.7, -1.5])
+    def test_supercritical_m2_stops_at_first_positive_slope(self, d2):
+        # every entire m = 2 solution has u' < 0, so the run stops where u'
+        # first turns positive, long before the blow-up
+        cfg = ShootingConfig(m=2, initial_derivatives=(LOG2, d2))
+        traj, rep = shoot(cfg)
+        assert rep.termination == "not_entire"
+        assert traj.r_max < 3.0
+        assert traj.nfev <= 1500
+        assert np.all(traj.p[0] <= 0.0)
+        assert math.isnan(rep.w0_error_estimate)
+
+    @pytest.mark.parametrize("d2,nfev", [(-2.2, 2312), (-3.0, 2324), (-2.0001, 2723), (None, 2858)])
+    def test_entire_m2_runs_keep_their_cost(self, d2, nfev):
+        # the u' event never fires on these runs and leaves the steps alone
+        if d2 is None:
+            cfg = standard_config(2)
+        else:
+            cfg = ShootingConfig(m=2, initial_derivatives=(LOG2, d2))
+        traj, rep = shoot(cfg)
+        assert rep.termination == "reached_end"
+        assert traj.nfev == nfev
+
+    def test_standard_m2_far_field_does_not_trip_the_event(self):
+        # u' ~ -2/r stays clear of zero at r = 1e5 (max u' ~ -2e-5)
+        traj, rep = shoot(standard_config(2, r_end=1e5))
+        assert rep.termination == "reached_end"
+        assert traj.r_max == 1e5
+
+    def test_m3_keeps_running_past_positive_slope(self):
+        # no sign theorem for m = 3: u' > 0 from r ~ 1.46, yet r_end is reached
+        cfg = ShootingConfig(m=3, initial_derivatives=(LOG2, -2.0, 14.0), r_end=500.0)
+        traj, rep = shoot(cfg)
+        assert rep.termination == "reached_end"
+        assert np.max(traj.p[0]) > 0.0
+
     def test_diagnose_consistent_with_trajectory(self, std2):
         traj, _ = std2
         rep = diagnose(traj)
