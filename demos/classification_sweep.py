@@ -29,10 +29,13 @@ def main():
         a = pipeline(float(d2))
         rep, fit, out = a.report, a.fit, a.verdict
         lim = rep.delta_limits[0].value if rep.delta_limits else float("nan")
+        if fit is None:  # no u - v fit on runs that stopped short of the far field
+            deg, lead = "-", "-"
+        else:
+            deg, lead = str(fit.inferred_degree), f"{fit.leading_coefficient:.4f}"
         print(
             f"{d2:>8.3f} {rep.termination:>14} {rep.alpha_final:>9.5f} {lim:>10.4f}"
-            f" {fit.inferred_degree:>6d} {fit.leading_coefficient:>9.4f}"
-            f" {out.overall:>13} {str(out.agreement):>6}"
+            f" {deg:>6} {lead:>9} {out.overall:>13} {str(out.agreement):>6}"
         )
     print()
     print("below -2: nonstandard (negative limit, quadratic growth, alpha < 1).")

@@ -153,7 +153,9 @@ def _crit_iii(traj: RadialTrajectory) -> tuple[float, str]:
     return (stat, "inconclusive")
 
 
-def _crit_iv(fit: tailfit.PolyFit1D) -> tuple[float, str]:
+def _crit_iv(fit: tailfit.PolyFit1D | None) -> tuple[float, str]:
+    if fit is None:
+        return (math.nan, "inconclusive")
     deg = fit.inferred_degree
     if deg == 0:
         return (float(deg), "standard")
@@ -192,12 +194,13 @@ def _crit_vi(report: SolveReport) -> tuple[float, str]:
 def classify(
     traj: RadialTrajectory,
     report: SolveReport,
-    fit: tailfit.PolyFit1D,
+    fit: tailfit.PolyFit1D | None,
 ) -> ClassificationReport:
     """Evaluate criteria (ii)-(vi) on one trajectory.
 
     traj and report must come from the same run; fit is the even-polynomial
-    fit of u - v samples (representation module).  A truncated or short run
+    fit of u - v samples (representation module), or None when no v samples
+    were taken, which leaves criterion (iv) inconclusive.  A truncated or short run
     (termination other than reached_end, r_end < 100, or unconverged
     conformal volume) yields all-inconclusive verdicts with vacuous
     agreement rather than guesses.  Criteria (v) and (vi) read the tail
@@ -211,7 +214,7 @@ def classify(
         report.r_reached, traj.r_max, rel_tol=1e-12
     ):
         raise ValueError("report does not describe this trajectory")
-    if fit.r_max > traj.r_max * (1 + 1e-12):
+    if fit is not None and fit.r_max > traj.r_max * (1 + 1e-12):
         raise ValueError("fit uses samples beyond the trajectory range")
 
     idx = traj.tail_indices()

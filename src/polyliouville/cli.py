@@ -195,15 +195,16 @@ def _build_parser() -> argparse.ArgumentParser:
 class Analysis:
     """One run through shoot -> v-profile -> u - v fit -> classify.
 
-    vprof is None when the run never reached the far field and no radii
-    were asked for; fit is then a zero placeholder, and the verdict is
-    inconclusive because classify refuses to judge such runs.
+    vprof and fit are None when the run never reached the far field and no
+    radii were asked for: there are no v samples to fit u - v on.  The
+    verdict is then inconclusive because classify refuses to judge such
+    runs.
     """
 
     traj: RadialTrajectory
     report: SolveReport
     vprof: RadialProfile | None
-    fit: PolyFit1D
+    fit: PolyFit1D | None
     verdict: ClassificationReport
 
 
@@ -215,7 +216,8 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
     """Shoot cfg, evaluate v, fit u - v and classify the run.
 
     With radii=None, v is evaluated on 24 geometric radii of the far field
-    when the run reached r_end >= 100, and skipped otherwise.  Explicit
+    when the run reached r_end >= 100, and skipped otherwise (vprof and
+    fit are then None).  Explicit
     radii are always evaluated, so compute_v's refusal of a truncated run
     surfaces as its ValueError.  Degree inference of the even-polynomial
     fit ignores content below 10x the solver's w0 error estimate.
@@ -224,10 +226,7 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
     if radii is None and traj.termination == "reached_end" and traj.r_max >= 100.0:
         radii = _far_field_radii(traj.r_max)
     if radii is None:
-        vprof = None
-        lo = max(float(traj.grid[1]), traj.r_max * 0.05)
-        rr = np.linspace(lo, traj.r_max * 0.95, 16)
-        fit = fit_even_polynomial((rr, np.zeros(16)), 2)
+        vprof = fit = None
     else:
         vprof = compute_v(traj, radii)
         floor = rep.w0_error_estimate
@@ -258,7 +257,9 @@ def _config(args) -> ShootingConfig:
     )
 
 
-def _fit_json(fit) -> dict:
+def _fit_json(fit) -> dict | None:
+    if fit is None:
+        return None
     return {
         "coefficients": [float(c) for c in fit.coeffs],
         "residual_rms": fit.residual_rms,
@@ -396,12 +397,16 @@ def _cmd_a2m_check(args) -> int:
     return 3 if failed else 0
 
 
+def _or_dash(value) -> str:
+    return "-" if value is None else str(value)
+
+
 def _reproduce_solve_row(name: str, cfg: ShootingConfig, checks) -> dict:
     a = analyze(cfg)
     row = {
         "name": name,
         "alpha": a.traj.alpha_final,
-        "deg_p": a.fit.inferred_degree,
+        "deg_p": None if a.fit is None else a.fit.inferred_degree,
         "lim_dau": a.report.delta_limits[0].value if a.report.delta_limits else math.nan,
         "min_tail_rg": a.verdict.crit_v[0],
         "verdict": a.verdict.overall,
@@ -500,7 +505,7 @@ def _cmd_reproduce_paper(args) -> int:
     for row in rows:
         mark = "" if row["ok"] else "  >>> FAIL"
         print(
-            f"{row['name']:<{width}}  {row['alpha']:>12.6f}  {row['deg_p']:>5d}  "
+            f"{row['name']:<{width}}  {row['alpha']:>12.6f}  {_or_dash(row['deg_p']):>5}  "
             f"{row['lim_dau']:>12.4g}  {row['min_tail_rg']:>12.4g}  "
             f"{row['verdict']}{mark}"
         )
@@ -515,7 +520,7 @@ def _cmd_reproduce_paper(args) -> int:
             fh.write("name,alpha,deg_p,lim_dau,min_tail_rg,verdict,ok\n")
             for row in rows:
                 fh.write(
-                    f"{row['name']},{row['alpha']:.17g},{row['deg_p']},"
+                    f"{row['name']},{row['alpha']:.17g},{_or_dash(row['deg_p'])},"
                     f"{row['lim_dau']:.17g},{row['min_tail_rg']:.17g},"
                     f"{row['verdict']},{row['ok']}\n"
                 )

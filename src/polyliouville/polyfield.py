@@ -3,7 +3,8 @@
 Polynomials live in n variables with rational coefficients and support the
 iterated Laplacian, exact moment and ball averages, the Pizzetti
 ball-average identity, and a seeded generator of Almansi-type
-polyharmonic polynomials sum_k |x|^{2k} h_k with each h_k harmonic.
+polyharmonic polynomials sum_k |x|^{2k} h_k with each h_k harmonic, the
+harmonic part of a random homogeneous draw in closed form.
 
 Sphere average of a monomial x^alpha over S^{n-1}(R), all alpha_i even::
 
@@ -15,9 +16,13 @@ n / (n + |alpha|), leaving prod_i (alpha_i - 1)!! / prod_{j=1}^{|alpha|/2}
 the binomial expansion of each monomial about the centre, in integers,
 without ever building the translated polynomial.
 
-Exact arithmetic uses gmpy2.mpq when available (several times faster than
-fractions.Fraction) and falls back to the stdlib otherwise. Both types
-interoperate and compare equal, so callers may pass either.
+The exact layer of the Pizzetti sweep runs in integers: ball_average, the
+right-hand side of pizzetti_check and almansi_random work on integer
+numerators over one denominator and build a rational only at the end.
+
+PolynomialND coefficients use gmpy2.mpq when available (several times
+faster than fractions.Fraction) and fall back to the stdlib otherwise.
+Both types interoperate and compare equal, so callers may pass either.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ _ZERO = _RAT(0)
 
 
 def _rat(x) -> "_RAT":
+    if isinstance(x, _RAT):
+        return x
     if isinstance(x, float):
         raise TypeError("polyfield is exact, floats are not accepted")
     if isinstance(x, Fraction):
@@ -144,30 +151,10 @@ class PolynomialND:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "PolynomialND":
-        if k < 0:
-            raise ValueError("negative power")
-        out = PolynomialND.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     # -- calculus --------------------------------------------------------
 
     def laplacian(self) -> "PolynomialND":
-        out = {}
-        for a, c in self.terms.items():
-            for i in range(self.n):
-                if a[i] >= 2:
-                    b = list(a)
-                    b[i] -= 2
-                    key = tuple(b)
-                    out[key] = out.get(key, _ZERO) + c * (a[i] * (a[i] - 1))
-        return PolynomialND(self.n, out)
+        return PolynomialND(self.n, _laplacian_terms(self.terms))
 
     def iterated_laplacian(self, j: int) -> "PolynomialND":
         out = self
@@ -188,8 +175,45 @@ class PolynomialND:
             total += v
         return total
 
-    def homogeneous_part(self, d: int) -> "PolynomialND":
-        return PolynomialND(self.n, {a: c for a, c in self.terms.items() if sum(a) == d})
+
+# -- coefficient dicts ---------------------------------------------------
+#
+# The exact layer runs on plain {exponent tuple: coefficient} dicts, mostly
+# integer numerators over one denominator kept alongside, and builds a
+# PolynomialND (or a Fraction) only at the end.
+
+
+def _laplacian_terms(terms: dict) -> dict:
+    """Laplacian of a coefficient dict; zero sums may stay as entries."""
+    out = {}
+    for a, c in terms.items():
+        for i, e in enumerate(a):
+            if e >= 2:
+                key = a[:i] + (e - 2,) + a[i + 1:]
+                out[key] = out.get(key, 0) + c * (e * (e - 1))
+    return out
+
+
+def _times_rsq(terms: dict) -> dict:
+    """|x|^2 times a coefficient dict."""
+    out = {}
+    for a, c in terms.items():
+        for i, e in enumerate(a):
+            key = a[:i] + (e + 2,) + a[i + 1:]
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def _add_scaled(acc: dict, terms: dict, s: int) -> None:
+    """acc += s * terms, in place."""
+    for a, c in terms.items():
+        acc[a] = acc.get(a, 0) + s * c
+
+
+def _over_lcm(P: "PolynomialND") -> tuple[int, dict]:
+    """(C, N) with C the lcm of P's denominators and P = N / C, N integer."""
+    C = math.lcm(1, *(c.denominator for c in P.terms.values()))
+    return C, {a: c.numerator * (C // c.denominator) for a, c in P.terms.items()}
 
 
 # -- moments ------------------------------------------------------------
@@ -271,14 +295,14 @@ def ball_average(P: PolynomialND, x0, R) -> Fraction:
     q = math.lcm(R.denominator, *(s.denominator for s in x0))
     a = [s.numerator * (q // s.denominator) for s in x0]
     b2 = (R.numerator * (q // R.denominator)) ** 2
-    C = math.lcm(1, *(c.denominator for c in P.terms.values()))
+    C, N = _over_lcm(P)
     # w[k] = b^{2k} L / prod_{j=1}^{k} (n + 2j), so w[0] = L
     w = [b2 ** k * math.prod(range(n + 2 * k + 2, n + deg + 1, 2)) for k in range(deg // 2 + 1)]
     lists = {(i, e): [math.comb(e, 2 * t) * a[i] ** (e - 2 * t) * double_factorial(2 * t - 1)
                       for t in range(e // 2 + 1)]
              for i, e in {(i, e) for alpha in P.terms for i, e in enumerate(alpha) if e}}
     total = 0
-    for alpha, c in P.terms.items():
+    for alpha, c in N.items():
         g = [1]
         for i, e in enumerate(alpha):
             if e:
@@ -288,7 +312,7 @@ def ball_average(P: PolynomialND, x0, R) -> Fraction:
                         h[s + t] += gs * ft
                 g = h
         moment_sum = sum(gk * wk for gk, wk in zip(g, w))
-        total += c.numerator * (C // c.denominator) * q ** (deg - sum(alpha)) * moment_sum
+        total += c * q ** (deg - sum(alpha)) * moment_sum
     return Fraction(total, C * w[0] * q ** deg)
 
 
@@ -315,92 +339,121 @@ def pizzetti_check(P: PolynomialND, m: int, x0, R) -> PizzettiReport:
     The residual is exactly zero whenever Delta^m P = 0, and equals
     c_m R^{2m} (Delta^m P)(x0) for any P of degree <= 2m. x0 and R must be
     exact and R nonnegative, as for ball_average.
+
+    rhs runs in integers, like ball_average: P = N / C over the lcm C of
+    its coefficients' denominators, x0 = a / q over a common q, and the
+    Laplacians act on the integer dict N. With deg_i the degree bound
+    deg P - 2i of Delta^i N, each term is one Fraction
+
+        c_i R^{2i} sum_alpha (Delta^i N)_alpha a^alpha q^{deg_i - |alpha|} / (C q^{deg_i}).
     """
     R = _radius(R)
     lhs = ball_average(P, x0, R)
-    cs = pizzetti_coefficients(P.n, m)
+    x0 = [_rat(s) for s in x0]
+    q = math.lcm(1, *(s.denominator for s in x0))
+    a = [s.numerator * (q // s.denominator) for s in x0]
+    C, N = _over_lcm(P)
+    deg = P.degree()
     rhs = Fraction(0)
-    Q = P
-    for i in range(m):
-        rhs += cs[i] * R ** (2 * i) * Fraction(Q.evaluate(x0))
-        Q = Q.laplacian()
+    for i, c in enumerate(pizzetti_coefficients(P.n, m)):
+        if not N:
+            break
+        total = 0
+        for alpha, v in N.items():
+            if v:
+                for ai, e in zip(a, alpha):
+                    if e:
+                        v *= ai ** e
+                total += v * q ** (deg - sum(alpha))
+        rhs += Fraction(c.numerator * R.numerator ** (2 * i) * total,
+                        c.denominator * R.denominator ** (2 * i) * C * q ** deg)
+        N = _laplacian_terms(N)
+        deg -= 2
     return PizzettiReport(lhs=lhs, rhs=rhs, residual=lhs - rhs)
 
 
-# -- harmonic projection and Almansi generator ----------------------------
+# -- Almansi generator ------------------------------------------------------
 
 
-def _fischer_solve(g: PolynomialND, c: int) -> PolynomialND:
-    """Solve c*u + |x|^2 Delta(u) = g for homogeneous g, exactly.
-
-    The recursion reduces the degree by two each step: with d = deg g,
-    u = (g - |x|^2 t) / c where t solves the same equation for Delta(g)
-    with constant c + 2n + 4(d-2). Terminates because Delta eventually
-    annihilates g.
-    """
-    if g.is_zero:
-        return g
-    d = g.degree()
-    t = _fischer_solve(g.laplacian(), c + 2 * g.n + 4 * (d - 2))
-    return (g - PolynomialND.rsq(g.n) * t) * Fraction(1, c)
-
-
-def harmonic_projection(q: PolynomialND) -> PolynomialND:
-    """Harmonic component of q in the Fischer decomposition, exactly.
-
-    Each homogeneous part q_k is written q_k = h_k + |x|^2 w with
-    Delta h_k = 0; the |x|^2-multiple is subtracted. The result is the sum
-    of the harmonic components over all degrees.
-    """
-    out = PolynomialND.zero(q.n)
-    for d in range(q.degree() + 1):
-        qd = q.homogeneous_part(d)
-        if qd.is_zero:
-            continue
-        if d <= 1:
-            out = out + qd
-            continue
-        g = qd.laplacian()
-        if g.is_zero:
-            out = out + qd
-            continue
-        w = _fischer_solve(g, 2 * q.n + 4 * (d - 2))
-        out = out + qd - PolynomialND.rsq(q.n) * w
-    return out
-
-
-def _random_homogeneous(rng: random.Random, n: int, d: int) -> PolynomialND:
+def _random_homogeneous(rng: random.Random, n: int, d: int) -> dict:
+    """One or two random monomials of degree d, numerators over 6."""
     terms = {}
     for _ in range(1 + rng.randrange(2)):
         cuts = sorted(rng.randrange(d + 1) for _ in range(n - 1)) if n > 1 else []
         alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
         num = rng.choice([c for c in range(-5, 6) if c])
         den = rng.choice([1, 1, 2, 3])
-        terms[alpha] = terms.get(alpha, _ZERO) + _RAT(num, den)
-    return PolynomialND(n, terms)
+        terms[alpha] = terms.get(alpha, 0) + num * (6 // den)
+    return terms
+
+
+def _harmonic_part(q: dict, n: int, d: int) -> tuple[dict, int]:
+    """Harmonic part of a homogeneous q of degree d, as (H, K) with h = H / K.
+
+    K = prod_{i=1}^{J} 2i (n+2d-2-2i) with J = d // 2, and
+    H = sum_{j=0}^{J} (-1)^j w_j |x|^{2j} Delta^j q with the integer weight
+    w_j = prod_{i=j+1}^{J} 2i (n+2d-2-2i), which is K times the closed-form
+    coefficient derived in almansi_random. H is summed by Horner's rule in
+    |x|^2 from j = J down, so w_j and finally K build up as it goes.
+    """
+    laps = [q]
+    for _ in range(d // 2):
+        laps.append(_laplacian_terms(laps[-1]))
+    acc: dict = {}
+    w = 1
+    for j in range(d // 2, -1, -1):
+        acc = _times_rsq(acc)
+        _add_scaled(acc, laps[j], -w if j % 2 else w)
+        if j:
+            w *= 2 * j * (n + 2 * d - 2 - 2 * j)
+    return acc, w  # w_0 = K
 
 
 def almansi_random(m: int, n: int, d: int, seed: int) -> PolynomialND:
     """Seeded random polyharmonic polynomial P = sum_k |x|^{2k} h_k, k < m.
 
-    Each h_k is the harmonic projection of a random sparse polynomial of
-    degree <= d; draws are retried (a bounded number of times) until every
-    component is nonzero, which guarantees Delta^j P != 0 for j < m while
-    Delta^m P = 0.
+    Each h_k is the harmonic part of a random sparse homogeneous q of
+    degree d_k <= d; draws are retried (a bounded number of times) until
+    every component is nonzero, which guarantees Delta^j P != 0 for j < m
+    while Delta^m P = 0.
+
+    The harmonic part has a closed form. For f homogeneous of degree e,
+
+        Delta(|x|^{2j} f) = |x|^{2j} Delta f + 2j (n + 2e + 2j - 2) |x|^{2j-2} f,
+
+    from Delta |x|^{2j} = 2j (n + 2j - 2) |x|^{2j-2} and Euler's
+    x . grad f = e f. Put h = sum_{j=0}^{J} a_j |x|^{2j} Delta^j q with
+    J = d // 2 and a_0 = 1. Taking f = Delta^j q (e = d - 2j), the
+    |x|^{2j} Delta^{j+1} q terms of Delta h cancel pairwise (telescope)
+    exactly when a_{j+1} 2(j+1) (n + 2d - 4 - 2j) = -a_j, and the last one
+    vanishes since deg Delta^J q <= 1. Hence
+
+        h = sum_{j=0}^{J} (-1)^j |x|^{2j} Delta^j q / (2^j j! prod_{i=1}^{j} (n+2d-2-2i))
+
+    is harmonic, and q - h is a multiple of |x|^2, so h is the harmonic
+    part of the Fischer decomposition q = h + |x|^2 w. Every factor
+    n + 2d - 2 - 2i >= n + d - 2 is positive for 1 <= i <= J.
+
+    Everything runs on integer dicts: q over 6, h = H / (6 K) by
+    _harmonic_part, then P = sum_k |x|^{2k} H_k / D_k over the lcm of the
+    D_k by Horner's rule in |x|^2; the one PolynomialND is built last.
     """
     if m < 1 or n < 1 or d < 0:
         raise ValueError("need m >= 1, n >= 1, d >= 0")
     rng = random.Random(seed)
-    rsq = PolynomialND.rsq(n)
-    total = PolynomialND.zero(n)
-    for k in range(m):
-        h = PolynomialND.zero(n)
+    layers = []
+    for _ in range(m):
         for _ in range(60):
             dk = rng.randint(0, d)
-            h = harmonic_projection(_random_homogeneous(rng, n, dk))
-            if not h.is_zero:
+            H, K = _harmonic_part(_random_homogeneous(rng, n, dk), n, dk)
+            if any(H.values()):
+                layers.append((H, 6 * K))
                 break
-        if h.is_zero:  # pragma: no cover - d = 0 draws cannot be zero
-            h = PolynomialND.constant(n, 1)
-        total = total + rsq ** k * h
-    return total
+        else:  # pragma: no cover - d = 0 draws cannot be zero
+            layers.append(({(0,) * n: 1}, 1))
+    D = math.lcm(*(den for _, den in layers))
+    acc: dict = {}
+    for H, den in reversed(layers):
+        acc = _times_rsq(acc)
+        _add_scaled(acc, H, D // den)
+    return PolynomialND(n, {a: _RAT(c, D) for a, c in acc.items() if c})

@@ -31,7 +31,8 @@ reference for every w_j and p_j without finite differencing.
 
 A run ends in one of three terminations.  "reached_end": it got to
 r_end.  "not_entire" (m = 2 only): u' turned positive, which no entire
-finite-volume solution does (see `shoot`), so the run stops there.
+finite-volume solution does (see `shoot`), so the run stops there; data
+with Delta u(0) >= 0 stop at the start radius without integrating.
 "step_underflow": the step controller gave up short of r_end.  The
 exponential source is clamped at exp(700) inside the vector field so the
 right-hand side stays total past a blow-up.  A finite-radius blow-up goes
@@ -87,7 +88,8 @@ _COMPANION_FACTOR = 8.0
 # Ratio of consecutive radii of the sampling grid.
 _GRID_RATIO = 1.01
 
-# solve_ivp status -> termination label: 1 is the m = 2 event on u' > 0
+# solve_ivp status -> termination label: 1 is the m = 2 event on u' > 0,
+# also given to m = 2 data with Delta u(0) >= 0, which stop at r0
 _TERMINATION = {0: "reached_end", 1: "not_entire", -1: "step_underflow"}
 
 
@@ -250,7 +252,8 @@ class RadialTrajectory:
 
     grid starts at r = 0; w and p have shape (m, len(grid)); alpha is the
     normalized volume of B_r.  termination is "reached_end";
-    "not_entire" (m = 2) when the run stopped at the first u' > 0; or
+    "not_entire" (m = 2) when the run stopped at the first u' > 0, or at
+    the start radius when Delta u(0) >= 0; or
     "step_underflow" when the steps underflowed short of r_end (a blow-up).
     """
 
@@ -408,8 +411,11 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     u' > 0 thus proves the data lie off every entire solution.  The
     event watches u' and not Delta u: u' ~ -2/r decays more slowly than
     Delta u ~ -4/r^2, so far-field rounding cannot push it across zero.
-    Data that start with u' > 0 (Delta u(0) > 0) never cross upwards and
-    run on to "step_underflow".  The companion run has no event; it runs
+    Data with Delta u(0) >= 0 break the same sign at r = 0 and start with
+    u' > 0 (at Delta u(0) = 0 through Delta^2 u(0) = 3! e^{4u(0)} > 0), so
+    no upward crossing could stop them.  Such a shot ends in "not_entire"
+    at the start radius, with the series-start state and no integration
+    (nfev 0).  The companion run has no event; it runs
     only after "reached_end".  Other m carry no event: for m = 1,
     Delta u = -e^{2u} < 0 on every run, so u' never turns positive; for
     m >= 3 no sign theorem holds (m = 3 data (log 2, -2, 14) turn u' > 0
@@ -418,13 +424,18 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     m = config.m
     rtol = config.rel_tol * _TOL_SAFETY
     atol = config.abs_tol * _TOL_SAFETY
-    grid = _geometric_grid(config.start_radius(), config.r_end)
-    sol = _integrate(config, grid, rtol, atol, _m2_u_prime if m == 2 else None)
-    termination = _TERMINATION[sol.status]
+    if m == 2 and config.initial_laplacians[1] >= 0:
+        r0, y0 = series_start(config)
+        t, y, status, nfev = np.array([r0]), y0[:, None], 1, 0
+    else:
+        grid = _geometric_grid(config.start_radius(), config.r_end)
+        sol = _integrate(config, grid, rtol, atol, _m2_u_prime if m == 2 else None)
+        t, y, status, nfev = sol.t, sol.y, sol.status, sol.nfev
+    termination = _TERMINATION[status]
 
     a0 = np.asarray(config.initial_laplacians, dtype=float)
-    full_t = np.concatenate([[0.0], sol.t])
-    full_y = np.column_stack([np.concatenate([a0, np.zeros(m), [0.0]]), sol.y])
+    full_t = np.concatenate([[0.0], t])
+    full_y = np.column_stack([np.concatenate([a0, np.zeros(m), [0.0]]), y])
     traj = RadialTrajectory(
         m=m,
         grid=full_t,
@@ -433,7 +444,7 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
         alpha=full_y[2 * m],
         termination=termination,
         config=config,
-        nfev=sol.nfev,
+        nfev=nfev,
     )
 
     w0_err = math.nan

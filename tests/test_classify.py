@@ -84,6 +84,16 @@ def test_mismatched_inputs_rejected(std2):
         classify(traj, short_rep, fit)
 
 
+def test_missing_fit_leaves_criterion_iv_inconclusive(std2):
+    # analyze passes fit=None when it took no v samples
+    traj, rep = std2
+    report = classify(traj, rep, None)
+    assert math.isnan(report.crit_iv[0])
+    assert report.crit_iv[1] == "inconclusive"
+    assert report.overall == "standard"
+    assert report.agreement
+
+
 def test_fit_beyond_range_rejected(std2):
     traj, rep = std2
     r = np.linspace(100.0, 2 * traj.r_max, 8)

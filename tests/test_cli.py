@@ -99,15 +99,14 @@ def test_unknown_flag_exits_2():
 
 
 def test_represent_on_blowup_exits_3(tmp_path, capsys):
+    # m = 4 data that blow up near r = 1.32 (step_underflow)
     rc = run(
         [
             "represent",
             "--m",
-            "2",
-            "--u0",
-            LOG2,
-            "--d2",
-            "2.0",
+            "4",
+            "--laplacians",
+            f"{LOG2},2,0,0",
             "--r-end",
             "50",
             "--out",
@@ -116,6 +115,22 @@ def test_represent_on_blowup_exits_3(tmp_path, capsys):
     )
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d2", ["2.0", "0.5", "0.0"])
+def test_m2_nonnegative_laplacian_is_not_entire(tmp_path, capsys, d2):
+    # Delta u(0) >= 0: the m = 2 shot stops at the start radius
+    data = ["--m", "2", "--u0", LOG2, "--d2", d2, "--out", str(tmp_path)]
+    assert run(["classify"] + data) == 0
+    blob = json.loads(read(tmp_path / "classification.json"))
+    assert blob["overall"] == "inconclusive"
+    assert blob["agreement"] is True
+    assert run(["shoot"] + data) == 0
+    blob = json.loads(read(tmp_path / "report.json"))
+    assert blob["termination"] == "not_entire"
+    assert blob["fit"] is None
+    assert run(["represent"] + data) == 3
+    assert "'not_entire'" in capsys.readouterr().err
 
 
 def test_represent_radii_past_r_end_exit_3(tmp_path, capsys):
@@ -226,6 +241,7 @@ def test_analyze_truncated_run():
     a = analyze(cfg)
     assert a.traj.termination != "reached_end"
     assert a.vprof is None
+    assert a.fit is None
     assert a.verdict.overall == "inconclusive"
     with pytest.raises(ValueError):
         analyze(cfg, radii=[1.0, 5.0])
@@ -273,6 +289,15 @@ def test_reproduce_paper_all_rows_pass(tmp_path, capsys):
     rows = [line.rsplit(",", 1) for line in summary[1:]]
     assert len(rows) == 5
     assert all(flag == "True" for _, flag in rows)
+
+
+def test_reproduce_paper_short_run_has_no_fit(tmp_path, capsys):
+    # below r_end = 100 no run reaches the far field: no u - v fit, no verdict
+    assert run(["reproduce-paper", "--r-end", "50", "--out", str(tmp_path)]) == 3
+    summary = read(tmp_path / "summary.csv").decode().splitlines()
+    rows = [line.split(",") for line in summary[1:]]
+    assert len(rows) == 5
+    assert all(row[2] == "-" and row[-2:] == ["inconclusive", "False"] for row in rows)
 
 
 def test_reproduce_paper_jobs_below_1_exits_2():

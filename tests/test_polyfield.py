@@ -3,9 +3,15 @@
 ball_average integrates monomials exactly, and the Pizzetti expansion must
 reproduce it term for term, so every assertion here is zero-tolerance. A
 Taylor-shift translation followed by moment_average, a route independent of
-ball_average's direct moment sum, is kept here as its oracle.
+ball_average's direct moment sum, is kept here as its oracle. Likewise the
+Fischer recursion for the harmonic part, a route independent of
+almansi_random's closed form, is kept here as that generator's oracle, and
+the Fraction-valued evaluate route as the oracle of pizzetti_check's
+integer right-hand side. Two frozen digests pin the exact layer's outputs
+byte for byte.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,7 +23,6 @@ from polyliouville.polyfield import (
     PolynomialND,
     almansi_random,
     ball_average,
-    harmonic_projection,
     moment_average,
     pizzetti_check,
 )
@@ -73,6 +78,66 @@ def oracle_ball_average(P, x0, R):
                 for alpha, c in translate(P, x0).terms.items()), Fraction(0))
 
 
+# -- oracle: harmonic parts by the Fischer recursion ------------------------
+
+
+def _fischer_solve(g, c):
+    """Solve c*u + |x|^2 Delta(u) = g for homogeneous g, exactly.
+
+    The recursion reduces the degree by two each step: with d = deg g,
+    u = (g - |x|^2 t) / c where t solves the same equation for Delta(g)
+    with constant c + 2n + 4(d-2). Terminates because Delta eventually
+    annihilates g.
+    """
+    if g.is_zero:
+        return g
+    d = g.degree()
+    t = _fischer_solve(g.laplacian(), c + 2 * g.n + 4 * (d - 2))
+    return (g - PolynomialND.rsq(g.n) * t) * Fraction(1, c)
+
+
+def harmonic_projection(q):
+    """Sum over degrees d of the harmonic part h_d of q_d = h_d + |x|^2 w."""
+    out = PolynomialND.zero(q.n)
+    for d in range(q.degree() + 1):
+        qd = PolynomialND(q.n, {a: c for a, c in q.terms.items() if sum(a) == d})
+        g = qd.laplacian()
+        if d <= 1 or g.is_zero:
+            out = out + qd
+        else:
+            out = out + qd - PolynomialND.rsq(q.n) * _fischer_solve(g, 2 * q.n + 4 * (d - 2))
+    return out
+
+
+def oracle_almansi_random(m, n, d, seed):
+    """almansi_random's draws, with each harmonic part by the Fischer recursion."""
+    rng = random.Random(seed)
+    total = PolynomialND.zero(n)
+    rsq_k = PolynomialND.constant(n, 1)
+    for _ in range(m):
+        for _ in range(60):
+            dk = rng.randint(0, d)
+            q = PolynomialND.zero(n)
+            for _ in range(1 + rng.randrange(2)):
+                cuts = sorted(rng.randrange(dk + 1) for _ in range(n - 1)) if n > 1 else []
+                alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [dk]))
+                num = rng.choice([c for c in range(-5, 6) if c])
+                q = q + PolynomialND.monomial(n, alpha, Fraction(num, rng.choice([1, 1, 2, 3])))
+            h = harmonic_projection(q)
+            if not h.is_zero:
+                break
+        total = total + rsq_k * h
+        rsq_k = rsq_k * PolynomialND.rsq(n)
+    return total
+
+
+def oracle_pizzetti_rhs(P, m, x0, R):
+    """sum_{i<m} c_i R^{2i} (Delta^i P)(x0) by Fraction-valued evaluate."""
+    cs = pizzetti_coefficients(P.n, m)
+    return sum((cs[i] * Fraction(R) ** (2 * i) * Fraction(P.iterated_laplacian(i).evaluate(x0))
+                for i in range(m)), Fraction(0))
+
+
 def test_monomial_evaluate():
     P = PolynomialND.monomial(2, (2, 1), Fraction(3))
     assert P.evaluate((2, 5)) == 60
@@ -120,6 +185,24 @@ def test_harmonic_projection_properties():
         assert proj.degree() <= P.degree()
 
 
+def test_almansi_random_matches_fischer_oracle():
+    # 1008 seeded cases: every (m, n, d) with m = 1..4, n = 1..7, d = 0..8,
+    # four seeds each; Delta^m P = 0 and Delta^{m-1} P != 0 on each
+    cases = 0
+    for m in range(1, 5):
+        for n in range(1, 8):
+            for d in range(9):
+                for k in range(4):
+                    seed = 1000 * m + 100 * n + 10 * d + k
+                    P = almansi_random(m, n, d, seed)
+                    assert P == oracle_almansi_random(m, n, d, seed), (m, n, d, seed)
+                    top = P.iterated_laplacian(m - 1)
+                    assert not top.is_zero
+                    assert top.laplacian().is_zero
+                    cases += 1
+    assert cases == 1008
+
+
 def test_almansi_random_is_deterministic():
     A = almansi_random(3, 6, 5, seed=42)
     B = almansi_random(3, 6, 5, seed=42)
@@ -153,6 +236,54 @@ def test_pizzetti_exact_on_random_cases(n, m):
         assert rep.exact
         assert rep.residual == 0
         assert rep.lhs == rep.rhs
+
+
+def test_pizzetti_rhs_matches_evaluate_route():
+    # the integer right-hand side against the Fraction evaluate route, at the
+    # Almansi order m (residual 0) and at m + 1, on polyharmonic polynomials
+    # and on ones made non-polyharmonic by an extra monomial
+    rng = random.Random(20082)
+    for case in range(120):
+        n, m = 1 + case % 6, 1 + (case // 6) % 4
+        P = almansi_random(m, n, rng.randint(0, 6), seed=case) * _rational(rng, -9, 9)
+        if case % 2:
+            alpha = tuple(rng.randint(0, 4) for _ in range(n))
+            P = P + PolynomialND.monomial(n, alpha, _rational(rng, -9, 9))
+        x0 = tuple(_rational(rng, -3, 3) for _ in range(n))
+        R = _rational(rng, 0, 6)
+        for order in (m, m + 1):
+            rep = pizzetti_check(P, order, x0, R)
+            assert rep.rhs == oracle_pizzetti_rhs(P, order, x0, R), (case, order)
+            assert rep.lhs == ball_average(P, x0, R)
+            assert rep.residual == rep.lhs - rep.rhs
+        if case % 2 == 0:
+            assert pizzetti_check(P, m, x0, R).exact
+
+
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_reproduce_paper_almansi_digest_frozen():
+    # repr of the 200 Almansi polynomials of reproduce-paper's Pizzetti row
+    reprs = [repr(almansi_random(1 + i % 3, (2, 3, 4, 6)[i % 4], i % 7, 7000 + i))
+             for i in range(200)]
+    assert _sha256_lines(reprs) == \
+        "f8474243776badbca266fa18591e3521166ceb86763dc513681750a64b7c7eba"
+
+
+def test_pizzetti_sweep_digest_frozen():
+    # (lhs, rhs, residual) of `pizzetti --m 3 --n 6 --cases 50 --seed 11`
+    rows = []
+    for i in range(50):
+        case_seed = 11 * 100003 + i
+        P = almansi_random(3, 6, i % 7, case_seed)
+        x0 = tuple((((case_seed >> k) % 5) - 2 for k in range(6)))
+        rep = pizzetti_check(P, 3, x0, 1 + (i % 3))
+        rows.append(f"{rep.lhs} {rep.rhs} {rep.residual}")
+    assert rows[:2] == ["73/15 73/15 0", "-9514/15 -9514/15 0"]
+    assert _sha256_lines(rows) == \
+        "a99c0bbabe699c11e3d39617d2826fdcdd01d5d95bc4da7cba6ac3f3c9f2efb1"
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -198,13 +198,31 @@ class TestNonstandardShot:
 
 class TestTermination:
     def test_blowup_ends_in_step_underflow(self):
-        # u ~ -log(R - r) near the blow-up radius R: the step size
-        # underflows there, and the run stops short of r_end
-        cfg = ShootingConfig(m=2, initial_laplacians=(LOG2, 2.0), r_end=50.0)
+        # u ~ -log(R - r) near the blow-up radius R ~ 1.32: the step size
+        # underflows there, and the run stops short of r_end (m = 4 carries
+        # no u' event, so the run goes on to the blow-up)
+        cfg = ShootingConfig(m=4, initial_laplacians=(LOG2, 2.0, 0.0, 0.0), r_end=50.0)
         traj, rep = shoot(cfg)
         assert rep.termination == "step_underflow"
         assert traj.r_max < 2.0
         assert np.all(np.isfinite(traj.w[-1]))
+
+    @pytest.mark.parametrize("d2", [2.0, 0.5, 0.0])
+    def test_m2_nonnegative_laplacian_stops_at_start(self, d2, monkeypatch):
+        # Delta u(0) >= 0 lies off every entire m = 2 solution: the shot ends
+        # at the start radius with u' > 0 and never calls the integrator
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr("polyliouville.shooter.solve_ivp", no_solve)
+        cfg = ShootingConfig(m=2, initial_derivatives=(LOG2, d2))
+        assert cfg.initial_laplacians[1] >= 0.0
+        traj, rep = shoot(cfg)
+        assert rep.termination == traj.termination == "not_entire"
+        assert traj.grid.tolist() == [0.0, cfg.start_radius()]
+        assert traj.nfev == 0
+        assert traj.p[0, -1] > 0.0
+        assert math.isnan(rep.w0_error_estimate)
 
     @pytest.mark.parametrize("d2", [-1.9, -1.7, -1.5])
     def test_supercritical_m2_stops_at_first_positive_slope(self, d2):
