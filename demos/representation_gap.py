@@ -11,35 +11,30 @@ import math
 
 import numpy as np
 
-from polyliouville.represent import compute_v, rescale_check
-from polyliouville.shooter import ShootingConfig, shoot, standard_config
-from polyliouville.tailfit import fit_even_polynomial
+from polyliouville import ShootingConfig, analyze, compute_v, rescale_check, standard_config
 
 
-def show(label, traj, rep):
-    radii = np.geomspace(1.0, 400.0, 10)
-    prof = compute_v(traj, radii)
-    u = np.interp(radii, traj.grid, traj.u)
-    gap = u - prof.values
-    fit = fit_even_polynomial((radii, gap), 2)
+def show(label, cfg):
+    a = analyze(cfg, np.geomspace(1.0, 400.0, 10))
+    radii = a.vprof.grid
+    gap = a.traj.sample_w(0, radii) - a.vprof.values
     print(f"{label}")
     print(f"  r:       " + " ".join(f"{r:>9.2f}" for r in radii[:5]))
     print(f"  u - v:   " + " ".join(f"{g:>9.5f}" for g in gap[:5]))
-    print(f"  fit: degree {fit.inferred_degree}, leading coefficient {fit.leading_coefficient:+.6f}")
-    if rep.delta_limits:
-        lim = rep.delta_limits[0].value
+    print(f"  fit: degree {a.fit.inferred_degree}, leading coefficient {a.fit.leading_coefficient:+.6f}")
+    if a.report.delta_limits:
+        lim = a.report.delta_limits[0].value
         print(f"  lim Delta u / 8 = {lim / 8:+.6f}")
     print()
+    return a.traj
 
 
 def main():
     print("integral representation of the nonlinearity (m = 2)\n")
-    std, std_rep = shoot(standard_config(2))
-    show("standard (u''(0) = -2): u - v is the constant log 2", std, std_rep)
+    std = show("standard (u''(0) = -2): u - v is the constant log 2", standard_config(2))
 
     cfg = ShootingConfig(m=2, initial_derivatives=(math.log(2.0), -3.0))
-    non, non_rep = shoot(cfg)
-    show("nonstandard (u''(0) = -3): u - v is quadratic with negative lead", non, non_rep)
+    show("nonstandard (u''(0) = -3): u - v is quadratic with negative lead", cfg)
 
     dev1 = rescale_check(std, 1.0)
     dev2 = rescale_check(std, 2.0)

@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-paper", parents=[common], allow_abbrev=False,
                        help="fixed verification suite")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel workers for the independent solve rows")
+                   help="accepted for compatibility; the solve rows run in order")
     p.add_argument("--r-end", type=float, default=1000.0)
 
     return parser
@@ -468,12 +467,7 @@ def _cmd_reproduce_paper(args) -> int:
          [is_nonstandard, rg_unbounded]),
     ]
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [
-            pool.submit(_reproduce_solve_row, name, cfg, checks)
-            for name, cfg, checks in solve_rows
-        ]
-        rows = [f.result() for f in futures]
+    rows = [_reproduce_solve_row(name, cfg, checks) for name, cfg, checks in solve_rows]
 
     exact_rows = []
     gamma_ok = all(verify_gamma_identity(mm) for mm in range(1, 11))

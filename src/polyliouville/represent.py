@@ -27,9 +27,11 @@ Every exponent p is a nonnegative integer.  g and g log s are
 interpolated quadratically on each panel of the trajectory grid through
 its ends and midpoint and integrated exactly against s^p by binomial
 moments (on the panel starting at s = 0 the log is integrated exactly
-against the quadratic of g instead).  The panel holding r is split at r,
-and both parts get their own quadratic through fresh samples of g, so the
-kink of the kernel at s = r costs no accuracy.  Suffix moments are
+against the quadratic of g instead).  Midpoint values of g come from u
+interpolated by `RadialTrajectory.sample_w` (cubic Hermite on u and u').
+The panel holding r is split at r, and both parts get their own
+quadratic through fresh samples of g taken the same way, so the kink of
+the kernel at s = r costs no accuracy.  Suffix moments are
 accumulated from the far end: total minus prefix would cancel
 catastrophically once multiplied by r^{2k}.  Radii at or beyond r_end
 take P = total and Q = 0.  One pass over the grid serves every radius, so
@@ -43,6 +45,7 @@ exp(2m u) <= C s^-q with q fitted on the trajectory tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -133,13 +136,9 @@ class KernelCache:
         return out
 
 
-_CACHE: dict = {}
-
-
+@functools.cache
 def _get_cache(m: int) -> KernelCache:
-    if m not in _CACHE:
-        _CACHE[m] = KernelCache(m)
-    return _CACHE[m]
+    return KernelCache(m)
 
 
 def kernel_avg(r: float, s: float, m: int, j: int = 0) -> float:

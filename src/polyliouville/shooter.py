@@ -251,7 +251,8 @@ class RadialTrajectory:
     """Sampled radial solution with its running conformal volume.
 
     grid starts at r = 0; w and p have shape (m, len(grid)); alpha is the
-    normalized volume of B_r.  termination is "reached_end";
+    normalized volume of B_r.  Off the grid, `sample_w` interpolates w_j
+    from the stored w_j and p_j.  termination is "reached_end";
     "not_entire" (m = 2) when the run stopped at the first u' > 0, or at
     the start radius when Delta u(0) >= 0; or
     "step_underflow" when the steps underflowed short of r_end (a blow-up).
@@ -286,13 +287,19 @@ class RadialTrajectory:
         return float(self.alpha[-1])
 
     def sample_w(self, j: int, radii) -> np.ndarray:
-        """Cubic interpolation of w_j; uses the known w_j'(0) = 0."""
-        from scipy.interpolate import CubicSpline
+        """w_j at the given radii by piecewise cubic Hermite interpolation.
 
-        spline = CubicSpline(
-            self.grid, self.w[j], bc_type=((1, 0.0), "not-a-knot")
-        )
-        return spline(np.asarray(radii, dtype=float))
+        Each panel's cubic matches the stored w_j and p_j = w_j' at both
+        ends, so node values come back exactly and w_j'(0) = 0 holds
+        through p_j(0) = 0.  Radii outside the grid take the cubic of the
+        nearest end panel."""
+        r = np.asarray(radii, dtype=float)
+        grid, w, p = self.grid, self.w[j], self.p[j]
+        i = np.clip(np.searchsorted(grid, r, side="right") - 1, 0, grid.size - 2)
+        h = grid[i + 1] - grid[i]
+        t = (r - grid[i]) / h
+        return ((1 + 2 * t) * (1 - t) ** 2 * w[i] + t**2 * (3 - 2 * t) * w[i + 1]
+                + h * t * (1 - t) * ((1 - t) * p[i] - t * p[i + 1]))
 
     def tail_indices(self, frac: float = 0.8) -> np.ndarray:
         return np.nonzero(self.grid >= frac * self.r_max)[0]

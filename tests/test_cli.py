@@ -39,18 +39,22 @@ def test_module_entry_point_prints_no_warning():
 
 
 def test_exact_commands_do_not_import_scipy():
-    # scipy is imported by the first shot or quadrature, not at start-up
+    # scipy is imported by the first shot or quadrature, not at start-up;
+    # the cli loads no executor, and no analysis needs scipy.interpolate
     env = dict(os.environ, PYTHONPATH=str(Path(polyliouville.__file__).parents[1]))
     code = (
         "import sys; import polyliouville.cli as cli; "
         "cli.run(['constants', '--m', '2']); "
-        "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+        "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
+        "print('concurrent.futures' in sys.modules); "
+        "cli.analyze(cli.standard_config(2)); "
+        "print('scipy.interpolate' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert "gamma_m = 8 * pi^2" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-3:] == ["[]", "False", "False"]
 
 
 def test_pizzetti_all_exact(capsys):

@@ -167,12 +167,25 @@ class TestStandardShots:
         ratio = conformal_factor_ratio(traj)
         assert np.max(np.abs(ratio - 1.0)) < 1e-6
 
-    def test_sample_w_interpolates_laplacian(self, std2):
+    def test_sample_w_interpolates_laplacian(self, std2, std3_500):
         traj, _ = std2
         radii = np.array([0.5, 1.0, 2.0])
         # Delta u = -(8 + 4 r^2) / (1 + r^2)^2 for the lam = 1 profile in R^4
         exact = -(8 + 4 * radii**2) / (1 + radii**2) ** 2
         np.testing.assert_allclose(traj.sample_w(1, radii), exact, rtol=1e-6)
+        # max |error| of every w_j on off-grid radii, at most that of a global
+        # cubic spline (w_j'(0) = 0, not-a-knot) through the same nodes,
+        # rounded up in the third digit
+        ceilings = {1: [6.78e-10], 2: [3.14e-8, 1.51e-9], 3: [4.47e-5, 5.74e-9, 6.06e-8]}
+        runs = {1: shoot(standard_config(1))[0], 2: traj, 3: std3_500[0]}
+        for m, run in runs.items():
+            radii = np.geomspace(1e-3, run.r_max, 10**4, endpoint=False)
+            exact = standard_solution(m, 1.0, radii)
+            for j in range(m):
+                err = np.max(np.abs(run.sample_w(j, radii) - exact.w[j]))
+                assert err <= ceilings[m][j], (m, j, err)
+                np.testing.assert_array_equal(run.sample_w(j, run.grid), run.w[j])
+            assert run.grid[0] == 0.0
 
 
 class TestNonstandardShot:
