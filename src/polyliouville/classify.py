@@ -21,7 +21,6 @@ nonstandard divergence rates seen at r_end = 1e3.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,20 +43,11 @@ R_BIG = 1e4         # curvature below -R_BIG counts as unbounded
 _RHO1_STD = 0.5     # rho_1 above half its tail max counts as bounded away from 0
 _RHO1_DECAYED = 1e-3
 
-_CRITERIA = ("ii", "iii", "iv", "v", "vi")
-_THRESHOLDS = {
-    "ii": EPS_STD,
-    "iii": EPS_GROWTH,
-    "iv": 0.0,
-    "v": -R_BIG,
-    "vi": _RHO1_STD,
-}
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     """Per-criterion (statistic, verdict) pairs and their aggregation.
 
+    criteria maps "ii" .. "vi", in that order, to (statistic, verdict).
     Verdicts are "standard", "nonstandard", or "inconclusive".  agreement
     is true when every decided verdict names the same class (vacuously true
     if nothing is decided).  deltaa_estimate is the pair (j, a) for the
@@ -66,23 +56,10 @@ class ClassificationReport:
     """
 
     m: int
-    crit_ii: tuple[float, str]
-    crit_iii: tuple[float, str]
-    crit_iv: tuple[float, str]
-    crit_v: tuple[float, str]
-    crit_vi: tuple[float, str]
+    criteria: dict[str, tuple[float, str]]
     overall: str
     agreement: bool
     deltaa_estimate: tuple[int, float] | None
-
-    def criteria(self) -> dict[str, tuple[float, str]]:
-        return {
-            "ii": self.crit_ii,
-            "iii": self.crit_iii,
-            "iv": self.crit_iv,
-            "v": self.crit_v,
-            "vi": self.crit_vi,
-        }
 
     def to_json_dict(self) -> dict:
         crits = [
@@ -90,10 +67,10 @@ class ClassificationReport:
                 "name": name,
                 # strict JSON has no Infinity/NaN tokens; stringify those
                 "statistic": float(stat) if math.isfinite(stat) else str(stat),
-                "threshold": _THRESHOLDS[name],
+                "threshold": _TABLE[name][0],
                 "verdict": verdict,
             }
-            for name, (stat, verdict) in self.criteria().items()
+            for name, (stat, verdict) in self.criteria.items()
         ]
         dd = None
         if self.deltaa_estimate is not None:
@@ -106,28 +83,8 @@ class ClassificationReport:
             "deltaa_estimate": dd,
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
-
-def _inconclusive_report(m: int) -> ClassificationReport:
-    blank = (math.nan, "inconclusive")
-    return ClassificationReport(
-        m=m,
-        crit_ii=blank,
-        crit_iii=blank,
-        crit_iv=blank,
-        crit_v=blank,
-        crit_vi=blank,
-        overall="inconclusive",
-        agreement=True,
-        deltaa_estimate=None,
-    )
-
-
-def _crit_ii(report: SolveReport) -> tuple[float, str]:
+def _crit_ii(traj, report, fit) -> tuple[float, str]:
     if not report.delta_limits:
         # m = 1 has no Laplacian iterate to test; other criteria decide
         return (math.nan, "inconclusive")
@@ -142,7 +99,7 @@ def _crit_ii(report: SolveReport) -> tuple[float, str]:
     return (stat, "inconclusive")
 
 
-def _crit_iii(traj: RadialTrajectory) -> tuple[float, str]:
+def _crit_iii(traj, report, fit) -> tuple[float, str]:
     stat = float(traj.w[0][-1] / traj.r_max**2)
     if not math.isfinite(stat):
         return (stat, "inconclusive")
@@ -153,7 +110,7 @@ def _crit_iii(traj: RadialTrajectory) -> tuple[float, str]:
     return (stat, "inconclusive")
 
 
-def _crit_iv(fit: tailfit.PolyFit1D | None) -> tuple[float, str]:
+def _crit_iv(traj, report, fit) -> tuple[float, str]:
     if fit is None:
         return (math.nan, "inconclusive")
     deg = fit.inferred_degree
@@ -164,7 +121,7 @@ def _crit_iv(fit: tailfit.PolyFit1D | None) -> tuple[float, str]:
     return (float(deg), "inconclusive")
 
 
-def _crit_v(report: SolveReport) -> tuple[float, str]:
+def _crit_v(traj, report, fit) -> tuple[float, str]:
     rg = report.scalar_curvature_tail[1]
     rg = rg[np.isfinite(rg) | (rg == -np.inf)]
     if rg.size == 0:
@@ -175,7 +132,7 @@ def _crit_v(report: SolveReport) -> tuple[float, str]:
     return (stat, "standard" if stat > -R_BIG else "nonstandard")
 
 
-def _crit_vi(report: SolveReport) -> tuple[float, str]:
+def _crit_vi(traj, report, fit) -> tuple[float, str]:
     rho = report.rho1_tail[1]
     rho = rho[np.isfinite(rho)]
     if rho.size == 0:
@@ -189,6 +146,17 @@ def _crit_vi(report: SolveReport) -> tuple[float, str]:
     if stat < _RHO1_DECAYED:
         return (stat, "nonstandard")
     return (stat, "inconclusive")
+
+
+# The criteria in report order: name -> (threshold written to JSON, test on
+# the run's trajectory, report and u - v fit).
+_TABLE = {
+    "ii": (EPS_STD, _crit_ii),
+    "iii": (EPS_GROWTH, _crit_iii),
+    "iv": (0.0, _crit_iv),
+    "v": (-R_BIG, _crit_v),
+    "vi": (_RHO1_STD, _crit_vi),
+}
 
 
 def classify(
@@ -217,20 +185,11 @@ def classify(
     if fit is not None and fit.r_max > traj.r_max * (1 + 1e-12):
         raise ValueError("fit uses samples beyond the trajectory range")
 
-    idx = traj.tail_indices()
-    alpha_end = traj.alpha_final
-    alpha_rel = abs(alpha_end - traj.alpha[idx[0]]) / max(abs(alpha_end), 1e-300)
-    if traj.termination != "reached_end" or traj.r_max < 100.0 or alpha_rel > 1e-3:
-        return _inconclusive_report(traj.m)
-
-    crits = {
-        "ii": _crit_ii(report),
-        "iii": _crit_iii(traj),
-        "iv": _crit_iv(fit),
-        "v": _crit_v(report),
-        "vi": _crit_vi(report),
-    }
-    decided = [v for _, v in crits.values() if v != "inconclusive"]
+    if traj.termination != "reached_end" or traj.r_max < 100.0 or not traj.alpha_converged():
+        criteria = dict.fromkeys(_TABLE, (math.nan, "inconclusive"))
+    else:
+        criteria = {name: test(traj, report, fit) for name, (_, test) in _TABLE.items()}
+    decided = [v for _, v in criteria.values() if v != "inconclusive"]
     agreement = len(set(decided)) <= 1
     overall = decided[0] if decided and agreement else "inconclusive"
 
@@ -244,11 +203,7 @@ def classify(
 
     return ClassificationReport(
         m=traj.m,
-        crit_ii=crits["ii"],
-        crit_iii=crits["iii"],
-        crit_iv=crits["iv"],
-        crit_v=crits["v"],
-        crit_vi=crits["vi"],
+        criteria=criteria,
         overall=overall,
         agreement=agreement,
         deltaa_estimate=deltaa,

@@ -109,11 +109,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,25 +140,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", parents=[common], allow_abbrev=False,
                        help="exact constant table")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--digits", type=_positive_int, default=30)
 
     p = sub.add_parser("pizzetti", parents=[common], allow_abbrev=False,
                        help="seeded exactness sweep")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--cases", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=6)
 
     p = sub.add_parser("green", parents=[common], allow_abbrev=False,
                        help="exact Green function data")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--points", type=int, default=0,
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--points", type=_nonnegative_int, default=0,
                    help="if > 0, also write green_profile.csv with this many radii")
 
     shooting = argparse.ArgumentParser(add_help=False)
-    shooting.add_argument("--m", type=int, required=True)
+    shooting.add_argument("--m", type=_positive_int, required=True)
     shooting.add_argument("--u0", type=float, help="u(0)")
     shooting.add_argument("--d2", type=float, default=0.0, help="u''(0)")
     shooting.add_argument("--d4", type=float, default=0.0, help="u''''(0)")
@@ -168,15 +176,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("represent", parents=[common, shooting], allow_abbrev=False,
                        help="v-profile CSV + u-v fit JSON")
     p.add_argument("--radii", help="comma list of evaluation radii")
-    p.add_argument("--points", type=int, default=24)
+    p.add_argument("--points", type=_positive_int, default=24)
 
     p = sub.add_parser("classify", parents=[common, shooting], allow_abbrev=False,
                        help="equivalence-criteria verdict JSON")
 
     p = sub.add_parser("a2m-check", parents=[common], allow_abbrev=False,
                        help="Navier positivity, scaling covariance, integrability")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--points", type=int, default=801)
+    p.add_argument("--m", type=_positive_int, default=2)
+    p.add_argument("--points", type=_positive_int, default=801)
 
     p = sub.add_parser("reproduce-paper", parents=[common], allow_abbrev=False,
                        help="fixed verification suite")
@@ -347,8 +355,8 @@ def _cmd_represent(args) -> int:
 def _cmd_classify(args) -> int:
     out = _resolve_out(args)
     verdict = analyze(_config(args)).verdict
-    verdict.to_json(out / "classification.json")
-    for name, (stat, verd) in verdict.criteria().items():
+    _write_json(out / "classification.json", verdict.to_json_dict())
+    for name, (stat, verd) in verdict.criteria.items():
         print(f"({name}) statistic = {stat:.6g}  verdict = {verd}")
     print(f"overall = {verdict.overall}  agreement = {verdict.agreement}")
     if verdict.deltaa_estimate is not None:
@@ -407,7 +415,7 @@ def _reproduce_solve_row(name: str, cfg: ShootingConfig, checks) -> dict:
         "alpha": a.traj.alpha_final,
         "deg_p": None if a.fit is None else a.fit.inferred_degree,
         "lim_dau": a.report.delta_limits[0].value if a.report.delta_limits else math.nan,
-        "min_tail_rg": a.verdict.crit_v[0],
+        "min_tail_rg": a.verdict.criteria["v"][0],
         "verdict": a.verdict.overall,
     }
     row["ok"] = all(check(row, a.traj) for check in checks)

@@ -210,26 +210,20 @@ def green_ball(m: int, radius=1) -> GreenBall:
 # -- radial Navier solve ---------------------------------------------------
 
 
-def _weighted_panel_integrals(grid: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """Exact per-panel integrals of t^{n-1} * (linear interpolant of g).
+def panel_moment(a, x, coef, p: int):
+    """int_a^{a+x} (c0 + c1 tau + ...) s^p ds, tau = s - a, elementwise.
 
-    Plain trapezoid misjudges int_0^h t^{n-1} g dt by an O(1) relative factor
-    because the weight vanishes to order n-1 at zero; integrating the weight
-    exactly against the interpolant fixes that. Writing t = t0 + u h and
-    expanding binomially keeps every term nonnegative, so there is no
-    cancellation and the quadrature weights stay nonnegative (preserving the
-    discrete maximum principle).
-    """
-    t0, t1 = grid[:-1], grid[1:]
-    h = t1 - t0
-    g0, g1 = g[:-1], g[1:]
-    acc = np.zeros_like(h)
-    for k in range(n):
-        ck = math.comb(n - 1, k) * t0 ** (n - 1 - k) * h ** k
-        w0 = 1.0 / (k + 1) - 1.0 / (k + 2)
-        w1 = 1.0 / (k + 2)
-        acc += ck * (g0 * w0 + g1 * w1)
-    return acc * h
+    s^p is expanded binomially about a into nonnegative terms, so the
+    weight's high-order vanishing at 0 costs no accuracy; plain trapezoid
+    misjudges int_0^h t^{n-1} g dt by an O(1) relative factor.  Against
+    the linear interpolant of g the weights on the panel-end values stay
+    nonnegative (the discrete maximum principle of navier_solve_radial)."""
+    out = 0.0
+    for i in range(p + 1):
+        w = math.comb(p, i) * a ** (p - i)
+        for k, c in enumerate(coef):
+            out = out + c * w * x ** (i + k + 1) / (i + k + 1)
+    return out
 
 
 def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -237,7 +231,10 @@ def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np
     from scipy.integrate import cumulative_trapezoid
 
     grid = np.asarray(grid, dtype=float)
-    inner = np.concatenate([[0.0], np.cumsum(_weighted_panel_integrals(grid, g, n))])
+    h = np.diff(grid)
+    # t^{n-1} against the linear interpolant of g, exactly on each panel
+    panels = panel_moment(grid[:-1], h, (g[:-1], np.diff(g) / h), n - 1)
+    inner = np.concatenate([[0.0], np.cumsum(panels)])
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(grid > 0, inner / np.where(grid > 0, grid, 1.0) ** (n - 1), 0.0)
     cum = cumulative_trapezoid(integrand, grid, initial=0.0)

@@ -20,9 +20,7 @@ The exact layer of the Pizzetti sweep runs in integers: ball_average, the
 right-hand side of pizzetti_check and almansi_random work on integer
 numerators over one denominator and build a rational only at the end.
 
-PolynomialND coefficients use gmpy2.mpq when available (several times
-faster than fractions.Fraction) and fall back to the stdlib otherwise.
-Both types interoperate and compare equal, so callers may pass either.
+PolynomialND coefficients are fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -34,22 +32,15 @@ from fractions import Fraction
 
 from .exactconst import double_factorial, pizzetti_coefficients
 
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _RAT = Fraction
-
-_ZERO = _RAT(0)
+_ZERO = Fraction(0)
 
 
-def _rat(x) -> "_RAT":
-    if isinstance(x, _RAT):
+def _rat(x) -> Fraction:
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("polyfield is exact, floats are not accepted")
-    if isinstance(x, Fraction):
-        return _RAT(x.numerator, x.denominator)
-    return _RAT(x)
+    return Fraction(x)
 
 
 class PolynomialND:
@@ -162,7 +153,7 @@ class PolynomialND:
             out = out.laplacian()
         return out
 
-    def evaluate(self, point) -> "_RAT":
+    def evaluate(self, point) -> Fraction:
         if len(point) != self.n:
             raise ValueError(f"point has length {len(point)}, expected {self.n}")
         pt = [_rat(x) for x in point]
@@ -268,7 +259,7 @@ def moment_average(alpha, n: int, domain: str = "ball", radius=None) -> MomentVa
 
 
 def _radius(R) -> Fraction:
-    R = Fraction(_rat(R))
+    R = _rat(R)
     if R < 0:
         raise ValueError(f"radius must be nonnegative, got {R}")
     return R
@@ -456,4 +447,4 @@ def almansi_random(m: int, n: int, d: int, seed: int) -> PolynomialND:
     for H, den in reversed(layers):
         acc = _times_rsq(acc)
         _add_scaled(acc, H, D // den)
-    return PolynomialND(n, {a: _RAT(c, D) for a, c in acc.items() if c})
+    return PolynomialND(n, {a: Fraction(c, D) for a, c in acc.items() if c})

@@ -26,9 +26,10 @@ every radius at once:
 Every exponent p is a nonnegative integer.  g and g log s are
 interpolated quadratically on each panel of the trajectory grid through
 its ends and midpoint and integrated exactly against s^p by binomial
-moments (on the panel starting at s = 0 the log is integrated exactly
-against the quadratic of g instead).  Midpoint values of g come from u
-interpolated by `RadialTrajectory.sample_w` (cubic Hermite on u and u').
+moments (`greenball.panel_moment`; on the panel starting at s = 0 the log
+is integrated exactly against the quadratic of g instead).  Midpoint
+values of g come from u interpolated by `RadialTrajectory.sample_w`
+(cubic Hermite on u and u').
 The panel holding r is split at r, and both parts get their own
 quadratic through fresh samples of g taken the same way, so the kink of
 the kernel at s = r costs no accuracy.  Suffix moments are
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exactconst import constant_table
-from .greenball import RadialProfile
+from .greenball import RadialProfile, panel_moment
 from .shooter import RadialTrajectory
 
 __all__ = [
@@ -146,20 +147,6 @@ def kernel_avg(r: float, s: float, m: int, j: int = 0) -> float:
     return _get_cache(m).average(r, s, j)
 
 
-def _moment(a, x, coef, p: int):
-    """int_a^{a+x} (c0 + c1 tau + c2 tau^2) s^p ds, tau = s - a, elementwise.
-
-    s^p is expanded binomially about a, so every moment is a sum of
-    nonnegative terms and the weight's high-order vanishing at 0 costs no
-    accuracy."""
-    out = 0.0
-    for i in range(p + 1):
-        w = math.comb(p, i) * a ** (p - i)
-        for k, c in enumerate(coef):
-            out = out + c * w * x ** (i + k + 1) / (i + k + 1)
-    return out
-
-
 def _log_moment_from_zero(x, coef, p: int):
     """int_0^x (c0 + c1 s + c2 s^2) s^p log s ds, exact (0 for x = 0)."""
     out = 0.0
@@ -214,10 +201,12 @@ class _SeparableIntegral:
         radius.  Suffixes add up from the far end; radii at or past the last
         node clamp to P = total and Q = 0."""
         whole, lower, upper = self.quad[log]
-        full = _moment(self.lo, self.h, whole, p)
+        full = panel_moment(self.lo, self.h, whole, p)
         with np.errstate(invalid="ignore"):
-            part_lower = np.where(self.x_lower > 0, _moment(self.a, self.x_lower, lower, p), 0.0)
-            part_upper = np.where(self.x_upper > 0, _moment(self.r, self.x_upper, upper, p), 0.0)
+            part_lower = np.where(self.x_lower > 0,
+                                  panel_moment(self.a, self.x_lower, lower, p), 0.0)
+            part_upper = np.where(self.x_upper > 0,
+                                  panel_moment(self.r, self.x_upper, upper, p), 0.0)
             if log:
                 g_whole, g_lower, _ = self.quad[False]
                 full[0] = _log_moment_from_zero(self.h[0], [c[0] for c in g_whole], p)
@@ -273,22 +262,22 @@ def _tail_decay(traj: RadialTrajectory):
     return c, q
 
 
-def _check_alpha_converged(traj: RadialTrajectory) -> None:
+def _check_alpha_converged(traj: RadialTrajectory):
+    """Refuse runs whose conformal volume has not converged; returns the
+    tail decay fit (C, q) the error bar uses."""
     if traj.termination != "reached_end":
         raise ValueError(
             f"trajectory terminated with '{traj.termination}'; "
             "the representation integral needs a full run to r_end"
         )
-    idx = traj.tail_indices()
-    a_end = traj.alpha_final
-    rel = (a_end - traj.alpha[idx[0]]) / max(a_end, 1e-300)
     c, q = _tail_decay(traj)
-    if rel > 1e-3 or q <= 2 * traj.m + 0.1:
+    if not traj.alpha_converged() or q <= 2 * traj.m + 0.1:
         raise ValueError(
             "insufficient decay for the truncated representation integral: "
-            f"alpha changed by {rel:.2e} over the tail window and "
+            f"alpha changed by {traj.alpha_tail_change():.2e} over the tail window and "
             f"exp(2mu) ~ s^-{q:.2f} (need q > {2*traj.m}+0.1 and change <= 1e-3)"
         )
+    return c, q
 
 
 def _tail_bound(traj, r, c, q, j):
@@ -307,25 +296,24 @@ def _tail_bound(traj, r, c, q, j):
     return float(np.trapezoid(integrand, s))
 
 
-def _profile(traj, j, eval_radii, max_err=None):
+def _prefactor(m: int, j: int) -> float:
+    """The factor in front of the radial integral for Delta^j v, rounded once
+    from its exact rational: 2 omega_{2m}/|S^{2m}| for j = 0 (the
+    (2m-1)!/gamma_m of v times the sphere measure), and that times
+    (-1)^j laplog_j for j >= 1."""
+    tab = constant_table(m)
+    pref = 2 * tab.omega_n / tab.vol_sphere_2m
+    if j:
+        pref = pref * ((-1) ** j * tab.laplog_coeff[j - 1])
+    return float(pref)
+
+
+def _profile(traj, j, eval_radii, decay, max_err=None):
     radii = np.asarray(eval_radii, dtype=float)
     if radii.ndim != 1 or np.any(np.diff(radii) <= 0):
         raise ValueError("eval_radii must be strictly increasing")
     m = traj.m
-    tab = constant_table(m)
-    if j == 0:
-        pref = math.factorial(2 * m - 1) / float(tab.gamma_m) * float(tab.omega_n)
-    else:
-        sign = -1 if j % 2 else 1
-        const = (
-            sign
-            * 2 ** (2 * j)
-            * math.factorial(j - 1)
-            * math.factorial(m - 1)
-            / math.factorial(m - j - 1)
-            / float(tab.vol_sphere_2m)
-        )
-        pref = const * float(tab.omega_n)
+    pref = _prefactor(m, j)
     coeffs = _get_cache(m).coeffs
     grid = traj.grid
     mids = 0.5 * (grid[:-1] + grid[1:])
@@ -340,8 +328,7 @@ def _profile(traj, j, eval_radii, max_err=None):
     )
     value = fine.integral(coeffs, j)
     radial_est = np.abs(value - coarse.integral(coeffs, j))
-    c_tail, q_tail = _tail_decay(traj)
-    tail = np.array([_tail_bound(traj, r, c_tail, q_tail, j) for r in radii])
+    tail = np.array([_tail_bound(traj, r, *decay, j) for r in radii])
     vals = pref * value
     errs = abs(pref) * (radial_est + tail)
     if max_err is not None:
@@ -360,8 +347,7 @@ def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
     Radii past r_end use the moments of [0, r_end] and the same tail
     bound.  Refuses trajectories whose conformal volume has not converged
     (the tail bound would be meaningless)."""
-    _check_alpha_converged(traj)
-    return _profile(traj, 0, eval_radii)
+    return _profile(traj, 0, eval_radii, _check_alpha_converged(traj))
 
 
 def compute_lap_v(
@@ -378,8 +364,7 @@ def compute_lap_v(
     error bar infinite."""
     if not 1 <= j <= traj.m - 1:
         raise ValueError("j must lie in 1..m-1")
-    _check_alpha_converged(traj)
-    return _profile(traj, j, eval_radii, max_err=max_err)
+    return _profile(traj, j, eval_radii, _check_alpha_converged(traj), max_err=max_err)
 
 
 def rescale_check(traj: RadialTrajectory, scale_r: float, eval_radii=None) -> float:

@@ -48,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactconst import double_factorial, pizzetti_coefficients
+from .exactconst import constant_table, pizzetti_coefficients
 from .tailfit import LimitEstimate, PolyFit1D, fit_even_polynomial, tail_limit
 
 __all__ = [
@@ -91,15 +91,6 @@ _GRID_RATIO = 1.01
 # solve_ivp status -> termination label: 1 is the m = 2 event on u' > 0,
 # also given to m = 2 data with Delta u(0) >= 0, which stop at r0
 _TERMINATION = {0: "reached_end", 1: "not_entire", -1: "step_underflow"}
-
-
-def _sigma(m: int) -> int:
-    return -1 if m % 2 else 1
-
-
-def _alpha_ratio(m: int) -> float:
-    # omega_{2m} / |S^{2m}| = (2m-1)!! / (2 (2m-2)!!)
-    return double_factorial(2 * m - 1) / (2.0 * double_factorial(2 * m - 2))
 
 
 def derivs_to_laplacians(m, even_derivs):
@@ -183,8 +174,9 @@ def _vector_field(m: int):
     about half as much per call as slice updates of a numpy array.
     """
     n = 2 * m
-    sig_fact = _sigma(m) * math.factorial(2 * m - 1)
-    ratio = _alpha_ratio(m)
+    tab = constant_table(m)
+    sig_fact = tab.sigma_m * math.factorial(2 * m - 1)
+    ratio = float(tab.omega_n / tab.vol_sphere_2m)
 
     def field(r, y):
         y = y.tolist()
@@ -223,7 +215,8 @@ def series_start(config: ShootingConfig):
     """
     m, n = config.m, config.n
     a = list(config.initial_laplacians)
-    a_m = _sigma(m) * math.factorial(2 * m - 1) * math.exp(
+    tab = constant_table(m)
+    a_m = tab.sigma_m * math.factorial(2 * m - 1) * math.exp(
         min(2 * m * a[0], _EXP_CAP)
     )
     a.append(a_m)
@@ -241,7 +234,7 @@ def series_start(config: ShootingConfig):
             for j in range(m)
         ]
     )
-    ratio = _alpha_ratio(m)
+    ratio = float(tab.omega_n / tab.vol_sphere_2m)
     alpha0 = ratio * math.exp(min(2 * m * a[0], _EXP_CAP)) * r0 ** (2 * m) / (2 * m)
     return r0, np.concatenate([w0, p0, [alpha0]])
 
@@ -303,6 +296,16 @@ class RadialTrajectory:
 
     def tail_indices(self, frac: float = 0.8) -> np.ndarray:
         return np.nonzero(self.grid >= frac * self.r_max)[0]
+
+    def alpha_tail_change(self) -> float:
+        """Relative change of alpha over the tail window."""
+        a_end = self.alpha_final
+        return abs(a_end - self.alpha[self.tail_indices()[0]]) / max(abs(a_end), 1e-300)
+
+    def alpha_converged(self) -> bool:
+        """Whether the conformal volume has converged: alpha changed by at
+        most 1e-3 (relative) over the tail window."""
+        return self.alpha_tail_change() <= 1e-3
 
     def rescaled(self, scale: float) -> "RadialTrajectory":
         """Trajectory of u_s(x) = u(s x) + log s, the conformal rescaling.

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from polyliouville.classify import ClassificationReport, classify
-from polyliouville.cli import analyze
+from polyliouville.cli import _write_json, analyze
 from polyliouville.shooter import ShootingConfig, diagnose, shoot, standard_config
 from polyliouville.tailfit import fit_even_polynomial
 
@@ -33,7 +33,7 @@ def nonstd2_report():
 
 def test_standard_run_passes_every_criterion(std2_report):
     _, _, report = std2_report
-    for name, (stat, verdict) in report.criteria().items():
+    for name, (stat, verdict) in report.criteria.items():
         assert verdict == "standard", name
     assert report.overall == "standard"
     assert report.agreement
@@ -42,16 +42,16 @@ def test_standard_run_passes_every_criterion(std2_report):
 
 def test_standard_statistics_are_small(std2_report):
     _, _, report = std2_report
-    assert abs(report.crit_ii[0]) < 1e-3
-    assert abs(report.crit_iii[0]) < 1e-4
-    assert report.crit_iv[0] == 0
-    assert report.crit_v[0] > 11.9
-    assert report.crit_vi[0] > 0.5
+    assert abs(report.criteria["ii"][0]) < 1e-3
+    assert abs(report.criteria["iii"][0]) < 1e-4
+    assert report.criteria["iv"][0] == 0
+    assert report.criteria["v"][0] > 11.9
+    assert report.criteria["vi"][0] > 0.5
 
 
 def test_nonstandard_run_fails_every_criterion(nonstd2_report):
     _, rep, report = nonstd2_report
-    for name, (stat, verdict) in report.criteria().items():
+    for name, (stat, verdict) in report.criteria.items():
         assert verdict == "nonstandard", name
     assert report.overall == "nonstandard"
     assert report.agreement
@@ -65,7 +65,7 @@ def test_truncated_run_is_inconclusive():
     traj, rep = shoot(standard_config(2, r_end=5.0))
     fit = fit_even_polynomial((np.linspace(1.0, 2.5, 8), np.zeros(8)), 2)
     report = classify(traj, rep, fit)
-    for name, (stat, verdict) in report.criteria().items():
+    for name, (stat, verdict) in report.criteria.items():
         assert verdict == "inconclusive", name
     assert report.overall == "inconclusive"
     assert report.agreement  # vacuously: nothing decided
@@ -88,8 +88,8 @@ def test_missing_fit_leaves_criterion_iv_inconclusive(std2):
     # analyze passes fit=None when it took no v samples
     traj, rep = std2
     report = classify(traj, rep, None)
-    assert math.isnan(report.crit_iv[0])
-    assert report.crit_iv[1] == "inconclusive"
+    assert math.isnan(report.criteria["iv"][0])
+    assert report.criteria["iv"][1] == "inconclusive"
     assert report.overall == "standard"
     assert report.agreement
 
@@ -105,7 +105,7 @@ def test_fit_beyond_range_rejected(std2):
 def test_json_round_trip(nonstd2_report, tmp_path):
     _, _, report = nonstd2_report
     path = tmp_path / "classification.json"
-    report.to_json(path)
+    _write_json(path, report.to_json_dict())
     blob = json.loads(open(path).read())
     assert blob["overall"] == "nonstandard"
     assert [entry["name"] for entry in blob["criteria"]] == ["ii", "iii", "iv", "v", "vi"]
@@ -116,11 +116,13 @@ def test_json_round_trip(nonstd2_report, tmp_path):
 def test_json_serializes_infinities():
     report = ClassificationReport(
         m=2,
-        crit_ii=(float("-inf"), "nonstandard"),
-        crit_iii=(math.nan, "inconclusive"),
-        crit_iv=(2.0, "nonstandard"),
-        crit_v=(float("-inf"), "nonstandard"),
-        crit_vi=(0.0, "nonstandard"),
+        criteria={
+            "ii": (float("-inf"), "nonstandard"),
+            "iii": (math.nan, "inconclusive"),
+            "iv": (2.0, "nonstandard"),
+            "v": (float("-inf"), "nonstandard"),
+            "vi": (0.0, "nonstandard"),
+        },
         overall="nonstandard",
         agreement=True,
         deltaa_estimate=(1, -7.6),

@@ -306,3 +306,28 @@ def test_reproduce_paper_short_run_has_no_fit(tmp_path, capsys):
 
 def test_reproduce_paper_jobs_below_1_exits_2():
     assert run(["reproduce-paper", "--jobs", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--m", "2", "--digits", "-2"],
+    ["constants", "--m", "2", "--digits", "0"],
+    ["constants", "--m", "0"],
+    ["pizzetti", "--m", "2", "--n", "4", "--cases", "-3"],
+    ["pizzetti", "--m", "2", "--n", "4", "--cases", "0"],
+    ["pizzetti", "--m", "2", "--n", "4", "--max-degree", "-1"],
+    ["pizzetti", "--m", "2", "--n", "0"],
+    ["green", "--m", "2", "--points", "-4"],
+    ["shoot", "--m", "0", "--u0", "0"],
+    ["represent", "--m", "1", "--u0", "0", "--points", "0"],
+    ["a2m-check", "--m", "0"],
+])
+def test_bad_count_flag_exits_2(argv, capsys):
+    assert run(argv) == 2
+    assert "must be >=" in capsys.readouterr().err
+
+
+def test_count_flags_accept_their_lower_bound(capsys):
+    assert run(["pizzetti", "--m", "1", "--n", "2", "--cases", "1", "--max-degree", "0"]) == 0
+    assert run(["green", "--m", "1", "--points", "0"]) == 0
+    assert run(["constants", "--m", "1", "--digits", "1"]) == 0
+    assert "1/1 exact" in capsys.readouterr().out

@@ -8,12 +8,14 @@ standard solution pins the full pipeline because u - v must be constant.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polyliouville.represent import (
     KernelCache,
+    _prefactor,
     compute_lap_v,
     compute_v,
     kernel_avg,
@@ -179,3 +181,15 @@ def test_fit_wrapper_accepts_arrays():
     fit = fit_even_polynomial((r, 3.0 - 2.0 * r**2), 4)
     assert fit.inferred_degree == 2
     assert fit.leading_coefficient == pytest.approx(-2.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_prefactor_is_its_exact_rational(m):
+    # (2m-1)! omega_{2m} / gamma_m = (2m-1)!! / (2m-2)!! for v; Delta^j v adds
+    # (-1)^j 2^{2j-1} (j-1)! (m-1)! / (m-j-1)!, the laplog coefficient
+    base = Fraction(math.prod(range(1, 2 * m, 2)), math.prod(range(2, 2 * m - 1, 2)))
+    assert _prefactor(m, 0) == float(base)
+    for j in range(1, m):
+        lap = Fraction(2 ** (2 * j - 1) * math.factorial(j - 1) * math.factorial(m - 1),
+                       math.factorial(m - j - 1))
+        assert _prefactor(m, j) == float((-1) ** j * lap * base), (m, j)
