@@ -4,6 +4,7 @@ Modules:
     exactconst   exact constants (gamma_m, sphere volumes, Pizzetti weights)
     polyfield    exact multivariate polynomial calculus and ball averages
     greenball    Navier Green function of Delta^m on balls, radial solves
+    dop853       the Dormand-Prince 8(5,3) stepper the shooter integrates with
     shooter      radial shooting for the Liouville equation
     tailfit      limit and even-polynomial estimation on tail samples
     represent    integral representation v and polynomial part u - v

@@ -28,6 +28,7 @@ override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -124,7 +125,10 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no
+    state on it between calls."""
     parser = argparse.ArgumentParser(
         prog="polyliouville",
         description="numerical and exact-arithmetic laboratory for the "
@@ -312,7 +316,7 @@ def _cmd_green(args) -> int:
           all(r.is_zero for r in residuals))
     if args.points > 0:
         out = _resolve_out(args)
-        grid = np.linspace(0.0, 1.0, args.points)[1:]
+        grid = np.linspace(0.0, 1.0, args.points + 1)[1:]
         prof = RadialProfile(grid=grid, values=gb.evaluate(grid), m=args.m)
         prof.to_csv(out / "green_profile.csv", header=("r", "G"))
         print(f"wrote {out / 'green_profile.csv'}")

@@ -226,10 +226,42 @@ def panel_moment(a, x, coef, p: int):
     return out
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integrals of y over x, starting from 0 at x[0]."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule on the strictly increasing nodes x.
+
+    An odd node count takes the parabola through each consecutive node
+    triple (unequal spacing allowed).  An even count does the same on all
+    but the last interval, which gets Cartwright's three-point correction
+    (Cartwright 2017, Eq. 8, recast for the last interval); two nodes take
+    the trapezoid.  The arithmetic is that of scipy 1.17's
+    `scipy.integrate.simpson(y, x=x)`, operation for operation."""
+    n = y.size
+    if n == 2:
+        return 0.5 * (x[1] - x[0]) * (y[1] + y[0])
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum, ratio = h0 + h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                  + y[1 : stop + 1 : 2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2 : stop + 2 : 2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        # 0-d arrays, so that ** takes numpy's array power as scipy's does
+        a, b = np.squeeze(h[-2:-1]), np.squeeze(h[-1:])
+        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        beta = (b**2 + 3.0 * a * b) / (6 * a)
+        eta = b**3 / (6 * a * (a + b))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     """Solve -Delta z = g radially on [0, R], z(R) = 0, z'(0) = 0."""
-    from scipy.integrate import cumulative_trapezoid
-
     grid = np.asarray(grid, dtype=float)
     h = np.diff(grid)
     # t^{n-1} against the linear interpolant of g, exactly on each panel
@@ -237,7 +269,7 @@ def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np
     inner = np.concatenate([[0.0], np.cumsum(panels)])
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(grid > 0, inner / np.where(grid > 0, grid, 1.0) ** (n - 1), 0.0)
-    cum = cumulative_trapezoid(integrand, grid, initial=0.0)
+    cum = _cumulative_trapezoid(integrand, grid)
     return cum[-1] - cum
 
 
@@ -278,13 +310,11 @@ def exp_integrability(v: RadialProfile, m: int | None = None, p: float = 1.0) ->
     If the exponent exceeds the float64 range anywhere, the integral is
     reported as +infinity with the overflow flag set instead of raising.
     """
-    from scipy.integrate import simpson
-
     m = v.m if m is None else m
     expo = 2.0 * m * p * np.abs(v.values)
     omega = float(constant_table(m).omega_n)
     if np.max(expo) > _EXP_CAP:
         return ExpIntegral(value=math.inf, overflow=True, p=p, m=m)
     integrand = np.exp(expo) * v.grid ** (2 * m - 1)
-    return ExpIntegral(value=omega * float(simpson(integrand, x=v.grid)),
+    return ExpIntegral(value=omega * float(_simpson(integrand, v.grid)),
                        overflow=False, p=p, m=m)

@@ -14,6 +14,11 @@ The conformal volume
 rides along as one extra quadrature state, so every trajectory carries its
 own normalized volume without post-hoc integration error.
 
+The system is integrated by the package's own DOP853 stepper
+(`dop853.solve_ivp`, Hairer-Norsett-Wanner's 8th-order Dormand-Prince
+pair with 7th-order dense output), called through this module's global
+`solve_ivp` so that it can be wrapped or replaced from outside.
+
 Initial data live at r = 0, either as A_j = Delta^j u(0) or as the even
 derivatives u^{(2j)}(0) (odd ones vanish for smooth radial data).  The
 integration starts at r0 = max(1e-6, min(1e-2, abs_tol^(1/4))) from a
@@ -48,6 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dop853 import solve_ivp
 from .exactconst import constant_table, pizzetti_coefficients
 from .tailfit import LimitEstimate, PolyFit1D, fit_even_polynomial, tail_limit
 
@@ -365,14 +371,6 @@ def _geometric_grid(r0: float, r_end: float) -> np.ndarray:
     return np.append(pts, r_end)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first call so that commands
-    which never shoot do not load scipy."""
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
-
-
 def _m2_u_prime(r, y):
     """Terminal event of m = 2 runs: p_0 = u' (y[2]) crossing zero upwards."""
     return y[2]
@@ -388,7 +386,6 @@ def _integrate(config: ShootingConfig, t_eval, rtol, atol, events=None):
         _vector_field(config.m),
         (r0, config.r_end),
         y0,
-        method="DOP853",
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
@@ -399,8 +396,9 @@ def _integrate(config: ShootingConfig, t_eval, rtol, atol, events=None):
 def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     """Integrate one radial trajectory on [0, r_end] and diagnose its tail.
 
-    Dormand-Prince adaptive stepping (DOP853: 8th order, with 5th- and
-    3rd-order error estimates), sampled on a geometric grid of ratio 1.01.
+    Dormand-Prince adaptive stepping (`dop853.solve_ivp`: 8th order, with
+    5th- and 3rd-order error estimates and 7th-order dense output), sampled
+    on a geometric grid of ratio 1.01.
     The returned grid always contains r = 0 (exact data) and ends at the
     last grid radius the run passed.  The report's w0_error_estimate comes
     from a companion integration at 8x looser tolerance: the global error

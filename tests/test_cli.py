@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import polyliouville
+from polyliouville import cli
 from polyliouville.cli import analyze, run
 from polyliouville.shooter import ShootingConfig, standard_config
 
@@ -38,28 +39,64 @@ def test_module_entry_point_prints_no_warning():
     assert proc.stderr == ""
 
 
-def test_exact_commands_do_not_import_scipy():
-    # scipy is imported by the first shot or quadrature, not at start-up;
-    # the cli loads no executor, and no analysis needs scipy.interpolate
+_SCIPY_BLOCKED = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked: " + name)
+
+sys.meta_path.insert(0, BlockScipy())
+from polyliouville.cli import run
+print([run(argv) for argv in {argvs!r}])
+print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency: every subcommand runs with its import
+    # blocked, including the m = 2 event path, and loads no executor
     env = dict(os.environ, PYTHONPATH=str(Path(polyliouville.__file__).parents[1]))
-    code = (
-        "import sys; import polyliouville.cli as cli; "
-        "cli.run(['constants', '--m', '2']); "
-        "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
-        "print('concurrent.futures' in sys.modules); "
-        "cli.analyze(cli.standard_config(2)); "
-        "print('scipy.interpolate' in sys.modules)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0
+    argvs = [
+        ["constants", "--m", "2"],
+        ["reproduce-paper"],
+        ["classify", "--m", "2", "--u0", LOG2, "--d2", "-1.7"],
+        ["shoot", "--m", "2", "--u0", LOG2, "--d2", "-1.7"],
+        ["classify", "--m", "3", "--u0", LOG2, "--d2", "-2", "--d4", "12", "--r-end", "500"],
+        ["a2m-check"],
+        ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3"],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(argvs)]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED.format(argvs=argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
     assert "gamma_m = 8 * pi^2" in proc.stdout
-    assert proc.stdout.splitlines()[-3:] == ["[]", "False", "False"]
+    assert "termination: not_entire" in proc.stdout
+    assert proc.stdout.splitlines()[-3:] == ["[0, 0, 0, 0, 0, 0, 0]", "[]", "False"]
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    assert run(["constants", "--m", "2", "--digits", "5"]) == 0
+    assert "omega_n = 2 * pi^2  (19.739)\n" in capsys.readouterr().out
+    assert run(["constants", "--m", "2"]) == 0
+    assert "omega_n = 2 * pi^2  (19.7392088021787172376689819998)\n" in capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_pizzetti_all_exact(capsys):
     assert run(["pizzetti", "--m", "2", "--n", "4", "--cases", "100", "--seed", "3"]) == 0
     assert "100/100 exact" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_green_profile_has_the_requested_radii(points, tmp_path):
+    assert run(["green", "--m", "1", "--points", str(points), "--out", str(tmp_path)]) == 0
+    rows = read(tmp_path / "green_profile.csv").decode().splitlines()[1:]
+    radii = [float(row.split(",")[0]) for row in rows]
+    assert radii == pytest.approx([(k + 1) / points for k in range(points)], rel=1e-15)
+    assert radii[-1] == 1.0
 
 
 def test_green_m2_report(capsys):

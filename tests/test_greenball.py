@@ -15,6 +15,8 @@ import pytest
 from polyliouville.exactconst import PiRational
 from polyliouville.greenball import (
     RadialProfile,
+    _cumulative_trapezoid,
+    _simpson,
     exp_integrability,
     green_ball,
     invert_minus_laplacian_radial,
@@ -209,3 +211,17 @@ def test_profile_rejects_bad_grid():
         RadialProfile(np.array([0.0, 0.5, 0.4]), np.zeros(3), m=1)
     with pytest.raises(ValueError):
         RadialProfile(np.array([]), np.array([]), m=1)
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 800, 801])
+def test_quadrature_matches_scipy(n):
+    # same arithmetic as scipy's rules, so equal to the last bit, for odd
+    # and even node counts (the even one takes the last-interval correction)
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = rng.normal(size=n)
+        assert _simpson(y, x) == scipy_integrate.simpson(y, x=x)
+        assert np.array_equal(_cumulative_trapezoid(y, x),
+                              scipy_integrate.cumulative_trapezoid(y, x, initial=0.0))

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from polyliouville import dop853, shooter
 from polyliouville.shooter import (
     ShootingConfig,
     conformal_factor_ratio,
@@ -298,3 +299,89 @@ class TestTrajectoryCsv:
         exact = standard_solution(2, 2.0, resc.grid).u
         # far-field integration error of the underlying shot dominates here
         assert np.max(np.abs(resc.u - exact)) < 5e-6
+
+
+# the runs the stepper must reproduce bit for bit: the standard family, two
+# rescalings, m = 2 on both sides of -2 (-1.7 ends at the u' event), two
+# m = 3 nonstandard runs and the m = 4 blow-up that ends in step_underflow
+_ORACLE_CONFIGS = {
+    "standard m=1": standard_config(1),
+    "standard m=2": standard_config(2),
+    "standard m=3": standard_config(3, r_end=500.0),
+    "standard m=4": standard_config(4, r_end=200.0),
+    "m=1 lam=1.7": standard_config(1, lam=1.7),
+    "m=2 lam=2": standard_config(2, lam=2.0),
+    "m=2 d2=-2.0001": ShootingConfig(m=2, initial_derivatives=(LOG2, -2.0001)),
+    "m=2 d2=-3": ShootingConfig(m=2, initial_derivatives=(LOG2, -3.0)),
+    "m=2 d2=-10": ShootingConfig(m=2, initial_derivatives=(LOG2, -10.0)),
+    "m=2 d2=-1.7": ShootingConfig(m=2, initial_derivatives=(LOG2, -1.7)),
+    "m=3 (-2.2, 4)": ShootingConfig(m=3, initial_derivatives=(LOG2, -2.2, 4.0), r_end=500.0),
+    "m=3 (-2.5, 24)": ShootingConfig(m=3, initial_derivatives=(LOG2, -2.5, 24.0), r_end=500.0),
+    "m=4 blow-up": ShootingConfig(m=4, initial_laplacians=(LOG2, 2.0, 0.0, 0.0), r_end=50.0),
+}
+
+
+class TestStepperOracle:
+    """dop853.solve_ivp against scipy.integrate.solve_ivp(method="DOP853"):
+    same arithmetic, so equal t, y, nfev and status, bit for bit."""
+
+    @staticmethod
+    def _both(cfg, companion):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        rtol = cfg.rel_tol * shooter._TOL_SAFETY
+        atol = cfg.abs_tol * shooter._TOL_SAFETY
+        if companion:
+            t_eval = np.array([cfg.r_end])
+            rtol, atol = rtol * shooter._COMPANION_FACTOR, atol * shooter._COMPANION_FACTOR
+            events = None
+        else:
+            t_eval = shooter._geometric_grid(cfg.start_radius(), cfg.r_end)
+            events = shooter._m2_u_prime if cfg.m == 2 else None
+        r0, y0 = series_start(cfg)
+        field = shooter._vector_field(cfg.m)
+        kwargs = dict(t_eval=t_eval, rtol=rtol, atol=atol, events=events)
+        mine = dop853.solve_ivp(field, (r0, cfg.r_end), y0, **kwargs)
+        ref = scipy_integrate.solve_ivp(field, (r0, cfg.r_end), y0, method="DOP853", **kwargs)
+        return mine, ref
+
+    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+    def test_main_run_matches_scipy(self, name):
+        mine, ref = self._both(_ORACLE_CONFIGS[name], companion=False)
+        assert (mine.status, mine.nfev) == (ref.status, ref.nfev)
+        assert np.array_equal(mine.t, ref.t)
+        assert np.array_equal(mine.y, ref.y)
+
+    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+    def test_companion_run_matches_scipy(self, name):
+        cfg = _ORACLE_CONFIGS[name]
+        mine, ref = self._both(cfg, companion=True)
+        assert (mine.status, mine.nfev) == (ref.status, ref.nfev)
+        if ref.status == -1:
+            # the blow-up fails before r_end: scipy returns empty lists
+            assert ref.t == [] and ref.y == []
+            assert mine.t.shape == (0,) and mine.y.shape == (2 * cfg.m + 1, 0)
+        else:
+            assert np.array_equal(mine.t, ref.t)
+            assert np.array_equal(mine.y, ref.y)
+
+    def test_tableau_order_conditions(self):
+        # row sums give the nodes, and the weights integrate t^k exactly
+        # for k <= 7 (the quadrature conditions of an order-8 method)
+        np.testing.assert_allclose(dop853.A.sum(axis=1), dop853.C, atol=1e-14)
+        k = np.arange(8)
+        np.testing.assert_allclose(dop853.B @ dop853.C[:12, None] ** k, 1 / (k + 1), atol=1e-14)
+
+    def test_rejects_bad_input(self):
+        field = shooter._vector_field(1)
+        y0 = np.array([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            dop853.solve_ivp(field, (1.0, 0.5), y0, t_eval=[0.5], rtol=1e-6, atol=1e-9)
+        with pytest.raises(ValueError):
+            dop853.solve_ivp(field, (0.1, 1.0), y0, t_eval=[2.0], rtol=1e-6, atol=1e-9)
+        with pytest.raises(ValueError):
+            dop853.solve_ivp(field, (0.1, 1.0), y0, t_eval=[0.5, 0.5], rtol=1e-6, atol=1e-9)
+        with pytest.raises(ValueError):
+            dop853.solve_ivp(field, (0.1, 1.0), y0 + np.inf, t_eval=[1.0], rtol=1e-6, atol=1e-9)
+        with pytest.raises(ValueError):
+            dop853.solve_ivp(field, (0.1, 1.0), y0, t_eval=[1.0], rtol=1e-6, atol=1e-9,
+                             events=lambda r, y: y[0])
