@@ -125,6 +125,12 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _grid_size(text: str) -> int:
+    # a2m-check's density (1 - r^2)^2 r^(n-1) vanishes at r = 0 and r = 1,
+    # so its trapezoid mass (a divisor) needs an inner node
+    return _int_at_least(text, 3)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args keeps no
@@ -188,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("a2m-check", parents=[common], allow_abbrev=False,
                        help="Navier positivity, scaling covariance, integrability")
     p.add_argument("--m", type=_positive_int, default=2)
-    p.add_argument("--points", type=_positive_int, default=801)
+    p.add_argument("--points", type=_grid_size, default=801)
 
     p = sub.add_parser("reproduce-paper", parents=[common], allow_abbrev=False,
                        help="fixed verification suite")

@@ -9,7 +9,12 @@ continuous extension built from three extra stages (Sec. II.6).
 `solve_ivp` follows the step controller and the dense-output evaluation
 of scipy's `solve_ivp(method="DOP853")` operation for operation, so both
 return the same t, y, nfev and status bit for bit; tests/test_shooter.py
-holds scipy as the oracle.  The coefficients below are transcribed from
+holds scipy as the oracle.  Only the bookkeeping around those operations
+differs, to cut interpreter work per step: the stage views K[:s].T and
+tableau rows are bound once per run, the scalars are Python floats, and
+the dense output of each step that holds t_eval points is kept as a
+(7, n) block of rows and evaluated for all points at once after the last
+step (see `solve_ivp`).  The coefficients below are transcribed from
 scipy's `scipy/integrate/_ivp/dop853_coefficients.py`, which carries
 this notice:
 
@@ -51,6 +56,7 @@ precision.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -213,34 +219,34 @@ def _rms(x):
     return np.sqrt(x.dot(x)) / x.size**0.5
 
 
-def _dense(fun, K, t_old, y_old, h, y, f):
-    """Rows F_0..F_6 of the 7th-order interpolant on [t_old, t_old + h].
+def _dense(fun, K, extra_stages, t_old, y_old, h, y, f, F):
+    """Write rows F_0..F_6 of the 7th-order interpolant on [t_old, t_old + h]
+    into F, shape (7, n).
 
     Evaluates the three extra stages into K[13:16] (3 calls of fun)."""
-    for s in range(13, 16):
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        K[s] = fun(t_old + C[s] * h, y_old + dy)
-    F = np.empty((7, y.size))
+    for s, c, K_T, a in extra_stages:
+        K[s] = fun(t_old + c * h, y_old + np.dot(K_T, a) * h)
     f_old = K[0]
     delta_y = y - y_old
     F[0] = delta_y
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(D, K)
-    return F
 
 
-def _interpolate(F, t_old, y_old, h, t):
+def _interpolate(F, step, t_old, y_old, h, t):
     """The interpolant at the points t (1-D), shape (n, len(t)): Horner's
-    rule in x = (t - t_old) / h with factors x and 1 - x alternating."""
+    rule in x = (t - t_old) / h with factors x and 1 - x alternating.
+
+    F holds the dense-output rows of several steps, shape (k, 7, n), and
+    point j lies in step step[j]; t_old, h and y_old are given per point,
+    or once (scalars and shape (n,)) when all points lie in one step."""
     x = ((t - t_old) / h)[:, None]
-    y = np.zeros((len(x), y_old.size))
-    for i, f in enumerate(reversed(F)):
-        y += f
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
+    one_minus_x = 1 - x
+    y = np.zeros((len(x), F.shape[-1]))
+    for i in range(6, -1, -1):
+        y += F[step, i]
+        y *= x if i % 2 == 0 else one_minus_x
     y += y_old
     return y.T
 
@@ -281,6 +287,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     downward, 0: both).  When g changes sign over a step, its zero on the
     dense interpolant ends the run with status 1, and the t_eval points
     up to that zero are returned.
+
+    The loop is organised for little interpreter work per step: the stage
+    views K[:s].T and the rows a_{s,0..s-1} are bound once per run, the
+    scalars (t, h, the nodes, the error norm) are Python floats, and the
+    t_eval index only moves forward.  A step that holds t_eval points
+    writes its dense-output rows into the next (7, n) block of a buffer
+    and records (t_old, h, y_old); all points are evaluated after the last
+    step in one vectorised Horner pass.
     """
     t, t_end = map(float, t_span)
     if not t_end > t:
@@ -313,18 +327,27 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, t_end - t)
+    h_abs = float(min(100 * h0, h1, t_end - t))
     nfev = 2
 
     if events is not None:
         direction = getattr(events, "direction", 0)
         g = events(t, y)
     K = np.empty((16, n))
-    ts, ys = [], []
+    # stage s: (s, node c_s, view K[:s].T, row a_{s,0..s-1}); the 12 stages
+    # of a step are s = 1..11 after K[0] = f, the dense output's s = 13..15
+    stages = [(s, float(C[s]), K[:s].T, A[s, :s]) for s in range(16)]
+    step_stages, extra_stages = stages[1:12], stages[13:16]
+    K12_T, K13_T = K[:12].T, K[:13].T
+    te = t_eval.tolist()
     i_eval = 0
+    # the steps that hold t_eval points: dense rows, t_old, h, y_old and
+    # the number of points each holds
+    F_kept = np.empty((16, 7, n))
+    t_olds, hs, y_olds, counts = [], [], [], []
     status = None
     while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -335,25 +358,24 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
             if t_new - t_end > 0:
                 t_new = t_end
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for s in range(1, 12):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = fun(t + C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:12].T, B)
+            for s, c, K_T, a in step_stages:
+                K[s] = fun(t + c * h, y + np.dot(K_T, a) * h)
+            y_new = y + h * np.dot(K12_T, B)
             f_new = fun(t + h, y_new)
             K[12] = f_new
             nfev += 12
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(K[:13].T, E5) / scale
-            err3 = np.dot(K[:13].T, E3) / scale
-            err5_2 = np.sqrt(err5.dot(err5)) ** 2
-            err3_2 = np.sqrt(err3.dot(err3)) ** 2
+            err5 = np.dot(K13_T, E5) / scale
+            err3 = np.dot(K13_T, E3) / scale
+            err5_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_2 == 0 and err3_2 == 0:
                 error_norm = 0.0
             else:
-                error_norm = np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * n)
+                error_norm = h_abs * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * n)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -372,30 +394,44 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
         t, y, f = t_new, y_new, f_new
         if t - t_end >= 0:
             status = 0
-        F = None
+        if len(t_olds) == len(F_kept):
+            F_kept = np.concatenate([F_kept, np.empty_like(F_kept)])
+        F = F_kept[len(t_olds)]
+        dense = False
         t_stop = t
         if events is not None:
             g_new = events(t, y)
             up = g <= 0 <= g_new
             down = g >= 0 >= g_new
             if up and direction >= 0 or down and direction <= 0:
-                F = _dense(fun, K, t_old, y_old, h, y, f)
+                _dense(fun, K, extra_stages, t_old, y_old, h, y, f, F)
+                dense = True
                 nfev += 3
+                this_step = [len(t_olds)]
                 t_stop = _root(
-                    lambda r: events(r, _interpolate(F, t_old, y_old, h, np.array([r]))[:, 0]),
+                    lambda r: events(
+                        r, _interpolate(F_kept, this_step, t_old, y_old, h, np.array([r]))[:, 0]
+                    ),
                     t_old, t,
                 )
                 status = 1
             g = g_new
-        i_new = np.searchsorted(t_eval, t_stop, side="right")
+        i_new = i_eval
+        while i_new < len(te) and te[i_new] <= t_stop:
+            i_new += 1
         if i_new > i_eval:
-            if F is None:
-                F = _dense(fun, K, t_old, y_old, h, y, f)
+            if not dense:
+                _dense(fun, K, extra_stages, t_old, y_old, h, y, f, F)
                 nfev += 3
-            ts.append(t_eval[i_eval:i_new])
-            ys.append(_interpolate(F, t_old, y_old, h, t_eval[i_eval:i_new]))
+            t_olds.append(t_old)
+            hs.append(h)
+            y_olds.append(y_old)
+            counts.append(i_new - i_eval)
             i_eval = i_new
 
-    if not ts:
+    if not t_olds:
         return OdeResult(np.empty(0), np.empty((n, 0)), status, nfev)
-    return OdeResult(np.hstack(ts), np.hstack(ys), status, nfev)
+    step = np.repeat(np.arange(len(t_olds)), counts)
+    y_out = _interpolate(F_kept, step, np.array(t_olds)[step], np.array(y_olds)[step],
+                         np.array(hs)[step], t_eval[:i_eval])
+    return OdeResult(t_eval[:i_eval].copy(), y_out, status, nfev)

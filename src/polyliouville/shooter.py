@@ -123,8 +123,9 @@ class ShootingConfig:
 
     Exactly one of initial_laplacians (A_0..A_{m-1}) and initial_derivatives
     (u(0), u''(0), ..., u^{(2m-2)}(0)) must be provided; derivatives are
-    converted on construction.  rel_tol and abs_tol are the requested
-    trajectory accuracies; the step controller runs tighter internally.
+    converted on construction, and the data must be finite.  rel_tol and
+    abs_tol are the requested trajectory accuracies; the step controller
+    runs tighter internally.  r_end must be positive and finite.
     """
 
     m: int
@@ -155,10 +156,12 @@ class ShootingConfig:
             raise ValueError(
                 f"expected {self.m} initial values, got {len(self.initial_laplacians)}"
             )
+        if not all(map(math.isfinite, self.initial_laplacians)):
+            raise ValueError(f"initial data must be finite, got {self.initial_laplacians}")
         if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
             raise ValueError("tolerances must lie in (0, 1)")
-        if not self.r_end > 0:
-            raise ValueError("r_end must be positive")
+        if not (self.r_end > 0 and math.isfinite(self.r_end)):
+            raise ValueError(f"r_end must be positive and finite, got {self.r_end}")
         if self.start_radius() >= self.r_end:
             raise ValueError("start radius must be below r_end")
 

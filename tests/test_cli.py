@@ -357,6 +357,8 @@ def test_reproduce_paper_jobs_below_1_exits_2():
     ["shoot", "--m", "0", "--u0", "0"],
     ["represent", "--m", "1", "--u0", "0", "--points", "0"],
     ["a2m-check", "--m", "0"],
+    ["a2m-check", "--points", "1"],
+    ["a2m-check", "--points", "2"],
 ])
 def test_bad_count_flag_exits_2(argv, capsys):
     assert run(argv) == 2
@@ -368,3 +370,16 @@ def test_count_flags_accept_their_lower_bound(capsys):
     assert run(["green", "--m", "1", "--points", "0"]) == 0
     assert run(["constants", "--m", "1", "--digits", "1"]) == 0
     assert "1/1 exact" in capsys.readouterr().out
+    assert run(["a2m-check", "--points", "3"]) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--d2", "inf"], "initial data must be finite"),
+    (["--d2", "-3", "--r-end", "inf"], "r_end must be positive and finite"),
+])
+def test_non_finite_shooting_data_exit_3(flags, message, tmp_path, capsys):
+    # +inf data once skipped the m = 2 integration and wrote a verdict
+    argv = ["classify", "--m", "2", "--u0", LOG2, *flags, "--out", str(tmp_path)]
+    assert run(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "classification.json").exists()

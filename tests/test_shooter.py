@@ -105,6 +105,15 @@ class TestInitialData:
         with pytest.raises(ValueError):
             ShootingConfig(m=2, initial_laplacians=(0.1,))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_config_rejects_non_finite_data(self, bad):
+        with pytest.raises(ValueError, match="initial data must be finite"):
+            ShootingConfig(m=2, initial_derivatives=(LOG2, bad))
+        with pytest.raises(ValueError, match="initial data must be finite"):
+            ShootingConfig(m=2, initial_laplacians=(bad, -8.0))
+        with pytest.raises(ValueError, match="r_end must be positive and finite"):
+            ShootingConfig(m=2, initial_derivatives=(LOG2, -2.0), r_end=abs(bad))
+
     def test_series_start_small_radius_expansion(self):
         cfg = ShootingConfig(m=1, initial_laplacians=(0.0,), r_end=10.0)
         r0, state = series_start(cfg)
@@ -326,8 +335,17 @@ class TestStepperOracle:
     same arithmetic, so equal t, y, nfev and status, bit for bit."""
 
     @staticmethod
-    def _both(cfg, companion):
+    def _run_both(cfg, t_eval, rtol, atol, events):
         scipy_integrate = pytest.importorskip("scipy.integrate")
+        r0, y0 = series_start(cfg)
+        field = shooter._vector_field(cfg.m)
+        kwargs = dict(t_eval=t_eval, rtol=rtol, atol=atol, events=events)
+        mine = dop853.solve_ivp(field, (r0, cfg.r_end), y0, **kwargs)
+        ref = scipy_integrate.solve_ivp(field, (r0, cfg.r_end), y0, method="DOP853", **kwargs)
+        return mine, ref
+
+    @classmethod
+    def _both(cls, cfg, companion):
         rtol = cfg.rel_tol * shooter._TOL_SAFETY
         atol = cfg.abs_tol * shooter._TOL_SAFETY
         if companion:
@@ -337,32 +355,53 @@ class TestStepperOracle:
         else:
             t_eval = shooter._geometric_grid(cfg.start_radius(), cfg.r_end)
             events = shooter._m2_u_prime if cfg.m == 2 else None
-        r0, y0 = series_start(cfg)
-        field = shooter._vector_field(cfg.m)
-        kwargs = dict(t_eval=t_eval, rtol=rtol, atol=atol, events=events)
-        mine = dop853.solve_ivp(field, (r0, cfg.r_end), y0, **kwargs)
-        ref = scipy_integrate.solve_ivp(field, (r0, cfg.r_end), y0, method="DOP853", **kwargs)
-        return mine, ref
+        return cls._run_both(cfg, t_eval, rtol, atol, events)
 
-    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
-    def test_main_run_matches_scipy(self, name):
-        mine, ref = self._both(_ORACLE_CONFIGS[name], companion=False)
+    @staticmethod
+    def _assert_same(mine, ref, cfg):
         assert (mine.status, mine.nfev) == (ref.status, ref.nfev)
-        assert np.array_equal(mine.t, ref.t)
-        assert np.array_equal(mine.y, ref.y)
-
-    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
-    def test_companion_run_matches_scipy(self, name):
-        cfg = _ORACLE_CONFIGS[name]
-        mine, ref = self._both(cfg, companion=True)
-        assert (mine.status, mine.nfev) == (ref.status, ref.nfev)
-        if ref.status == -1:
-            # the blow-up fails before r_end: scipy returns empty lists
+        if len(ref.t) == 0:
+            # no t_eval point was passed: scipy returns empty lists
             assert ref.t == [] and ref.y == []
             assert mine.t.shape == (0,) and mine.y.shape == (2 * cfg.m + 1, 0)
         else:
             assert np.array_equal(mine.t, ref.t)
             assert np.array_equal(mine.y, ref.y)
+
+    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+    def test_main_run_matches_scipy(self, name):
+        cfg = _ORACLE_CONFIGS[name]
+        self._assert_same(*self._both(cfg, companion=False), cfg)
+
+    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+    def test_companion_run_matches_scipy(self, name):
+        cfg = _ORACLE_CONFIGS[name]
+        self._assert_same(*self._both(cfg, companion=True), cfg)
+
+    @pytest.mark.parametrize("name, points, status, count", [
+        ("standard m=2", [], 0, 0),
+        ("standard m=2", [0.37, 11.0, 800.0], 0, 3),
+        ("m=3 (-2.2, 4)", [0.37, 11.0, 400.0], 0, 3),
+        ("m=2 d2=-3", ["r0", 2.0, "r_end"], 0, 3),
+        ("m=1 lam=1.7", ["r0", 2.0, "r_end"], 0, 3),
+        # the u' event fires near r = 1.5508 in a step that ends near
+        # r = 1.5581: first with no point before it, then with the root
+        # found on the interpolant of that step and not of an earlier one
+        ("m=2 d2=-1.7", [1.554, 10.0], 1, 0),
+        ("m=2 d2=-1.7", [1.0, 1.5507, 1.5509, 10.0], 1, 2),
+    ])
+    def test_sparse_t_eval_matches_scipy(self, name, points, status, count):
+        # most steps hold no t_eval point here, unlike on the geometric grid;
+        # "r0" and "r_end" are the ends of t_span
+        cfg = _ORACLE_CONFIGS[name]
+        ends = {"r0": cfg.start_radius(), "r_end": cfg.r_end}
+        t_eval = np.array([ends.get(p, p) for p in points])
+        events = shooter._m2_u_prime if cfg.m == 2 else None
+        rtol = cfg.rel_tol * shooter._TOL_SAFETY
+        atol = cfg.abs_tol * shooter._TOL_SAFETY
+        mine, ref = self._run_both(cfg, t_eval, rtol, atol, events)
+        self._assert_same(mine, ref, cfg)
+        assert (mine.status, len(mine.t)) == (status, count)
 
     def test_tableau_order_conditions(self):
         # row sums give the nodes, and the weights integrate t^k exactly
