@@ -3,7 +3,7 @@
 Modules:
     exactconst   exact constants (gamma_m, sphere volumes, Pizzetti weights)
     polyfield    exact multivariate polynomial calculus and ball averages
-    greenball    Navier Green function of Delta^m on balls, radial solves
+    greenball    Navier Green function of Delta^m on the unit ball, radial solves
     dop853       the Dormand-Prince 8(5,3) stepper the shooter integrates with
     shooter      radial shooting for the Liouville equation
     tailfit      limit and even-polynomial estimation on tail samples

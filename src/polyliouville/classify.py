@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tailfit
+from .represent import far_field_ready
 from .shooter import RadialTrajectory, SolveReport
 
 __all__ = [
@@ -168,13 +169,14 @@ def classify(
 
     traj and report must come from the same run; fit is the even-polynomial
     fit of u - v samples (representation module), or None when no v samples
-    were taken, which leaves criterion (iv) inconclusive.  A truncated or short run
-    (termination other than reached_end, r_end < 100, or unconverged
-    conformal volume) yields all-inconclusive verdicts with vacuous
-    agreement rather than guesses.  Criteria (v) and (vi) read the tail
-    arrays that `diagnose` stored in report; every run judged here reached
-    r_end >= 100 on the 1.01-ratio grid, so its tail window holds more than
-    the 12 samples diagnose needs to fill them.
+    were taken, which leaves criterion (iv) inconclusive.  A run that
+    `far_field_ready` rejects (truncated, r_end < 100, unconverged
+    conformal volume or too slow a decay of exp(2mu)) yields
+    all-inconclusive verdicts with vacuous agreement rather than guesses.
+    Criteria (v) and (vi) read the tail arrays that `diagnose` stored in
+    report; every run judged here reached r_end >= 100 on the 1.01-ratio
+    grid, so its tail window holds more than the 12 samples diagnose needs
+    to fill them.
     """
     if report.m != traj.m:
         raise ValueError(f"report is for m={report.m}, trajectory for m={traj.m}")
@@ -185,7 +187,7 @@ def classify(
     if fit is not None and fit.r_max > traj.r_max * (1 + 1e-12):
         raise ValueError("fit uses samples beyond the trajectory range")
 
-    if traj.termination != "reached_end" or traj.r_max < 100.0 or not traj.alpha_converged():
+    if not far_field_ready(traj):
         criteria = dict.fromkeys(_TABLE, (math.nan, "inconclusive"))
     else:
         criteria = {name: test(traj, report, fit) for name, (_, test) in _TABLE.items()}

@@ -18,11 +18,12 @@ through this module's globals, which perfbench/spans.py wraps to trace
 each layer.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Identical argv
-(and seed) produce byte-identical CSV/JSON outputs.  The default output
-directory is $POLYLIOUVILLE_OUT, falling back to the working directory.  An
-optional config file, named by --config PATH or --config=PATH, holds
-"key = value" lines (long flag names without the dashes); explicit flags
-override it.
+(and seed) produce byte-identical CSV/JSON outputs.  The subcommands
+that write files (green, shoot, represent, classify, reproduce-paper) take
+--out; its default is $POLYLIOUVILLE_OUT, falling back to the working
+directory.  An optional config file, named by --config PATH or
+--config=PATH, holds "key = value" lines (long flag names without the
+dashes); explicit flags override it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .classify import ClassificationReport, classify
 from .exactconst import constant_table, format_table, verify_gamma_identity
 from .greenball import RadialProfile, exp_integrability, green_ball, navier_solve_radial
 from .polyfield import almansi_random, pizzetti_check
-from .represent import compute_v
+from .represent import compute_v, far_field_ready
 from .shooter import (
     RadialTrajectory,
     ShootingConfig,
@@ -131,6 +132,18 @@ def _grid_size(text: str) -> int:
     return _int_at_least(text, 3)
 
 
+def _radii(text: str) -> np.ndarray:
+    """A comma list of finite, nonnegative radii, sorted."""
+    radii = []
+    for entry in text.split(","):
+        value = float(entry)
+        if not (math.isfinite(value) and value >= 0):
+            raise argparse.ArgumentTypeError(
+                f"radii must be finite and >= 0, got {entry.strip()!r}")
+        radii.append(value)
+    return np.array(sorted(radii))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args keeps no
@@ -146,7 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value file; flags override it")
-    common.add_argument("--out", help="output directory (default $POLYLIOUVILLE_OUT or .)")
+    # only the subcommands that write files take --out
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out", help="output directory (default $POLYLIOUVILLE_OUT or .)")
 
     p = sub.add_parser("constants", parents=[common], allow_abbrev=False,
                        help="exact constant table")
@@ -161,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-degree", type=_nonnegative_int, default=6)
 
-    p = sub.add_parser("green", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("green", parents=[writes], allow_abbrev=False,
                        help="exact Green function data")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--points", type=_nonnegative_int, default=0,
@@ -180,15 +195,15 @@ def _build_parser() -> argparse.ArgumentParser:
     shooting.add_argument("--rel-tol", type=float, default=1e-10)
     shooting.add_argument("--abs-tol", type=float, default=1e-12)
 
-    p = sub.add_parser("shoot", parents=[common, shooting], allow_abbrev=False,
+    p = sub.add_parser("shoot", parents=[writes, shooting], allow_abbrev=False,
                        help="radial trajectory CSV + diagnostic report JSON")
 
-    p = sub.add_parser("represent", parents=[common, shooting], allow_abbrev=False,
+    p = sub.add_parser("represent", parents=[writes, shooting], allow_abbrev=False,
                        help="v-profile CSV + u-v fit JSON")
-    p.add_argument("--radii", help="comma list of evaluation radii")
+    p.add_argument("--radii", type=_radii, help="comma list of evaluation radii")
     p.add_argument("--points", type=_positive_int, default=24)
 
-    p = sub.add_parser("classify", parents=[common, shooting], allow_abbrev=False,
+    p = sub.add_parser("classify", parents=[writes, shooting], allow_abbrev=False,
                        help="equivalence-criteria verdict JSON")
 
     p = sub.add_parser("a2m-check", parents=[common], allow_abbrev=False,
@@ -196,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, default=2)
     p.add_argument("--points", type=_grid_size, default=801)
 
-    p = sub.add_parser("reproduce-paper", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("reproduce-paper", parents=[writes], allow_abbrev=False,
                        help="fixed verification suite")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="accepted for compatibility; the solve rows run in order")
@@ -212,10 +227,10 @@ def _build_parser() -> argparse.ArgumentParser:
 class Analysis:
     """One run through shoot -> v-profile -> u - v fit -> classify.
 
-    vprof and fit are None when the run never reached the far field and no
-    radii were asked for: there are no v samples to fit u - v on.  The
-    verdict is then inconclusive because classify refuses to judge such
-    runs.
+    vprof and fit are None when the run is not ready for the far field
+    (`represent.far_field_ready`) and no radii were asked for: there are
+    no v samples to fit u - v on.  The verdict is then inconclusive
+    because classify refuses to judge such runs by the same rule.
     """
 
     traj: RadialTrajectory
@@ -233,14 +248,14 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
     """Shoot cfg, evaluate v, fit u - v and classify the run.
 
     With radii=None, v is evaluated on 24 geometric radii of the far field
-    when the run reached r_end >= 100, and skipped otherwise (vprof and
-    fit are then None).  Explicit
-    radii are always evaluated, so compute_v's refusal of a truncated run
-    surfaces as its ValueError.  Degree inference of the even-polynomial
+    when `far_field_ready` accepts the run, and skipped otherwise (vprof
+    and fit are then None).  Explicit radii are always evaluated, so
+    compute_v's refusal of a truncated or slowly decaying run surfaces as
+    its ValueError.  Degree inference of the even-polynomial
     fit ignores content below 10x the solver's w0 error estimate.
     """
     traj, rep = shoot(cfg)
-    if radii is None and traj.termination == "reached_end" and traj.r_max >= 100.0:
+    if radii is None and far_field_ready(traj):
         radii = _far_field_radii(traj.r_max)
     if radii is None:
         vprof = fit = None
@@ -312,7 +327,7 @@ def _cmd_green(args) -> int:
     gb = green_ball(args.m)
     print(f"m = {args.m} (ball radius 1, Navier boundary conditions)")
     print(f"log coefficient: {gb.log_coeff}  ({float(gb.log_coeff):.17g})")
-    for k, c in enumerate(gb.unit_poly_coeffs()):
+    for k, c in enumerate(gb.poly_coeffs):
         print(f"r^{2 * k} coefficient: {c}  ({float(c):.17g})")
     for i, c in enumerate(gb.sign_constants_exact):
         sign = "> 0" if c.is_positive else "<= 0 (!)"
@@ -349,9 +364,8 @@ def _cmd_shoot(args) -> int:
 def _cmd_represent(args) -> int:
     out = _resolve_out(args)
     cfg = _config(args)
-    if args.radii is not None:
-        radii = np.array(sorted(float(x) for x in args.radii.split(",")))
-    else:
+    radii = args.radii
+    if radii is None:
         radii = _far_field_radii(cfg.r_end, args.points)
     a = analyze(cfg, radii)
     a.vprof.to_csv(out / "v_profile.csv", header=("r", "v", "err_bar"))

@@ -250,16 +250,6 @@ def verify_gamma_identity(m: int) -> bool:
     return lhs == rhs
 
 
-def laplog_value(m: int, j: int, r: float) -> float:
-    """Value of (-Delta)^j log(1/|x|) at |x| = r, for 1 <= j <= m-1."""
-    if not 1 <= j <= m - 1:
-        raise ValueError(f"j must satisfy 1 <= j <= m-1, got j={j}, m={m}")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    coeff = laplog_coefficients(m)[j - 1]
-    return float(coeff) * r ** (-2 * j)
-
-
 def format_table(table: ConstantTable, digits: int = 30) -> str:
     """Render a constant table as "name = exact  (decimal)" lines.
 

@@ -1,12 +1,12 @@
-"""Navier Green function of Delta^m on balls in R^{2m}, and radial solves.
+"""Navier Green function of Delta^m on the unit ball of R^{2m}, radial solves.
 
 The Green function with pole at the center is radial and has the exact form
 
-    G_R(x) = a log(|x|/R) + sum_{k=0}^{m-1} b_k (|x|/R)^{2k},
+    G(x) = a log|x| + sum_{k=0}^{m-1} b_k |x|^{2k},
     a = (-1)^{m+1} / gamma_m,
 
 where the polynomial coefficients are fixed by the Navier conditions
-Delta^i G_R = 0 on |x| = R for i = 0 .. m-1. The system is triangular
+Delta^i G = 0 on |x| = 1 for i = 0 .. m-1. The system is triangular
 because Delta^i r^{2k} vanishes at the boundary for k < i, so everything
 is solved exactly in PiRational arithmetic.
 
@@ -24,7 +24,7 @@ integrals without a running endpoint use composite Simpson.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -67,12 +67,6 @@ class RadialProfile:
             for row in zip(*cols):
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
-    @classmethod
-    def from_csv(cls, path, m: int) -> "RadialProfile":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        err = data[:, 2] if data.shape[1] > 2 else None
-        return cls(grid=data[:, 0], values=data[:, 1], m=m, err=err)
-
 
 # -- exact Green function --------------------------------------------------
 
@@ -89,59 +83,37 @@ def _iter_factor(k: int, i: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class GreenBall:
-    """Exact radial Navier Green function of Delta^m on the ball B_R.
+    """Exact radial Navier Green function of Delta^m on the unit ball.
 
-    poly_coeffs[k] multiplies r^{2k} in the raw radial variable; the
-    constant term additionally carries const_log_shift = -a log(R), which
-    vanishes at radius 1 (and is the only non-PiRational piece for R != 1).
+    poly_coeffs[k] multiplies r^{2k}; sign_constants_exact[i] is
+    (-1)^i d/dr Delta^{m-1-i} G at r = 1.
     """
 
     m: int
-    radius: Fraction
     log_coeff: PiRational
     poly_coeffs: tuple[PiRational, ...]
-    const_log_shift: float
     sign_constants_exact: tuple[PiRational, ...]
-    sign_constants: tuple[float, ...] = field(default=())
-
-    def unit_poly_coeffs(self) -> tuple[PiRational, ...]:
-        """Coefficients of (r/R)^{2k}, i.e. the radius-1 solution."""
-        R = PiRational(self.radius)
-        return tuple(c * R ** (2 * k) for k, c in enumerate(self.poly_coeffs))
 
     def navier_residuals_exact(self) -> list[PiRational]:
-        """Delta^i G at the boundary, i = 0..m-1, in normalized coordinates.
+        """Delta^i G at the boundary r = 1, i = 0..m-1.
 
         All entries are exactly zero by construction; exposed so tests can
         assert it in PiRational arithmetic.
         """
         n = 2 * self.m
-        bhat = self.unit_poly_coeffs()
         out = []
         for i in range(self.m):
             acc = self.log_coeff * _dlog_iter_value(self.m, i)
             for k in range(i, self.m):
-                acc = acc + bhat[k] * _iter_factor(k, i, n)
+                acc = acc + self.poly_coeffs[k] * _iter_factor(k, i, n)
             out.append(acc)
         return out
 
     def evaluate(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        out = float(self.log_coeff) * np.log(r) + self.const_log_shift
+        out = float(self.log_coeff) * np.log(r)
         for k, c in enumerate(self.poly_coeffs):
             out = out + float(c) * r ** (2 * k)
-        return out
-
-    def evaluate_iterated(self, r, i: int) -> np.ndarray:
-        """Delta^i G at radius r (i >= 1), as floats."""
-        if not 1 <= i <= self.m - 1:
-            raise ValueError("need 1 <= i <= m-1")
-        n = 2 * self.m
-        r = np.asarray(r, dtype=float)
-        lc = laplog_coefficients(self.m)[i - 1]
-        out = float(self.log_coeff) * (-1) ** (i + 1) * float(lc) * r ** (-2.0 * i)
-        for k in range(i, self.m):
-            out = out + float(self.poly_coeffs[k]) * _iter_factor(k, i, n) * r ** (2.0 * (k - i))
         return out
 
 
@@ -153,18 +125,15 @@ def _dlog_iter_value(m: int, i: int):
     return Fraction((-1) ** (i + 1)) * lc
 
 
-def green_ball(m: int, radius=1) -> GreenBall:
-    """Exact Navier Green function of Delta^m on B_radius in R^{2m}."""
+def green_ball(m: int) -> GreenBall:
+    """Exact Navier Green function of Delta^m on the unit ball in R^{2m}."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     n = 2 * m
     table = constant_table(m)
     a = PiRational(Fraction((-1) ** (m + 1))) / table.gamma_m
 
-    # triangular solve at radius 1, top condition first
+    # triangular solve, top condition first
     bhat: list[PiRational | None] = [None] * m
     for i in range(m - 1, 0, -1):
         acc = a * _dlog_iter_value(m, i)
@@ -178,11 +147,7 @@ def green_ball(m: int, radius=1) -> GreenBall:
             s = s + bhat[k]
         bhat[0] = -s
 
-    # rescale to the requested radius (exact for the power terms)
-    coeffs = tuple(bhat[k] * PiRational(radius ** (-2 * k)) for k in range(m))
-    shift = -float(a) * math.log(float(radius))
-
-    # sign constants c_i = (-1)^i d/dr Delta^{m-1-i} G at r = radius
+    # sign constants c_i = (-1)^i d/dr Delta^{m-1-i} G at r = 1
     sce = []
     for i in range(m):
         q = m - 1 - i
@@ -192,19 +157,10 @@ def green_ball(m: int, radius=1) -> GreenBall:
             acc = a * (_dlog_iter_value(m, q) * Fraction(-2 * q))
         for k in range(max(q, 1), m):
             acc = acc + bhat[k] * Fraction(_iter_factor(k, q, n) * 2 * (k - q))
-        acc = acc * PiRational(radius ** (-2 * q - 1))
         sce.append(acc * Fraction((-1) ** i))
-    sce = tuple(sce)
 
-    return GreenBall(
-        m=m,
-        radius=radius,
-        log_coeff=a,
-        poly_coeffs=coeffs,
-        const_log_shift=shift,
-        sign_constants_exact=sce,
-        sign_constants=tuple(float(c) for c in sce),
-    )
+    return GreenBall(m=m, log_coeff=a, poly_coeffs=tuple(bhat),
+                     sign_constants_exact=tuple(sce))
 
 
 # -- radial Navier solve ---------------------------------------------------
@@ -273,15 +229,15 @@ def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np
     return cum[-1] - cum
 
 
-def navier_solve_radial(f: RadialProfile, m: int | None = None) -> RadialProfile:
+def navier_solve_radial(f: RadialProfile) -> RadialProfile:
     """Solve (-Delta)^m v = f on the ball with Navier conditions, radially.
 
-    m iterated Dirichlet inversions of -Delta on the profile's grid. The
-    grid must start at 0. For f >= 0 every intermediate stage is >= 0
+    m = f.m iterated Dirichlet inversions of -Delta on the profile's grid.
+    The grid must start at 0. For f >= 0 every intermediate stage is >= 0
     (discrete maximum principle, inherited from nonnegative quadrature
     weights).
     """
-    m = f.m if m is None else m
+    m = f.m
     if f.grid[0] != 0.0:
         raise ValueError("grid must start at r = 0")
     n = 2 * m
@@ -304,13 +260,14 @@ class ExpIntegral:
 _EXP_CAP = 700.0  # exp overflows float64 just above this
 
 
-def exp_integrability(v: RadialProfile, m: int | None = None, p: float = 1.0) -> ExpIntegral:
-    """I = int_{B_R} exp(2 m p |v|) dx, by composite Simpson on v's grid.
+def exp_integrability(v: RadialProfile, p: float = 1.0) -> ExpIntegral:
+    """I = int_{B_R} exp(2 m p |v|) dx with m = v.m, by composite Simpson on
+    v's grid.
 
     If the exponent exceeds the float64 range anywhere, the integral is
     reported as +infinity with the overflow flag set instead of raising.
     """
-    m = v.m if m is None else m
+    m = v.m
     expo = 2.0 * m * p * np.abs(v.values)
     omega = float(constant_table(m).omega_n)
     if np.max(expo) > _EXP_CAP:

@@ -225,14 +225,13 @@ class MomentValue:
         return Fraction(self.coefficient) * Fraction(self.radius) ** self.exponent
 
 
-def moment_average(alpha, n: int, domain: str = "ball", radius=None) -> MomentValue:
-    """Exact average of the monomial x^alpha over a ball or sphere of radius R.
+def moment_average(alpha, n: int, radius=None) -> MomentValue:
+    """Exact average of the monomial x^alpha over the ball B_R.
 
     Parameters
     ----------
     alpha : multi-index (length n)
     n : ambient dimension
-    domain : "ball" averages over B_R, "sphere" over S^{n-1}(R)
     radius : optional exact radius R >= 0 (a float raises TypeError, a
         negative value ValueError); when given, .value is available
 
@@ -240,8 +239,6 @@ def moment_average(alpha, n: int, domain: str = "ball", radius=None) -> MomentVa
     """
     if len(alpha) != n:
         raise ValueError("alpha length must equal n")
-    if domain not in ("ball", "sphere"):
-        raise ValueError("domain must be 'ball' or 'sphere'")
     deg = sum(alpha)
     rad = None if radius is None else _radius(radius)
     if any(a % 2 for a in alpha):
@@ -252,10 +249,7 @@ def moment_average(alpha, n: int, domain: str = "ball", radius=None) -> MomentVa
     den = 1
     for k in range(1, deg // 2 + 1):
         den *= n + 2 * k - 2
-    coeff = Fraction(num, den)
-    if domain == "ball":
-        coeff *= Fraction(n, n + deg)
-    return MomentValue(coeff, deg, rad)
+    return MomentValue(Fraction(num, den) * Fraction(n, n + deg), deg, rad)
 
 
 def _radius(R) -> Fraction:

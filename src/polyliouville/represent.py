@@ -42,6 +42,10 @@ Error bars are additive and conservative: a radial Richardson term (the
 same scheme on the 2x-decimated grid, odd nodes acting as midpoints) plus
 an explicit bound on the truncated tail s > r_end, where
 exp(2m u) <= C s^-q with q fitted on the trajectory tail.
+
+There is no point-kernel API: the averages enter only through the moment
+pass.  `KernelCache.average_many` evaluates them at given source radii for
+the tests' quadrature oracle and the benchmark's kernel span.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ from .shooter import RadialTrajectory
 
 __all__ = [
     "KernelCache",
-    "kernel_avg",
     "compute_v",
     "compute_lap_v",
+    "far_field_ready",
     "rescale_check",
 ]
 
@@ -107,17 +111,6 @@ class KernelCache:
             for j in range(self.m)
         )
 
-    def average(self, r: float, s: float, j: int = 0) -> float:
-        """Spherical average of log(s/|x-y|) (j = 0) or |x-y|^{-2j} over
-        |y| = s at |x| = r."""
-        if j < 0 or j > self.m - 1:
-            raise ValueError("j must lie in 0..m-1 (kernel integrable)")
-        if r < 0 or s < 0:
-            raise ValueError("radii must be non-negative")
-        if s == 0.0 and r == 0.0 and j >= 1:
-            raise ValueError("kernel undefined at r = s = 0 for j >= 1")
-        return float(self.average_many(r, np.array([s]), j)[0])
-
     def average_many(self, r: float, s: np.ndarray, j: int = 0) -> np.ndarray:
         """Vectorized averages over an array of source radii s.
 
@@ -140,11 +133,6 @@ class KernelCache:
 @functools.cache
 def _get_cache(m: int) -> KernelCache:
     return KernelCache(m)
-
-
-def kernel_avg(r: float, s: float, m: int, j: int = 0) -> float:
-    """Module-level convenience over a shared per-m cache."""
-    return _get_cache(m).average(r, s, j)
 
 
 def _log_moment_from_zero(x, coef, p: int):
@@ -262,22 +250,39 @@ def _tail_decay(traj: RadialTrajectory):
     return c, q
 
 
-def _check_alpha_converged(traj: RadialTrajectory):
-    """Refuse runs whose conformal volume has not converged; returns the
-    tail decay fit (C, q) the error bar uses."""
+def _refusal(traj: RadialTrajectory) -> str | None:
+    """Why compute_v refuses traj, or None: the run must reach r_end, its
+    conformal volume must have converged and exp(2mu) must decay faster
+    than s^-(2m+0.1), or the truncated-tail bound would be meaningless."""
     if traj.termination != "reached_end":
-        raise ValueError(
+        return (
             f"trajectory terminated with '{traj.termination}'; "
             "the representation integral needs a full run to r_end"
         )
-    c, q = _tail_decay(traj)
+    q = _tail_decay(traj)[1]
     if not traj.alpha_converged() or q <= 2 * traj.m + 0.1:
-        raise ValueError(
+        return (
             "insufficient decay for the truncated representation integral: "
             f"alpha changed by {traj.alpha_tail_change():.2e} over the tail window and "
             f"exp(2mu) ~ s^-{q:.2f} (need q > {2*traj.m}+0.1 and change <= 1e-3)"
         )
-    return c, q
+    return None
+
+
+def _check_alpha_converged(traj: RadialTrajectory):
+    """Raise compute_v's refusal of traj as a ValueError; returns the tail
+    decay fit (C, q) the error bar uses."""
+    refusal = _refusal(traj)
+    if refusal is not None:
+        raise ValueError(refusal)
+    return _tail_decay(traj)
+
+
+def far_field_ready(traj: RadialTrajectory) -> bool:
+    """Whether traj can be judged in the far field: it reached r_end >= 100
+    and compute_v accepts it.  The one rule behind `cli.analyze`'s default
+    radii and `classify`'s gate."""
+    return traj.r_max >= 100.0 and _refusal(traj) is None
 
 
 def _tail_bound(traj, r, c, q, j):
@@ -308,7 +313,7 @@ def _prefactor(m: int, j: int) -> float:
     return float(pref)
 
 
-def _profile(traj, j, eval_radii, decay, max_err=None):
+def _profile(traj, j, eval_radii, decay):
     radii = np.asarray(eval_radii, dtype=float)
     if radii.ndim != 1 or np.any(np.diff(radii) <= 0):
         raise ValueError("eval_radii must be strictly increasing")
@@ -329,13 +334,8 @@ def _profile(traj, j, eval_radii, decay, max_err=None):
     value = fine.integral(coeffs, j)
     radial_est = np.abs(value - coarse.integral(coeffs, j))
     tail = np.array([_tail_bound(traj, r, *decay, j) for r in radii])
-    vals = pref * value
-    errs = abs(pref) * (radial_est + tail)
-    if max_err is not None:
-        skip = errs > max_err
-        vals[skip] = math.nan
-        errs[skip] = math.inf
-    return RadialProfile(grid=radii, values=vals, m=m, err=errs)
+    return RadialProfile(grid=radii, values=pref * value, m=m,
+                         err=abs(pref) * (radial_est + tail))
 
 
 def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
@@ -350,26 +350,26 @@ def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
     return _profile(traj, 0, eval_radii, _check_alpha_converged(traj))
 
 
-def compute_lap_v(
-    traj: RadialTrajectory,
-    j: int,
-    eval_radii,
-    max_err: float = 1e-5,
-) -> RadialProfile:
+def compute_lap_v(traj: RadialTrajectory, j: int, eval_radii) -> RadialProfile:
     """Delta^j v at the requested radii through the power kernel and the
     closed-form constant (-1)^j 2^{2j} (j-1)! (m-1)! / ((m-j-1)! |S^{2m}|).
 
     Same prefix/suffix moment pass and error bar as compute_v.  Radii whose
-    error bar exceeds max_err are skipped: their value is NaN and their
-    error bar infinite."""
+    error bar exceeds 1e-5 are skipped: their value is NaN and their error
+    bar infinite."""
     if not 1 <= j <= traj.m - 1:
         raise ValueError("j must lie in 1..m-1")
-    return _profile(traj, j, eval_radii, _check_alpha_converged(traj), max_err=max_err)
+    prof = _profile(traj, j, eval_radii, _check_alpha_converged(traj))
+    skip = prof.err > 1e-5
+    prof.values[skip] = math.nan
+    prof.err[skip] = math.inf
+    return prof
 
 
-def rescale_check(traj: RadialTrajectory, scale_r: float, eval_radii=None) -> float:
-    """Max |v~(x) - v(scale_r * x)| over a test grid, where v~ belongs to
-    the rescaled solution u(scale_r x) + log scale_r.
+def rescale_check(traj: RadialTrajectory, scale_r: float) -> float:
+    """Max |v~(x) - v(scale_r * x)| over 12 geometric radii from 0.25 to
+    min(20, r_max / (2 scale_r)), where v~ belongs to the rescaled solution
+    u(scale_r x) + log scale_r.
 
     The representation integral is exactly scale covariant (substituting
     y -> y/scale_r maps one integral onto the other with no additive
@@ -377,10 +377,7 @@ def rescale_check(traj: RadialTrajectory, scale_r: float, eval_radii=None) -> fl
     """
     if scale_r <= 0:
         raise ValueError("scale_r must be positive")
-    if eval_radii is None:
-        top = min(20.0, traj.r_max / (2 * scale_r))
-        eval_radii = np.geomspace(0.25, top, 12)
-    eval_radii = np.asarray(eval_radii, dtype=float)
+    eval_radii = np.geomspace(0.25, min(20.0, traj.r_max / (2 * scale_r)), 12)
     scaled_traj = traj.rescaled(scale_r)
     v_scaled = compute_v(scaled_traj, eval_radii)
     v_orig = compute_v(traj, scale_r * eval_radii)

@@ -303,8 +303,9 @@ class RadialTrajectory:
         return ((1 + 2 * t) * (1 - t) ** 2 * w[i] + t**2 * (3 - 2 * t) * w[i + 1]
                 + h * t * (1 - t) * ((1 - t) * p[i] - t * p[i + 1]))
 
-    def tail_indices(self, frac: float = 0.8) -> np.ndarray:
-        return np.nonzero(self.grid >= frac * self.r_max)[0]
+    def tail_indices(self) -> np.ndarray:
+        """Grid indices of the tail window r >= 0.8 r_max."""
+        return np.nonzero(self.grid >= 0.8 * self.r_max)[0]
 
     def alpha_tail_change(self) -> float:
         """Relative change of alpha over the tail window."""
@@ -536,8 +537,8 @@ def _horner(c: list[int], x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StandardSolution:
-    """Closed-form profile u = log(2 lam / (1 + lam^2 s^2)), s = |r - x0|,
-    and its Laplacian chain.
+    """Closed-form profile u = log(2 lam / (1 + lam^2 r^2)) and its
+    Laplacian chain.
 
     w[j], p[j] hold Delta^j u and its radial derivative for j = 0..m-1.
     """
@@ -552,31 +553,21 @@ class StandardSolution:
     def u(self) -> np.ndarray:
         return self.w[0]
 
-    @property
-    def du(self) -> np.ndarray:
-        return self.p[0]
 
-
-def standard_solution(m: int, lam: float, r, x0_offset: float = 0.0) -> StandardSolution:
-    """Evaluate the closed-form family along a ray.
-
-    x0_offset shifts the center along the ray: all chain values are radial
-    about the center, so they are functions of s = |r - x0_offset|; the
-    reported derivatives are with respect to r (sign flips left of the
-    center)."""
+def standard_solution(m: int, lam: float, r) -> StandardSolution:
+    """Evaluate the closed-form family centred at the origin at radii r."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    s = r - x0_offset
-    t = (lam * s) ** 2
+    t = (lam * r) ** 2
     x = 1.0 / (1.0 + t)
     w = np.empty((m, r.size))
     p = np.empty_like(w)
     w[0] = math.log(2 * lam) - np.log1p(t)
-    p[0] = -2 * lam**2 * s / (1.0 + t)
+    p[0] = -2 * lam**2 * r / (1.0 + t)
     for j, c in enumerate(_standard_chain(m), start=1):
         w[j] = lam ** (2 * j) * _horner(c, x)
-        p[j] = 2 * lam ** (2 * j + 2) * s * _horner(_t_derivative(c), x)
+        p[j] = 2 * lam ** (2 * j + 2) * r * _horner(_t_derivative(c), x)
     return StandardSolution(m=m, lam=lam, r=r, w=w, p=p)
 
 

@@ -32,11 +32,7 @@ class LimitEstimate:
 
     value: float
     confidence: float  # max pairwise spread of the per-window constants
-    window_values: tuple[float, ...]
     n_samples: int
-
-    def is_stable(self, tol: float) -> bool:
-        return np.isfinite(self.confidence) and self.confidence <= tol
 
 
 def _fit_const_plus_inverse_sq(r: np.ndarray, vals: np.ndarray) -> float:
@@ -61,11 +57,11 @@ def tail_limit(r: np.ndarray, vals: np.ndarray) -> LimitEstimate:
     if n < 12:
         raise ValueError("need at least 12 tail samples for a stable fit")
     if not np.all(np.isfinite(vals)):
-        return LimitEstimate(np.nan, np.inf, (np.nan,) * 3, n)
+        return LimitEstimate(np.nan, np.inf, n)
     starts = (0, n // 3, (2 * n) // 3)
     fits = tuple(_fit_const_plus_inverse_sq(r[s:], vals[s:]) for s in starts)
     spread = max(abs(a - b) for a in fits for b in fits)
-    return LimitEstimate(fits[0], spread, fits, n)
+    return LimitEstimate(fits[0], spread, n)
 
 
 @dataclass(frozen=True)
@@ -76,10 +72,6 @@ class PolyFit1D:
     residual_rms: float
     inferred_degree: int
     r_max: float
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return sum(c * r ** (2 * k) for k, c in enumerate(self.coeffs))
 
     @property
     def leading_coefficient(self) -> float:

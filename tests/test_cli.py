@@ -68,7 +68,9 @@ def test_commands_run_without_scipy(tmp_path):
         ["a2m-check"],
         ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3"],
     ]
-    argvs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(argvs)]
+    writers = {"green", "shoot", "represent", "classify", "reproduce-paper"}
+    argvs = [argv + ["--out", str(tmp_path / str(i))] if argv[0] in writers else argv
+             for i, argv in enumerate(argvs)]
     proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED.format(argvs=argvs)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -182,6 +184,48 @@ def test_represent_radii_past_r_end_exit_3(tmp_path, capsys):
     )
     assert rc == 3
     assert "beyond the trajectory range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii, entry", [
+    ("nan,5,10", "'nan'"),
+    ("5,10,inf", "'inf'"),
+    ("5,-1,10", "'-1'"),
+])
+def test_represent_bad_radius_exits_2(radii, entry, tmp_path, capsys):
+    argv = ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--radii", radii,
+            "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert f"radii must be finite and >= 0, got {entry}" in capsys.readouterr().err
+    assert not (tmp_path / "v_profile.csv").exists()
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.02])
+def test_wide_round_sphere_is_inconclusive(lam, tmp_path, capsys):
+    # alpha has not converged by r_end = 1000 on a sphere this wide: shoot and
+    # classify judge nothing, and represent refuses the far-field integral
+    data = ["--m", "1", "--u0", repr(math.log(2 * lam))]
+    assert run(["classify", *data, "--out", str(tmp_path / "c")]) == 0
+    blob = json.loads(read(tmp_path / "c" / "classification.json"))
+    assert blob["overall"] == "inconclusive"
+    assert run(["shoot", *data, "--out", str(tmp_path / "s")]) == 0
+    blob = json.loads(read(tmp_path / "s" / "report.json"))
+    assert blob["termination"] == "reached_end"
+    assert blob["fit"] is None
+    assert blob["classification"]["overall"] == "inconclusive"
+    assert run(["represent", *data, "--out", str(tmp_path / "r")]) == 3
+    assert "insufficient decay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--m", "1"],
+    ["pizzetti", "--m", "1", "--n", "2"],
+    ["a2m-check"],
+])
+def test_out_only_on_commands_that_write(argv, tmp_path, capsys):
+    # these subcommands only print, so --out is a usage error
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_represent_writes_profile(tmp_path):

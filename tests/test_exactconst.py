@@ -18,7 +18,6 @@ from polyliouville.exactconst import (
     double_factorial,
     format_table,
     laplog_coefficients,
-    laplog_value,
     pizzetti_coefficients,
     verify_gamma_identity,
 )
@@ -93,29 +92,23 @@ def test_laplog_coefficients_hand_values():
     assert laplog_coefficients(3) == (Fraction(4), Fraction(16))
 
 
-@pytest.mark.parametrize("m,j", [(2, 1), (3, 1), (3, 2)])
-def test_laplog_value_closed_form(m, j):
-    c = laplog_coefficients(m)[j - 1]
-    for r in (0.5, 1.0, 2.0, 7.5):
-        assert laplog_value(m, j, r) == pytest.approx(float(c) / r ** (2 * j), rel=1e-14)
-
-
 @pytest.mark.parametrize("m", [2, 3])
 def test_laplog_recursion_finite_difference(m):
     # apply the radial Laplacian in R^{2m} numerically and compare levels
     n = 2 * m
     h = 1e-4
     r0 = 1.3
+    coeffs = laplog_coefficients(m)
     for j in range(1, m):
 
         def f(r, jj=j - 1):
             if jj == 0:
                 return -math.log(r)
-            return laplog_value(m, jj, r)
+            return float(coeffs[jj - 1]) * r ** (-2 * jj)
 
         lap = (f(r0 + h) - 2 * f(r0) + f(r0 - h)) / h**2
         lap += (n - 1) / r0 * (f(r0 + h) - f(r0 - h)) / (2 * h)
-        assert -lap == pytest.approx(laplog_value(m, j, r0), rel=1e-5)
+        assert -lap == pytest.approx(float(coeffs[j - 1]) * r0 ** (-2 * j), rel=1e-5)
 
 
 def test_double_factorial_small_cases():

@@ -74,7 +74,7 @@ def _shift_one(P, i, a):
 
 def oracle_ball_average(P, x0, R):
     """Average over B_R(x0) of the translated polynomial, by moment_average."""
-    return sum((Fraction(c) * moment_average(alpha, P.n, "ball", R).value
+    return sum((Fraction(c) * moment_average(alpha, P.n, R).value
                 for alpha, c in translate(P, x0).terms.items()), Fraction(0))
 
 
@@ -360,20 +360,9 @@ def test_ball_average_rejects_wrong_centre_length():
 def test_moment_average_values():
     ball = moment_average((2, 0), 2)
     assert (ball.coefficient, ball.exponent) == (Fraction(1, 4), 2)
-    sphere = moment_average((2, 0), 2, domain="sphere")
-    assert (sphere.coefficient, sphere.exponent) == (Fraction(1, 2), 2)
     assert moment_average((1, 0), 2).coefficient == 0
     mixed = moment_average((2, 2), 2)
     assert (mixed.coefficient, mixed.exponent) == (Fraction(1, 24), 4)
-
-
-def test_moment_average_ball_sphere_relation():
-    # radial integration only contributes n/(n+d) relative to the sphere mean
-    for alpha, n in [((2, 0), 2), ((4, 2), 2), ((2, 2, 0), 3), ((0, 2, 2, 0), 4)]:
-        d = sum(alpha)
-        ball = moment_average(alpha, n)
-        sphere = moment_average(alpha, n, domain="sphere")
-        assert ball.coefficient == sphere.coefficient * Fraction(n, n + d)
 
 
 def test_moment_average_rejects_float_radius():
@@ -389,7 +378,7 @@ def test_moment_average_rejects_negative_radius():
 
 def test_moment_average_validates_alpha_length():
     with pytest.raises(ValueError):
-        moment_average((1, 2), 3, domain="sphere")
+        moment_average((1, 2), 3)
 
 
 coeff_st = st.integers(min_value=-5, max_value=5)

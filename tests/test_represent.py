@@ -18,7 +18,6 @@ from polyliouville.represent import (
     _prefactor,
     compute_lap_v,
     compute_v,
-    kernel_avg,
     rescale_check,
 )
 from polyliouville.shooter import shoot, standard_config
@@ -26,9 +25,10 @@ from polyliouville.tailfit import fit_even_polynomial
 
 
 def test_kernel_average_m1_closed_form():
+    cache = KernelCache(1)
     for r, s in [(0.5, 2.0), (2.0, 0.5), (1.3, 1.3), (0.0, 1.0), (3.0, 3.0)]:
         expected = math.log(s / max(r, s))
-        assert kernel_avg(r, s, 1) == pytest.approx(expected, abs=1e-10)
+        assert cache.average_many(r, np.array([s]))[0] == pytest.approx(expected, abs=1e-10)
 
 
 def _oracle_average(r, s, m, j):
@@ -61,10 +61,9 @@ def test_kernel_average_matches_quadrature_oracle(m):
 
 def test_kernel_higher_order_at_origin():
     # the iterated kernel reduces to the power law r^{-2j} when s = 0
-    assert kernel_avg(3.0, 0.0, 2, j=1) == pytest.approx(3.0**-2, rel=1e-14)
-    assert kernel_avg(2.0, 0.0, 3, j=2) == pytest.approx(2.0**-4, rel=1e-14)
-    with pytest.raises(ValueError):
-        kernel_avg(0.0, 0.0, 2, j=1)
+    origin = np.array([0.0])
+    assert KernelCache(2).average_many(3.0, origin, 1)[0] == pytest.approx(3.0**-2, rel=1e-14)
+    assert KernelCache(3).average_many(2.0, origin, 2)[0] == pytest.approx(2.0**-4, rel=1e-14)
 
 
 def test_compute_v_standard_m2(std2):
