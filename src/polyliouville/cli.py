@@ -52,7 +52,7 @@ from .shooter import (
     shoot,
     standard_config,
 )
-from .tailfit import PolyFit1D, fit_even_polynomial
+from .tailfit import PolyFit1D, fit_even_polynomial, min_samples
 
 __all__ = ["Analysis", "analyze", "run", "main"]
 
@@ -133,14 +133,16 @@ def _grid_size(text: str) -> int:
 
 
 def _radii(text: str) -> np.ndarray:
-    """A comma list of finite, nonnegative radii, sorted."""
-    radii = []
+    """A comma list of distinct finite, nonnegative radii, sorted."""
+    radii = set()
     for entry in text.split(","):
         value = float(entry)
         if not (math.isfinite(value) and value >= 0):
             raise argparse.ArgumentTypeError(
                 f"radii must be finite and >= 0, got {entry.strip()!r}")
-        radii.append(value)
+        if value in radii:
+            raise argparse.ArgumentTypeError(f"radii must be distinct, got {value!r} twice")
+        radii.add(value)
     return np.array(sorted(radii))
 
 
@@ -240,6 +242,11 @@ class Analysis:
     verdict: ClassificationReport
 
 
+def _fit_degree(m: int) -> int:
+    """Highest power of r in the even-polynomial fit of u - v."""
+    return max(2, 2 * m - 2)
+
+
 def _far_field_radii(r_max: float, points: int = 24) -> np.ndarray:
     return np.geomspace(max(1.0, r_max / 1000.0), r_max / 2.0, points)
 
@@ -266,7 +273,7 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
             floor = 0.0
         fit = fit_even_polynomial(
             (vprof.grid, traj.sample_w(0, vprof.grid) - vprof.values),
-            max(2, 2 * traj.m - 2),
+            _fit_degree(traj.m),
             contribution_floor=10.0 * floor,
         )
     return Analysis(traj, rep, vprof, fit, classify(traj, rep, fit))
@@ -362,6 +369,14 @@ def _cmd_shoot(args) -> int:
 
 
 def _cmd_represent(args) -> int:
+    degree = _fit_degree(args.m)
+    need = min_samples(degree)
+    count = args.points if args.radii is None else args.radii.size
+    if count < need:
+        flag = "--points must be" if args.radii is None else "--radii must hold"
+        print(f"usage error: {flag} >= {need} for m = {args.m}: the u - v fit of "
+              f"degree {degree} needs {need} samples, got {count}", file=sys.stderr)
+        return 2
     out = _resolve_out(args)
     cfg = _config(args)
     radii = args.radii

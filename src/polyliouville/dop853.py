@@ -1,4 +1,5 @@
-"""Dormand-Prince 8(5,3) with its 7th-order dense output, in numpy.
+"""Dormand-Prince 8(5,3) with its 7th-order dense output, on Python floats
+between numpy's BLAS products.
 
 The explicit Runge-Kutta pair DOP853 of Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I* (2nd ed., Springer 1993):
@@ -10,11 +11,22 @@ continuous extension built from three extra stages (Sec. II.6).
 of scipy's `solve_ivp(method="DOP853")` operation for operation, so both
 return the same t, y, nfev and status bit for bit; tests/test_shooter.py
 holds scipy as the oracle.  Only the bookkeeping around those operations
-differs, to cut interpreter work per step: the stage views K[:s].T and
-tableau rows are bound once per run, the scalars are Python floats, and
-the dense output of each step that holds t_eval points is kept as a
-(7, n) block of rows and evaluated for all points at once after the last
-step (see `solve_ivp`).  The coefficients below are transcribed from
+differs, to cut interpreter work per step.  The state y, the field
+values f and the stage arguments are lists of Python floats, and the
+vector field takes and returns such lists.  numpy keeps only what it
+must compute itself: the stage sums K[:s]^T a_s and the weights of
+y_new, the E5/E3 error dots and their self-dots, and the dense rows
+D K.  These are BLAS products whose summation order is BLAS's own, so
+they must run through numpy's dot, as scipy's do, to give the same bits
+(ndarray.dot and np.dot are one routine).  The error scale atol + rtol max(|y|, |y_new|) stays numpy as
+well, because np.maximum propagates NaN and the builtin max does not.
+Everything else is elementwise: y + dy h in Python is the same IEEE
+round-to-nearest product and sum as numpy's two separate ufunc calls,
+and neither fuses them.  The stage views K[:s].T and tableau rows are
+bound once per run, the scalars are Python floats, and the dense output
+of each step that holds t_eval points is kept as a (7, n) block of rows
+and evaluated for all points at once after the last step (see
+`solve_ivp`).  The coefficients below are transcribed from
 scipy's `scipy/integrate/_ivp/dop853_coefficients.py`, which carries
 this notice:
 
@@ -219,18 +231,20 @@ def _rms(x):
     return np.sqrt(x.dot(x)) / x.size**0.5
 
 
-def _dense(fun, K, extra_stages, t_old, y_old, h, y, f, F):
+def _dense(fun, K, extra_stages, t_old, y_old, h, y, F):
     """Write rows F_0..F_6 of the 7th-order interpolant on [t_old, t_old + h]
-    into F, shape (7, n).
+    into F, shape (7, n); y_old and y are lists, and K holds the stages of
+    the step, f_old in K[0] and f_new in K[12].
 
     Evaluates the three extra stages into K[13:16] (3 calls of fun)."""
     for s, c, K_T, a in extra_stages:
-        K[s] = fun(t_old + c * h, y_old + np.dot(K_T, a) * h)
+        dy = K_T.dot(a).tolist()
+        K[s] = fun(t_old + c * h, [yi + di * h for yi, di in zip(y_old, dy)])
     f_old = K[0]
-    delta_y = y - y_old
+    delta_y = np.subtract(y, y_old)
     F[0] = delta_y
     F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
+    F[2] = 2 * delta_y - h * (K[12] + f_old)
     F[3:] = h * np.dot(D, K)
 
 
@@ -276,25 +290,31 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     """Integrate y' = fun(t, y) forward over t_span with DOP853 and return
     the solution at the sorted points t_eval.
 
+    fun(t, y) takes y as a list of floats and returns a sequence of
+    floats of the same length; y0 may be any 1-D array-like.
+
     The first step comes from HNW's starting-step heuristic; each step is
     accepted when the combined 5th/3rd-order error norm is below 1 in
     the scale atol + rtol max(|y_old|, |y_new|), and the next step size is
     scaled by 0.9 err^(-1/8), clipped to [0.2, 10] (to at most 1 right
     after a rejection).  rtol is raised to 100 eps with a warning.
 
-    events is None or one terminal event function g(t, y), with an
+    events is None or one terminal event function g(t, y), which gets y
+    as a list at step ends and as a 1-D array on the interpolant, with an
     optional `direction` attribute (+1: only upward zeros, -1: only
     downward, 0: both).  When g changes sign over a step, its zero on the
     dense interpolant ends the run with status 1, and the t_eval points
     up to that zero are returned.
 
-    The loop is organised for little interpreter work per step: the stage
-    views K[:s].T and the rows a_{s,0..s-1} are bound once per run, the
-    scalars (t, h, the nodes, the error norm) are Python floats, and the
-    t_eval index only moves forward.  A step that holds t_eval points
-    writes its dense-output rows into the next (7, n) block of a buffer
-    and records (t_old, h, y_old); all points are evaluated after the last
-    step in one vectorised Horner pass.
+    The loop is organised for little interpreter work per step: y and f
+    are lists of floats, and each stage argument is built elementwise in
+    Python from one BLAS product, y_i + (K[:s]^T a_s)_i h; the stage views
+    K[:s].T and the rows a_{s,0..s-1} are bound once per run, |y| is kept
+    from the step that made y, the scalars (t, h, the nodes, the error
+    norm) are Python floats, and the t_eval index only moves forward.  A
+    step that holds t_eval points writes its dense-output rows into the
+    next (7, n) block of a buffer and records (t_old, h, y_old); all points
+    are evaluated after the last step in one vectorised Horner pass.
     """
     t, t_end = map(float, t_span)
     if not t_end > t:
@@ -310,19 +330,21 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
         warnings.warn(f"rtol below 100 eps; using rtol = {100 * _EPS}", stacklevel=2)
         rtol = np.maximum(rtol, 100 * _EPS)
     atol = np.asarray(atol)
-    y = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
+    y0 = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y0)):
         raise ValueError("the initial state must be finite")
-    n = y.size
+    n = y0.size
+    y, y_abs = y0.tolist(), np.abs(y0)
 
     # starting step (HNW Sec. II.4, "starting step size")
     f = fun(t, y)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    f0 = np.array(f)
+    scale = atol + y_abs * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end - t)
-    f1 = fun(t + h0, y + h0 * f)
-    d2 = _rms((f1 - f) / scale) / h0
+    f1 = np.array(fun(t + h0, (y0 + h0 * f0).tolist()))
+    d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -361,15 +383,18 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
             h_abs = abs(h)
             K[0] = f
             for s, c, K_T, a in step_stages:
-                K[s] = fun(t + c * h, y + np.dot(K_T, a) * h)
-            y_new = y + h * np.dot(K12_T, B)
+                dy = K_T.dot(a).tolist()
+                K[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y, dy)])
+            dy = K12_T.dot(B).tolist()
+            y_new = [yi + h * di for yi, di in zip(y, dy)]
             f_new = fun(t + h, y_new)
             K[12] = f_new
             nfev += 12
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(K13_T, E5) / scale
-            err3 = np.dot(K13_T, E3) / scale
+            y_new_abs = np.abs(y_new)
+            scale = atol + np.maximum(y_abs, y_new_abs) * rtol
+            err5 = K13_T.dot(E5) / scale
+            err3 = K13_T.dot(E3) / scale
             err5_2 = math.sqrt(err5.dot(err5)) ** 2
             err3_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_2 == 0 and err3_2 == 0:
@@ -391,7 +416,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
             break
 
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t, y, f, y_abs = t_new, y_new, f_new, y_new_abs
         if t - t_end >= 0:
             status = 0
         if len(t_olds) == len(F_kept):
@@ -404,7 +429,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
             up = g <= 0 <= g_new
             down = g >= 0 >= g_new
             if up and direction >= 0 or down and direction <= 0:
-                _dense(fun, K, extra_stages, t_old, y_old, h, y, f, F)
+                _dense(fun, K, extra_stages, t_old, y_old, h, y, F)
                 dense = True
                 nfev += 3
                 this_step = [len(t_olds)]
@@ -421,7 +446,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
             i_new += 1
         if i_new > i_eval:
             if not dense:
-                _dense(fun, K, extra_stages, t_old, y_old, h, y, f, F)
+                _dense(fun, K, extra_stages, t_old, y_old, h, y, F)
                 nfev += 3
             t_olds.append(t_old)
             hs.append(h)

@@ -285,20 +285,20 @@ def far_field_ready(traj: RadialTrajectory) -> bool:
     return traj.r_max >= 100.0 and _refusal(traj) is None
 
 
-def _tail_bound(traj, r, c, q, j):
-    """Bound on the dropped integral over s in (r_end, infinity)."""
+def _tail_bound(traj, radii, c, q, j):
+    """Bound on the dropped integral over s in (r_end, infinity), at each
+    of the radii (1-D)."""
     if math.isinf(q):
-        return 0.0
+        return np.zeros(len(radii))
     m = traj.m
-    r_end = traj.r_max
-    s = r_end * np.geomspace(1.0, 1e3, 200)
-    r_eff = min(r, 0.999 * float(s[0]))
+    s = traj.r_max * np.geomspace(1.0, 1e3, 200)
+    weight = s ** (2 * m - 1) * c * s ** (-q)
+    r_eff = np.minimum(radii, 0.999 * s[0])[:, None]
     if j == 0:
         kb = -np.log1p(-r_eff / s)  # |avg log(s/|x-y|)| <= -log(1 - r/s)
     else:
         kb = (s - r_eff) ** (-2 * j)
-    integrand = s ** (2 * m - 1) * c * s ** (-q) * kb
-    return float(np.trapezoid(integrand, s))
+    return np.trapezoid(weight * kb, s, axis=-1)
 
 
 def _prefactor(m: int, j: int) -> float:
@@ -333,7 +333,7 @@ def _profile(traj, j, eval_radii, decay):
     )
     value = fine.integral(coeffs, j)
     radial_est = np.abs(value - coarse.integral(coeffs, j))
-    tail = np.array([_tail_bound(traj, r, *decay, j) for r in radii])
+    tail = _tail_bound(traj, radii, *decay, j)
     return RadialProfile(grid=radii, values=pref * value, m=m,
                          err=abs(pref) * (radial_est + tail))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LimitEstimate", "PolyFit1D", "tail_limit", "fit_even_polynomial"]
+__all__ = ["LimitEstimate", "PolyFit1D", "tail_limit", "fit_even_polynomial", "min_samples"]
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,12 @@ class PolyFit1D:
         return float(self.coeffs[self.inferred_degree // 2])
 
 
+def min_samples(max_degree: int) -> int:
+    """The fewest samples `fit_even_polynomial` accepts at max_degree: one
+    per term r^0, r^2, .., r^max_degree, and two more."""
+    return max_degree // 2 + 3
+
+
 def fit_even_polynomial(
     samples: tuple[np.ndarray, np.ndarray],
     max_degree: int,
@@ -111,7 +117,7 @@ def fit_even_polynomial(
     if r.shape != vals.shape or r.ndim != 1:
         raise ValueError("r and vals must be 1-d arrays of equal length")
     nterm = max_degree // 2 + 1
-    if r.size < nterm + 2:
+    if r.size < min_samples(max_degree):
         raise ValueError("not enough samples for the requested degree")
     r_max = float(np.max(np.abs(r)))
     if r_max == 0.0:

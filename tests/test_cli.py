@@ -199,6 +199,20 @@ def test_represent_bad_radius_exits_2(radii, entry, tmp_path, capsys):
     assert not (tmp_path / "v_profile.csv").exists()
 
 
+@pytest.mark.parametrize("radii, message", [
+    ("5,5,10", "radii must be distinct, got 5.0 twice"),
+    ("10,5,1e1,20", "radii must be distinct, got 10.0 twice"),
+    # the m = 2 fit of u - v has degree 2 and needs 4 samples
+    ("0,5,10", "--radii must hold >= 4 for m = 2"),
+])
+def test_represent_bad_radius_list_exits_2(radii, message, tmp_path, capsys):
+    argv = ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--radii", radii,
+            "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "v_profile.csv").exists()
+
+
 @pytest.mark.parametrize("lam", [0.01, 0.02])
 def test_wide_round_sphere_is_inconclusive(lam, tmp_path, capsys):
     # alpha has not converged by r_end = 1000 on a sphere this wide: shoot and
@@ -403,14 +417,18 @@ def test_reproduce_paper_jobs_below_1_exits_2():
     ["a2m-check", "--m", "0"],
     ["a2m-check", "--points", "1"],
     ["a2m-check", "--points", "2"],
+    ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--points", "3"],
+    ["represent", "--m", "6", "--u0", "0", "--points", "7"],
 ])
 def test_bad_count_flag_exits_2(argv, capsys):
     assert run(argv) == 2
     assert "must be >=" in capsys.readouterr().err
 
 
-def test_count_flags_accept_their_lower_bound(capsys):
+def test_count_flags_accept_their_lower_bound(tmp_path, capsys):
     assert run(["pizzetti", "--m", "1", "--n", "2", "--cases", "1", "--max-degree", "0"]) == 0
+    assert run(["represent", "--m", "1", "--u0", LOG2, "--points", "4",
+                "--out", str(tmp_path)]) == 0
     assert run(["green", "--m", "1", "--points", "0"]) == 0
     assert run(["constants", "--m", "1", "--digits", "1"]) == 0
     assert "1/1 exact" in capsys.readouterr().out

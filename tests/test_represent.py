@@ -16,6 +16,8 @@ import pytest
 from polyliouville.represent import (
     KernelCache,
     _prefactor,
+    _tail_bound,
+    _tail_decay,
     compute_lap_v,
     compute_v,
     rescale_check,
@@ -167,6 +169,38 @@ def test_nonstandard_profile_supported(nonstd2):
     assert fit.leading_coefficient == pytest.approx(
         rep.delta_limits[0].value / 8.0, rel=1e-3
     )
+
+
+def _tail_bound_reference(traj, r, c, q, j):
+    """The truncated-tail bound at one radius, as a per-radius loop."""
+    if math.isinf(q):
+        return 0.0
+    m = traj.m
+    r_end = traj.r_max
+    s = r_end * np.geomspace(1.0, 1e3, 200)
+    r_eff = min(r, 0.999 * float(s[0]))
+    if j == 0:
+        kb = -np.log1p(-r_eff / s)
+    else:
+        kb = (s - r_eff) ** (-2 * j)
+    integrand = s ** (2 * m - 1) * c * s ** (-q) * kb
+    return float(np.trapezoid(integrand, s))
+
+
+def test_tail_bound_matches_per_radius_loop(std2, std3_500):
+    # the same operations in the same order, over all radii at once: equal
+    # bits, also for radii at and past r_end and for q = inf (no tail)
+    std1 = shoot(standard_config(1))
+    for traj, _ in (std1, std2, std3_500):
+        r_end = traj.r_max
+        radii = np.append(np.geomspace(1e-3, 3 * r_end, 40), [r_end, 0.9995 * r_end])
+        c, q = _tail_decay(traj)
+        for decay in ((c, q), (c, math.inf)):
+            for j in range(traj.m):
+                want = [_tail_bound_reference(traj, r, *decay, j) for r in radii]
+                got = _tail_bound(traj, radii, *decay, j)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want), (traj.m, decay, j)
 
 
 def test_truncated_trajectory_rejected():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from polyliouville import dop853, shooter
+from polyliouville.exactconst import constant_table
 from polyliouville.shooter import (
     ShootingConfig,
     conformal_factor_ratio,
@@ -67,6 +68,43 @@ class TestVectorField:
             np.testing.assert_array_equal(got[:m], sol.p[:, 1])
             scale = max(1.0, float(np.max(np.abs(dp))))
             np.testing.assert_allclose(got[m:], dp, rtol=0, atol=1e-6 * scale)
+
+    @staticmethod
+    def _reference_field(m):
+        """The field as a list-comprehension closure over slices of y, the
+        form it had before it was generated from a template."""
+        n = 2 * m
+        tab = constant_table(m)
+        sig_fact = tab.sigma_m * math.factorial(2 * m - 1)
+        ratio = float(tab.omega_n / tab.vol_sphere_2m)
+
+        def field(r, y):
+            w, p = y[:m], y[m : 2 * m]
+            expo = math.exp(min(2 * m * w[0], 700.0))
+            damp = -(n - 1) / r
+            dp = [damp * pj + wj for pj, wj in zip(p, w[1:])]
+            dp.append(damp * p[-1] + sig_fact * expo)
+            return p + dp + [ratio * expo * r ** (2 * m - 1)]
+
+        return field
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_generated_field_matches_reference(self, m):
+        # the same float operations in the same order: equal bits, also
+        # past the exp clamp (2m w_0 > 700) and for r from 1e-6 to 1e4
+        rng = np.random.default_rng(m)
+        field, reference = shooter._vector_field(m), self._reference_field(m)
+        for k in range(400):
+            y = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
+            if k % 4 == 0:
+                y[0] = rng.uniform(700.0, 800.0) / (2 * m)
+            r = 10.0 ** rng.uniform(-6.0, 4.0)
+            want = reference(r, y)
+            assert [x.hex() for x in field(r, y)] == [x.hex() for x in want]
+            state = np.array(y[: 2 * m])
+            got = rhs(state, r, m)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.array(want)[: 2 * m])
 
     def test_rhs_validates_input(self):
         with pytest.raises(ValueError):
@@ -334,7 +372,9 @@ class TestStepperOracle:
         field = shooter._vector_field(cfg.m)
         kwargs = dict(t_eval=t_eval, rtol=rtol, atol=atol, events=events)
         mine = dop853.solve_ivp(field, (r0, cfg.r_end), y0, **kwargs)
-        ref = scipy_integrate.solve_ivp(field, (r0, cfg.r_end), y0, method="DOP853", **kwargs)
+        # scipy hands the field ndarrays; ours takes and returns float lists
+        ref = scipy_integrate.solve_ivp(lambda t, y: np.array(field(t, y.tolist())),
+                                        (r0, cfg.r_end), y0, method="DOP853", **kwargs)
         return mine, ref
 
     @classmethod
