@@ -111,6 +111,10 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+class _UsageError(Exception):
+    """Flags that name no runnable command; `run` exits 2 on it, not 3."""
+
+
 def _int_at_least(text: str, low: int) -> int:
     value = int(text)
     if value < low:
@@ -130,6 +134,11 @@ def _grid_size(text: str) -> int:
     # a2m-check's density (1 - r^2)^2 r^(n-1) vanishes at r = 0 and r = 1,
     # so its trapezoid mass (a divisor) needs an inner node
     return _int_at_least(text, 3)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    """A comma list of floats."""
+    return tuple(float(entry) for entry in text.split(","))
 
 
 def _radii(text: str) -> np.ndarray:
@@ -190,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shooting.add_argument("--d2", type=float, default=0.0, help="u''(0)")
     shooting.add_argument("--d4", type=float, default=0.0, help="u''''(0)")
     shooting.add_argument("--d6", type=float, default=0.0, help="u^(6)(0)")
-    shooting.add_argument("--laplacians",
+    shooting.add_argument("--laplacians", type=_floats,
                           help="comma list A_0,...,A_{m-1} of Delta^j u(0), "
                           "alternative to --u0/--d2/...")
     shooting.add_argument("--r-end", type=float, default=1000.0)
@@ -280,15 +289,23 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
 
 
 def _config(args) -> ShootingConfig:
-    """The ShootingConfig named by the shooting flags."""
+    """The ShootingConfig named by the shooting flags.  Initial data that
+    are missing, or more or fewer than m values, are a usage error."""
+    m = args.m
     if args.laplacians is not None:
-        data = {"initial_laplacians": tuple(float(x) for x in args.laplacians.split(","))}
+        if len(args.laplacians) != m:
+            raise _UsageError(f"--laplacians must hold {m} values for m = {m}, "
+                              f"got {len(args.laplacians)}")
+        data = {"initial_laplacians": args.laplacians}
     elif args.u0 is None:
-        raise ValueError("either --u0 (with --d2/--d4/--d6) or --laplacians is required")
+        raise _UsageError("--u0 (with --d2/--d4/--d6) or --laplacians is required")
+    elif m > 4:
+        raise _UsageError(f"--u0/--d2/--d4/--d6 give 4 of the {m} values m = {m} "
+                          "needs; use --laplacians")
     else:
-        data = {"initial_derivatives": (args.u0, args.d2, args.d4, args.d6)[: args.m]}
+        data = {"initial_derivatives": (args.u0, args.d2, args.d4, args.d6)[:m]}
     return ShootingConfig(
-        m=args.m,
+        m=m,
         r_end=args.r_end,
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
@@ -354,8 +371,9 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_shoot(args) -> int:
+    cfg = _config(args)
     out = _resolve_out(args)
-    a = analyze(_config(args))
+    a = analyze(cfg)
     a.traj.to_csv(out / "trajectory.csv")
     payload = a.report.to_json_dict()
     payload["classification"] = a.verdict.to_json_dict()
@@ -374,11 +392,10 @@ def _cmd_represent(args) -> int:
     count = args.points if args.radii is None else args.radii.size
     if count < need:
         flag = "--points must be" if args.radii is None else "--radii must hold"
-        print(f"usage error: {flag} >= {need} for m = {args.m}: the u - v fit of "
-              f"degree {degree} needs {need} samples, got {count}", file=sys.stderr)
-        return 2
-    out = _resolve_out(args)
+        raise _UsageError(f"{flag} >= {need} for m = {args.m}: the u - v fit of "
+                          f"degree {degree} needs {need} samples, got {count}")
     cfg = _config(args)
+    out = _resolve_out(args)
     radii = args.radii
     if radii is None:
         radii = _far_field_radii(cfg.r_end, args.points)
@@ -392,8 +409,9 @@ def _cmd_represent(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    cfg = _config(args)
     out = _resolve_out(args)
-    verdict = analyze(_config(args)).verdict
+    verdict = analyze(cfg).verdict
     _write_json(out / "classification.json", verdict.to_json_dict())
     for name, (stat, verd) in verdict.criteria.items():
         print(f"({name}) statistic = {stat:.6g}  verdict = {verd}")
@@ -595,6 +613,9 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -22,11 +22,17 @@ they must run through numpy's dot, as scipy's do, to give the same bits
 well, because np.maximum propagates NaN and the builtin max does not.
 Everything else is elementwise: y + dy h in Python is the same IEEE
 round-to-nearest product and sum as numpy's two separate ufunc calls,
-and neither fuses them.  The stage views K[:s].T and tableau rows are
-bound once per run, the scalars are Python floats, and the dense output
-of each step that holds t_eval points is kept as a (7, n) block of rows
-and evaluated for all points at once after the last step (see
-`solve_ivp`).  The coefficients below are transcribed from
+and neither fuses them.  A vector field may carry a fused stage kernel
+`fun.stage(t, y, dy, h)` that forms y + dy h itself in straight-line
+float code and skips components the field ignores.  The stage views
+K[:s].T and tableau rows are bound once per run, the scalars are Python
+floats, and each step that holds t_eval points keeps only its 16
+stages.  The dense rows of all kept steps are formed in one batched
+pass after the last step, whose np.matmul runs per step the same BLAS
+product D K as np.dot, and all points are interpolated at once (see
+`solve_ivp`).  The terminal event always gets y as a list: its root is
+bisected on one step's interpolant in Python floats, in the Horner
+order of the vectorised pass.  The coefficients below are transcribed from
 scipy's `scipy/integrate/_ivp/dop853_coefficients.py`, which carries
 this notice:
 
@@ -231,21 +237,24 @@ def _rms(x):
     return np.sqrt(x.dot(x)) / x.size**0.5
 
 
-def _dense(fun, K, extra_stages, t_old, y_old, h, y, F):
-    """Write rows F_0..F_6 of the 7th-order interpolant on [t_old, t_old + h]
-    into F, shape (7, n); y_old and y are lists, and K holds the stages of
-    the step, f_old in K[0] and f_new in K[12].
+def _dense(K, y_old, y, h):
+    """Rows F_0..F_6 of the 7th-order interpolants of k steps, shape
+    (k, 7, n), each on its [t_old, t_old + h].
 
-    Evaluates the three extra stages into K[13:16] (3 calls of fun)."""
-    for s, c, K_T, a in extra_stages:
-        dy = K_T.dot(a).tolist()
-        K[s] = fun(t_old + c * h, [yi + di * h for yi, di in zip(y_old, dy)])
-    f_old = K[0]
-    delta_y = np.subtract(y, y_old)
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (K[12] + f_old)
-    F[3:] = h * np.dot(D, K)
+    K (k, 16, n) holds each step's 16 stages, f_old in K[:, 0] and f_new
+    in K[:, 12]; y_old and y are (k, n) and h is (k,).  Each step gets
+    the operations scipy applies to it alone: the batched np.matmul runs
+    one BLAS product D K per step, equal to np.dot(D, K[i]) bit for bit,
+    and the rest is elementwise."""
+    h = h[:, None]
+    f_old = K[:, 0]
+    delta_y = y - y_old
+    F = np.empty((len(K), 7, K.shape[-1]))
+    F[:, 0] = delta_y
+    F[:, 1] = h * f_old - delta_y
+    F[:, 2] = 2 * delta_y - h * (K[:, 12] + f_old)
+    F[:, 3:] = h[:, None] * np.matmul(D, K)
+    return F
 
 
 def _interpolate(F, step, t_old, y_old, h, t):
@@ -253,8 +262,7 @@ def _interpolate(F, step, t_old, y_old, h, t):
     rule in x = (t - t_old) / h with factors x and 1 - x alternating.
 
     F holds the dense-output rows of several steps, shape (k, 7, n), and
-    point j lies in step step[j]; t_old, h and y_old are given per point,
-    or once (scalars and shape (n,)) when all points lie in one step."""
+    point j lies in step step[j]; t_old, h and y_old are given per point."""
     x = ((t - t_old) / h)[:, None]
     one_minus_x = 1 - x
     y = np.zeros((len(x), F.shape[-1]))
@@ -263,6 +271,19 @@ def _interpolate(F, step, t_old, y_old, h, t):
         y *= x if i % 2 == 0 else one_minus_x
     y += y_old
     return y.T
+
+
+def _interpolate_at(F, t_old, y_old, h, t):
+    """The interpolant of one step at the single point t, as a list: the
+    operations of `_interpolate` in its order, on Python floats.  F is
+    that step's rows as 7 lists, y_old a list."""
+    x = (t - t_old) / h
+    one_minus_x = 1 - x
+    y = [0.0] * len(y_old)
+    for i in range(6, -1, -1):
+        factor = x if i % 2 == 0 else one_minus_x
+        y = [(yi + fi) * factor for yi, fi in zip(y, F[i])]
+    return [yi + y0 for yi, y0 in zip(y, y_old)]
 
 
 def _root(g, a, b):
@@ -291,7 +312,10 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     the solution at the sorted points t_eval.
 
     fun(t, y) takes y as a list of floats and returns a sequence of
-    floats of the same length; y0 may be any 1-D array-like.
+    floats of the same length; y0 may be any 1-D array-like.  fun may
+    carry a fused stage kernel `fun.stage(t, y, dy, h)` equal to
+    fun(t, [yi + di * h for yi, di in zip(y, dy)]) bit for bit (see
+    `shooter._vector_field`); without one, that expression is used.
 
     The first step comes from HNW's starting-step heuristic; each step is
     accepted when the combined 5th/3rd-order error norm is below 1 in
@@ -300,21 +324,26 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     after a rejection).  rtol is raised to 100 eps with a warning.
 
     events is None or one terminal event function g(t, y), which gets y
-    as a list at step ends and as a 1-D array on the interpolant, with an
-    optional `direction` attribute (+1: only upward zeros, -1: only
+    as a list of floats, at step ends and on the interpolant alike, with
+    an optional `direction` attribute (+1: only upward zeros, -1: only
     downward, 0: both).  When g changes sign over a step, its zero on the
     dense interpolant ends the run with status 1, and the t_eval points
     up to that zero are returned.
 
     The loop is organised for little interpreter work per step: y and f
-    are lists of floats, and each stage argument is built elementwise in
-    Python from one BLAS product, y_i + (K[:s]^T a_s)_i h; the stage views
-    K[:s].T and the rows a_{s,0..s-1} are bound once per run, |y| is kept
-    from the step that made y, the scalars (t, h, the nodes, the error
-    norm) are Python floats, and the t_eval index only moves forward.  A
-    step that holds t_eval points writes its dense-output rows into the
-    next (7, n) block of a buffer and records (t_old, h, y_old); all points
-    are evaluated after the last step in one vectorised Horner pass.
+    are lists of floats, and each stage is one BLAS product
+    dy = K[:s]^T a_s and one call stage(t + c_s h, y, dy, h), which
+    builds y_i + dy_i h itself; the stage views K[:s].T and the rows
+    a_{s,0..s-1} are bound once per run, |y| is kept from the step that
+    made y, the scalars (t, h, the nodes, the error norm) are Python
+    floats, and the t_eval index only moves forward.  A step that holds
+    t_eval points runs the three extra stages of the dense output, copies
+    its stages K into the next (16, n) block of a buffer and records
+    (t_old, h, y_old, y); the dense rows of all kept steps are formed
+    after the last step in one batched pass (`_dense`), and all points are
+    evaluated in one vectorised Horner pass.  Only the event root needs a
+    step's rows at once: it forms that step's rows alone and bisects on
+    its interpolant in Python floats (`_interpolate_at`).
     """
     t, t_end = map(float, t_span)
     if not t_end > t:
@@ -335,6 +364,10 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
         raise ValueError("the initial state must be finite")
     n = y0.size
     y, y_abs = y0.tolist(), np.abs(y0)
+    stage = getattr(fun, "stage", None)
+    if stage is None:
+        def stage(t, y, dy, h):
+            return fun(t, [yi + di * h for yi, di in zip(y, dy)])
 
     # starting step (HNW Sec. II.4, "starting step size")
     f = fun(t, y)
@@ -362,11 +395,11 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     step_stages, extra_stages = stages[1:12], stages[13:16]
     K12_T, K13_T = K[:12].T, K[:13].T
     te = t_eval.tolist()
-    i_eval = 0
-    # the steps that hold t_eval points: dense rows, t_old, h, y_old and
-    # the number of points each holds
-    F_kept = np.empty((16, 7, n))
-    t_olds, hs, y_olds, counts = [], [], [], []
+    n_eval, i_eval = len(te), 0
+    # the steps that hold t_eval points: their stages, t_old, h, y_old,
+    # y and the number of points each holds
+    K_kept = np.empty((16, 16, n))
+    t_olds, hs, y_olds, ys, counts = [], [], [], [], []
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -383,8 +416,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
             h_abs = abs(h)
             K[0] = f
             for s, c, K_T, a in step_stages:
-                dy = K_T.dot(a).tolist()
-                K[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y, dy)])
+                K[s] = stage(t + c * h, y, K_T.dot(a).tolist(), h)
             dy = K12_T.dot(B).tolist()
             y_new = [yi + h * di for yi, di in zip(y, dy)]
             f_new = fun(t + h, y_new)
@@ -419,44 +451,45 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
         t, y, f, y_abs = t_new, y_new, f_new, y_new_abs
         if t - t_end >= 0:
             status = 0
-        if len(t_olds) == len(F_kept):
-            F_kept = np.concatenate([F_kept, np.empty_like(F_kept)])
-        F = F_kept[len(t_olds)]
-        dense = False
         t_stop = t
+        crossing = False
         if events is not None:
             g_new = events(t, y)
             up = g <= 0 <= g_new
             down = g >= 0 >= g_new
-            if up and direction >= 0 or down and direction <= 0:
-                _dense(fun, K, extra_stages, t_old, y_old, h, y, F)
-                dense = True
-                nfev += 3
-                this_step = [len(t_olds)]
-                t_stop = _root(
-                    lambda r: events(
-                        r, _interpolate(F_kept, this_step, t_old, y_old, h, np.array([r]))[:, 0]
-                    ),
-                    t_old, t,
-                )
-                status = 1
+            crossing = up and direction >= 0 or down and direction <= 0
             g = g_new
+        # the dense output's three extra stages, for the event root or for
+        # the t_eval points this step holds
+        if crossing or i_eval < n_eval and te[i_eval] <= t:
+            for s, c, K_T, a in extra_stages:
+                K[s] = stage(t_old + c * h, y_old, K_T.dot(a).tolist(), h)
+            nfev += 3
+        if crossing:
+            F = _dense(K[None], np.array([y_old]), np.array([y]), np.array([h]))[0].tolist()
+            t_stop = _root(lambda r: events(r, _interpolate_at(F, t_old, y_old, h, r)),
+                           t_old, t)
+            status = 1
         i_new = i_eval
-        while i_new < len(te) and te[i_new] <= t_stop:
+        while i_new < n_eval and te[i_new] <= t_stop:
             i_new += 1
         if i_new > i_eval:
-            if not dense:
-                _dense(fun, K, extra_stages, t_old, y_old, h, y, F)
-                nfev += 3
+            if len(t_olds) == len(K_kept):
+                K_kept = np.concatenate([K_kept, np.empty_like(K_kept)])
+            K_kept[len(t_olds)] = K
             t_olds.append(t_old)
             hs.append(h)
             y_olds.append(y_old)
+            ys.append(y)
             counts.append(i_new - i_eval)
             i_eval = i_new
 
-    if not t_olds:
+    k = len(t_olds)
+    if not k:
         return OdeResult(np.empty(0), np.empty((n, 0)), status, nfev)
-    step = np.repeat(np.arange(len(t_olds)), counts)
-    y_out = _interpolate(F_kept, step, np.array(t_olds)[step], np.array(y_olds)[step],
-                         np.array(hs)[step], t_eval[:i_eval])
+    y_olds, hs = np.array(y_olds), np.array(hs)
+    F = _dense(K_kept[:k], y_olds, np.array(ys), hs)
+    step = np.repeat(np.arange(k), counts)
+    y_out = _interpolate(F, step, np.array(t_olds)[step], y_olds[step], hs[step],
+                         t_eval[:i_eval])
     return OdeResult(t_eval[:i_eval].copy(), y_out, status, nfev)

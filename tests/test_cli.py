@@ -445,3 +445,34 @@ def test_non_finite_shooting_data_exit_3(flags, message, tmp_path, capsys):
     assert run(argv) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "classification.json").exists()
+
+
+@pytest.mark.parametrize("command", ["shoot", "represent", "classify"])
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "2"], "--u0 (with --d2/--d4/--d6) or --laplacians is required"),
+    # the derivative flags stop at --d6, so m >= 5 needs --laplacians
+    (["--m", "5", "--u0", "0"], "--u0/--d2/--d4/--d6 give 4 of the 5 values m = 5 needs; "
+                                "use --laplacians"),
+    (["--m", "2", "--laplacians", "0.1"], "--laplacians must hold 2 values for m = 2, got 1"),
+    (["--m", "1", "--laplacians", "0,1"], "--laplacians must hold 1 values for m = 1, got 2"),
+])
+def test_missing_initial_data_exits_2(command, flags, message, tmp_path, capsys):
+    # a usage error names the flag and writes nothing; it is no numerical failure
+    out = tmp_path / "out"
+    assert run([command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {message}" in err
+    assert "numerical failure" not in err
+    assert not out.exists()
+
+
+def test_non_numeric_laplacians_exit_2(tmp_path, capsys):
+    assert run(["classify", "--m", "2", "--laplacians", "0.7,x", "--out", str(tmp_path)]) == 2
+    assert "--laplacians" in capsys.readouterr().err
+
+
+def test_m5_data_through_laplacians_run(tmp_path):
+    # the route the m >= 5 usage error points to does run
+    assert run(["shoot", "--m", "5", "--laplacians", "0,-1,0,0,0", "--r-end", "2",
+                "--out", str(tmp_path)]) == 0
+    assert json.loads(read(tmp_path / "report.json"))["termination"] == "reached_end"

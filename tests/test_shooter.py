@@ -106,6 +106,28 @@ class TestVectorField:
             assert got.dtype == np.float64
             assert np.array_equal(got, np.array(want)[: 2 * m])
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_stage_kernel_matches_field_on_stage_argument(self, m):
+        # field.stage(r, y, dy, h) is field on [yi + di h]: the same bits,
+        # also past the exp clamp and with NaN entries (NaN where NaN)
+        rng = np.random.default_rng(100 + m)
+        field = shooter._vector_field(m)
+        for k in range(400):
+            y = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
+            dy = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
+            h = 10.0 ** rng.uniform(-8.0, 1.0)
+            if k % 4 == 0:
+                # w0 = y_0 + dy_0 h lands past 700 / (2m)
+                y[0] = rng.uniform(700.0, 800.0) / (2 * m) - dy[0] * h
+            if k % 5 == 0:
+                (y if k % 2 else dy)[rng.integers(2 * m + 1)] = math.nan
+            r = 10.0 ** rng.uniform(-6.0, 4.0)
+            got = np.array(field.stage(r, y, dy, h))
+            want = np.array(field(r, [yi + di * h for yi, di in zip(y, dy)]))
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
     def test_rhs_validates_input(self):
         with pytest.raises(ValueError):
             rhs(np.zeros(4), 0.0, 2)
@@ -435,6 +457,92 @@ class TestStepperOracle:
         mine, ref = self._run_both(cfg, t_eval, rtol, atol, events)
         self._assert_same(mine, ref, cfg)
         assert (mine.status, len(mine.t)) == (status, count)
+
+    @pytest.mark.parametrize("name", ["m=2 d2=-1.7", "m=4 blow-up"])
+    def test_field_without_stage_kernel_gives_same_result(self, name):
+        # a plain fun takes the stepper's adapter, fun(t, [yi + di h]), and
+        # must give the run of the fused kernel: the event and the blow-up
+        cfg = _ORACLE_CONFIGS[name]
+        r0, y0 = series_start(cfg)
+        field = shooter._vector_field(cfg.m)
+        kwargs = dict(t_eval=shooter._geometric_grid(cfg.start_radius(), cfg.r_end),
+                      rtol=cfg.rel_tol * shooter._TOL_SAFETY,
+                      atol=cfg.abs_tol * shooter._TOL_SAFETY,
+                      events=shooter._m2_u_prime if cfg.m == 2 else None)
+        fused = dop853.solve_ivp(field, (r0, cfg.r_end), y0, **kwargs)
+        plain = dop853.solve_ivp(lambda t, y: field(t, y), (r0, cfg.r_end), y0, **kwargs)
+        assert (plain.status, plain.nfev) == (fused.status, fused.nfev) != (0, 0)
+        assert np.array_equal(plain.t.view(np.int64), fused.t.view(np.int64))
+        assert np.array_equal(plain.y.view(np.int64), fused.y.view(np.int64))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_batched_dense_rows_match_one_step_at_a_time(self, n):
+        # scipy forms each step's rows alone, F[3:] = h * np.dot(D, K);
+        # the batched pass must give the same bits for every step
+        rng = np.random.default_rng(n)
+        k = 37
+        K = rng.standard_normal((k, 16, n)) * 10.0 ** rng.integers(-6, 7, (k, 16, n))
+        y_old, y = rng.standard_normal((2, k, n)) * 10.0 ** rng.integers(-3, 4, (2, k, n))
+        h = 10.0 ** rng.uniform(-6.0, 1.0, k)
+        F = dop853._dense(K, y_old, y, h)
+        for i in range(k):
+            delta_y = y[i] - y_old[i]
+            want = np.empty((7, n))
+            want[0] = delta_y
+            want[1] = h[i] * K[i, 0] - delta_y
+            want[2] = 2 * delta_y - h[i] * (K[i, 12] + K[i, 0])
+            want[3:] = h[i] * np.dot(dop853.D, K[i])
+            assert np.array_equal(F[i].view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_float_interpolant_matches_interpolate(self, n):
+        # the event root's interpolant in Python floats against the
+        # vectorised Horner pass, at seeded points inside one step
+        rng = np.random.default_rng(10 + n)
+        for _ in range(20):
+            K = rng.standard_normal((1, 16, n)) * 10.0 ** rng.integers(-4, 5, (1, 16, n))
+            y_old, y = rng.standard_normal((2, 1, n))
+            t_old, h = 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-4.0, 0.0)
+            F = dop853._dense(K, y_old, y, np.array([h]))
+            t = np.sort(t_old + h * rng.uniform(size=25))
+            want = dop853._interpolate(F, np.zeros(t.size, int), np.full(t.size, t_old),
+                                       np.tile(y_old[0], (t.size, 1)), np.full(t.size, h), t)
+            rows, y_old_list = F[0].tolist(), y_old[0].tolist()
+            for j, tj in enumerate(t.tolist()):
+                got = np.array(dop853._interpolate_at(rows, t_old, y_old_list, h, tj))
+                assert np.array_equal(got.view(np.int64), want[:, j].view(np.int64))
+
+    def test_artifacts_match_scipy_end_to_end(self, tmp_path, monkeypatch):
+        # reproduce-paper and an m = 2 classify that ends at the u' event,
+        # once on the package's stepper and once on scipy's: equal bytes
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        from polyliouville.cli import run
+
+        def scipy_solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None):
+            sol = scipy_integrate.solve_ivp(
+                lambda t, y: np.array(fun(t, y.tolist())), t_span, y0, method="DOP853",
+                t_eval=t_eval, rtol=rtol, atol=atol, events=events)
+            y = np.asarray(sol.y, dtype=float).reshape(len(y0), -1)
+            return dop853.OdeResult(np.asarray(sol.t, dtype=float), y, sol.status, sol.nfev)
+
+        # the classification of a run stopped by the event carries no
+        # trajectory bits, so shoot's trajectory of that run is compared too
+        event_run = ["--m", "2", "--u0", repr(LOG2), "--d2", "-1.7"]
+        commands = [
+            (["reproduce-paper"], ["summary.csv"]),
+            (["classify", *event_run], ["classification.json"]),
+            (["shoot", *event_run], ["trajectory.csv", "report.json"]),
+        ]
+        for argv, names in commands:
+            out = {}
+            for which in ("dop853", "scipy"):
+                if which == "scipy":
+                    monkeypatch.setattr(shooter, "solve_ivp", scipy_solve_ivp)
+                assert run(argv + ["--out", str(tmp_path / which)]) == 0
+                out[which] = [(tmp_path / which / name).read_bytes() for name in names]
+                monkeypatch.undo()
+            assert out["dop853"] == out["scipy"], argv
+        assert b'"termination": "not_entire"' in out["scipy"][1]
 
     def test_tableau_order_conditions(self):
         # row sums give the nodes, and the weights integrate t^k exactly
