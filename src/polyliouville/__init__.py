@@ -10,9 +10,25 @@ Modules:
     represent    integral representation v and polynomial part u - v
     classify     numeric classification standard vs non-standard
     cli          command line entry points and the analyze pipeline
+
+What loads at import: only exactconst and polyfield, which need nothing
+beyond the standard library, so `import polyliouville` loads neither numpy
+nor any other third-party module.  Every other public name is looked up
+in `_HOME` on first access (PEP 562 `__getattr__`), which imports its
+module and caches the value as a module global.  The first numeric name
+used therefore pays numpy's import, once per process.
+
+shoot, compute_v, compute_lap_v and fit_even_polynomial are bound from the
+start, as forwarders that import their module and call the real function
+on every call.  perfbench's tracer swaps these four attributes for
+wrappers and back, so they must exist before first use and must never
+rebind themselves.
 """
 
-from .classify import ClassificationReport, classify
+import importlib
+import sys
+import types
+
 from .exactconst import (
     ConstantTable,
     PiRational,
@@ -20,36 +36,79 @@ from .exactconst import (
     pizzetti_coefficients,
     verify_gamma_identity,
 )
-from .greenball import (
-    GreenBall,
-    RadialProfile,
-    exp_integrability,
-    green_ball,
-    navier_solve_radial,
-)
 from .polyfield import PolynomialND, almansi_random, ball_average, pizzetti_check
-from .represent import compute_lap_v, compute_v, rescale_check
-from .shooter import (
-    RadialTrajectory,
-    ShootingConfig,
-    SolveReport,
-    shoot,
-    standard_config,
-    standard_solution,
-)
-from .tailfit import fit_even_polynomial
 
 __version__ = "0.1.0"
 
 
+def _forwarder(module: str, name: str):
+    """A function that calls polyliouville.<module>.<name>, importing the
+    module on each call: a dictionary lookup once it is loaded."""
+    path = f"{__name__}.{module}"
+
+    def forward(*args, **kwargs):
+        return getattr(importlib.import_module(path), name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    forward.__doc__ = f"Calls {path}.{name}, which imports numpy on first use."
+    return forward
+
+
+shoot = _forwarder("shooter", "shoot")
+compute_v = _forwarder("represent", "compute_v")
+compute_lap_v = _forwarder("represent", "compute_lap_v")
+fit_even_polynomial = _forwarder("tailfit", "fit_even_polynomial")
+
+# public name -> the submodule that defines it, for the lazily bound names
+_HOME = {
+    "Analysis": "cli",
+    "analyze": "cli",
+    "ClassificationReport": "classify",
+    "classify": "classify",
+    "GreenBall": "greenball",
+    "RadialProfile": "greenball",
+    "exp_integrability": "greenball",
+    "green_ball": "greenball",
+    "navier_solve_radial": "greenball",
+    "rescale_check": "represent",
+    "RadialTrajectory": "shooter",
+    "ShootingConfig": "shooter",
+    "SolveReport": "shooter",
+    "standard_config": "shooter",
+    "standard_solution": "shooter",
+}
+# submodules that load on first access: exactconst and polyfield are bound
+# at import, and the name classify is the function
+_LAZY_SUBMODULES = frozenset(("cli", "dop853", "greenball", "represent", "shooter", "tailfit"))
+
+
 def __getattr__(name):
-    # analyze lives in cli, which is imported on first use so that
-    # `python -m polyliouville.cli` does not find it already loaded
-    if name in ("Analysis", "analyze"):
-        from . import cli
-        return getattr(cli, name)
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _LAZY_SUBMODULES:
+        # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
+
+class _Package(types.ModuleType):
+    """The import system binds every submodule it loads on its package.  The
+    submodule classify loads lazily, after the function of the same name may
+    have been bound, so that binding is refused: polyliouville.classify stays
+    the function (the module is sys.modules["polyliouville.classify"])."""
+
+    def __setattr__(self, name, value):
+        if name != "classify" or not isinstance(value, types.ModuleType):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "Analysis",

@@ -17,6 +17,16 @@ package also exports for library use.  It reaches those four stages
 through this module's globals, which perfbench/spans.py wraps to trace
 each layer.
 
+What loads when: importing this module loads the standard library, the
+package and its two stdlib-only modules, exactconst and polyfield, which
+is all that --help, constants and pizzetti need.  numpy and the numeric
+modules (shooter, represent, tailfit, classify, greenball) are imported
+inside the handlers and the argparse type (`_radii`) that use them.  The
+numeric names that perfbench wraps (shoot, compute_v, fit_even_polynomial,
+classify, green_ball) are module globals all the same: forwarders that
+import the real function on each call and never rebind themselves, so the
+tracer can swap them in and out.
+
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Identical argv
 (and seed) produce byte-identical CSV/JSON outputs.  The subcommands
 that write files (green, shoot, represent, classify, reproduce-paper) take
@@ -36,25 +46,27 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .classify import ClassificationReport, classify
+from . import _forwarder
 from .exactconst import constant_table, format_table, verify_gamma_identity
-from .greenball import RadialProfile, exp_integrability, green_ball, navier_solve_radial
 from .polyfield import almansi_random, pizzetti_check
-from .represent import compute_v, far_field_ready
-from .shooter import (
-    RadialTrajectory,
-    ShootingConfig,
-    SolveReport,
-    scalar_curvature,
-    shoot,
-    standard_config,
-)
-from .tailfit import PolyFit1D, fit_even_polynomial, min_samples
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .classify import ClassificationReport
+    from .greenball import RadialProfile
+    from .shooter import RadialTrajectory, ShootingConfig, SolveReport
+    from .tailfit import PolyFit1D
 
 __all__ = ["Analysis", "analyze", "run", "main"]
+
+shoot = _forwarder("shooter", "shoot")
+compute_v = _forwarder("represent", "compute_v")
+fit_even_polynomial = _forwarder("tailfit", "fit_even_polynomial")
+classify = _forwarder("classify", "classify")
+green_ball = _forwarder("greenball", "green_ball")
 
 
 def _read_config(path: str) -> list[tuple[str, str]]:
@@ -143,6 +155,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _radii(text: str) -> np.ndarray:
     """A comma list of distinct finite, nonnegative radii, sorted."""
+    import numpy as np
+
     radii = set()
     for entry in text.split(","):
         value = float(entry)
@@ -257,6 +271,8 @@ def _fit_degree(m: int) -> int:
 
 
 def _far_field_radii(r_max: float, points: int = 24) -> np.ndarray:
+    import numpy as np
+
     return np.geomspace(max(1.0, r_max / 1000.0), r_max / 2.0, points)
 
 
@@ -270,6 +286,8 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
     its ValueError.  Degree inference of the even-polynomial
     fit ignores content below 10x the solver's w0 error estimate.
     """
+    from .represent import far_field_ready
+
     traj, rep = shoot(cfg)
     if radii is None and far_field_ready(traj):
         radii = _far_field_radii(traj.r_max)
@@ -291,6 +309,8 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
 def _config(args) -> ShootingConfig:
     """The ShootingConfig named by the shooting flags.  Initial data that
     are missing, or more or fewer than m values, are a usage error."""
+    from .shooter import ShootingConfig
+
     m = args.m
     if args.laplacians is not None:
         if len(args.laplacians) != m:
@@ -348,6 +368,10 @@ def _cmd_pizzetti(args) -> int:
 
 
 def _cmd_green(args) -> int:
+    import numpy as np
+
+    from .greenball import RadialProfile
+
     gb = green_ball(args.m)
     print(f"m = {args.m} (ball radius 1, Navier boundary conditions)")
     print(f"log coefficient: {gb.log_coeff}  ({float(gb.log_coeff):.17g})")
@@ -387,6 +411,10 @@ def _cmd_shoot(args) -> int:
 
 
 def _cmd_represent(args) -> int:
+    import numpy as np
+
+    from .tailfit import min_samples
+
     degree = _fit_degree(args.m)
     need = min_samples(degree)
     count = args.points if args.radii is None else args.radii.size
@@ -424,6 +452,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_a2m_check(args) -> int:
+    import numpy as np
+
+    from .greenball import RadialProfile, exp_integrability, navier_solve_radial
+
     m = args.m
     n = 2 * m
     grid = np.linspace(0.0, 1.0, args.points)
@@ -480,6 +512,10 @@ def _reproduce_solve_row(name: str, cfg: ShootingConfig, checks) -> dict:
 
 
 def _cmd_reproduce_paper(args) -> int:
+    import numpy as np
+
+    from .shooter import ShootingConfig, scalar_curvature, standard_config
+
     def is_standard(row, traj):
         return row["verdict"] == "standard" and row["deg_p"] == 0
 

@@ -1,8 +1,10 @@
 """Exact constants for the polyharmonic Liouville equation on R^{2m}.
 
-Everything here is integer or rational arithmetic. The factor pi stays
-symbolic inside :class:`PiRational` and only turns into a float at module
-boundaries (round-to-nearest via mpmath).
+Everything here is integer or rational arithmetic in the standard library.
+The factor pi stays symbolic inside :class:`PiRational` and only turns into
+a number at module boundaries: a correctly rounded float, or a rounded
+decimal string, both from an enclosure of pi computed in Python integers
+by Machin's formula.
 
 Conventions, with n = 2m the ambient dimension::
 
@@ -30,11 +32,43 @@ Iterated Laplacians of the logarithm, for 1 <= j <= m-1::
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
-import mpmath
+
+@functools.cache
+def _pi_scaled(bits: int) -> int:
+    """An integer p with |pi * 2**bits - p| < 1.
+
+    Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239), summed in fixed
+    point with guard bits that outweigh the truncation of every term.
+    """
+    guard = bits.bit_length() + 10
+    one = 1 << (bits + guard)
+
+    def arccot(x):
+        total = term = one // x
+        k, x2 = 1, x * x
+        while term:
+            term //= x2
+            k += 2
+            total += -(term // k) if k % 4 == 3 else term // k
+        return total
+
+    pi = 16 * arccot(5) - 4 * arccot(239)
+    return (pi + (1 << (guard - 1))) >> guard
+
+
+def _to_float(x: Fraction) -> float:
+    """x correctly rounded (int / int is), overflowing to +-inf as IEEE
+    rounding does where float(Fraction) raises."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def double_factorial(k: int) -> int:
@@ -153,17 +187,55 @@ class PiRational:
 
     # -- conversions --------------------------------------------------
 
+    def _rounded(self, rounding, bits: int):
+        """rounding(q * pi^k) for a monotone rounding function.
+
+        With k != 0 it rounds both ends of an enclosure of q * pi^k, from pi
+        to `bits` bits, and doubles the bits until the two agree; q * pi^k
+        is irrational, so it is never a tie and the loop ends.
+        """
+        if self.pi_power == 0:
+            return rounding(self.fraction)
+        while True:
+            p = _pi_scaled(bits)
+            lo, hi = (rounding(self.fraction * Fraction(p + s, 1 << bits) ** self.pi_power)
+                      for s in (-1, 1))
+            if lo == hi:
+                return lo
+            bits *= 2
+
     def __float__(self) -> float:
-        with mpmath.workdps(40):
-            return float(mpmath.mpf(self.fraction.numerator)
-                         / self.fraction.denominator * mpmath.pi ** self.pi_power)
+        return self._rounded(_to_float, 64)
 
     def decimal(self, digits: int = 30) -> str:
-        """Decimal expansion to the given number of significant digits."""
-        with mpmath.workdps(digits + 15):
-            val = (mpmath.mpf(self.fraction.numerator) / self.fraction.denominator
-                   * mpmath.pi ** self.pi_power)
-            return mpmath.nstr(val, digits)
+        """Decimal expansion to `digits` significant digits, to nearest.
+
+        The text is mpmath's nstr, byte for byte: positional when the
+        leading digit's exponent e satisfies min(-(digits // 3), -5) < e <
+        digits, else "d.ddde+E" / "d.ddde-E", with trailing zeros stripped
+        down to ".0".  So are its ties, which only a rational can have:
+        mpmath holds a power-of-two denominator exactly and rounds its ties
+        away from zero (1/4 -> "0.3"), but truncates the binary expansion of
+        any other rational, whose ties therefore go toward zero
+        (3/40 -> "0.07").
+        """
+        den = self.denominator
+        ctx = Context(prec=digits,
+                      rounding=ROUND_HALF_UP if den & (den - 1) == 0 else ROUND_HALF_DOWN)
+        value = self._rounded(lambda x: ctx.divide(Decimal(x.numerator), x.denominator),
+                              digits * 10 // 3 + 40)
+        sign, coeff, _ = value.as_tuple()
+        text = "".join(map(str, coeff)).rstrip("0")
+        exponent = value.adjusted()
+        suffix = ""
+        if not min(-(digits // 3), -5) < exponent < digits:
+            head, tail, suffix = text[0], text[1:], f"e{exponent:+d}"
+        elif exponent < 0:
+            head, tail = "0", "0" * (-exponent - 1) + text
+        else:
+            text = text.ljust(exponent + 1, "0")
+            head, tail = text[:exponent + 1], text[exponent + 1:]
+        return f"{'-' if sign else ''}{head}.{tail.rstrip('0') or '0'}{suffix}"
 
     def __str__(self) -> str:
         q = self.fraction

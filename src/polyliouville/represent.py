@@ -250,39 +250,43 @@ def _tail_decay(traj: RadialTrajectory):
     return c, q
 
 
-def _refusal(traj: RadialTrajectory) -> str | None:
-    """Why compute_v refuses traj, or None: the run must reach r_end, its
-    conformal volume must have converged and exp(2mu) must decay faster
-    than s^-(2m+0.1), or the truncated-tail bound would be meaningless."""
+def _refusal(traj: RadialTrajectory):
+    """(why compute_v refuses traj or None, the tail decay fit (C, q)).
+
+    The run must reach r_end, its conformal volume must have converged and
+    exp(2mu) must decay faster than s^-(2m+0.1), or the truncated-tail
+    bound would be meaningless.  A run that ended early is refused before
+    the fit, which is then None."""
     if traj.termination != "reached_end":
         return (
             f"trajectory terminated with '{traj.termination}'; "
             "the representation integral needs a full run to r_end"
-        )
-    q = _tail_decay(traj)[1]
+        ), None
+    decay = _tail_decay(traj)
+    q = decay[1]
     if not traj.alpha_converged() or q <= 2 * traj.m + 0.1:
         return (
             "insufficient decay for the truncated representation integral: "
             f"alpha changed by {traj.alpha_tail_change():.2e} over the tail window and "
             f"exp(2mu) ~ s^-{q:.2f} (need q > {2*traj.m}+0.1 and change <= 1e-3)"
-        )
-    return None
+        ), decay
+    return None, decay
 
 
 def _check_alpha_converged(traj: RadialTrajectory):
     """Raise compute_v's refusal of traj as a ValueError; returns the tail
     decay fit (C, q) the error bar uses."""
-    refusal = _refusal(traj)
+    refusal, decay = _refusal(traj)
     if refusal is not None:
         raise ValueError(refusal)
-    return _tail_decay(traj)
+    return decay
 
 
 def far_field_ready(traj: RadialTrajectory) -> bool:
     """Whether traj can be judged in the far field: it reached r_end >= 100
     and compute_v accepts it.  The one rule behind `cli.analyze`'s default
     radii and `classify`'s gate."""
-    return traj.r_max >= 100.0 and _refusal(traj) is None
+    return traj.r_max >= 100.0 and _refusal(traj)[0] is None
 
 
 def _tail_bound(traj, radii, c, q, j):

@@ -42,25 +42,28 @@ def test_module_entry_point_prints_no_warning():
 _SCIPY_BLOCKED = """
 import sys
 
-class BlockScipy:
+class BlockTestOnly:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError("scipy is blocked: " + name)
+        if name.split(".")[0] in ("scipy", "mpmath"):
+            raise ImportError("test-only dependency blocked: " + name)
 
-sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, BlockTestOnly())
 from polyliouville.cli import run
 print([run(argv) for argv in {argvs!r}])
-print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+print(sorted(k for k in sys.modules if k.split(".")[0] in ("scipy", "mpmath")))
 print("concurrent.futures" in sys.modules)
 """
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # scipy is a test-only dependency: every subcommand runs with its import
-    # blocked, including the m = 2 event path, and loads no executor
+    # scipy and mpmath are test-only dependencies: every subcommand runs
+    # with their imports blocked, including the m = 2 event path and the
+    # exact layer, and loads no executor
     env = dict(os.environ, PYTHONPATH=str(Path(polyliouville.__file__).parents[1]))
     argvs = [
         ["constants", "--m", "2"],
+        ["pizzetti", "--m", "2", "--n", "4"],
+        ["green", "--m", "3"],
         ["reproduce-paper"],
         ["classify", "--m", "2", "--u0", LOG2, "--d2", "-1.7"],
         ["shoot", "--m", "2", "--u0", LOG2, "--d2", "-1.7"],
@@ -76,7 +79,53 @@ def test_commands_run_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "gamma_m = 8 * pi^2" in proc.stdout
     assert "termination: not_entire" in proc.stdout
-    assert proc.stdout.splitlines()[-3:] == ["[0, 0, 0, 0, 0, 0, 0]", "[]", "False"]
+    assert "100/100 exact" in proc.stdout
+    assert "Navier boundary residuals exactly zero: True" in proc.stdout
+    assert proc.stdout.splitlines()[-3:] == ["[0, 0, 0, 0, 0, 0, 0, 0, 0]", "[]", "False"]
+
+
+_IMPORT_CONTRACT = """
+import contextlib, io, json, sys, types
+import polyliouville
+import polyliouville.cli as cli
+
+def loaded():
+    return sorted({{k.split(".")[0] for k in sys.modules}} & {{"numpy", "mpmath"}})
+
+out = {{"import": loaded()}}
+with contextlib.redirect_stdout(io.StringIO()):
+    out["codes"] = [cli.run(argv) for argv in {argvs!r}]
+out["commands"] = loaded()
+out["missing"] = sorted([n for n in {cli_names!r} if n not in vars(cli)]
+                        + ["polyliouville." + n for n in {pkg_names!r}
+                           if n not in vars(polyliouville)])
+import polyliouville.classify  # the submodule loads before the function is looked up
+star = {{}}
+exec("from polyliouville import *", star)
+out["star"] = sorted(n for n in polyliouville.__all__
+                     if star.get(n) is not getattr(polyliouville, n))
+out["classify"] = isinstance(polyliouville.classify, types.FunctionType)
+print(json.dumps(out))
+"""
+
+
+def test_exact_commands_load_neither_numpy_nor_mpmath():
+    # the package and cli import only the standard library and the exact
+    # layer; the names perfbench/spans.py wraps exist before numpy loads
+    env = dict(os.environ, PYTHONPATH=str(Path(polyliouville.__file__).parents[1]))
+    script = _IMPORT_CONTRACT.format(
+        argvs=[["--help"], ["constants", "--m", "3"],
+               ["pizzetti", "--m", "2", "--n", "4", "--cases", "20"]],
+        cli_names=["shoot", "compute_v", "fit_even_polynomial", "classify",
+                   "pizzetti_check", "almansi_random", "green_ball",
+                   "verify_gamma_identity"],
+        pkg_names=["shoot", "compute_v", "compute_lap_v", "fit_even_polynomial"])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [], "codes": [0, 0, 0], "commands": [], "missing": [], "star": [],
+        "classify": True}
 
 
 def test_parser_is_built_once_and_parses_each_call_afresh(capsys):

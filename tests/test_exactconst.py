@@ -161,3 +161,83 @@ def test_pi_rational_sign_predicates():
     assert PiRational(Fraction(3, 7), 2).is_positive
     assert not PiRational(Fraction(-3, 7), 2).is_positive
     assert PiRational(Fraction(0), 5).is_zero
+
+
+def _table_constants(m):
+    t = constant_table(m)
+    return [t.omega_n, t.vol_sphere_2m, t.gamma_m, *t.pizzetti_c,
+            *(PiRational(c) for c in t.laplog_coeff)]
+
+
+_CONSTANTS = [c for m in range(1, 11) for c in _table_constants(m)]
+
+
+class TestMpmathOracle:
+    """float() and decimal() against the mpmath evaluation they replace:
+    q * pi^k at 40 digits rounded to a float, and nstr at digits + 15."""
+
+    @staticmethod
+    def mpmath_value(x, dps):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(dps):
+            return mpmath.mpf(x.numerator) / x.denominator * mpmath.pi ** x.pi_power
+
+    def test_float_is_bit_equal(self):
+        products = [a * b for a in _CONSTANTS[::3] for b in _CONSTANTS[1::3]]
+        quotients = [a / b for a in _CONSTANTS[::4] for b in _CONSTANTS[2::4]]
+        powers = [c ** k for c in _CONSTANTS for k in (-3, -1, 2, 5)]
+        # past the float range both round to +-inf
+        huge = [PiRational(Fraction(10 ** 400)), PiRational(Fraction(-10 ** 300), 10),
+                PiRational(Fraction(2 ** 1024 - 2 ** 970))]
+        values = _CONSTANTS + products + quotients + powers + huge
+        assert len(values) > 1000
+        for x in values:
+            assert float(x) == float(self.mpmath_value(x, 40)), x
+
+    @pytest.mark.parametrize("digits", [*range(1, 61), 200])
+    def test_decimal_equals_nstr(self, digits):
+        mpmath = pytest.importorskip("mpmath")
+        for x in _CONSTANTS:
+            assert x.decimal(digits) == mpmath.nstr(self.mpmath_value(x, digits + 15),
+                                                    digits), (x, digits)
+
+    @pytest.mark.parametrize("q, digits, text", [
+        (Fraction(1, 4), 1, "0.3"),              # a binary-exact tie goes up
+        (Fraction(-1, 4), 1, "-0.3"),
+        (Fraction(1, 8), 2, "0.13"),
+        (Fraction(3, 40), 1, "0.07"),            # any other tie goes down
+        (Fraction(1, 640), 4, "0.001562"),       # pizzetti_c[2], m = 3
+        (Fraction(1, 40), 1, "0.02"),            # pizzetti_c[1], m = 9
+        (Fraction(125), 2, "1.3e+2"),
+        (Fraction(1, 658944), 8, "1.5175796e-6"),     # pizzetti_c[3], m = 10
+        (Fraction(185794560), 8, "1.8579456e+8"),     # laplog_coeff[5], m = 10
+        (Fraction(0), 5, "0.0"),
+    ])
+    def test_decimal_ties_and_exponent_forms(self, q, digits, text):
+        x = PiRational(q)
+        assert x.decimal(digits) == text
+        mpmath = pytest.importorskip("mpmath")
+        assert mpmath.nstr(self.mpmath_value(x, digits + 15), digits) == text
+
+
+def _long_division(q, digits):
+    """(significant digits of q > 0 rounded half up at `digits`, exponent of
+    the first one), digit by digit; a tie would be ambiguous, so none may occur."""
+    n, d, exponent = q.numerator, q.denominator, 0
+    while n < d:
+        n, exponent = 10 * n, exponent - 1
+    while n >= 10 * d:
+        d, exponent = 10 * d, exponent + 1
+    out = 0
+    for _ in range(digits + 1):
+        digit, n = divmod(n, d)
+        out, n = 10 * out + digit, 10 * n
+    assert not (out % 10 == 5 and n == 0)
+    return (out + 5) // 10, exponent
+
+
+@pytest.mark.parametrize("q", sorted({c.fraction for c in _CONSTANTS if c.pi_power == 0}))
+def test_rational_decimal_matches_long_division(q):
+    significand, exponent = _long_division(q, 100)
+    expected = Fraction(significand) * Fraction(10) ** (exponent - 99)
+    assert Fraction(PiRational(q).decimal(100)) == expected
