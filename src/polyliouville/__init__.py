@@ -8,7 +8,7 @@ Modules:
     shooter      radial shooting for the Liouville equation
     tailfit      limit and even-polynomial estimation on tail samples
     represent    integral representation v and polynomial part u - v
-    classify     numeric classification standard vs non-standard
+    verdict      numeric classification standard vs non-standard (classify)
     cli          command line entry points and the analyze pipeline
 
 What loads at import: only exactconst and polyfield, which need nothing
@@ -16,18 +16,18 @@ beyond the standard library, so `import polyliouville` loads neither numpy
 nor any other third-party module.  Every other public name is looked up
 in `_HOME` on first access (PEP 562 `__getattr__`), which imports its
 module and caches the value as a module global.  The first numeric name
-used therefore pays numpy's import, once per process.
+used therefore pays numpy's import, once per process.  No submodule
+shares its name with a public name, so the attribute the import system
+binds for each submodule it loads never shadows a function.
 
 shoot, compute_v, compute_lap_v and fit_even_polynomial are bound from the
 start, as forwarders that import their module and call the real function
-on every call.  perfbench's tracer swaps these four attributes for
-wrappers and back, so they must exist before first use and must never
-rebind themselves.
+on every call; cli imports the first three from here.  perfbench's tracer
+swaps these attributes for wrappers and back, so they must exist before
+first use and must never rebind themselves.
 """
 
 import importlib
-import sys
-import types
 
 from .exactconst import (
     ConstantTable,
@@ -63,8 +63,8 @@ fit_even_polynomial = _forwarder("tailfit", "fit_even_polynomial")
 _HOME = {
     "Analysis": "cli",
     "analyze": "cli",
-    "ClassificationReport": "classify",
-    "classify": "classify",
+    "ClassificationReport": "verdict",
+    "classify": "verdict",
     "GreenBall": "greenball",
     "RadialProfile": "greenball",
     "exp_integrability": "greenball",
@@ -77,9 +77,10 @@ _HOME = {
     "standard_config": "shooter",
     "standard_solution": "shooter",
 }
-# submodules that load on first access: exactconst and polyfield are bound
-# at import, and the name classify is the function
-_LAZY_SUBMODULES = frozenset(("cli", "dop853", "greenball", "represent", "shooter", "tailfit"))
+# submodules that load on first access; exactconst and polyfield are bound
+# at import
+_LAZY_SUBMODULES = frozenset(
+    ("cli", "dop853", "greenball", "represent", "shooter", "tailfit", "verdict"))
 
 
 def __getattr__(name):
@@ -96,19 +97,6 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(_HOME))
 
-
-class _Package(types.ModuleType):
-    """The import system binds every submodule it loads on its package.  The
-    submodule classify loads lazily, after the function of the same name may
-    have been bound, so that binding is refused: polyliouville.classify stays
-    the function (the module is sys.modules["polyliouville.classify"])."""
-
-    def __setattr__(self, name, value):
-        if name != "classify" or not isinstance(value, types.ModuleType):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "Analysis",

@@ -20,12 +20,12 @@ each layer.
 What loads when: importing this module loads the standard library, the
 package and its two stdlib-only modules, exactconst and polyfield, which
 is all that --help, constants and pizzetti need.  numpy and the numeric
-modules (shooter, represent, tailfit, classify, greenball) are imported
+modules (shooter, represent, tailfit, verdict, greenball) are imported
 inside the handlers and the argparse type (`_radii`) that use them.  The
 numeric names that perfbench wraps (shoot, compute_v, fit_even_polynomial,
 classify, green_ball) are module globals all the same: forwarders that
 import the real function on each call and never rebind themselves, so the
-tracer can swap them in and out.
+tracer can swap them in and out.  The first three are the package's own.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Identical argv
 (and seed) produce byte-identical CSV/JSON outputs.  The subcommands
@@ -48,24 +48,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import _forwarder
+from . import _forwarder, compute_v, fit_even_polynomial, shoot
 from .exactconst import constant_table, format_table, verify_gamma_identity
 from .polyfield import almansi_random, pizzetti_check
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .classify import ClassificationReport
     from .greenball import RadialProfile
     from .shooter import RadialTrajectory, ShootingConfig, SolveReport
     from .tailfit import PolyFit1D
+    from .verdict import ClassificationReport
 
 __all__ = ["Analysis", "analyze", "run", "main"]
 
-shoot = _forwarder("shooter", "shoot")
-compute_v = _forwarder("represent", "compute_v")
-fit_even_polynomial = _forwarder("tailfit", "fit_even_polynomial")
-classify = _forwarder("classify", "classify")
+classify = _forwarder("verdict", "classify")
 green_ball = _forwarder("greenball", "green_ball")
 
 
@@ -118,8 +115,11 @@ def _resolve_out(args) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write payload as strict JSON, each non-finite float as its str."""
+    from .verdict import json_safe
+
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(json_safe(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -483,8 +483,9 @@ def _cmd_a2m_check(args) -> int:
     gamma = float(constant_table(m).gamma_m)
     p_crit = gamma / (2.0 * f_mass)
     crit = exp_integrability(v1, p=p_crit)
-    rows.append((f"exp integrability at p*|f|_L1 = gamma_m/2: I = {crit.value:.6g} finite",
-                 math.isfinite(crit.value) and not crit.overflow))
+    finite = math.isfinite(crit.value) and not crit.overflow
+    rows.append((f"exp integrability at p*|f|_L1 = gamma_m/2: I = {crit.value:.6g} "
+                 + ("finite" if finite else "is not finite"), finite))
 
     failed = False
     for label, ok in rows:

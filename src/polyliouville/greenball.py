@@ -219,12 +219,19 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     """Solve -Delta z = g radially on [0, R], z(R) = 0, z'(0) = 0."""
     grid = np.asarray(grid, dtype=float)
-    h = np.diff(grid)
-    # t^{n-1} against the linear interpolant of g, exactly on each panel
-    panels = panel_moment(grid[:-1], h, (g[:-1], np.diff(g) / h), n - 1)
-    inner = np.concatenate([[0.0], np.cumsum(panels)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(grid > 0, inner / np.where(grid > 0, grid, 1.0) ** (n - 1), 0.0)
+    a, b = grid[:-1], grid[1:]
+    # -z'(r) = int_0^r (t/r)^{n-1} g dt, with g linear on each panel [a, b].
+    # Each panel is scaled by its right end, acc <- acc (a/b)^{n-1} +
+    # int_a^b (t/b)^{n-1} g dt, so that no power of a small radius
+    # underflows to 0 at large n.
+    x = np.diff(grid) / b
+    panels = b * panel_moment(a / b, x, (g[:-1], np.diff(g) / x), n - 1)
+    shrink = (a / b) ** (n - 1)
+    integrand = np.zeros_like(grid)
+    acc = 0.0
+    for i, (q, panel) in enumerate(zip(shrink.tolist(), panels.tolist()), start=1):
+        acc = acc * q + panel
+        integrand[i] = acc
     cum = _cumulative_trapezoid(integrand, grid)
     return cum[-1] - cum
 

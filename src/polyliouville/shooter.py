@@ -56,7 +56,7 @@ import numpy as np
 
 from .dop853 import solve_ivp
 from .exactconst import constant_table, pizzetti_coefficients
-from .tailfit import LimitEstimate, PolyFit1D, fit_even_polynomial, tail_limit
+from .tailfit import LimitEstimate, tail_limit
 
 __all__ = [
     "ShootingConfig",
@@ -641,14 +641,9 @@ class SolveReport:
     r_reached: float
     alpha_final: float
     delta_limits: list[LimitEstimate]
-    growth_fit: PolyFit1D | None
     scalar_curvature_tail: tuple[np.ndarray, np.ndarray] | None
     rho1_tail: tuple[np.ndarray, np.ndarray] | None
     w0_error_estimate: float
-
-    @property
-    def growth_exponent(self) -> int | None:
-        return None if self.growth_fit is None else self.growth_fit.inferred_degree
 
     def to_json_dict(self) -> dict:
         verdict_inputs: dict = {}
@@ -664,11 +659,6 @@ class SolveReport:
                 "r": [float(x) for x in r],
                 "value": [float(x) for x in vals],
             }
-        if self.growth_fit is not None:
-            verdict_inputs["growth_leading_coefficient"] = (
-                self.growth_fit.leading_coefficient
-            )
-            verdict_inputs["growth_residual_rms"] = self.growth_fit.residual_rms
         return {
             "m": self.m,
             "termination": self.termination,
@@ -683,7 +673,6 @@ class SolveReport:
                 }
                 for j, est in enumerate(self.delta_limits)
             ],
-            "growth_exponent": self.growth_exponent,
             "w0_error_estimate": self.w0_error_estimate,
             "verdict_inputs": verdict_inputs,
         }
@@ -693,29 +682,18 @@ def diagnose(traj: RadialTrajectory, w0_error_estimate: float = math.nan) -> Sol
     """Extract the tail quantities the classifier consumes.
 
     Limits of Delta^j u are fitted as a + b/r^2 over the outer 20% of the
-    run; the growth exponent comes from an even-polynomial fit of u over
-    [r_max/100, r_max] capped at degree 2m-2 (wide window on purpose: over
-    a narrow tail window a polynomial can mimic the log decay of the
-    closed-form family).  Both are skipped when the run blew up or died
-    early.
+    run, and the scalar curvature and rho_1 are sampled on the same tail
+    window.  Both are skipped when the run blew up or died early.
     """
     m = traj.m
     ran_full = traj.termination == "reached_end"
     idx = traj.tail_indices()
     delta_limits: list[LimitEstimate] = []
-    growth_fit = None
     curout = None
     rhoout = None
     if ran_full and idx.size >= 12:
         for j in range(1, m):
             delta_limits.append(tail_limit(traj.grid[idx], traj.w[j][idx]))
-        wide = np.nonzero(traj.grid >= max(1.0, traj.r_max / 100.0))[0]
-        max_deg = max(0, 2 * m - 2)
-        if wide.size >= max_deg // 2 + 3:
-            floor = 20.0 * max(1.0, math.log(traj.r_max))
-            growth_fit = fit_even_polynomial(
-                (traj.grid[wide], traj.w[0][wide]), max_deg, contribution_floor=floor
-            )
         cur = scalar_curvature(traj)
         rho = conformal_factor_ratio(traj)
         curout = (traj.grid[idx], cur[idx])
@@ -726,7 +704,6 @@ def diagnose(traj: RadialTrajectory, w0_error_estimate: float = math.nan) -> Sol
         r_reached=traj.r_max,
         alpha_final=traj.alpha_final,
         delta_limits=delta_limits,
-        growth_fit=growth_fit,
         scalar_curvature_tail=curout,
         rho1_tail=rhoout,
         w0_error_estimate=w0_error_estimate,

@@ -98,16 +98,11 @@ def fit_even_polynomial(
     residual RMS, which filters out powers fitted to noise.
 
     ``contribution_floor`` additionally requires each counted power to
-    exceed that absolute contribution at r_max.  Fitting a profile that
-    may contain a -2 alpha log r part (the growth diagnostic of a radial
-    solution) needs a floor ~ 20 log(r_max): on log-spaced samples the
-    near-collinear scaled powers can reproduce a logarithm with large
-    canceling coefficients, and only a genuinely polynomial tail clears a
-    threshold an order of magnitude above the largest possible log term.
-    Passing 10x a trajectory's w0 error estimate as the floor when fitting
-    u - v stops solver noise (which grows like the polyharmonic modes) from
-    masquerading as genuine polynomial content.  Data that are polynomial
-    by construction should keep the default 0.
+    exceed that absolute contribution at r_max.  Passing 10x a trajectory's
+    w0 error estimate as the floor when fitting u - v stops solver noise
+    (which grows like the polyharmonic modes) from masquerading as genuine
+    polynomial content.  Data that are polynomial by construction should
+    keep the default 0.
     """
     if max_degree % 2 != 0 or max_degree < 0:
         raise ValueError("max_degree must be a non-negative even integer")

@@ -1,4 +1,4 @@
-"""Equivalence-criteria classification of radial solutions.
+"""Equivalence-criteria verdict on radial solutions.
 
 A finite-volume radial solution of (-Delta)^m u = (2m-1)! exp(2m u) is
 either one of the explicit spherical solutions u_lam (standard) or differs
@@ -33,6 +33,7 @@ from .shooter import RadialTrajectory, SolveReport
 __all__ = [
     "ClassificationReport",
     "classify",
+    "json_safe",
     "EPS_STD",
     "EPS_GROWTH",
     "R_BIG",
@@ -43,6 +44,20 @@ EPS_GROWTH = 1e-4   # tolerance on u(r_end)/r_end^2
 R_BIG = 1e4         # curvature below -R_BIG counts as unbounded
 _RHO1_STD = 0.5     # rho_1 above half its tail max counts as bounded away from 0
 _RHO1_DECAYED = 1e-3
+
+
+def json_safe(obj):
+    """obj with every non-finite float written as its str ("-inf", "nan"):
+    strict JSON has no Infinity or NaN token.  Dicts, lists and tuples are
+    walked; everything else is returned as it is."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {key: json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(value) for value in obj]
+    return obj
+
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -66,8 +81,7 @@ class ClassificationReport:
         crits = [
             {
                 "name": name,
-                # strict JSON has no Infinity/NaN tokens; stringify those
-                "statistic": float(stat) if math.isfinite(stat) else str(stat),
+                "statistic": float(stat),
                 "threshold": _TABLE[name][0],
                 "verdict": verdict,
             }
@@ -76,13 +90,13 @@ class ClassificationReport:
         dd = None
         if self.deltaa_estimate is not None:
             dd = {"j": self.deltaa_estimate[0], "a": self.deltaa_estimate[1]}
-        return {
+        return json_safe({
             "m": self.m,
             "criteria": crits,
             "overall": self.overall,
             "agreement": self.agreement,
             "deltaa_estimate": dd,
-        }
+        })
 
 
 def _crit_ii(traj, report, fit) -> tuple[float, str]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyliouville.classify import ClassificationReport, classify
+from polyliouville.verdict import ClassificationReport, classify
 from polyliouville.cli import _write_json, analyze
 from polyliouville.shooter import ShootingConfig, diagnose, shoot, standard_config
 from polyliouville.tailfit import fit_even_polynomial

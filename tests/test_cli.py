@@ -99,33 +99,44 @@ out["commands"] = loaded()
 out["missing"] = sorted([n for n in {cli_names!r} if n not in vars(cli)]
                         + ["polyliouville." + n for n in {pkg_names!r}
                            if n not in vars(polyliouville)])
-import polyliouville.classify  # the submodule loads before the function is looked up
+# cli takes the package's forwarders instead of building its own
+out["own"] = sorted(n for n in ("shoot", "compute_v", "fit_even_polynomial")
+                    if vars(cli).get(n) is not vars(polyliouville).get(n))
+if {verdict_first!r}:  # the submodule loads before the function is looked up
+    import polyliouville.verdict as mod
 star = {{}}
 exec("from polyliouville import *", star)
 out["star"] = sorted(n for n in polyliouville.__all__
                      if star.get(n) is not getattr(polyliouville, n))
+import polyliouville.verdict as mod
+out["verdict"] = isinstance(mod, types.ModuleType)
 out["classify"] = isinstance(polyliouville.classify, types.FunctionType)
+out["plain"] = type(sys.modules["polyliouville"]) is types.ModuleType
 print(json.dumps(out))
 """
 
 
 def test_exact_commands_load_neither_numpy_nor_mpmath():
     # the package and cli import only the standard library and the exact
-    # layer; the names perfbench/spans.py wraps exist before numpy loads
+    # layer; the names perfbench/spans.py wraps exist before numpy loads;
+    # polyliouville.verdict is the module and polyliouville.classify the
+    # function, whichever of the two is looked up first
     env = dict(os.environ, PYTHONPATH=str(Path(polyliouville.__file__).parents[1]))
-    script = _IMPORT_CONTRACT.format(
-        argvs=[["--help"], ["constants", "--m", "3"],
-               ["pizzetti", "--m", "2", "--n", "4", "--cases", "20"]],
-        cli_names=["shoot", "compute_v", "fit_even_polynomial", "classify",
-                   "pizzetti_check", "almansi_random", "green_ball",
-                   "verify_gamma_identity"],
-        pkg_names=["shoot", "compute_v", "compute_lap_v", "fit_even_polynomial"])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "import": [], "codes": [0, 0, 0], "commands": [], "missing": [], "star": [],
-        "classify": True}
+    for verdict_first in (False, True):
+        script = _IMPORT_CONTRACT.format(
+            argvs=[["--help"], ["constants", "--m", "3"],
+                   ["pizzetti", "--m", "2", "--n", "4", "--cases", "20"]],
+            cli_names=["shoot", "compute_v", "fit_even_polynomial", "classify",
+                       "pizzetti_check", "almansi_random", "green_ball",
+                       "verify_gamma_identity"],
+            pkg_names=["shoot", "compute_v", "compute_lap_v", "fit_even_polynomial"],
+            verdict_first=verdict_first)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "import": [], "codes": [0, 0, 0], "commands": [], "missing": [], "own": [],
+            "star": [], "verdict": True, "classify": True, "plain": True}, verdict_first
 
 
 def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
@@ -422,6 +433,40 @@ def test_a2m_check_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_a2m_check_passes_at_large_m(capsys):
+    # r^(n-1) at the first nodes underflowed to 0 from about m = 40, and the
+    # 0/0 once gave NaN for v and "I = nan finite"
+    assert run(["a2m-check", "--m", "60"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 3
+    assert "I = 8.10623e-53 finite" in out
+
+
+def test_a2m_check_names_an_infinite_integral(capsys):
+    # gamma_120 overflows a float, so I is not finite; the row must say so
+    # (101 nodes: the default 801 take 13 s at m = 120)
+    assert run(["a2m-check", "--m", "120", "--points", "101"]) == 3
+    out = capsys.readouterr().out
+    assert "PASS  positivity" in out
+    assert "is not finite" in out
+    assert "nan finite" not in out
+
+
+def test_report_json_is_strict(tmp_path):
+    # the -3 run's R_g tail holds -inf, the -1.7 run's w0 error estimate is
+    # NaN: both are written as strings, never as Infinity or NaN tokens
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    blobs = {}
+    for d2 in ("-3", "-1.7"):
+        out = tmp_path / d2
+        assert run(["shoot", "--m", "2", "--u0", LOG2, "--d2", d2, "--out", str(out)]) == 0
+        blobs[d2] = json.loads(read(out / "report.json"), parse_constant=refuse)
+    assert "-inf" in blobs["-3"]["verdict_inputs"]["scalar_curvature_tail"]["value"]
+    assert blobs["-1.7"]["w0_error_estimate"] == "nan"
 
 
 def test_reproduce_paper_all_rows_pass(tmp_path, capsys):
