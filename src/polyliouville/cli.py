@@ -482,10 +482,14 @@ def _cmd_a2m_check(args) -> int:
     f_mass = omega * float(np.trapezoid(f_vals * grid ** (n - 1), grid))
     gamma = float(constant_table(m).gamma_m)
     p_crit = gamma / (2.0 * f_mass)
-    crit = exp_integrability(v1, p=p_crit)
-    finite = math.isfinite(crit.value) and not crit.overflow
-    rows.append((f"exp integrability at p*|f|_L1 = gamma_m/2: I = {crit.value:.6g} "
-                 + ("finite" if finite else "is not finite"), finite))
+    label = "exp integrability at p*|f|_L1 = gamma_m/2: "
+    if not math.isfinite(p_crit):
+        rows.append((label + "gamma_m overflows a float", False))
+    else:
+        crit = exp_integrability(v1, p=p_crit)
+        finite = math.isfinite(crit.value) and not crit.overflow
+        rows.append((label + f"I = {crit.value:.6g} "
+                     + ("finite" if finite else "is not finite"), finite))
 
     failed = False
     for label, ok in rows:

@@ -40,8 +40,10 @@ the cost grows with panels + radii, not with their product.
 
 Error bars are additive and conservative: a radial Richardson term (the
 same scheme on the 2x-decimated grid, odd nodes acting as midpoints) plus
-an explicit bound on the truncated tail s > r_end, where
-exp(2m u) <= C s^-q with q fitted on the trajectory tail.
+a closed-form bound on the truncated tail s > r_end.  There
+exp(2m u) <= C s^-q, with q fitted to the log density 2m u on the
+trajectory tail and log C kept in logs, so nothing overflows; the kernel
+bound integrates against C s^(2m-1-q) in closed form (`_tail_bound`).
 
 There is no point-kernel API: the averages enter only through the moment
 pass.  `KernelCache.average_many` evaluates them at given source radii for
@@ -58,7 +60,7 @@ import numpy as np
 
 from .exactconst import constant_table
 from .greenball import RadialProfile, panel_moment
-from .shooter import RadialTrajectory
+from .shooter import _EXP_CAP, RadialTrajectory
 
 __all__ = [
     "KernelCache",
@@ -67,8 +69,6 @@ __all__ = [
     "far_field_ready",
     "rescale_check",
 ]
-
-_EXP_CAP = 700.0
 
 
 def _rising(a: int, k: int) -> int:
@@ -232,26 +232,22 @@ def _density_at(traj: RadialTrajectory, radii) -> np.ndarray:
 
 
 def _tail_decay(traj: RadialTrajectory):
-    """Fit exp(2mu) <= C s^-q on the tail; returns (C, q).
+    """Fit exp(2mu) <= C s^-q on the tail window; returns (log C, q).
 
-    Densities that underflow on the tail (u dropping like -c r^2, say)
-    decay faster than any power: reported as q = inf with zero residual
-    tail."""
+    The log density l = min(2m w_0, _EXP_CAP) is fitted against log s as
+    it stands, never exponentiated, and log C = max(l + q log s).  A
+    density that decays faster than any power gets a large finite q."""
     idx = traj.tail_indices()
-    s = traj.grid[idx]
-    g = _density(traj)[idx]
-    if g[-1] < 1e-250:
-        return float(np.max(g)), math.inf
-    logs, logg = np.log(s), np.log(np.maximum(g, 1e-300))
+    logs = np.log(traj.grid[idx])
+    logg = np.minimum(2 * traj.m * traj.w[0][idx], _EXP_CAP)
     a = np.column_stack([np.ones_like(logs), logs])
     coef, *_ = np.linalg.lstsq(a, logg, rcond=None)
     q = -float(coef[1])
-    c = float(np.max(g * s**q))
-    return c, q
+    return float(np.max(logg + q * logs)), q
 
 
 def _refusal(traj: RadialTrajectory):
-    """(why compute_v refuses traj or None, the tail decay fit (C, q)).
+    """(why compute_v refuses traj or None, the tail decay fit (log C, q)).
 
     The run must reach r_end, its conformal volume must have converged and
     exp(2mu) must decay faster than s^-(2m+0.1), or the truncated-tail
@@ -273,15 +269,6 @@ def _refusal(traj: RadialTrajectory):
     return None, decay
 
 
-def _check_alpha_converged(traj: RadialTrajectory):
-    """Raise compute_v's refusal of traj as a ValueError; returns the tail
-    decay fit (C, q) the error bar uses."""
-    refusal, decay = _refusal(traj)
-    if refusal is not None:
-        raise ValueError(refusal)
-    return decay
-
-
 def far_field_ready(traj: RadialTrajectory) -> bool:
     """Whether traj can be judged in the far field: it reached r_end >= 100
     and compute_v accepts it.  The one rule behind `cli.analyze`'s default
@@ -289,20 +276,22 @@ def far_field_ready(traj: RadialTrajectory) -> bool:
     return traj.r_max >= 100.0 and _refusal(traj)[0] is None
 
 
-def _tail_bound(traj, radii, c, q, j):
+def _tail_bound(traj, radii, log_c, q, j):
     """Bound on the dropped integral over s in (r_end, infinity), at each
-    of the radii (1-D)."""
-    if math.isinf(q):
-        return np.zeros(len(radii))
-    m = traj.m
-    s = traj.r_max * np.geomspace(1.0, 1e3, 200)
-    weight = s ** (2 * m - 1) * c * s ** (-q)
-    r_eff = np.minimum(radii, 0.999 * s[0])[:, None]
-    if j == 0:
-        kb = -np.log1p(-r_eff / s)  # |avg log(s/|x-y|)| <= -log(1 - r/s)
-    else:
-        kb = (s - r_eff) ** (-2 * j)
-    return np.trapezoid(weight * kb, s, axis=-1)
+    of the radii (1-D), in closed form.
+
+    With R = r_end and x = min(r/R, 0.999), the kernel bounds
+    -log(1 - r/s) <= (r/s)/(1-x) and (s-r)^(-2j) <= (1-x)^(-2j) s^(-2j)
+    integrate against C s^(2m-1-q) over (R, infinity) to the terms below.
+    `_refusal`'s q > 2m + 0.1 keeps both denominators positive; an
+    overflow gives +inf."""
+    m, log_r = traj.m, math.log(traj.r_max)
+    x = np.minimum(radii / traj.r_max, 0.999)
+    with np.errstate(over="ignore"):
+        if j == 0:
+            return x / (1 - x) * np.exp(log_c + (2 * m - q) * log_r) / (q - 2 * m + 1)
+        tail = np.exp(log_c + (2 * m - 2 * j - q) * log_r) / (q + 2 * j - 2 * m)
+        return (1 - x) ** (-2 * j) * tail
 
 
 def _prefactor(m: int, j: int) -> float:
@@ -317,7 +306,10 @@ def _prefactor(m: int, j: int) -> float:
     return float(pref)
 
 
-def _profile(traj, j, eval_radii, decay):
+def _profile(traj, j, eval_radii):
+    refusal, decay = _refusal(traj)
+    if refusal is not None:
+        raise ValueError(refusal)
     radii = np.asarray(eval_radii, dtype=float)
     if radii.ndim != 1 or np.any(np.diff(radii) <= 0):
         raise ValueError("eval_radii must be strictly increasing")
@@ -351,20 +343,21 @@ def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
     Radii past r_end use the moments of [0, r_end] and the same tail
     bound.  Refuses trajectories whose conformal volume has not converged
     (the tail bound would be meaningless)."""
-    return _profile(traj, 0, eval_radii, _check_alpha_converged(traj))
+    return _profile(traj, 0, eval_radii)
 
 
 def compute_lap_v(traj: RadialTrajectory, j: int, eval_radii) -> RadialProfile:
     """Delta^j v at the requested radii through the power kernel and the
     closed-form constant (-1)^j 2^{2j} (j-1)! (m-1)! / ((m-j-1)! |S^{2m}|).
 
-    Same prefix/suffix moment pass and error bar as compute_v.  Radii whose
-    error bar exceeds 1e-5 are skipped: their value is NaN and their error
-    bar infinite."""
+    Same prefix/suffix moment pass and error bar as compute_v.  A radius
+    is kept only if its error bar is at most 1e-5 max(1, |value|); any
+    other radius, a NaN bar included, is skipped: its value is NaN and its
+    error bar infinite."""
     if not 1 <= j <= traj.m - 1:
         raise ValueError("j must lie in 1..m-1")
-    prof = _profile(traj, j, eval_radii, _check_alpha_converged(traj))
-    skip = prof.err > 1e-5
+    prof = _profile(traj, j, eval_radii)
+    skip = ~(prof.err <= 1e-5 * np.maximum(1.0, np.abs(prof.values)))
     prof.values[skip] = math.nan
     prof.err[skip] = math.inf
     return prof

@@ -8,6 +8,8 @@ standard solution pins the full pipeline because u - v must be constant.
 
 import dataclasses
 import math
+import types
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,12 +19,11 @@ from polyliouville.represent import (
     KernelCache,
     _prefactor,
     _tail_bound,
-    _tail_decay,
     compute_lap_v,
     compute_v,
     rescale_check,
 )
-from polyliouville.shooter import shoot, standard_config
+from polyliouville.shooter import shoot, standard_config, standard_solution
 from polyliouville.tailfit import fit_even_polynomial
 
 
@@ -171,36 +172,53 @@ def test_nonstandard_profile_supported(nonstd2):
     )
 
 
-def _tail_bound_reference(traj, r, c, q, j):
-    """The truncated-tail bound at one radius, as a per-radius loop."""
-    if math.isinf(q):
-        return 0.0
-    m = traj.m
-    r_end = traj.r_max
-    s = r_end * np.geomspace(1.0, 1e3, 200)
-    r_eff = min(r, 0.999 * float(s[0]))
-    if j == 0:
-        kb = -np.log1p(-r_eff / s)
-    else:
-        kb = (s - r_eff) ** (-2 * j)
-    integrand = s ** (2 * m - 1) * c * s ** (-q) * kb
-    return float(np.trapezoid(integrand, s))
+def _tail_oracle(m, r_end, r, log_c, q, j):
+    """int_{r_end}^inf C s^(2m-1-q) k_j(r, s) ds by adaptive quadrature, with
+    the exact kernel bounds k_0 = -log(1 - r/s) and k_j = (s - r)^(-2j)."""
+    from scipy.integrate import quad
+
+    def f(s):
+        k = -math.log1p(-r / s) if j == 0 else (s - r) ** (-2 * j)
+        return math.exp(log_c + (2 * m - 1 - q) * math.log(s)) * k
+
+    near, _ = quad(f, r_end, 2 * r_end, epsabs=0.0, epsrel=1e-12, limit=200)
+    far, _ = quad(f, 2 * r_end, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return near + far
 
 
-def test_tail_bound_matches_per_radius_loop(std2, std3_500):
-    # the same operations in the same order, over all radii at once: equal
-    # bits, also for radii at and past r_end and for q = inf (no tail)
-    std1 = shoot(standard_config(1))
-    for traj, _ in (std1, std2, std3_500):
-        r_end = traj.r_max
-        radii = np.append(np.geomspace(1e-3, 3 * r_end, 40), [r_end, 0.9995 * r_end])
-        c, q = _tail_decay(traj)
-        for decay in ((c, q), (c, math.inf)):
-            for j in range(traj.m):
-                want = [_tail_bound_reference(traj, r, *decay, j) for r in radii]
-                got = _tail_bound(traj, radii, *decay, j)
-                assert got.dtype == np.float64
-                assert np.array_equal(got, want), (traj.m, decay, j)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_tail_bound_covers_quadrature_of_kernel_bound(m):
+    # the closed form bounds the kernel bound's integral to infinity, and
+    # is no more than 2 4^j times it at r <= r_end/2
+    r_end = 50.0
+    traj = types.SimpleNamespace(m=m, r_max=r_end)
+    x = np.array([1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+    for q in (2 * m + 0.2, 2 * m + 1.0, 2 * m + 5.0, 40.0):
+        log_c = (q - 2 * m) * math.log(r_end)
+        for j in range(m):
+            got = _tail_bound(traj, x * r_end, log_c, q, j)
+            want = np.array([_tail_oracle(m, r_end, xi * r_end, log_c, q, j) for xi in x])
+            assert np.all(got >= want), (q, j)
+            assert np.all(got[x <= 0.5] <= 2 * 4**j * want[x <= 0.5]), (q, j)
+
+
+@pytest.mark.parametrize("m, r_end", [(4, 300.0), (4, 500.0), (4, 1000.0),
+                                      (5, 100.0), (5, 300.0)])
+def test_standard_high_m_bars_finite_and_covering(m, r_end):
+    # the tail fit reads q in the hundreds to millions on these corrupted
+    # far fields; in logs the bars stay finite and still cover the closed form
+    traj, _ = shoot(standard_config(m, r_end=r_end))
+    radii = np.r_[0.0, np.geomspace(0.1, r_end / 2, 30)]
+    exact = standard_solution(m, 1.0, radii)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        prof = compute_v(traj, radii)
+        laps = [compute_lap_v(traj, j, radii) for j in range(1, m)]
+    assert np.all(np.isfinite(prof.err))
+    assert np.all(np.abs(prof.values + np.log1p(radii**2)) <= prof.err)
+    for j, lap in enumerate(laps, start=1):
+        assert np.all(np.isfinite(lap.err)), j
+        assert np.all(np.abs(lap.values - exact.w[j]) <= lap.err), j
 
 
 def test_truncated_trajectory_rejected():
