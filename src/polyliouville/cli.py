@@ -210,15 +210,13 @@ def _build_parser() -> argparse.ArgumentParser:
     shooting = argparse.ArgumentParser(add_help=False)
     shooting.add_argument("--m", type=_positive_int, required=True)
     shooting.add_argument("--u0", type=float, help="u(0)")
-    shooting.add_argument("--d2", type=float, default=0.0, help="u''(0)")
-    shooting.add_argument("--d4", type=float, default=0.0, help="u''''(0)")
-    shooting.add_argument("--d6", type=float, default=0.0, help="u^(6)(0)")
+    shooting.add_argument("--d2", type=float, help="u''(0), default 0")
+    shooting.add_argument("--d4", type=float, help="u''''(0), default 0")
+    shooting.add_argument("--d6", type=float, help="u^(6)(0), default 0")
     shooting.add_argument("--laplacians", type=_floats,
                           help="comma list A_0,...,A_{m-1} of Delta^j u(0), "
                           "alternative to --u0/--d2/...")
     shooting.add_argument("--r-end", type=float, default=1000.0)
-    shooting.add_argument("--rel-tol", type=float, default=1e-10)
-    shooting.add_argument("--abs-tol", type=float, default=1e-12)
 
     p = sub.add_parser("shoot", parents=[writes, shooting], allow_abbrev=False,
                        help="radial trajectory CSV + diagnostic report JSON")
@@ -308,11 +306,17 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
 
 def _config(args) -> ShootingConfig:
     """The ShootingConfig named by the shooting flags.  Initial data that
-    are missing, or more or fewer than m values, are a usage error."""
+    are missing, more or fewer than m values, or given twice are a usage
+    error, and so is a derivative flag that order m does not take.  A
+    derivative that m takes but that was not given is 0."""
     from .shooter import ShootingConfig
 
     m = args.m
+    derivs = {"--u0": args.u0, "--d2": args.d2, "--d4": args.d4, "--d6": args.d6}
+    given = [flag for flag, value in derivs.items() if value is not None]
     if args.laplacians is not None:
+        if given:
+            raise _UsageError(f"{given[0]} and --laplacians exclude each other")
         if len(args.laplacians) != m:
             raise _UsageError(f"--laplacians must hold {m} values for m = {m}, "
                               f"got {len(args.laplacians)}")
@@ -323,14 +327,14 @@ def _config(args) -> ShootingConfig:
         raise _UsageError(f"--u0/--d2/--d4/--d6 give 4 of the {m} values m = {m} "
                           "needs; use --laplacians")
     else:
-        data = {"initial_derivatives": (args.u0, args.d2, args.d4, args.d6)[:m]}
-    return ShootingConfig(
-        m=m,
-        r_end=args.r_end,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        **data,
-    )
+        taken = list(derivs)[:m]
+        extra = [flag for flag in given if flag not in taken]
+        if extra:
+            raise _UsageError(f"{extra[0]} is not initial data for m = {m}, "
+                              f"which takes {'/'.join(taken)}")
+        data = {"initial_derivatives": tuple(
+            0.0 if derivs[flag] is None else derivs[flag] for flag in taken)}
+    return ShootingConfig(m=m, r_end=args.r_end, **data)
 
 
 def _fit_json(fit) -> dict | None:
@@ -423,6 +427,10 @@ def _cmd_represent(args) -> int:
         raise _UsageError(f"{flag} >= {need} for m = {args.m}: the u - v fit of "
                           f"degree {degree} needs {need} samples, got {count}")
     cfg = _config(args)
+    if args.radii is not None and args.radii[-1] > cfg.r_end:
+        # u is not known past r_end, so neither is the u - v fit there
+        raise _UsageError(f"--radii must not exceed --r-end {cfg.r_end!r}, "
+                          f"got {float(args.radii[-1])!r}")
     out = _resolve_out(args)
     radii = args.radii
     if radii is None:

@@ -75,7 +75,6 @@ precision.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -321,7 +320,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     accepted when the combined 5th/3rd-order error norm is below 1 in
     the scale atol + rtol max(|y_old|, |y_new|), and the next step size is
     scaled by 0.9 err^(-1/8), clipped to [0.2, 10] (to at most 1 right
-    after a rejection).  rtol is raised to 100 eps with a warning.
+    after a rejection).  rtol is used as given; scipy raises one below
+    100 eps, far under the shooter's 3e-12 and 2.4e-11.
 
     events is None or one terminal event function g(t, y), which gets y
     as a list of floats, at step ends and on the interpolant alike, with
@@ -355,9 +355,6 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
         raise ValueError("t_eval must be strictly increasing")
     if events is not None and not getattr(events, "terminal", False):
         raise ValueError("the event function must be terminal")
-    if rtol < 100 * _EPS:
-        warnings.warn(f"rtol below 100 eps; using rtol = {100 * _EPS}", stacklevel=2)
-        rtol = np.maximum(rtol, 100 * _EPS)
     atol = np.asarray(atol)
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):

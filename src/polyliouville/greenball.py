@@ -53,10 +53,6 @@ class RadialProfile:
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
 
-    @property
-    def radius(self) -> float:
-        return float(self.grid[-1])
-
     def to_csv(self, path, header=("r", "value")) -> None:
         cols = [self.grid, self.values]
         if len(header) == 3:

@@ -21,9 +21,9 @@ pair with 7th-order dense output), called through this module's global
 
 Initial data live at r = 0, either as A_j = Delta^j u(0) or as the even
 derivatives u^{(2j)}(0) (odd ones vanish for smooth radial data).  The
-integration starts at r0 = max(1e-6, min(1e-2, abs_tol^(1/4))) from a
-fourth-order Taylor expansion to sidestep the coordinate singularity of the
-radial Laplacian.
+integration starts at r0 = 1e-3 from a fourth-order Taylor expansion to
+sidestep the coordinate singularity of the radial Laplacian, and every run
+steps at rtol = 3e-12 and atol = 3e-14 (see _TOL_SAFETY).
 
 The closed-form family
 
@@ -85,6 +85,9 @@ _EXP_CAP = 700.0  # exp argument clamp; keeps the vector field total
 # (m = 3) on [0, 50].  A safety of 0.3 saves only 22% of the m = 2
 # evaluations and loses a factor 5 in that accuracy.
 _TOL_SAFETY = 0.03
+_RTOL = 1e-10 * _TOL_SAFETY  # 3e-12: the step controller's fixed tolerances
+_ATOL = 1e-12 * _TOL_SAFETY  # 3e-14
+_R0 = 1e-3  # where `series_start` hands over to the stepper
 
 # Companion run for the error estimate integrates at this multiple of the
 # main tolerances; the end-value difference overestimates the main run's
@@ -120,21 +123,19 @@ def derivs_to_laplacians(m, even_derivs):
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Initial data, end radius and requested accuracy of one radial run.
+    """Initial data and end radius of one radial run.
 
     Exactly one of initial_laplacians (A_0..A_{m-1}) and initial_derivatives
     (u(0), u''(0), ..., u^{(2m-2)}(0)) must be provided; derivatives are
-    converted on construction, and the data must be finite.  rel_tol and
-    abs_tol are the requested trajectory accuracies; the step controller
-    runs tighter internally.  r_end must be positive and finite.
+    converted on construction, and the data must be finite.  r_end must be
+    finite and exceed the start radius r0 = 1e-3.  The accuracy is fixed:
+    every run uses the module's tolerances _RTOL and _ATOL.
     """
 
     m: int
     initial_laplacians: tuple[float, ...] | None = None
     initial_derivatives: tuple[float, ...] | None = None
     r_end: float = 1000.0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
 
     def __post_init__(self):
         if self.m < 1:
@@ -159,19 +160,14 @@ class ShootingConfig:
             )
         if not all(map(math.isfinite, self.initial_laplacians)):
             raise ValueError(f"initial data must be finite, got {self.initial_laplacians}")
-        if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
-            raise ValueError("tolerances must lie in (0, 1)")
         if not (self.r_end > 0 and math.isfinite(self.r_end)):
             raise ValueError(f"r_end must be positive and finite, got {self.r_end}")
-        if self.start_radius() >= self.r_end:
-            raise ValueError("start radius must be below r_end")
+        if self.r_end <= _R0:
+            raise ValueError(f"r_end must exceed the start radius {_R0}, got {self.r_end}")
 
     @property
     def n(self) -> int:
         return 2 * self.m
-
-    def start_radius(self) -> float:
-        return max(1e-6, min(1e-2, self.abs_tol**0.25))
 
 
 _FIELD_SOURCE = """\
@@ -260,7 +256,7 @@ def rhs(state, r, m):
 
 
 def series_start(config: ShootingConfig):
-    """Taylor-expanded state at the start radius r0.
+    """Taylor-expanded state at the start radius r0 = _R0.
 
     Returns (r0, y0) with y0 = (w, p, alpha).  Each w_j is expanded to
     O(r0^6) using A_m = sigma_m (2m-1)! exp(2m A_0) and, differentiating
@@ -275,7 +271,7 @@ def series_start(config: ShootingConfig):
     )
     a.append(a_m)
     a.append(a_m * 2 * m * a[1])
-    r0 = config.start_radius()
+    r0 = _R0
     w0 = np.array(
         [
             a[j] + a[j + 1] * r0**2 / (2 * n) + a[j + 2] * r0**4 / (8 * n * (n + 2))
@@ -429,15 +425,16 @@ _m2_u_prime.terminal = True
 _m2_u_prime.direction = 1
 
 
-def _integrate(config: ShootingConfig, t_eval, rtol, atol, events=None):
+def _integrate(config: ShootingConfig, t_eval, looser=1.0, events=None):
+    """One run from the series start at `looser` times the fixed tolerances."""
     r0, y0 = series_start(config)
     return solve_ivp(
         _vector_field(config.m),
         (r0, config.r_end),
         y0,
         t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
+        rtol=_RTOL * looser,
+        atol=_ATOL * looser,
         events=events,
     )
 
@@ -479,14 +476,12 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     near r = 1.46 and still reach r_end).
     """
     m = config.m
-    rtol = config.rel_tol * _TOL_SAFETY
-    atol = config.abs_tol * _TOL_SAFETY
     if m == 2 and config.initial_laplacians[1] >= 0:
         r0, y0 = series_start(config)
         t, y, status, nfev = np.array([r0]), y0[:, None], 1, 0
     else:
-        grid = _geometric_grid(config.start_radius(), config.r_end)
-        sol = _integrate(config, grid, rtol, atol, _m2_u_prime if m == 2 else None)
+        grid = _geometric_grid(_R0, config.r_end)
+        sol = _integrate(config, grid, events=_m2_u_prime if m == 2 else None)
         t, y, status, nfev = sol.t, sol.y, sol.status, sol.nfev
     termination = _TERMINATION[status]
 
@@ -506,15 +501,10 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
 
     w0_err = math.nan
     if termination == "reached_end":
-        coarse = _integrate(
-            config,
-            np.array([config.r_end]),
-            rtol * _COMPANION_FACTOR,
-            atol * _COMPANION_FACTOR,
-        )
+        coarse = _integrate(config, np.array([config.r_end]), _COMPANION_FACTOR)
         if coarse.status == 0:
             diff = abs(float(coarse.y[0, -1]) - traj.w[0, -1])
-            floor = rtol * max(1.0, float(np.max(np.abs(traj.w[0]))))
+            floor = _RTOL * max(1.0, float(np.max(np.abs(traj.w[0]))))
             w0_err = max(diff, floor)
     return traj, diagnose(traj, w0_error_estimate=w0_err)
 

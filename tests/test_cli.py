@@ -200,6 +200,8 @@ def test_shoot_is_deterministic(tmp_path):
 
 def test_unknown_flag_exits_2():
     assert run(["shoot", "--m", "2", "--u0", "0.0", "--frobnicate"]) == 2
+    # the shooting accuracy is fixed, so there is no tolerance flag
+    assert run(["shoot", "--m", "2", "--u0", "0.0", "--rel-tol", "1e-8"]) == 2
 
 
 def test_represent_on_blowup_exits_3(tmp_path, capsys):
@@ -237,16 +239,6 @@ def test_m2_nonnegative_laplacian_is_not_entire(tmp_path, capsys, d2):
     assert "'not_entire'" in capsys.readouterr().err
 
 
-def test_represent_radii_past_r_end_exit_3(tmp_path, capsys):
-    # u is not known past r_end, so neither is the u - v fit there
-    rc = run(
-        ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--r-end", "200",
-         "--radii", "1,5,50,400", "--out", str(tmp_path)]
-    )
-    assert rc == 3
-    assert "beyond the trajectory range" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("radii, entry", [
     ("nan,5,10", "'nan'"),
     ("5,10,inf", "'inf'"),
@@ -265,13 +257,25 @@ def test_represent_bad_radius_exits_2(radii, entry, tmp_path, capsys):
     ("10,5,1e1,20", "radii must be distinct, got 10.0 twice"),
     # the m = 2 fit of u - v has degree 2 and needs 4 samples
     ("0,5,10", "--radii must hold >= 4 for m = 2"),
+    # u is not known past r_end, so neither is the u - v fit there
+    pytest.param("1,2,3,4,1000.5", "--radii must not exceed --r-end 1000.0, got 1000.5",
+                 id="past-r-end"),
 ])
 def test_represent_bad_radius_list_exits_2(radii, message, tmp_path, capsys):
+    out = tmp_path / "out"
     argv = ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--radii", radii,
-            "--out", str(tmp_path)]
+            "--out", str(out)]
     assert run(argv) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "v_profile.csv").exists()
+    assert not out.exists()
+
+
+def test_represent_radius_at_r_end_is_valid(tmp_path):
+    argv = ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--r-end", "200",
+            "--radii", "1,5,50,200", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    rows = read(tmp_path / "v_profile.csv").decode().splitlines()[1:]
+    assert float(rows[-1].split(",")[0]) == 200.0
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.02])
@@ -536,6 +540,7 @@ def test_count_flags_accept_their_lower_bound(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--d2", "inf"], "initial data must be finite"),
     (["--d2", "-3", "--r-end", "inf"], "r_end must be positive and finite"),
+    (["--r-end", "0.0005"], "r_end must exceed the start radius 0.001, got 0.0005"),
 ])
 def test_non_finite_shooting_data_exit_3(flags, message, tmp_path, capsys):
     # +inf data once skipped the m = 2 integration and wrote a verdict
@@ -553,6 +558,13 @@ def test_non_finite_shooting_data_exit_3(flags, message, tmp_path, capsys):
                                 "use --laplacians"),
     (["--m", "2", "--laplacians", "0.1"], "--laplacians must hold 2 values for m = 2, got 1"),
     (["--m", "1", "--laplacians", "0,1"], "--laplacians must hold 1 values for m = 1, got 2"),
+    # a derivative flag that m does not take is no silent no-op
+    (["--m", "2", "--u0", LOG2, "--d2", "-3", "--d4", "5"],
+     "--d4 is not initial data for m = 2, which takes --u0/--d2"),
+    (["--m", "1", "--u0", "0", "--d2", "7"],
+     "--d2 is not initial data for m = 1, which takes --u0"),
+    (["--m", "2", "--u0", "5", "--laplacians", f"{LOG2},-8"],
+     "--u0 and --laplacians exclude each other"),
 ])
 def test_missing_initial_data_exits_2(command, flags, message, tmp_path, capsys):
     # a usage error names the flag and writes nothing; it is no numerical failure

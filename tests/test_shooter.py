@@ -295,7 +295,7 @@ class TestTermination:
         assert cfg.initial_laplacians[1] >= 0.0
         traj, rep = shoot(cfg)
         assert rep.termination == traj.termination == "not_entire"
-        assert traj.grid.tolist() == [0.0, cfg.start_radius()]
+        assert traj.grid.tolist() == [0.0, shooter._R0]
         assert traj.nfev == 0
         assert traj.p[0, -1] > 0.0
         assert math.isnan(rep.w0_error_estimate)
@@ -401,14 +401,13 @@ class TestStepperOracle:
 
     @classmethod
     def _both(cls, cfg, companion):
-        rtol = cfg.rel_tol * shooter._TOL_SAFETY
-        atol = cfg.abs_tol * shooter._TOL_SAFETY
+        rtol, atol = shooter._RTOL, shooter._ATOL
         if companion:
             t_eval = np.array([cfg.r_end])
             rtol, atol = rtol * shooter._COMPANION_FACTOR, atol * shooter._COMPANION_FACTOR
             events = None
         else:
-            t_eval = shooter._geometric_grid(cfg.start_radius(), cfg.r_end)
+            t_eval = shooter._geometric_grid(shooter._R0, cfg.r_end)
             events = shooter._m2_u_prime if cfg.m == 2 else None
         return cls._run_both(cfg, t_eval, rtol, atol, events)
 
@@ -449,12 +448,10 @@ class TestStepperOracle:
         # most steps hold no t_eval point here, unlike on the geometric grid;
         # "r0" and "r_end" are the ends of t_span
         cfg = _ORACLE_CONFIGS[name]
-        ends = {"r0": cfg.start_radius(), "r_end": cfg.r_end}
+        ends = {"r0": shooter._R0, "r_end": cfg.r_end}
         t_eval = np.array([ends.get(p, p) for p in points])
         events = shooter._m2_u_prime if cfg.m == 2 else None
-        rtol = cfg.rel_tol * shooter._TOL_SAFETY
-        atol = cfg.abs_tol * shooter._TOL_SAFETY
-        mine, ref = self._run_both(cfg, t_eval, rtol, atol, events)
+        mine, ref = self._run_both(cfg, t_eval, shooter._RTOL, shooter._ATOL, events)
         self._assert_same(mine, ref, cfg)
         assert (mine.status, len(mine.t)) == (status, count)
 
@@ -465,9 +462,8 @@ class TestStepperOracle:
         cfg = _ORACLE_CONFIGS[name]
         r0, y0 = series_start(cfg)
         field = shooter._vector_field(cfg.m)
-        kwargs = dict(t_eval=shooter._geometric_grid(cfg.start_radius(), cfg.r_end),
-                      rtol=cfg.rel_tol * shooter._TOL_SAFETY,
-                      atol=cfg.abs_tol * shooter._TOL_SAFETY,
+        kwargs = dict(t_eval=shooter._geometric_grid(shooter._R0, cfg.r_end),
+                      rtol=shooter._RTOL, atol=shooter._ATOL,
                       events=shooter._m2_u_prime if cfg.m == 2 else None)
         fused = dop853.solve_ivp(field, (r0, cfg.r_end), y0, **kwargs)
         plain = dop853.solve_ivp(lambda t, y: field(t, y), (r0, cfg.r_end), y0, **kwargs)
