@@ -43,6 +43,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,7 +81,8 @@ def _read_config(path: str) -> list[tuple[str, str]]:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Insert config-file pairs as flags ahead of the explicit ones.
+    """Insert config-file pairs as flags ahead of the explicit ones, each
+    as one --key=value token, so that a value such as -0.3,-8 stays a value.
 
     The file is named by `--config PATH` or `--config=PATH`.  argparse keeps
     the last occurrence of a repeated flag, so explicit command-line flags
@@ -103,8 +105,28 @@ def _inject_config(argv: list[str]) -> list[str]:
     for key, value in _read_config(path):
         flag = "--" + key.replace("_", "-")
         if flag != "--config":
-            extra.extend([flag, value])
+            extra.append(f"{flag}={value}")
     return [argv[0]] + extra + argv[1:]
+
+
+_NEGATIVE = re.compile(r"-[\d.]")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join a long flag and a following negative number into --flag=value.
+
+    argparse reads a token that starts with "-" as a flag unless it looks
+    like a plain negative number (-3, -.5), so "--d2 -2e0" and
+    "--laplacians -0.3,-8" would otherwise lose their value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and flag != "--" and "=" not in flag and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _resolve_out(args) -> Path:
@@ -431,6 +453,9 @@ def _cmd_represent(args) -> int:
         # u is not known past r_end, so neither is the u - v fit there
         raise _UsageError(f"--radii must not exceed --r-end {cfg.r_end!r}, "
                           f"got {float(args.radii[-1])!r}")
+    if args.radii is None and not cfg.r_end > 2:
+        raise _UsageError(f"--r-end must exceed 2 when --radii is not given (the default "
+                          f"radii run from 1 to r_end/2), got {cfg.r_end!r}")
     out = _resolve_out(args)
     radii = args.radii
     if radii is None:
@@ -657,7 +682,7 @@ def run(argv) -> int:
         return 2
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

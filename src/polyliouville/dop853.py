@@ -9,9 +9,10 @@ continuous extension built from three extra stages (Sec. II.6).
 
 `solve_ivp` follows the step controller and the dense-output evaluation
 of scipy's `solve_ivp(method="DOP853")` operation for operation, so both
-return the same t, y, nfev and status bit for bit; tests/test_shooter.py
-holds scipy as the oracle.  Only the bookkeeping around those operations
-differs, to cut interpreter work per step.  The state y, the field
+return the same t, y, nfev and status bit for bit, as long as the
+terminal event changes sign once in the step where it fires;
+tests/test_shooter.py holds scipy as the oracle.  Only the bookkeeping
+around those operations differs, to cut interpreter work per step.  The state y, the field
 values f and the stage arguments are lists of Python floats, and the
 vector field takes and returns such lists.  numpy keeps only what it
 must compute itself: the stage sums K[:s]^T a_s and the weights of
@@ -30,9 +31,9 @@ floats, and each step that holds t_eval points keeps only its 16
 stages.  The dense rows of all kept steps are formed in one batched
 pass after the last step, whose np.matmul runs per step the same BLAS
 product D K as np.dot, and all points are interpolated at once (see
-`solve_ivp`).  The terminal event always gets y as a list: its root is
-bisected on one step's interpolant in Python floats, in the Horner
-order of the vectorised pass.  The coefficients below are transcribed from
+`solve_ivp`).  The terminal event is decided on the points returned,
+not on a root: it always gets y as a list, and it sees exactly the values
+that are returned.  The coefficients below are transcribed from
 scipy's `scipy/integrate/_ivp/dop853_coefficients.py`, which carries
 this notice:
 
@@ -218,7 +219,6 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 8  # the error estimator has order 7
-_EPS = np.finfo(float).eps
 
 
 class OdeResult(NamedTuple):
@@ -272,40 +272,6 @@ def _interpolate(F, step, t_old, y_old, h, t):
     return y.T
 
 
-def _interpolate_at(F, t_old, y_old, h, t):
-    """The interpolant of one step at the single point t, as a list: the
-    operations of `_interpolate` in its order, on Python floats.  F is
-    that step's rows as 7 lists, y_old a list."""
-    x = (t - t_old) / h
-    one_minus_x = 1 - x
-    y = [0.0] * len(y_old)
-    for i in range(6, -1, -1):
-        factor = x if i % 2 == 0 else one_minus_x
-        y = [(yi + fi) * factor for yi, fi in zip(y, F[i])]
-    return [yi + y0 for yi, y0 in zip(y, y_old)]
-
-
-def _root(g, a, b):
-    """A zero of g in [a, b] by bisection, to 4 eps absolute plus relative;
-    g(a) <= 0 <= g(b) or the reverse."""
-    ga = g(a)
-    if ga == 0:
-        return a
-    if g(b) == 0:
-        return b
-    while True:
-        mid = 0.5 * (a + b)
-        if b - a <= 4 * _EPS * (1 + abs(mid)) or mid in (a, b):
-            return mid
-        gm = g(mid)
-        if gm == 0:
-            return mid
-        if (gm > 0) == (ga > 0):
-            a, ga = mid, gm
-        else:
-            b = mid
-
-
 def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     """Integrate y' = fun(t, y) forward over t_span with DOP853 and return
     the solution at the sorted points t_eval.
@@ -323,12 +289,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     after a rejection).  rtol is used as given; scipy raises one below
     100 eps, far under the shooter's 3e-12 and 2.4e-11.
 
-    events is None or one terminal event function g(t, y), which gets y
-    as a list of floats, at step ends and on the interpolant alike, with
-    an optional `direction` attribute (+1: only upward zeros, -1: only
-    downward, 0: both).  When g changes sign over a step, its zero on the
-    dense interpolant ends the run with status 1, and the t_eval points
-    up to that zero are returned.
+    events is None or one event function g(t, y) with the attributes
+    terminal = True and direction = 1 (any other event is a ValueError);
+    g gets y as a list of floats.  A step with g <= 0 at its start and
+    g >= 0 at its end ends the run with status 1.  Its t_eval points are
+    interpolated with all the others, and are returned up to, not
+    including, the first where g > 0.  scipy instead returns the points
+    up to the zero of g on that step's interpolant; both agree whenever
+    g changes sign once in the step.
 
     The loop is organised for little interpreter work per step: y and f
     are lists of floats, and each stage is one BLAS product
@@ -341,9 +309,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     its stages K into the next (16, n) block of a buffer and records
     (t_old, h, y_old, y); the dense rows of all kept steps are formed
     after the last step in one batched pass (`_dense`), and all points are
-    evaluated in one vectorised Horner pass.  Only the event root needs a
-    step's rows at once: it forms that step's rows alone and bisects on
-    its interpolant in Python floats (`_interpolate_at`).
+    evaluated in one vectorised Horner pass.
     """
     t, t_end = map(float, t_span)
     if not t_end > t:
@@ -353,8 +319,9 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
         raise ValueError("t_eval must be 1-D and lie within t_span")
     if np.any(np.diff(t_eval) <= 0):
         raise ValueError("t_eval must be strictly increasing")
-    if events is not None and not getattr(events, "terminal", False):
-        raise ValueError("the event function must be terminal")
+    if events is not None and not (getattr(events, "terminal", False)
+                                   and getattr(events, "direction", 0) == 1):
+        raise ValueError("the event function must be terminal, with direction +1")
     atol = np.asarray(atol)
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
@@ -383,7 +350,6 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     nfev = 2
 
     if events is not None:
-        direction = getattr(events, "direction", 0)
         g = events(t, y)
     K = np.empty((16, n))
     # stage s: (s, node c_s, view K[:s].T, row a_{s,0..s-1}); the 12 stages
@@ -448,29 +414,23 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
         t, y, f, y_abs = t_new, y_new, f_new, y_new_abs
         if t - t_end >= 0:
             status = 0
-        t_stop = t
-        crossing = False
         if events is not None:
             g_new = events(t, y)
-            up = g <= 0 <= g_new
-            down = g >= 0 >= g_new
-            crossing = up and direction >= 0 or down and direction <= 0
+            if g <= 0 <= g_new:
+                status = 1
             g = g_new
-        # the dense output's three extra stages, for the event root or for
-        # the t_eval points this step holds
-        if crossing or i_eval < n_eval and te[i_eval] <= t:
+        i_new = i_eval
+        while i_new < n_eval and te[i_new] <= t:
+            i_new += 1
+        held = i_new - i_eval
+        # the dense output's three extra stages, for the t_eval points this
+        # step holds; a crossing step runs them even without one, as scipy
+        # does for its event root, so that nfev stays scipy's
+        if held or status == 1:
             for s, c, K_T, a in extra_stages:
                 K[s] = stage(t_old + c * h, y_old, K_T.dot(a).tolist(), h)
             nfev += 3
-        if crossing:
-            F = _dense(K[None], np.array([y_old]), np.array([y]), np.array([h]))[0].tolist()
-            t_stop = _root(lambda r: events(r, _interpolate_at(F, t_old, y_old, h, r)),
-                           t_old, t)
-            status = 1
-        i_new = i_eval
-        while i_new < n_eval and te[i_new] <= t_stop:
-            i_new += 1
-        if i_new > i_eval:
+        if held:
             if len(t_olds) == len(K_kept):
                 K_kept = np.concatenate([K_kept, np.empty_like(K_kept)])
             K_kept[len(t_olds)] = K
@@ -478,7 +438,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
             hs.append(h)
             y_olds.append(y_old)
             ys.append(y)
-            counts.append(i_new - i_eval)
+            counts.append(held)
             i_eval = i_new
 
     k = len(t_olds)
@@ -489,4 +449,10 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     step = np.repeat(np.arange(k), counts)
     y_out = _interpolate(F, step, np.array(t_olds)[step], y_olds[step], hs[step],
                          t_eval[:i_eval])
-    return OdeResult(t_eval[:i_eval].copy(), y_out, status, nfev)
+    if status == 1:
+        # the crossing step's points end before the first one past the event
+        for i in range(i_eval - held, i_eval):
+            if events(te[i], y_out[:, i].tolist()) > 0:
+                i_eval = i
+                break
+    return OdeResult(t_eval[:i_eval].copy(), y_out[:, :i_eval], status, nfev)

@@ -246,6 +246,21 @@ class PiRational:
         return f"{head} * {tail}"
 
 
+def _iter_factor(k: int, i: int, n: int) -> int:
+    """Delta^i r^{2k} = _iter_factor * r^{2(k-i)} in R^n; zero for i > k.
+
+    C_k = _iter_factor(k, k, n) = Delta^k r^{2k} is the constant that maps
+    a radial Taylor coefficient to an iterated Laplacian at the origin:
+    Delta^k u(0) = C_k u^{(2k)}(0) / (2k)!.
+    """
+    if i > k:
+        return 0
+    out = 1
+    for t in range(i):
+        out *= (2 * k - 2 * t) * (2 * k - 2 * t + n - 2)
+    return out
+
+
 def pizzetti_coefficients(n: int, count: int) -> list[Fraction]:
     """First `count` coefficients c_0 .. c_{count-1} for dimension n.
 

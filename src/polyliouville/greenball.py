@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactconst import PiRational, constant_table, laplog_coefficients
+from .exactconst import PiRational, _iter_factor, constant_table, laplog_coefficients
 
 
 @dataclass
@@ -65,16 +65,6 @@ class RadialProfile:
 
 
 # -- exact Green function --------------------------------------------------
-
-
-def _iter_factor(k: int, i: int, n: int) -> int:
-    """Delta^i r^{2k} = _iter_factor * r^{2(k-i)}; zero for i > k."""
-    if i > k:
-        return 0
-    out = 1
-    for t in range(i):
-        out *= (2 * k - 2 * t) * (2 * k - 2 * t + n - 2)
-    return out
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dop853 import solve_ivp
-from .exactconst import constant_table, pizzetti_coefficients
+from .exactconst import _iter_factor, constant_table
 from .tailfit import LimitEstimate, tail_limit
 
 __all__ = [
@@ -107,18 +107,14 @@ def derivs_to_laplacians(m, even_derivs):
     """Convert radial even derivatives (u(0), u''(0), ..., u^{(2m-2)}(0))
     to the iterated Laplacians A_j = Delta^j u(0).
 
-    A_j = [n / (c_j (n+2j) (2j)!)] * u^{(2j)}(0) with c_j the ball-average
-    coefficients of the mean value expansion (A_0 = u(0) since c_0 = 1).
+    A_j = [C_j / (2j)!] * u^{(2j)}(0) with C_j = Delta^j r^{2j} in R^{2m}:
+    of the Taylor terms u^{(2k)}(0) r^{2k} / (2k)!, only k = j leaves a
+    constant under Delta^j (A_0 = u(0) since C_0 = 1).
     """
     if len(even_derivs) != m:
         raise ValueError(f"expected {m} derivative values, got {len(even_derivs)}")
-    n = 2 * m
-    ball_c = pizzetti_coefficients(n, m)
-    out = []
-    for j, d in enumerate(even_derivs):
-        factor = Fraction(n) / (ball_c[j] * (n + 2 * j) * math.factorial(2 * j))
-        out.append(float(factor) * d)
-    return tuple(out)
+    return tuple(float(Fraction(_iter_factor(j, j, 2 * m), math.factorial(2 * j))) * d
+                 for j, d in enumerate(even_derivs))
 
 
 @dataclass(frozen=True)

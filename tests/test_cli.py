@@ -270,6 +270,24 @@ def test_represent_bad_radius_list_exits_2(radii, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r_end", ["1.5", "2"])
+def test_represent_short_r_end_without_radii_exits_2(r_end, tmp_path, capsys, monkeypatch):
+    # the default radii run from max(1, r_end/1000) to r_end/2: backwards
+    # below r_end = 2 and all at 1 there, so the usage error comes first,
+    # before the shot and before --out is made
+    def no_shot(cfg):
+        raise AssertionError("represent shot a run it cannot sample")
+
+    monkeypatch.setattr(cli, "shoot", no_shot)
+    out = tmp_path / "out"
+    argv = ["represent", "--m", "1", "--u0", "5.298317366548036", "--r-end", r_end,
+            "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage error: --r-end must exceed 2 when --radii is not given" in err
+    assert not out.exists()
+
+
 def test_represent_radius_at_r_end_is_valid(tmp_path):
     argv = ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--r-end", "200",
             "--radii", "1,5,50,200", "--out", str(tmp_path)]
@@ -366,6 +384,28 @@ def test_config_file_and_explicit_override(tmp_path):
     ) == 0
     blob2 = json.loads(read(out2 / "report.json"))
     assert blob2["r_reached"] == pytest.approx(200.0)
+
+
+_NEGATIVE_DATA = {"laplacians": "-0.3,-8", "u0": "-3e-1", "d2": "-2e0"}
+
+
+@pytest.mark.parametrize("keys", [("laplacians",), ("u0", "d2")])
+@pytest.mark.parametrize("spelling", ["separate", "config"])
+def test_negative_values_parse_in_every_spelling(keys, spelling, tmp_path):
+    # argparse reads "-3e-1" or "-0.3,-8" after a flag as a flag of its own
+    # unless the two are one token "--flag=value"; every spelling must give
+    # the classification of that token
+    joined = [f"--{key}={_NEGATIVE_DATA[key]}" for key in keys]
+    if spelling == "separate":
+        spelled = [token for key in keys for token in (f"--{key}", _NEGATIVE_DATA[key])]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {_NEGATIVE_DATA[key]}\n" for key in keys))
+        spelled = ["--config", str(cfg)]
+    for name, flags in (("joined", joined), ("spelled", spelled)):
+        assert run(["classify", "--m", "2", *flags, "--out", str(tmp_path / name)]) == 0
+    assert read(tmp_path / "spelled" / "classification.json") == read(
+        tmp_path / "joined" / "classification.json")
 
 
 def test_config_flag_without_path_exits_2(capsys):
