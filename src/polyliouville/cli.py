@@ -309,7 +309,7 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
     from .represent import far_field_ready
 
     traj, rep = shoot(cfg)
-    if radii is None and far_field_ready(traj):
+    if radii is None and far_field_ready(traj, rep.w0_error_estimate):
         radii = _far_field_radii(traj.r_max)
     if radii is None:
         vprof = fit = None

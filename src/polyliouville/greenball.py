@@ -152,8 +152,22 @@ def green_ball(m: int) -> GreenBall:
 # -- radial Navier solve ---------------------------------------------------
 
 
-def panel_moment(a, x, coef, p: int):
-    """int_a^{a+x} (c0 + c1 tau + ...) s^p ds, tau = s - a, elementwise.
+def powers(x, top: int, table: list | None = None) -> list:
+    """The power table [x**0, x**1, ..., x**top] that panel_moment reads.
+
+    A table of the same x passed in is extended in place through x**top,
+    so each power is taken once however many moments read it.  Every entry
+    is the plain `x ** e`, so a moment from tables has the bits of one
+    that raised x again for every term."""
+    table = [] if table is None else table
+    table.extend(x ** e for e in range(len(table), top + 1))
+    return table
+
+
+def panel_moment(a_pow, x_pow, coef, p: int):
+    """int_a^{a+x} (c0 + c1 tau + ...) s^p ds, tau = s - a, elementwise,
+    from the power tables a_pow of a (through a**p) and x_pow of x (through
+    x**(p + len(coef))); see `powers`.
 
     s^p is expanded binomially about a into nonnegative terms, so the
     weight's high-order vanishing at 0 costs no accuracy; plain trapezoid
@@ -162,9 +176,9 @@ def panel_moment(a, x, coef, p: int):
     nonnegative (the discrete maximum principle of navier_solve_radial)."""
     out = 0.0
     for i in range(p + 1):
-        w = math.comb(p, i) * a ** (p - i)
+        w = math.comb(p, i) * a_pow[p - i]
         for k, c in enumerate(coef):
-            out = out + c * w * x ** (i + k + 1) / (i + k + 1)
+            out = out + c * w * x_pow[i + k + 1] / (i + k + 1)
     return out
 
 
@@ -202,8 +216,10 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return result
 
 
-def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """Solve -Delta z = g radially on [0, R], z(R) = 0, z'(0) = 0."""
+def _radial_inverter(grid: np.ndarray, n: int):
+    """invert_minus_laplacian_radial on one grid and dimension, as a
+    function of g alone: the panel power tables are built once and serve
+    every source g."""
     grid = np.asarray(grid, dtype=float)
     a, b = grid[:-1], grid[1:]
     # -z'(r) = int_0^r (t/r)^{n-1} g dt, with g linear on each panel [a, b].
@@ -211,32 +227,42 @@ def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np
     # int_a^b (t/b)^{n-1} g dt, so that no power of a small radius
     # underflows to 0 at large n.
     x = np.diff(grid) / b
-    panels = b * panel_moment(a / b, x, (g[:-1], np.diff(g) / x), n - 1)
-    shrink = (a / b) ** (n - 1)
-    integrand = np.zeros_like(grid)
-    acc = 0.0
-    for i, (q, panel) in enumerate(zip(shrink.tolist(), panels.tolist()), start=1):
-        acc = acc * q + panel
-        integrand[i] = acc
-    cum = _cumulative_trapezoid(integrand, grid)
-    return cum[-1] - cum
+    ratio_pow, x_pow = powers(a / b, n - 1), powers(x, n + 1)
+    shrink = ratio_pow[n - 1].tolist()
+
+    def invert(g: np.ndarray) -> np.ndarray:
+        panels = b * panel_moment(ratio_pow, x_pow, (g[:-1], np.diff(g) / x), n - 1)
+        integrand = np.zeros_like(grid)
+        acc = 0.0
+        for i, (q, panel) in enumerate(zip(shrink, panels.tolist()), start=1):
+            acc = acc * q + panel
+            integrand[i] = acc
+        cum = _cumulative_trapezoid(integrand, grid)
+        return cum[-1] - cum
+
+    return invert
+
+
+def invert_minus_laplacian_radial(grid: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Solve -Delta z = g radially on [0, R], z(R) = 0, z'(0) = 0."""
+    return _radial_inverter(grid, n)(g)
 
 
 def navier_solve_radial(f: RadialProfile) -> RadialProfile:
     """Solve (-Delta)^m v = f on the ball with Navier conditions, radially.
 
-    m = f.m iterated Dirichlet inversions of -Delta on the profile's grid.
-    The grid must start at 0. For f >= 0 every intermediate stage is >= 0
-    (discrete maximum principle, inherited from nonnegative quadrature
-    weights).
+    m = f.m iterated Dirichlet inversions of -Delta on the profile's grid,
+    all reading one set of panel power tables.  The grid must start at 0.
+    For f >= 0 every intermediate stage is >= 0 (discrete maximum
+    principle, inherited from nonnegative quadrature weights).
     """
     m = f.m
     if f.grid[0] != 0.0:
         raise ValueError("grid must start at r = 0")
-    n = 2 * m
+    invert = _radial_inverter(f.grid, 2 * m)
     v = f.values
     for _ in range(m):
-        v = invert_minus_laplacian_radial(f.grid, v, n)
+        v = invert(v)
     return RadialProfile(grid=f.grid.copy(), values=v, m=m)
 
 

@@ -36,7 +36,12 @@ the kernel at s = r costs no accuracy.  Suffix moments are
 accumulated from the far end: total minus prefix would cancel
 catastrophically once multiplied by r^{2k}.  Radii at or beyond r_end
 take P = total and Q = 0.  One pass over the grid serves every radius, so
-the cost grows with panels + radii, not with their product.
+the cost grows with panels + radii, not with their product.  Within a
+pass each power of a panel array is taken once, into a table
+(`greenball.powers`) that every p and both the plain and the log moments
+read, and each moment is formed only on the side of the kink its sum
+needs: P for the inner sums, the mass and the log moment, Q for the outer
+sums.
 
 Error bars are additive and conservative: a radial Richardson term (the
 same scheme on the 2x-decimated grid, odd nodes acting as midpoints) plus
@@ -59,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exactconst import constant_table
-from .greenball import RadialProfile, panel_moment
+from .greenball import RadialProfile, panel_moment, powers
 from .shooter import _EXP_CAP, RadialTrajectory
 
 __all__ = [
@@ -167,6 +172,7 @@ class _SeparableIntegral:
         g_r, g_lower, g_upper = np.split(
             _density_at(traj, np.concatenate([r, 0.5 * (a + r), 0.5 * (r + b)])), 3)
         self.a, self.r, self.x_lower, self.x_upper = a, r, r - a, b - r
+        self.tables = {}
         # (whole panels, [a, r], [r, b]) for g and for g log s
         self.quad = {}
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -184,25 +190,32 @@ class _SeparableIntegral:
                                f(0.5 * (r + b), g_upper)),
                 )
 
-    def _split(self, p: int, log: bool = False):
-        """(P, Q): moments of g s^p (g s^p log s if log) below and above each
-        radius.  Suffixes add up from the far end; radii at or past the last
-        node clamp to P = total and Q = 0."""
+    def _moment(self, left: str, width: str, coef, p: int):
+        """panel_moment on the panels that start at self.<left> and are
+        self.<width> wide, from power tables that every moment of the pass
+        shares."""
+        a_pow = powers(getattr(self, left), p, self.tables.setdefault(left, []))
+        x_pow = powers(getattr(self, width), p + len(coef), self.tables.setdefault(width, []))
+        return panel_moment(a_pow, x_pow, coef, p)
+
+    def _split(self, p: int, side: str, log: bool = False):
+        """The moment of g s^p (g s^p log s if log) below each radius if
+        side is "P", above it if "Q".  Suffixes add up from the far end;
+        radii at or past the last node clamp to P = total and Q = 0."""
         whole, lower, upper = self.quad[log]
-        full = panel_moment(self.lo, self.h, whole, p)
+        full = self._moment("lo", "h", whole, p)
+        if log:
+            g_whole, g_lower, _ = self.quad[False]
+            full[0] = _log_moment_from_zero(self.h[0], [c[0] for c in g_whole], p)
         with np.errstate(invalid="ignore"):
-            part_lower = np.where(self.x_lower > 0,
-                                  panel_moment(self.a, self.x_lower, lower, p), 0.0)
-            part_upper = np.where(self.x_upper > 0,
-                                  panel_moment(self.r, self.x_upper, upper, p), 0.0)
+            if side == "Q":
+                part = np.where(self.x_upper > 0, self._moment("r", "x_upper", upper, p), 0.0)
+                return np.concatenate([np.cumsum(full[::-1])[::-1], [0.0]])[self.i + 1] + part
+            part = np.where(self.x_lower > 0, self._moment("a", "x_lower", lower, p), 0.0)
             if log:
-                g_whole, g_lower, _ = self.quad[False]
-                full[0] = _log_moment_from_zero(self.h[0], [c[0] for c in g_whole], p)
-                part_lower = np.where(
-                    self.a == 0, _log_moment_from_zero(self.x_lower, g_lower, p), part_lower)
-        below = np.concatenate([[0.0], np.cumsum(full)])
-        above = np.concatenate([np.cumsum(full[::-1])[::-1], [0.0]])
-        return below[self.i] + part_lower, above[self.i + 1] + part_upper
+                part = np.where(
+                    self.a == 0, _log_moment_from_zero(self.x_lower, g_lower, p), part)
+        return np.concatenate([[0.0], np.cumsum(full)])[self.i] + part
 
     def integral(self, coeffs, j: int):
         """int_0^{r_end} g(s) s^{n-1} avg_kernel_j(r, s) ds at every radius."""
@@ -213,11 +226,11 @@ class _SeparableIntegral:
             for k, c in enumerate(coeffs[j]):
                 if c == 0.0:
                     continue
-                inner += c * radii ** (-2 * j - 2 * k) * self._split(n - 1 + 2 * k)[0]
-                outer += c * radii ** (2 * k) * self._split(n - 1 - 2 * j - 2 * k)[1]
+                inner += c * radii ** (-2 * j - 2 * k) * self._split(n - 1 + 2 * k, "P")
+                outer += c * radii ** (2 * k) * self._split(n - 1 - 2 * j - 2 * k, "Q")
             if j == 0:
-                mass = self._split(n - 1)[0]
-                inner += self._split(n - 1, log=True)[0] - np.log(radii) * mass
+                mass = self._split(n - 1, "P")
+                inner += self._split(n - 1, "P", log=True) - np.log(radii) * mass
             # every s < r term carries a prefix moment that vanishes at r = 0
             inner = np.where(radii > 0, inner, 0.0)
         return inner + outer
@@ -269,11 +282,14 @@ def _refusal(traj: RadialTrajectory):
     return None, decay
 
 
-def far_field_ready(traj: RadialTrajectory) -> bool:
-    """Whether traj can be judged in the far field: it reached r_end >= 100
-    and compute_v accepts it.  The one rule behind `cli.analyze`'s default
-    radii and `classify`'s gate."""
-    return traj.r_max >= 100.0 and _refusal(traj)[0] is None
+def far_field_ready(traj: RadialTrajectory, w0_error_estimate: float) -> bool:
+    """Whether traj can be judged in the far field: it reached r_end >= 100,
+    compute_v accepts it, and the companion run's w0_error_estimate is at
+    most 1e-3 max(1, |u(r_end)|), a NaN estimate failing.  The one rule
+    behind `cli.analyze`'s default radii and `classify`'s gate."""
+    return (traj.r_max >= 100.0
+            and w0_error_estimate <= 1e-3 * max(1.0, abs(float(traj.u[-1])))
+            and _refusal(traj)[0] is None)
 
 
 def _tail_bound(traj, radii, log_c, q, j):
@@ -294,11 +310,12 @@ def _tail_bound(traj, radii, log_c, q, j):
         return (1 - x) ** (-2 * j) * tail
 
 
+@functools.cache
 def _prefactor(m: int, j: int) -> float:
     """The factor in front of the radial integral for Delta^j v, rounded once
     from its exact rational: 2 omega_{2m}/|S^{2m}| for j = 0 (the
     (2m-1)!/gamma_m of v times the sphere measure), and that times
-    (-1)^j laplog_j for j >= 1."""
+    (-1)^j laplog_j for j >= 1.  Cached: each (m, j) is reduced once."""
     tab = constant_table(m)
     pref = 2 * tab.omega_n / tab.vol_sphere_2m
     if j:

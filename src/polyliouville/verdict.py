@@ -185,8 +185,10 @@ def classify(
     fit of u - v samples (representation module), or None when no v samples
     were taken, which leaves criterion (iv) inconclusive.  A run that
     `far_field_ready` rejects (truncated, r_end < 100, unconverged
-    conformal volume or too slow a decay of exp(2mu)) yields
-    all-inconclusive verdicts with vacuous agreement rather than guesses.
+    conformal volume, too slow a decay of exp(2mu), or a companion-run
+    estimate of the end error of u that is NaN or above 1e-3 max(1,
+    |u(r_end)|)) yields all-inconclusive verdicts with vacuous agreement
+    rather than guesses.
     Criteria (v) and (vi) read the tail arrays that `diagnose` stored in
     report; every run judged here reached r_end >= 100 on the 1.01-ratio
     grid, so its tail window holds more than the 12 samples diagnose needs
@@ -201,7 +203,7 @@ def classify(
     if fit is not None and fit.r_max > traj.r_max * (1 + 1e-12):
         raise ValueError("fit uses samples beyond the trajectory range")
 
-    if not far_field_ready(traj):
+    if not far_field_ready(traj, report.w0_error_estimate):
         criteria = dict.fromkeys(_TABLE, (math.nan, "inconclusive"))
     else:
         criteria = {name: test(traj, report, fit) for name, (_, test) in _TABLE.items()}

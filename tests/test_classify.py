@@ -5,6 +5,7 @@ run as nonstandard, and anything truncated must come back inconclusive
 instead of guessed.
 """
 
+import dataclasses
 import json
 import math
 import runpy
@@ -15,6 +16,7 @@ import pytest
 
 from polyliouville.verdict import ClassificationReport, classify
 from polyliouville.cli import _write_json, analyze
+from polyliouville.represent import far_field_ready
 from polyliouville.shooter import ShootingConfig, diagnose, shoot, standard_config
 from polyliouville.tailfit import fit_even_polynomial
 
@@ -70,6 +72,34 @@ def test_truncated_run_is_inconclusive():
     assert report.overall == "inconclusive"
     assert report.agreement  # vacuously: nothing decided
     assert report.deltaa_estimate is None
+
+
+@pytest.mark.parametrize("r_end", [100.0, 1000.0])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_standard_family_never_called_nonstandard(m, r_end):
+    # from m = 4 on the far field of u reads float64 roundoff; the companion
+    # run's end-error estimate, NaN at m = 6 and 8, shuts the gate there
+    assert analyze(standard_config(m, r_end=r_end)).verdict.overall != "nonstandard"
+
+
+def test_error_gate_is_relative_to_u():
+    # an estimate of 0.04 is large in absolute terms but tiny against
+    # |u(500)| ~ 1.4e10, so this nonstandard run is still judged
+    a = analyze(ShootingConfig(m=3, initial_derivatives=(math.log(2.0), -2.2, 4.0),
+                               r_end=500.0))
+    assert a.report.w0_error_estimate > 1e-2
+    assert a.verdict.overall == "nonstandard"
+    assert a.verdict.agreement
+
+
+def test_nan_error_estimate_is_refused(std2):
+    traj, rep = std2
+    assert far_field_ready(traj, rep.w0_error_estimate)
+    blind = dataclasses.replace(rep, w0_error_estimate=math.nan)
+    assert not far_field_ready(traj, blind.w0_error_estimate)
+    report = classify(traj, blind, None)
+    assert {verdict for _, verdict in report.criteria.values()} == {"inconclusive"}
+    assert report.overall == "inconclusive"
 
 
 def test_mismatched_inputs_rejected(std2):

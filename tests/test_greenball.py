@@ -21,6 +21,8 @@ from polyliouville.greenball import (
     green_ball,
     invert_minus_laplacian_radial,
     navier_solve_radial,
+    panel_moment,
+    powers,
 )
 from polyliouville.polyfield import PolynomialND
 
@@ -152,6 +154,60 @@ def test_maximum_principle_chain(m):
     v = navier_solve_radial(RadialProfile(grid, f, m=m))
     assert np.min(v.values) > -1e-15
     np.testing.assert_allclose(v.values, stage, atol=1e-14)
+
+
+def _panel_moment_reference(a, x, coef, p):
+    """panel_moment as it was before power tables: a and x raised again for
+    every term.  The table form must match it bit for bit."""
+    out = 0.0
+    for i in range(p + 1):
+        w = math.comb(p, i) * a ** (p - i)
+        for k, c in enumerate(coef):
+            out = out + c * w * x ** (i + k + 1) / (i + k + 1)
+    return out
+
+
+def _invert_reference(grid, g, n):
+    """invert_minus_laplacian_radial on _panel_moment_reference."""
+    a, b = grid[:-1], grid[1:]
+    x = np.diff(grid) / b
+    panels = b * _panel_moment_reference(a / b, x, (g[:-1], np.diff(g) / x), n - 1)
+    shrink = (a / b) ** (n - 1)
+    integrand = np.zeros_like(grid)
+    acc = 0.0
+    for i, (q, panel) in enumerate(zip(shrink.tolist(), panels.tolist()), start=1):
+        acc = acc * q + panel
+        integrand[i] = acc
+    cum = _cumulative_trapezoid(integrand, grid)
+    return cum[-1] - cum
+
+
+@pytest.mark.parametrize("ncoef", [2, 3])
+@pytest.mark.parametrize("p", [*range(13), 63, 239])
+def test_panel_moment_tables_keep_every_bit(p, ncoef):
+    rng = np.random.default_rng(100 * p + ncoef)
+    a, x = rng.uniform(0.0, 2.0, 64), rng.uniform(0.0, 1.0, 64)
+    a[:8], x[4:12] = 0.0, 0.0
+    coef = tuple(rng.normal(size=64) for _ in range(ncoef))
+    want = _panel_moment_reference(a, x, coef, p)
+    got = panel_moment(powers(a, p), powers(x, p + ncoef), coef, p)
+    assert got.tobytes() == want.tobytes()
+    # a table extended in place holds the same entries as a fresh one
+    grown = powers(x, p + ncoef, powers(x, p // 2))
+    assert [t.tobytes() for t in grown] == [t.tobytes() for t in powers(x, p + ncoef)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 40])
+def test_navier_solve_keeps_every_bit(m):
+    grid = np.linspace(0, 1, 201)
+    f = (1 - grid**2) ** 2 * np.exp(grid)
+    want = f
+    for _ in range(m):
+        want = _invert_reference(grid, want, 2 * m)
+    got = navier_solve_radial(RadialProfile(grid, f, m=m)).values
+    assert got.tobytes() == want.tobytes()
+    once = invert_minus_laplacian_radial(grid, f, 2 * m)
+    assert once.tobytes() == _invert_reference(grid, f, 2 * m).tobytes()
 
 
 def test_exp_integrability_zero_profile():

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polyliouville import represent
 from polyliouville.represent import (
     KernelCache,
     _prefactor,
@@ -25,6 +26,7 @@ from polyliouville.represent import (
 )
 from polyliouville.shooter import shoot, standard_config, standard_solution
 from polyliouville.tailfit import fit_even_polynomial
+from test_greenball import _panel_moment_reference
 
 
 def test_kernel_average_m1_closed_form():
@@ -244,3 +246,70 @@ def test_prefactor_is_its_exact_rational(m):
         lap = Fraction(2 ** (2 * j - 1) * math.factorial(j - 1) * math.factorial(m - 1),
                        math.factorial(m - j - 1))
         assert _prefactor(m, j) == float((-1) ** j * lap * base), (m, j)
+
+
+def _split_reference(sep, p, log=False):
+    """(P, Q) as `_SeparableIntegral._split` gave them before power tables:
+    both sides at once, every moment from the raw panel arrays."""
+    whole, lower, upper = sep.quad[log]
+    full = _panel_moment_reference(sep.lo, sep.h, whole, p)
+    with np.errstate(invalid="ignore"):
+        part_lower = np.where(sep.x_lower > 0,
+                              _panel_moment_reference(sep.a, sep.x_lower, lower, p), 0.0)
+        part_upper = np.where(sep.x_upper > 0,
+                              _panel_moment_reference(sep.r, sep.x_upper, upper, p), 0.0)
+        if log:
+            g_whole, g_lower, _ = sep.quad[False]
+            full[0] = represent._log_moment_from_zero(sep.h[0], [c[0] for c in g_whole], p)
+            part_lower = np.where(
+                sep.a == 0, represent._log_moment_from_zero(sep.x_lower, g_lower, p),
+                part_lower)
+    below = np.concatenate([[0.0], np.cumsum(full)])
+    above = np.concatenate([np.cumsum(full[::-1])[::-1], [0.0]])
+    return below[sep.i] + part_lower, above[sep.i + 1] + part_upper
+
+
+def _radii(traj):
+    """r = 0, off-grid radii, a node, the last node and past it."""
+    return np.r_[0.0, np.geomspace(0.1, traj.r_max / 2, 40), traj.grid[60],
+                 traj.r_max, 1.5 * traj.r_max]
+
+
+@pytest.mark.parametrize("run", ["nonstd2", "std3_500"])
+def test_one_sided_split_keeps_every_bit(run, request):
+    traj, _ = request.getfixturevalue(run)
+    grid = traj.grid
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    sep = represent._SeparableIntegral(
+        grid, mids, represent._density(traj), represent._density_at(traj, mids),
+        np.unique(_radii(traj)), traj)
+    top = 4 * traj.m
+    # highest p first, so later calls read tables grown for earlier ones
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in range(top, -1, -1):
+            for log in (False, True):
+                want = _split_reference(sep, p, log)
+                for side, ref in zip("PQ", want):
+                    got = sep._split(p, side, log)
+                    assert got.tobytes() == ref.tobytes(), (p, side, log)
+
+
+@pytest.mark.parametrize("run", ["std1", "std2", "std3_500", "nonstd2"])
+def test_power_tables_keep_every_bit(run, request, monkeypatch):
+    # v and Delta^j v with their bars, against the moment pass as it was
+    if run == "std1":
+        traj, _ = shoot(standard_config(1))
+    else:
+        traj, _ = request.getfixturevalue(run)
+    radii = np.unique(_radii(traj))
+
+    def profiles():
+        out = [compute_v(traj, radii)]
+        out += [compute_lap_v(traj, j, radii) for j in range(1, traj.m)]
+        return [(prof.values.tobytes(), prof.err.tobytes()) for prof in out]
+
+    got = profiles()
+    monkeypatch.setattr(represent._SeparableIntegral, "_split",
+                        lambda sep, p, side, log=False: _split_reference(sep, p, log)[
+                            "PQ".index(side)])
+    assert profiles() == got
