@@ -99,79 +99,68 @@ class ClassificationReport:
         })
 
 
-def _crit_ii(traj, report, fit) -> tuple[float, str]:
+def _stat_ii(traj, report, fit):
     if not report.delta_limits:
         # m = 1 has no Laplacian iterate to test; other criteria decide
-        return (math.nan, "inconclusive")
+        return math.nan, False
     est = report.delta_limits[0]
-    stat = est.value
-    if not math.isfinite(stat) or est.confidence > EPS_STD:
-        return (stat, "inconclusive")
-    if abs(stat) < EPS_STD:
-        return (stat, "standard")
-    if stat < -EPS_STD:
-        return (stat, "nonstandard")
-    return (stat, "inconclusive")
+    # a NaN confidence is judged, as only a spread above EPS_STD refuses
+    return est.value, math.isfinite(est.value) and not est.confidence > EPS_STD
 
 
-def _crit_iii(traj, report, fit) -> tuple[float, str]:
+def _stat_iii(traj, report, fit):
     stat = float(traj.w[0][-1] / traj.r_max**2)
-    if not math.isfinite(stat):
-        return (stat, "inconclusive")
-    if abs(stat) < EPS_GROWTH:
-        return (stat, "standard")
-    if stat < -EPS_GROWTH:
-        return (stat, "nonstandard")
-    return (stat, "inconclusive")
+    return stat, math.isfinite(stat)
 
 
-def _crit_iv(traj, report, fit) -> tuple[float, str]:
+def _stat_iv(traj, report, fit):
     if fit is None:
-        return (math.nan, "inconclusive")
+        return math.nan, False
     deg = fit.inferred_degree
-    if deg == 0:
-        return (float(deg), "standard")
-    if deg >= 2 and fit.leading_coefficient < 0:
-        return (float(deg), "nonstandard")
-    return (float(deg), "inconclusive")
+    return float(deg), deg == 0 or fit.leading_coefficient < 0
 
 
-def _crit_v(traj, report, fit) -> tuple[float, str]:
+def _stat_v(traj, report, fit):
     rg = report.scalar_curvature_tail[1]
-    rg = rg[np.isfinite(rg) | (rg == -np.inf)]
+    rg = rg[rg < np.inf]  # drops NaN and +inf, keeps -inf
     if rg.size == 0:
-        return (math.nan, "inconclusive")
-    stat = float(np.min(rg))
-    if math.isnan(stat):
-        return (stat, "inconclusive")
-    return (stat, "standard" if stat > -R_BIG else "nonstandard")
+        return math.nan, False
+    return float(np.min(rg)), True
 
 
-def _crit_vi(traj, report, fit) -> tuple[float, str]:
+def _stat_vi(traj, report, fit):
     rho = report.rho1_tail[1]
     rho = rho[np.isfinite(rho)]
     if rho.size == 0:
-        return (math.nan, "inconclusive")
-    if np.max(rho) == 0.0:
-        # rho_1 underflowed across the whole tail window: decayed to 0
-        return (0.0, "nonstandard")
-    stat = float(rho[-1] / np.max(rho))
-    if stat >= _RHO1_STD:
-        return (stat, "standard")
-    if stat < _RHO1_DECAYED:
-        return (stat, "nonstandard")
-    return (stat, "inconclusive")
+        return math.nan, False
+    peak = np.max(rho)
+    # a peak of 0: rho_1 underflowed across the whole tail window
+    return (float(rho[-1] / peak) if peak != 0.0 else 0.0), True
 
 
-# The criteria in report order: name -> (threshold written to JSON, test on
-# the run's trajectory, report and u - v fit).
+# The criteria in report order: name -> (threshold written to JSON,
+# statistic (traj, report, fit) -> (stat, judged), standard test,
+# nonstandard test).  `_decide` applies the one rule to every row.
 _TABLE = {
-    "ii": (EPS_STD, _crit_ii),
-    "iii": (EPS_GROWTH, _crit_iii),
-    "iv": (0.0, _crit_iv),
-    "v": (-R_BIG, _crit_v),
-    "vi": (_RHO1_STD, _crit_vi),
+    "ii": (EPS_STD, _stat_ii, lambda s: abs(s) < EPS_STD, lambda s: s < -EPS_STD),
+    "iii": (EPS_GROWTH, _stat_iii, lambda s: abs(s) < EPS_GROWTH, lambda s: s < -EPS_GROWTH),
+    "iv": (0.0, _stat_iv, lambda deg: deg == 0, lambda deg: deg >= 2),
+    "v": (-R_BIG, _stat_v, lambda s: s > -R_BIG, lambda s: s <= -R_BIG),
+    "vi": (_RHO1_STD, _stat_vi, lambda s: s >= _RHO1_STD, lambda s: s < _RHO1_DECAYED),
 }
+
+
+def _decide(row, traj, report, fit) -> tuple[float, str]:
+    """(statistic, verdict) of one _TABLE row: "standard" if the row is
+    judged and passes its standard test, else "nonstandard" if judged and
+    passing its nonstandard test, else "inconclusive"."""
+    _, statistic, standard, nonstandard = row
+    stat, judged = statistic(traj, report, fit)
+    if judged and standard(stat):
+        return stat, "standard"
+    if judged and nonstandard(stat):
+        return stat, "nonstandard"
+    return stat, "inconclusive"
 
 
 def classify(
@@ -184,11 +173,8 @@ def classify(
     traj and report must come from the same run; fit is the even-polynomial
     fit of u - v samples (representation module), or None when no v samples
     were taken, which leaves criterion (iv) inconclusive.  A run that
-    `far_field_ready` rejects (truncated, r_end < 100, unconverged
-    conformal volume, too slow a decay of exp(2mu), or a companion-run
-    estimate of the end error of u that is NaN or above 1e-3 max(1,
-    |u(r_end)|)) yields all-inconclusive verdicts with vacuous agreement
-    rather than guesses.
+    `represent.far_field_ready` rejects yields all-inconclusive verdicts
+    with vacuous agreement rather than guesses.
     Criteria (v) and (vi) read the tail arrays that `diagnose` stored in
     report; every run judged here reached r_end >= 100 on the 1.01-ratio
     grid, so its tail window holds more than the 12 samples diagnose needs
@@ -206,7 +192,7 @@ def classify(
     if not far_field_ready(traj, report.w0_error_estimate):
         criteria = dict.fromkeys(_TABLE, (math.nan, "inconclusive"))
     else:
-        criteria = {name: test(traj, report, fit) for name, (_, test) in _TABLE.items()}
+        criteria = {name: _decide(row, traj, report, fit) for name, row in _TABLE.items()}
     decided = [v for _, v in criteria.values() if v != "inconclusive"]
     agreement = len(set(decided)) <= 1
     overall = decided[0] if decided and agreement else "inconclusive"

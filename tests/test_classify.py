@@ -14,11 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyliouville.verdict import ClassificationReport, classify
+from polyliouville import verdict
+from polyliouville.verdict import (EPS_GROWTH, EPS_STD, R_BIG, ClassificationReport,
+                                   classify)
 from polyliouville.cli import _write_json, analyze
 from polyliouville.represent import far_field_ready
 from polyliouville.shooter import ShootingConfig, diagnose, shoot, standard_config
-from polyliouville.tailfit import fit_even_polynomial
+from polyliouville.tailfit import LimitEstimate, fit_even_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +176,114 @@ def test_classification_sweep_demo(capsys):
     assert all(row[7] == "True" for row in rows)
     # the round sphere's u - v is the constant log 2
     assert rows[5][5] == "0.6931"
+
+
+# --- each row's decision at its edges, on synthetic statistics ---
+
+NAN, INF = math.nan, math.inf
+IN, OUT = 1 - 1e-9, 1 + 1e-9  # just inside and just outside a threshold
+
+
+def _limit(value, confidence=0.0):
+    return {"delta_limits": [LimitEstimate(value, confidence, 40)]}
+
+
+def _curvature(*vals):
+    return {"scalar_curvature_tail": (np.arange(1.0, len(vals) + 1), np.array(vals))}
+
+
+def _rho1(*vals):
+    return {"rho1_tail": (np.arange(1.0, len(vals) + 1), np.array(vals))}
+
+
+def _growth(c, u_end=None):
+    """A run on the grid 0, 1, .., 1024 with u = c r^2 and no volume, so
+    that criterion (iii) reads c; u_end overrides u at r_end."""
+    return {"growth": (c, u_end)}
+
+
+def _fit(*coeffs):
+    """Fit of the even polynomial sum coeffs[k] r^(2k) on [100, 900]."""
+    r = np.linspace(100.0, 900.0, 24)
+    return {"fit": fit_even_polynomial((r, sum(c * r ** (2 * k) for k, c in enumerate(coeffs))), 4)}
+
+
+_ROWS = [
+    ("ii", _limit(0.0), 0.0, "standard"),
+    ("ii", _limit(EPS_STD), EPS_STD, "inconclusive"),
+    ("ii", _limit(EPS_STD * IN), EPS_STD * IN, "standard"),
+    ("ii", _limit(EPS_STD * OUT), EPS_STD * OUT, "inconclusive"),
+    ("ii", _limit(-EPS_STD), -EPS_STD, "inconclusive"),
+    ("ii", _limit(-EPS_STD * IN), -EPS_STD * IN, "standard"),
+    ("ii", _limit(-EPS_STD * OUT), -EPS_STD * OUT, "nonstandard"),
+    ("ii", _limit(NAN), NAN, "inconclusive"),
+    ("ii", _limit(-INF), -INF, "inconclusive"),
+    ("ii", _limit(INF), INF, "inconclusive"),
+    ("ii", _limit(-1.0, confidence=EPS_STD), -1.0, "nonstandard"),
+    ("ii", _limit(-1.0, confidence=EPS_STD * OUT), -1.0, "inconclusive"),
+    ("ii", _limit(0.0, confidence=EPS_STD * OUT), 0.0, "inconclusive"),
+    ("ii", _limit(-1.0, confidence=NAN), -1.0, "nonstandard"),
+    ("ii", _limit(0.0, confidence=NAN), 0.0, "standard"),
+    ("ii", {"delta_limits": []}, NAN, "inconclusive"),  # m = 1: no Delta u
+    ("iii", _growth(0.0), 0.0, "standard"),
+    ("iii", _growth(EPS_GROWTH), EPS_GROWTH, "inconclusive"),
+    ("iii", _growth(EPS_GROWTH * IN), EPS_GROWTH * IN, "standard"),
+    ("iii", _growth(EPS_GROWTH * OUT), EPS_GROWTH * OUT, "inconclusive"),
+    ("iii", _growth(-EPS_GROWTH), -EPS_GROWTH, "inconclusive"),
+    ("iii", _growth(-EPS_GROWTH * IN), -EPS_GROWTH * IN, "standard"),
+    ("iii", _growth(-EPS_GROWTH * OUT), -EPS_GROWTH * OUT, "nonstandard"),
+    ("iii", _growth(0.0, u_end=NAN), NAN, "inconclusive"),
+    ("iii", _growth(0.0, u_end=-INF), -INF, "inconclusive"),
+    ("iii", _growth(0.0, u_end=INF), INF, "inconclusive"),
+    ("iv", {"fit": None}, NAN, "inconclusive"),
+    ("iv", _fit(0.7), 0.0, "standard"),
+    ("iv", _fit(0.7, -2e-3), 2.0, "nonstandard"),
+    ("iv", _fit(0.7, 2e-3), 2.0, "inconclusive"),
+    ("iv", _fit(0.7, 0.0, -1e-9), 4.0, "nonstandard"),
+    ("iv", _fit(0.7, 0.0, 1e-9), 4.0, "inconclusive"),
+    ("v", _curvature(12.0, 12.0), 12.0, "standard"),
+    ("v", _curvature(1.0, -R_BIG), -R_BIG, "nonstandard"),
+    ("v", _curvature(1.0, -R_BIG * IN), -R_BIG * IN, "standard"),
+    ("v", _curvature(1.0, -R_BIG * OUT), -R_BIG * OUT, "nonstandard"),
+    ("v", _curvature(NAN, 5.0, 3.0), 3.0, "standard"),
+    ("v", _curvature(INF, 5.0, -INF), -INF, "nonstandard"),
+    ("v", _curvature(-INF, -INF), -INF, "nonstandard"),
+    ("v", _curvature(NAN, INF, NAN), NAN, "inconclusive"),
+    ("vi", _rho1(1.0, 1.0), 1.0, "standard"),
+    ("vi", _rho1(1.0, 0.5), 0.5, "standard"),
+    ("vi", _rho1(1.0, 0.5 * IN), 0.5 * IN, "inconclusive"),
+    ("vi", _rho1(1.0, 1e-3), 1e-3, "inconclusive"),
+    ("vi", _rho1(1.0, 1e-3 * IN), 1e-3 * IN, "nonstandard"),
+    ("vi", _rho1(INF, 1.0, NAN, 0.8), 0.8, "standard"),
+    ("vi", _rho1(0.0, 0.0, 0.0), 0.0, "nonstandard"),
+    ("vi", _rho1(NAN, 0.0, INF, 0.0), 0.0, "nonstandard"),
+    ("vi", _rho1(NAN, -INF, INF), NAN, "inconclusive"),
+]
+
+
+@pytest.mark.parametrize("name, change, stat, want", _ROWS)
+def test_row_decision_at_its_edges(std2, monkeypatch, name, change, stat, want):
+    # the far-field gate has its own tests; here every run is judged
+    monkeypatch.setattr(verdict, "far_field_ready", lambda traj, err: True)
+    traj, rep = std2
+    change = dict(change)
+    fit = change.pop("fit", None)
+    if "growth" in change:
+        c, u_end = change.pop("growth")
+        grid = np.arange(1025.0)
+        u = c * grid**2
+        if u_end is not None:
+            u[-1] = u_end
+        zeros = np.zeros_like(grid)
+        traj = dataclasses.replace(traj, grid=grid, w=np.array([u, zeros]),
+                                   p=np.array([zeros, zeros]), alpha=zeros)
+        change["r_reached"] = traj.r_max
+    got = classify(traj, dataclasses.replace(rep, **change), fit).criteria[name]
+    assert got[1] == want
+    assert got[0] == stat or (math.isnan(got[0]) and math.isnan(stat))
+
+
+def test_m1_has_no_delta_u_row():
+    report = analyze(standard_config(1, r_end=300.0)).verdict
+    assert math.isnan(report.criteria["ii"][0])
+    assert report.criteria["ii"][1] == "inconclusive"
