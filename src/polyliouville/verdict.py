@@ -7,11 +7,14 @@ degree with negative leading coefficient (nonstandard).  Several tail
 criteria detect the dichotomy independently:
 
     (ii)   lim Delta u        = 0            vs  a constant a < 0
-    (iii)  u(r)/r^2           -> 0           vs  a negative limit
+    (iii)  (u + 2 alpha log r)/r^2 -> 0      vs  a negative limit
     (iv)   deg(u - v)         = 0            vs  even degree >= 2
     (v)    scalar curvature of e^{2u}|dx|^2 bounded below  vs  -> -inf
     (vi)   rho_1 = e^{2u}(1+r^2)^2/4 bounded away from 0   vs  -> 0
 
+Criterion (iii) reads the growth of u + 2 alpha log r, alpha the
+normalized volume, as [u(R) - u(R/2) + 2 alpha log 2] / (0.75 R^2) at
+R = r_end, so the round sphere's own -2 log r / r^2 does not count.
 classify evaluates all five on one trajectory and reports per-criterion
 verdicts plus their mutual agreement.  Finite-radius data cannot certify a
 limit, so each criterion may also return "inconclusive"; thresholds sit
@@ -40,7 +43,7 @@ __all__ = [
 ]
 
 EPS_STD = 1e-3      # tolerance on limits that must vanish for standard u
-EPS_GROWTH = 1e-4   # tolerance on u(r_end)/r_end^2
+EPS_GROWTH = 1e-4   # tolerance on the r^2 growth rate of u + 2 alpha log r
 R_BIG = 1e4         # curvature below -R_BIG counts as unbounded
 _RHO1_STD = 0.5     # rho_1 above half its tail max counts as bounded away from 0
 _RHO1_DECAYED = 1e-3
@@ -109,7 +112,13 @@ def _stat_ii(traj, report, fit):
 
 
 def _stat_iii(traj, report, fit):
-    stat = float(traj.w[0][-1] / traj.r_max**2)
+    # u = c - 2 alpha log r + P(r) + o(1), P = 0 on standard runs: the
+    # difference of R/2 and R cancels c and -2 alpha log r, and reads the
+    # r^2 coefficient of P when P has degree 2
+    r_end = traj.r_max
+    u_half = float(traj.sample_w(0, [r_end / 2])[0])
+    rise = float(traj.u[-1]) - u_half + 2 * traj.alpha_final * math.log(2)
+    stat = rise / (0.75 * r_end**2)
     return stat, math.isfinite(stat)
 
 

@@ -84,6 +84,23 @@ def test_standard_family_never_called_nonstandard(m, r_end):
     assert analyze(standard_config(m, r_end=r_end)).verdict.overall != "nonstandard"
 
 
+@pytest.mark.parametrize("r_end", [100.0, 300.0, 500.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_round_sphere_is_standard_at_short_range(m, r_end):
+    # criterion (iii) differences out the sphere's own -2 log r, which
+    # alone reads -8.5e-4 as u(r)/r^2 at r = 100
+    report = analyze(standard_config(m, r_end=r_end)).verdict
+    assert abs(report.criteria["iii"][0]) < 1e-6
+    assert report.overall == "standard"
+    assert report.agreement
+
+
+@pytest.mark.parametrize("d2", [-2.2, -3.0, -2.0001])
+def test_growth_row_never_calls_a_nonstandard_run_standard(d2):
+    cfg = ShootingConfig(m=2, initial_derivatives=(math.log(2.0), d2))
+    assert analyze(cfg).verdict.criteria["iii"][1] != "standard"
+
+
 def test_error_gate_is_relative_to_u():
     # an estimate of 0.04 is large in absolute terms but tiny against
     # |u(500)| ~ 1.4e10, so this nonstandard run is still judged
