@@ -22,6 +22,7 @@ from polyliouville.represent import (
     _tail_bound,
     compute_lap_v,
     compute_v,
+    far_field_ready,
     rescale_check,
 )
 from polyliouville.shooter import shoot, standard_config, standard_solution
@@ -207,20 +208,30 @@ def test_tail_bound_covers_quadrature_of_kernel_bound(m):
 @pytest.mark.parametrize("m, r_end", [(4, 300.0), (4, 500.0), (4, 1000.0),
                                       (5, 100.0), (5, 300.0)])
 def test_standard_high_m_bars_finite_and_covering(m, r_end):
-    # the tail fit reads q in the hundreds to millions on these corrupted
-    # far fields; in logs the bars stay finite and still cover the closed form
-    traj, _ = shoot(standard_config(m, r_end=r_end))
+    # these far fields read float64 roundoff, and what the representation
+    # makes of them depends on the OpenBLAS kernel: a refusal (a negative
+    # fitted q, or a shot ending in step_underflow), or values near the
+    # float range with bars to match.  The far-field gate refuses every
+    # one; every returned value is skipped or covers the closed form, and
+    # [4-300] is accepted with finite bars on every kernel
+    traj, rep = shoot(standard_config(m, r_end=r_end))
+    assert not far_field_ready(traj, rep.w0_error_estimate)
+    strict = (m, r_end) == (4, 300.0)
     radii = np.r_[0.0, np.geomspace(0.1, r_end / 2, 30)]
     exact = standard_solution(m, 1.0, radii)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        prof = compute_v(traj, radii)
-        laps = [compute_lap_v(traj, j, radii) for j in range(1, m)]
-    assert np.all(np.isfinite(prof.err))
-    assert np.all(np.abs(prof.values + np.log1p(radii**2)) <= prof.err)
-    for j, lap in enumerate(laps, start=1):
-        assert np.all(np.isfinite(lap.err)), j
-        assert np.all(np.abs(lap.values - exact.w[j]) <= lap.err), j
+        try:
+            profs = [(compute_v(traj, radii), -np.log1p(radii**2))]
+            profs += [(compute_lap_v(traj, j, radii), exact.w[j]) for j in range(1, m)]
+        except ValueError as exc:
+            assert not strict
+            assert str(exc) == represent._refusal(traj)[0]
+            return
+        for j, (prof, want) in enumerate(profs):
+            skipped = np.isnan(prof.values) & (prof.err == math.inf)
+            assert np.all(skipped | (np.abs(prof.values - want) <= prof.err)), j
+            assert not strict or np.all(np.isfinite(prof.err)), j
 
 
 def test_truncated_trajectory_rejected():
