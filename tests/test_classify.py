@@ -91,6 +91,8 @@ def test_round_sphere_is_standard_at_short_range(m, r_end):
     # alone reads -8.5e-4 as u(r)/r^2 at r = 100
     report = analyze(standard_config(m, r_end=r_end)).verdict
     assert abs(report.criteria["iii"][0]) < 1e-6
+    # m = 1 has no Delta u, so row (ii) leaves the verdict to the others
+    assert report.criteria["ii"][1] == ("inconclusive" if m == 1 else "standard")
     assert report.overall == "standard"
     assert report.agreement
 
@@ -298,9 +300,3 @@ def test_row_decision_at_its_edges(std2, monkeypatch, name, change, stat, want):
     got = classify(traj, dataclasses.replace(rep, **change), fit).criteria[name]
     assert got[1] == want
     assert got[0] == stat or (math.isnan(got[0]) and math.isnan(stat))
-
-
-def test_m1_has_no_delta_u_row():
-    report = analyze(standard_config(1, r_end=300.0)).verdict
-    assert math.isnan(report.criteria["ii"][0])
-    assert report.criteria["ii"][1] == "inconclusive"
