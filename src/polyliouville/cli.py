@@ -246,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("represent", parents=[writes, shooting], allow_abbrev=False,
                        help="v-profile CSV + u-v fit JSON")
     p.add_argument("--radii", type=_radii, help="comma list of evaluation radii")
-    p.add_argument("--points", type=_positive_int, default=24)
 
     p = sub.add_parser("classify", parents=[writes, shooting], allow_abbrev=False,
                        help="equivalence-criteria verdict JSON")
@@ -260,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fixed verification suite")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="accepted for compatibility; the solve rows run in order")
-    p.add_argument("--r-end", type=float, default=1000.0)
 
     return parser
 
@@ -290,27 +288,24 @@ def _fit_degree(m: int) -> int:
     return max(2, 2 * m - 2)
 
 
-def _far_field_radii(r_max: float, points: int = 24) -> np.ndarray:
-    import numpy as np
-
-    return np.geomspace(max(1.0, r_max / 1000.0), r_max / 2.0, points)
-
-
 def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
     """Shoot cfg, evaluate v, fit u - v and classify the run.
 
-    With radii=None, v is evaluated on 24 geometric radii of the far field
-    when `far_field_ready` accepts the run, and skipped otherwise (vprof
-    and fit are then None).  Explicit radii are always evaluated, so
+    With radii=None, v is evaluated on 24 geometric radii from
+    max(1, r_end/1000) to r_end/2 when `far_field_ready` accepts the run,
+    and skipped otherwise (vprof and fit are then None); the `represent`
+    command samples v there too.  Explicit radii are always evaluated, so
     compute_v's refusal of a truncated or slowly decaying run surfaces as
     its ValueError.  Degree inference of the even-polynomial
     fit ignores content below 10x the solver's w0 error estimate.
     """
+    import numpy as np
+
     from .represent import far_field_ready
 
     traj, rep = shoot(cfg)
     if radii is None and far_field_ready(traj, rep.w0_error_estimate):
-        radii = _far_field_radii(traj.r_max)
+        radii = np.geomspace(max(1.0, traj.r_max / 1000.0), traj.r_max / 2.0, 24)
     if radii is None:
         vprof = fit = None
     else:
@@ -437,33 +432,33 @@ def _cmd_shoot(args) -> int:
 
 
 def _cmd_represent(args) -> int:
+    """v and the u - v fit at --radii, else where `analyze` samples v: a run
+    that `far_field_ready` refuses then exits 3 and writes nothing."""
     import numpy as np
 
+    from .represent import _refusal
     from .tailfit import min_samples
 
-    degree = _fit_degree(args.m)
-    need = min_samples(degree)
-    count = args.points if args.radii is None else args.radii.size
-    if count < need:
-        flag = "--points must be" if args.radii is None else "--radii must hold"
-        raise _UsageError(f"{flag} >= {need} for m = {args.m}: the u - v fit of "
-                          f"degree {degree} needs {need} samples, got {count}")
     cfg = _config(args)
-    if args.radii is not None and args.radii[-1] > cfg.r_end:
-        # u is not known past r_end, so neither is the u - v fit there
-        raise _UsageError(f"--radii must not exceed --r-end {cfg.r_end!r}, "
-                          f"got {float(args.radii[-1])!r}")
-    if args.radii is None and not cfg.r_end > 2:
-        raise _UsageError(f"--r-end must exceed 2 when --radii is not given (the default "
-                          f"radii run from 1 to r_end/2), got {cfg.r_end!r}")
+    if args.radii is not None:
+        degree = _fit_degree(args.m)
+        need = min_samples(degree)
+        if args.radii.size < need:
+            raise _UsageError(f"--radii must hold >= {need} for m = {args.m}: the u - v fit "
+                              f"of degree {degree} needs {need} samples, got {args.radii.size}")
+        if args.radii[-1] > cfg.r_end:
+            # u is not known past r_end, so neither is the u - v fit there
+            raise _UsageError(f"--radii must not exceed --r-end {cfg.r_end!r}, "
+                              f"got {float(args.radii[-1])!r}")
+    a = analyze(cfg, args.radii)
+    if a.vprof is None:
+        raise ValueError(_refusal(a.traj)[0] or (
+            f"the far-field rule (far_field_ready) refused the run at r_end = {cfg.r_end!r}"
+            f" with w0_error_estimate = {a.report.w0_error_estimate:.3g}; pass --radii"))
     out = _resolve_out(args)
-    radii = args.radii
-    if radii is None:
-        radii = _far_field_radii(cfg.r_end, args.points)
-    a = analyze(cfg, radii)
     a.vprof.to_csv(out / "v_profile.csv", header=("r", "v", "err_bar"))
     _write_json(out / "fit.json", _fit_json(a.fit))
-    print(f"v evaluated at {radii.size} radii, max err bar {float(np.max(a.vprof.err)):.3g}")
+    print(f"v evaluated at {a.vprof.grid.size} radii, max err bar {np.max(a.vprof.err):.3g}")
     print(f"u - v fit: degree {a.fit.inferred_degree}, residual rms {a.fit.residual_rms:.3g}")
     print(f"wrote {out / 'v_profile.csv'} and {out / 'fit.json'}")
     return 0
@@ -585,10 +580,10 @@ def _cmd_reproduce_paper(args) -> int:
     log2 = math.log(2.0)
     solve_rows = [
         ("standard m=1",
-         standard_config(1, r_end=args.r_end),
+         standard_config(1),
          [is_standard, alpha_close(1e-3)]),
         ("standard m=2",
-         standard_config(2, r_end=args.r_end),
+         standard_config(2),
          [is_standard, alpha_close(1e-4), rg_spherical, rg_tail_spherical,
           lambda row, traj: abs(row["lim_dau"]) <= 1e-3]),
         # m = 3 runs to 500: far enough that log-growth statistics settle,
@@ -596,13 +591,13 @@ def _cmd_reproduce_paper(args) -> int:
         # stays out of the tail.  At 500 the tail R_g spans 29.94..29.99
         # (target 30); at 1000 it spans -11.6..25.0.
         ("standard m=3",
-         standard_config(3, r_end=min(args.r_end, 500.0)),
+         standard_config(3, r_end=500.0),
          [is_standard, alpha_close(1e-3), rg_tail_spherical]),
         ("perturbed m=2 (u''(0) = -2.2)",
-         ShootingConfig(m=2, initial_derivatives=(log2, -2.2), r_end=args.r_end),
+         ShootingConfig(m=2, initial_derivatives=(log2, -2.2)),
          [is_nonstandard, rg_unbounded]),
         ("nonstandard m=2 (u''(0) = -3)",
-         ShootingConfig(m=2, initial_derivatives=(log2, -3.0), r_end=args.r_end),
+         ShootingConfig(m=2, initial_derivatives=(log2, -3.0)),
          [is_nonstandard, rg_unbounded]),
     ]
 

@@ -277,7 +277,7 @@ def _refusal(traj: RadialTrajectory):
         return (
             "insufficient decay for the truncated representation integral: "
             f"alpha changed by {traj.alpha_tail_change():.2e} over the tail window and "
-            f"exp(2mu) ~ s^-{q:.2f} (need q > {2*traj.m}+0.1 and change <= 1e-3)"
+            f"exp(2mu) ~ s^{-q:.2f} (need q > {2*traj.m}+0.1 and change <= 1e-3)"
         ), decay
     return None, decay
 

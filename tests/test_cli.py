@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import polyliouville
-from polyliouville import cli
+from polyliouville import cli, represent, verdict
 from polyliouville.cli import analyze, run
 from polyliouville.shooter import ShootingConfig, standard_config
 
@@ -270,22 +270,46 @@ def test_represent_bad_radius_list_exits_2(radii, message, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("r_end", ["1.5", "2"])
-def test_represent_short_r_end_without_radii_exits_2(r_end, tmp_path, capsys, monkeypatch):
-    # the default radii run from max(1, r_end/1000) to r_end/2: backwards
-    # below r_end = 2 and all at 1 there, so the usage error comes first,
-    # before the shot and before --out is made
-    def no_shot(cfg):
-        raise AssertionError("represent shot a run it cannot sample")
-
-    monkeypatch.setattr(cli, "shoot", no_shot)
+@pytest.mark.parametrize("r_end", ["1.5", "2", "2.0001", "4", "50"])
+def test_represent_short_r_end_without_radii_exits_3(r_end, tmp_path, capsys):
+    # the lambda = 100 round sphere reaches r_end and compute_v accepts it,
+    # but far_field_ready refuses a run this short: without --radii there is
+    # no far field to sample, and radii packed near r = 1 (r_end 2.0001, 4)
+    # fit its constant u - v with degree 2
     out = tmp_path / "out"
     argv = ["represent", "--m", "1", "--u0", "5.298317366548036", "--r-end", r_end,
             "--out", str(out)]
-    assert run(argv) == 2
+    assert run(argv) == 3
     err = capsys.readouterr().err
-    assert "usage error: --r-end must exceed 2 when --radii is not given" in err
+    assert "the far-field rule (far_field_ready) refused the run" in err
+    assert f"r_end = {float(r_end)!r} with w0_error_estimate = " in err
+    assert "pass --radii" in err
     assert not out.exists()
+
+
+def test_represent_samples_v_at_analyzes_radii(tmp_path):
+    # without --radii represent writes what analyze returns: the same bytes
+    # as --radii given analyze's 24 far-field radii
+    data = ["--m", "2", "--u0", LOG2, "--d2", "-3"]
+    radii = analyze(ShootingConfig(m=2, initial_derivatives=(math.log(2.0), -3.0))).vprof.grid
+    assert radii.size == 24
+    listed = ",".join(repr(float(r)) for r in radii)
+    assert run(["represent", *data, "--out", str(tmp_path / "a")]) == 0
+    assert run(["represent", *data, "--radii", listed, "--out", str(tmp_path / "b")]) == 0
+    for name in ("v_profile.csv", "fit.json"):
+        assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-paper", "--r-end", "500"],
+    ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--points", "24"],
+])
+def test_removed_sampling_flags_exit_2(argv, tmp_path, capsys):
+    # reproduce-paper runs at fixed r_end and represent samples v where
+    # analyze does, so neither takes a flag to move its radii
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_represent_radius_at_r_end_is_valid(tmp_path):
@@ -335,8 +359,6 @@ def test_represent_writes_profile(tmp_path):
             LOG2,
             "--d2",
             "-2.0",
-            "--points",
-            "12",
             "--out",
             str(tmp_path),
         ]
@@ -532,9 +554,15 @@ def test_reproduce_paper_all_rows_pass(tmp_path, capsys):
     assert all(flag == "True" for _, flag in rows)
 
 
-def test_reproduce_paper_short_run_has_no_fit(tmp_path, capsys):
-    # below r_end = 100 no run reaches the far field: no u - v fit, no verdict
-    assert run(["reproduce-paper", "--r-end", "50", "--out", str(tmp_path)]) == 3
+def test_reproduce_paper_short_run_has_no_fit(tmp_path, monkeypatch):
+    # a run the far-field rule refuses, as it refuses every run short of
+    # r = 100, gets no u - v fit and no verdict
+    def refuse(traj, w0_error_estimate):
+        return False
+
+    monkeypatch.setattr(represent, "far_field_ready", refuse)
+    monkeypatch.setattr(verdict, "far_field_ready", refuse)
+    assert run(["reproduce-paper", "--out", str(tmp_path)]) == 3
     summary = read(tmp_path / "summary.csv").decode().splitlines()
     rows = [line.split(",") for line in summary[1:]]
     assert len(rows) == 5
@@ -555,22 +583,17 @@ def test_reproduce_paper_jobs_below_1_exits_2():
     ["pizzetti", "--m", "2", "--n", "0"],
     ["green", "--m", "2", "--points", "-4"],
     ["shoot", "--m", "0", "--u0", "0"],
-    ["represent", "--m", "1", "--u0", "0", "--points", "0"],
     ["a2m-check", "--m", "0"],
     ["a2m-check", "--points", "1"],
     ["a2m-check", "--points", "2"],
-    ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--points", "3"],
-    ["represent", "--m", "6", "--u0", "0", "--points", "7"],
 ])
 def test_bad_count_flag_exits_2(argv, capsys):
     assert run(argv) == 2
     assert "must be >=" in capsys.readouterr().err
 
 
-def test_count_flags_accept_their_lower_bound(tmp_path, capsys):
+def test_count_flags_accept_their_lower_bound(capsys):
     assert run(["pizzetti", "--m", "1", "--n", "2", "--cases", "1", "--max-degree", "0"]) == 0
-    assert run(["represent", "--m", "1", "--u0", LOG2, "--points", "4",
-                "--out", str(tmp_path)]) == 0
     assert run(["green", "--m", "1", "--points", "0"]) == 0
     assert run(["constants", "--m", "1", "--digits", "1"]) == 0
     assert "1/1 exact" in capsys.readouterr().out

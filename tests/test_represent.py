@@ -25,7 +25,7 @@ from polyliouville.represent import (
     far_field_ready,
     rescale_check,
 )
-from polyliouville.shooter import shoot, standard_config, standard_solution
+from polyliouville.shooter import ShootingConfig, shoot, standard_config, standard_solution
 from polyliouville.tailfit import fit_even_polynomial
 from test_greenball import _panel_moment_reference
 
@@ -232,6 +232,46 @@ def test_standard_high_m_bars_finite_and_covering(m, r_end):
             skipped = np.isnan(prof.values) & (prof.err == math.inf)
             assert np.all(skipped | (np.abs(prof.values - want) <= prof.err)), j
             assert not strict or np.all(np.isfinite(prof.err)), j
+
+
+def test_refusal_prints_a_growing_density_once(std2):
+    # u + 3 log r makes the tail density grow like s^4, a fitted q of -4:
+    # the exponent reads s^4.00, never s^--4.00
+    traj, _ = std2
+    w = traj.w.copy()
+    w[0, 1:] += 3 * np.log(traj.grid[1:])
+    grown = dataclasses.replace(traj, w=w)
+    with pytest.raises(ValueError) as exc:
+        compute_v(grown, [1.0])
+    assert "exp(2mu) ~ s^4.00 (need q > 4+0.1" in str(exc.value)
+    assert str(exc.value) == represent._refusal(grown)[0]
+    assert "^--" not in str(exc.value)
+
+
+@pytest.fixture(scope="module")
+def big3():
+    """m = 3 run of large conformal volume, (log 2, -1.5, 30) to r = 500."""
+    return shoot(ShootingConfig(m=3, initial_derivatives=(math.log(2.0), -1.5, 30.0),
+                                r_end=500.0))
+
+
+@pytest.mark.parametrize("run", ["std2", "std3_500", "nonstd2", "big3"])
+def test_v_at_a_radius_depends_on_that_radius_alone(run, request):
+    # the panel holding r is split at r with its own samples of g, so the
+    # other radii of a call move no bit of a value or bar; making every
+    # radius a grid node instead would move values by up to 4e-9 relative
+    traj, _ = request.getfixturevalue(run)
+    radii = np.unique(np.r_[0.0, np.geomspace(0.3, traj.r_max / 2, 6), traj.grid[60],
+                            traj.r_max, 1.5 * traj.r_max])
+    for j in range(traj.m):
+        def profile(at):
+            return compute_v(traj, at) if j == 0 else compute_lap_v(traj, j, at)
+
+        batch = profile(radii)
+        for k, r in enumerate(radii):
+            one = profile([r])
+            assert one.values.tobytes() == batch.values[k:k + 1].tobytes(), (j, r)
+            assert one.err.tobytes() == batch.err[k:k + 1].tobytes(), (j, r)
 
 
 def test_truncated_trajectory_rejected():
