@@ -31,9 +31,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.  Identical argv
 (and seed) produce byte-identical CSV/JSON outputs.  The subcommands
 that write files (green, shoot, represent, classify, reproduce-paper) take
 --out; its default is $POLYLIOUVILLE_OUT, falling back to the working
-directory.  An optional config file, named by --config PATH or
---config=PATH, holds "key = value" lines (long flag names without the
-dashes); explicit flags override it.
+directory.
 """
 
 from __future__ import annotations
@@ -65,48 +63,6 @@ __all__ = ["Analysis", "analyze", "run", "main"]
 
 classify = _forwarder("verdict", "classify")
 green_ball = _forwarder("greenball", "green_ball")
-
-
-def _read_config(path: str) -> list[tuple[str, str]]:
-    pairs = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
-    return pairs
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    """Insert config-file pairs as flags ahead of the explicit ones, each
-    as one --key=value token, so that a value such as -0.3,-8 stays a value.
-
-    The file is named by `--config PATH` or `--config=PATH`.  argparse keeps
-    the last occurrence of a repeated flag, so explicit command-line flags
-    override the config file.
-    """
-    if not argv or argv[0] not in _HANDLERS:
-        return argv
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 == len(argv):
-                raise ValueError("--config needs a file path")
-            path = argv[i + 1]
-            break
-        if arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-            break
-    else:
-        return argv
-    extra: list[str] = []
-    for key, value in _read_config(path):
-        flag = "--" + key.replace("_", "-")
-        if flag != "--config":
-            extra.append(f"{flag}={value}")
-    return [argv[0]] + extra + argv[1:]
 
 
 _NEGATIVE = re.compile(r"-[\d.]")
@@ -200,22 +156,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="numerical and exact-arithmetic laboratory for the "
         "polyharmonic Liouville equation on R^{2m}",
     )
-    # allow_abbrev=False on every subcommand: a prefix such as --conf would
-    # otherwise parse as --config without _inject_config reading the file
+    # allow_abbrev=False on every subcommand: flags are spelled out in full,
+    # so a prefix such as --r-en is a usage error
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value file; flags override it")
     # only the subcommands that write files take --out
-    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes = argparse.ArgumentParser(add_help=False)
     writes.add_argument("--out", help="output directory (default $POLYLIOUVILLE_OUT or .)")
 
-    p = sub.add_parser("constants", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("constants", allow_abbrev=False,
                        help="exact constant table")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--digits", type=_positive_int, default=30)
 
-    p = sub.add_parser("pizzetti", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("pizzetti", allow_abbrev=False,
                        help="seeded exactness sweep")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
@@ -250,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[writes, shooting], allow_abbrev=False,
                        help="equivalence-criteria verdict JSON")
 
-    p = sub.add_parser("a2m-check", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("a2m-check", allow_abbrev=False,
                        help="Navier positivity, scaling covariance, integrability")
     p.add_argument("--m", type=_positive_int, default=2)
     p.add_argument("--points", type=_grid_size, default=801)
@@ -670,14 +624,9 @@ _HANDLERS = {
 
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
-    try:
-        argv = _inject_config(list(argv))
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(argv))
+        args = parser.parse_args(_join_negative_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

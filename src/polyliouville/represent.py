@@ -324,12 +324,14 @@ def _prefactor(m: int, j: int) -> float:
 
 
 def _profile(traj, j, eval_radii):
+    radii = np.asarray(eval_radii, dtype=float)
+    # NaN fails every comparison, so each test is written to pass only on good radii
+    if radii.ndim != 1 or not (np.all(np.isfinite(radii)) and np.all(radii >= 0)
+                               and np.all(np.diff(radii) > 0)):
+        raise ValueError("eval_radii must be finite, >= 0 and strictly increasing")
     refusal, decay = _refusal(traj)
     if refusal is not None:
         raise ValueError(refusal)
-    radii = np.asarray(eval_radii, dtype=float)
-    if radii.ndim != 1 or np.any(np.diff(radii) <= 0):
-        raise ValueError("eval_radii must be strictly increasing")
     m = traj.m
     pref = _prefactor(m, j)
     coeffs = _get_cache(m).coeffs

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -146,6 +147,26 @@ def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
     assert run(["constants", "--m", "2"]) == 0
     assert "omega_n = 2 * pi^2  (19.7392088021787172376689819998)\n" in capsys.readouterr().out
     assert cli._build_parser() is cli._build_parser()
+
+
+_SHOOTING_FLAGS = {"m", "out", "u0", "d2", "d4", "d6", "laplacians", "r-end"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("constants", {"m", "digits"}),
+    ("pizzetti", {"m", "n", "cases", "seed", "max-degree"}),
+    ("green", {"m", "out", "points"}),
+    ("shoot", _SHOOTING_FLAGS),
+    ("represent", _SHOOTING_FLAGS | {"radii"}),
+    ("classify", _SHOOTING_FLAGS),
+    ("a2m-check", {"m", "points"}),
+    ("reproduce-paper", {"out", "jobs"}),
+])
+def test_help_lists_each_commands_flags(command, flags, capsys):
+    # every settable option of a subcommand; a new knob is an edit here
+    assert run([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert set(re.findall(r"--([a-z0-9-]+)", usage)) == flags
 
 
 def test_pizzetti_all_exact(capsys):
@@ -390,68 +411,27 @@ def test_represent_round_sphere_m3_fits_degree_0(tmp_path):
     assert fit["inferred_degree"] == 0
 
 
-def test_config_file_and_explicit_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"m=2\nu0={math.log(2.0)!r}\nd2=-3.0\nr-end=150.0\n")
-    out1 = tmp_path / "one"
-    out1.mkdir()
-    assert run(["shoot", "--config", str(cfg), "--out", str(out1)]) == 0
-    blob = json.loads(read(out1 / "report.json"))
-    assert blob["r_reached"] == pytest.approx(150.0)
-    out2 = tmp_path / "two"
-    out2.mkdir()
-    # explicit flag wins over the config value
-    assert run(
-        ["shoot", "--config", str(cfg), "--r-end", "200", "--out", str(out2)]
-    ) == 0
-    blob2 = json.loads(read(out2 / "report.json"))
-    assert blob2["r_reached"] == pytest.approx(200.0)
-
-
 _NEGATIVE_DATA = {"laplacians": "-0.3,-8", "u0": "-3e-1", "d2": "-2e0"}
 
 
 @pytest.mark.parametrize("keys", [("laplacians",), ("u0", "d2")])
-@pytest.mark.parametrize("spelling", ["separate", "config"])
+@pytest.mark.parametrize("spelling", ["separate"])
 def test_negative_values_parse_in_every_spelling(keys, spelling, tmp_path):
     # argparse reads "-3e-1" or "-0.3,-8" after a flag as a flag of its own
-    # unless the two are one token "--flag=value"; every spelling must give
-    # the classification of that token
+    # unless the two are one token "--flag=value"; the separate spelling
+    # must give the classification of the joined token
     joined = [f"--{key}={_NEGATIVE_DATA[key]}" for key in keys]
-    if spelling == "separate":
-        spelled = [token for key in keys for token in (f"--{key}", _NEGATIVE_DATA[key])]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{key} = {_NEGATIVE_DATA[key]}\n" for key in keys))
-        spelled = ["--config", str(cfg)]
+    spelled = [token for key in keys for token in (f"--{key}", _NEGATIVE_DATA[key])]
     for name, flags in (("joined", joined), ("spelled", spelled)):
         assert run(["classify", "--m", "2", *flags, "--out", str(tmp_path / name)]) == 0
     assert read(tmp_path / "spelled" / "classification.json") == read(
         tmp_path / "joined" / "classification.json")
 
 
-def test_config_flag_without_path_exits_2(capsys):
-    assert run(["shoot", "--m", "1", "--u0", "0", "--config"]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
-def test_config_equals_form_is_read(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("r_end = 200\n")
+def test_abbreviated_flag_exits_2(tmp_path):
+    # flags are spelled out in full: a prefix of --r-end is not --r-end
     assert run(
-        ["shoot", "--m", "1", "--u0", "0", f"--config={cfg}", "--out", str(tmp_path)]
-    ) == 0
-    blob = json.loads(read(tmp_path / "report.json"))
-    assert blob["r_reached"] == pytest.approx(200.0)
-
-
-def test_abbreviated_config_flag_exits_2(tmp_path):
-    # a prefix of --config must not parse as --config: _inject_config
-    # would never read the file
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("r_end = 200\n")
-    assert run(
-        ["shoot", "--m", "1", "--u0", "0", "--conf", str(cfg), "--out", str(tmp_path)]
+        ["shoot", "--m", "1", "--u0", "0", "--r-en", "200", "--out", str(tmp_path)]
     ) == 2
 
 

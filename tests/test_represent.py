@@ -155,6 +155,17 @@ def test_compute_lap_v_validates_order(std2):
         compute_lap_v(traj, 0, [1.0])
 
 
+@pytest.mark.parametrize("radii", [[1, math.nan], [math.nan], [1, math.inf], [-1, 1], [2, 1]])
+@pytest.mark.parametrize("order", [0, 1])
+def test_bad_radii_are_refused(std2, radii, order):
+    traj, _ = std2
+    with pytest.raises(ValueError, match="eval_radii must be finite, >= 0 and strictly"):
+        if order:
+            compute_lap_v(traj, order, radii)
+        else:
+            compute_v(traj, radii)
+
+
 def test_rescale_covariance(std2):
     traj, _ = std2
     assert rescale_check(traj, 1.0) < 1e-14
