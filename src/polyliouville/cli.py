@@ -250,8 +250,9 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
     and skipped otherwise (vprof and fit are then None); the `represent`
     command samples v there too.  Explicit radii are always evaluated, so
     compute_v's refusal of a truncated or slowly decaying run surfaces as
-    its ValueError.  Degree inference of the even-polynomial
-    fit ignores content below 10x the solver's w0 error estimate.
+    its ValueError.  Degree inference of the even-polynomial fit ignores
+    content below 10x the largest finite value among the solver's w0 error
+    estimate and the error bars of v: either noise can pose as a power of r.
     """
     import numpy as np
 
@@ -264,9 +265,8 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
         vprof = fit = None
     else:
         vprof = compute_v(traj, radii)
-        floor = rep.w0_error_estimate
-        if not math.isfinite(floor):
-            floor = 0.0
+        noise = np.append(vprof.err, rep.w0_error_estimate)
+        floor = float(np.max(noise[np.isfinite(noise)], initial=0.0))
         fit = fit_even_polynomial(
             (vprof.grid, traj.sample_w(0, vprof.grid) - vprof.values),
             _fit_degree(traj.m),

@@ -68,9 +68,10 @@ this notice:
     (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
     OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
-The coefficients stay decimal strings of up to 30 digits, parsed once to
-float64 here, so that a wider dtype can parse them again at its own
-precision.
+The coefficients keep the digits of scipy's source, up to 30 of them, so
+that each reads against it as written.  They are parsed once to float64
+here, and float() rounds correctly, as Python does scipy's own literals,
+so the tableau holds scipy's bits.
 """
 
 from __future__ import annotations

@@ -35,11 +35,12 @@ quadratic through fresh samples of g taken the same way, so the kink of
 the kernel at s = r costs no accuracy.  Suffix moments are
 accumulated from the far end: total minus prefix would cancel
 catastrophically once multiplied by r^{2k}.  Radii at or beyond r_end
-take P = total and Q = 0.  One pass over the grid serves every radius, so
-the cost grows with panels + radii, not with their product.  Within a
-pass each power of a panel array is taken once, into a table
-(`greenball.powers`) that every p and both the plain and the log moments
-read, and each moment is formed only on the side of the kink its sum
+take P = total and Q = 0.  One pass over the grid serves every radius and
+every order j, so the cost grows with panels + radii, not with their
+product, and all m orders cost about one v.  Within a pass each power of
+a panel array is taken once, into a table (`greenball.powers`) that every
+p and both the plain and the log moments read; each moment is formed
+once, whichever orders read it, and only on the side of the kink its sum
 needs: P for the inner sums, the mass and the log moment, Q for the outer
 sums.
 
@@ -135,11 +136,6 @@ class KernelCache:
         return out
 
 
-@functools.cache
-def _get_cache(m: int) -> KernelCache:
-    return KernelCache(m)
-
-
 def _log_moment_from_zero(x, coef, p: int):
     """int_0^x (c0 + c1 s + c2 s^2) s^p log s ds, exact (0 for x = 0)."""
     out = 0.0
@@ -172,9 +168,8 @@ class _SeparableIntegral:
         g_r, g_lower, g_upper = np.split(
             _density_at(traj, np.concatenate([r, 0.5 * (a + r), 0.5 * (r + b)])), 3)
         self.a, self.r, self.x_lower, self.x_upper = a, r, r - a, b - r
-        self.tables = {}
-        # (whole panels, [a, r], [r, b]) for g and for g log s
-        self.quad = {}
+        # quad: (whole panels, [a, r], [r, b]) for g and for g log s
+        self.tables, self.memo, self.quad = {}, {}, {}
         with np.errstate(divide="ignore", invalid="ignore"):
             for log in (False, True):
                 def f(s, g):
@@ -217,6 +212,12 @@ class _SeparableIntegral:
                     self.a == 0, _log_moment_from_zero(self.x_lower, g_lower, p), part)
         return np.concatenate([[0.0], np.cumsum(full)])[self.i] + part
 
+    def moment(self, *key):
+        """`_split(*key)`, formed once per key (p, side[, log]) on this grid."""
+        if key not in self.memo:
+            self.memo[key] = self._split(*key)
+        return self.memo[key]
+
     def integral(self, coeffs, j: int):
         """int_0^{r_end} g(s) s^{n-1} avg_kernel_j(r, s) ds at every radius."""
         n, radii = self.n, self.radii
@@ -226,11 +227,10 @@ class _SeparableIntegral:
             for k, c in enumerate(coeffs[j]):
                 if c == 0.0:
                     continue
-                inner += c * radii ** (-2 * j - 2 * k) * self._split(n - 1 + 2 * k, "P")
-                outer += c * radii ** (2 * k) * self._split(n - 1 - 2 * j - 2 * k, "Q")
+                inner += c * radii ** (-2 * j - 2 * k) * self.moment(n - 1 + 2 * k, "P")
+                outer += c * radii ** (2 * k) * self.moment(n - 1 - 2 * j - 2 * k, "Q")
             if j == 0:
-                mass = self._split(n - 1, "P")
-                inner += self._split(n - 1, "P", log=True) - np.log(radii) * mass
+                inner += self.moment(n - 1, "P", True) - np.log(radii) * self.moment(n - 1, "P")
             # every s < r term carries a prefix moment that vanishes at r = 0
             inner = np.where(radii > 0, inner, 0.0)
         return inner + outer
@@ -323,7 +323,10 @@ def _prefactor(m: int, j: int) -> float:
     return float(pref)
 
 
-def _profile(traj, j, eval_radii):
+def _moment_pass(traj: RadialTrajectory, eval_radii):
+    """order(j) -> Delta^j v (v at j = 0) at eval_radii, every order from one
+    setup: the radii checks, `_refusal`'s decay fit, the densities and the
+    fine and decimated grids, which form each moment once for all orders."""
     radii = np.asarray(eval_radii, dtype=float)
     # NaN fails every comparison, so each test is written to pass only on good radii
     if radii.ndim != 1 or not (np.all(np.isfinite(radii)) and np.all(radii >= 0)
@@ -332,10 +335,7 @@ def _profile(traj, j, eval_radii):
     refusal, decay = _refusal(traj)
     if refusal is not None:
         raise ValueError(refusal)
-    m = traj.m
-    pref = _prefactor(m, j)
-    coeffs = _get_cache(m).coeffs
-    grid = traj.grid
+    m, grid, coeffs = traj.m, traj.grid, KernelCache(traj.m).coeffs
     mids = 0.5 * (grid[:-1] + grid[1:])
     g_grid, g_mid = _density(traj), _density_at(traj, mids)
     fine = _SeparableIntegral(grid, mids, g_grid, g_mid, radii, traj)
@@ -344,13 +344,17 @@ def _profile(traj, j, eval_radii):
     ends = np.r_[0 : k + 1 : 2, k + 1 : grid.size]
     coarse = _SeparableIntegral(
         grid[ends], np.append(grid[1:k:2], mids[k:]),
-        g_grid[ends], np.append(g_grid[1:k:2], g_mid[k:]), radii, traj,
-    )
-    value = fine.integral(coeffs, j)
-    radial_est = np.abs(value - coarse.integral(coeffs, j))
-    tail = _tail_bound(traj, radii, *decay, j)
-    return RadialProfile(grid=radii, values=pref * value, m=m,
-                         err=abs(pref) * (radial_est + tail))
+        g_grid[ends], np.append(g_grid[1:k:2], g_mid[k:]), radii, traj)
+
+    def order(j: int) -> RadialProfile:
+        pref, value = _prefactor(m, j), fine.integral(coeffs, j)
+        err = np.abs(value - coarse.integral(coeffs, j)) + _tail_bound(traj, radii, *decay, j)
+        prof = RadialProfile(grid=radii, values=pref * value, m=m, err=abs(pref) * err)
+        if j:
+            skip = ~(prof.err <= 1e-5 * np.maximum(1.0, np.abs(prof.values)))
+            prof.values[skip], prof.err[skip] = math.nan, math.inf
+        return prof
+    return order
 
 
 def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
@@ -362,7 +366,7 @@ def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
     Radii past r_end use the moments of [0, r_end] and the same tail
     bound.  Refuses trajectories whose conformal volume has not converged
     (the tail bound would be meaningless)."""
-    return _profile(traj, 0, eval_radii)
+    return _moment_pass(traj, eval_radii)(0)
 
 
 def compute_lap_v(traj: RadialTrajectory, j: int, eval_radii) -> RadialProfile:
@@ -370,29 +374,25 @@ def compute_lap_v(traj: RadialTrajectory, j: int, eval_radii) -> RadialProfile:
     closed-form constant (-1)^j 2^{2j} (j-1)! (m-1)! / ((m-j-1)! |S^{2m}|).
 
     Same prefix/suffix moment pass and error bar as compute_v.  A radius
-    is kept only if its error bar is at most 1e-5 max(1, |value|); any
-    other radius, a NaN bar included, is skipped: its value is NaN and its
-    error bar infinite."""
+    whose bar exceeds 1e-5 max(1, |value|), or is NaN, is skipped: its
+    value is NaN and its bar infinite."""
     if not 1 <= j <= traj.m - 1:
         raise ValueError("j must lie in 1..m-1")
-    prof = _profile(traj, j, eval_radii)
-    skip = ~(prof.err <= 1e-5 * np.maximum(1.0, np.abs(prof.values)))
-    prof.values[skip] = math.nan
-    prof.err[skip] = math.inf
-    return prof
+    return _moment_pass(traj, eval_radii)(j)
 
 
 def rescale_check(traj: RadialTrajectory, scale_r: float) -> float:
     """Max |v~(x) - v(scale_r * x)| over 12 geometric radii from 0.25 to
     min(20, r_max / (2 scale_r)), where v~ belongs to the rescaled solution
-    u(scale_r x) + log scale_r.
+    u(scale_r x) + log scale_r.  Those radii increase only for scale_r in
+    (0, 2 r_max), and any other scale_r is refused.
 
     The representation integral is exactly scale covariant (substituting
     y -> y/scale_r maps one integral onto the other with no additive
     constant), so the deviation measures pure quadrature error.
     """
-    if scale_r <= 0:
-        raise ValueError("scale_r must be positive")
+    if not 0 < scale_r < 2 * traj.r_max:
+        raise ValueError(f"scale_r must lie in (0, 2 r_max = {2 * traj.r_max!r}), got {scale_r!r}")
     eval_radii = np.geomspace(0.25, min(20.0, traj.r_max / (2 * scale_r)), 12)
     scaled_traj = traj.rescaled(scale_r)
     v_scaled = compute_v(scaled_traj, eval_radii)

@@ -98,11 +98,12 @@ def fit_even_polynomial(
     residual RMS, which filters out powers fitted to noise.
 
     ``contribution_floor`` additionally requires each counted power to
-    exceed that absolute contribution at r_max.  Passing 10x a trajectory's
-    w0 error estimate as the floor when fitting u - v stops solver noise
-    (which grows like the polyharmonic modes) from masquerading as genuine
-    polynomial content.  Data that are polynomial by construction should
-    keep the default 0.
+    exceed that absolute contribution at r_max.  When fitting u - v,
+    `cli.analyze` passes 10x the largest finite value among a trajectory's
+    w0 error estimate and the error bars of v, so that neither solver noise
+    (which grows like the polyharmonic modes) nor v's quadrature error
+    masquerades as genuine polynomial content.  Data that are polynomial by
+    construction should keep the default 0.
     """
     if max_degree % 2 != 0 or max_degree < 0:
         raise ValueError("max_degree must be a non-negative even integer")

@@ -6,8 +6,10 @@ angle is an independent oracle for the closed-form averages; the m = 2
 standard solution pins the full pipeline because u - v must be constant.
 """
 
+import collections
 import dataclasses
 import math
+import re
 import types
 import warnings
 from fractions import Fraction
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from polyliouville import represent
+from polyliouville.cli import analyze
 from polyliouville.represent import (
     KernelCache,
     _prefactor,
@@ -25,7 +28,13 @@ from polyliouville.represent import (
     far_field_ready,
     rescale_check,
 )
-from polyliouville.shooter import ShootingConfig, shoot, standard_config, standard_solution
+from polyliouville.shooter import (
+    ShootingConfig,
+    shoot,
+    standard_config,
+    standard_laplacians,
+    standard_solution,
+)
 from polyliouville.tailfit import fit_even_polynomial
 from test_greenball import _panel_moment_reference
 
@@ -153,6 +162,9 @@ def test_compute_lap_v_validates_order(std2):
         compute_lap_v(traj, 2, [1.0])
     with pytest.raises(ValueError):
         compute_lap_v(traj, 0, [1.0])
+    # the order is checked before the radii
+    with pytest.raises(ValueError, match=r"j must lie in 1\.\.m-1"):
+        compute_lap_v(traj, 0, [math.nan])
 
 
 @pytest.mark.parametrize("radii", [[1, math.nan], [math.nan], [1, math.inf], [-1, 1], [2, 1]])
@@ -170,6 +182,17 @@ def test_rescale_covariance(std2):
     traj, _ = std2
     assert rescale_check(traj, 1.0) < 1e-14
     assert rescale_check(traj, 2.0) < 1e-8
+
+
+@pytest.mark.parametrize("scale_r", [0.0, -1.0, math.nan, 200.0, 1e3])
+def test_rescale_refuses_a_scale_its_radii_cannot_take(scale_r):
+    # from scale_r = 2 r_max on, 0.25 .. r_max / (2 scale_r) no longer
+    # increases; the refusal names scale_r, not compute_v's eval_radii
+    traj, _ = shoot(standard_config(2, r_end=100.0))
+    with pytest.raises(ValueError, match=rf"^scale_r must lie in \(0, 2 r_max = 200\.0\), "
+                                         rf"got {re.escape(repr(scale_r))}$"):
+        rescale_check(traj, scale_r)
+    assert math.isfinite(rescale_check(traj, 199.0))
 
 
 def test_nonstandard_profile_supported(nonstd2):
@@ -233,13 +256,13 @@ def test_standard_high_m_bars_finite_and_covering(m, r_end):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            profs = [(compute_v(traj, radii), -np.log1p(radii**2))]
-            profs += [(compute_lap_v(traj, j, radii), exact.w[j]) for j in range(1, m)]
+            order = represent._moment_pass(traj, radii)
         except ValueError as exc:
             assert not strict
             assert str(exc) == represent._refusal(traj)[0]
             return
-        for j, (prof, want) in enumerate(profs):
+        for j, want in enumerate([-np.log1p(radii**2), *exact.w[1:m]]):
+            prof = order(j)
             skipped = np.isnan(prof.values) & (prof.err == math.inf)
             assert np.all(skipped | (np.abs(prof.values - want) <= prof.err)), j
             assert not strict or np.all(np.isfinite(prof.err)), j
@@ -260,13 +283,31 @@ def test_refusal_prints_a_growing_density_once(std2):
 
 
 @pytest.fixture(scope="module")
+def std1():
+    """Standard m = 1 profile (lambda = 1) integrated out to r = 1000."""
+    return shoot(standard_config(1))
+
+
+@pytest.fixture(scope="module")
 def big3():
     """m = 3 run of large conformal volume, (log 2, -1.5, 30) to r = 500."""
     return shoot(ShootingConfig(m=3, initial_derivatives=(math.log(2.0), -1.5, 30.0),
                                 r_end=500.0))
 
 
-@pytest.mark.parametrize("run", ["std2", "std3_500", "nonstd2", "big3"])
+def _view(traj, j, radii):
+    """Delta^j v through the public function of order j."""
+    return compute_v(traj, radii) if j == 0 else compute_lap_v(traj, j, radii)
+
+
+def _bits(prof):
+    return prof.values.tobytes(), prof.err.tobytes()
+
+
+ALL_RUNS = ["std1", "std2", "std3_500", "nonstd2", "big3"]
+
+
+@pytest.mark.parametrize("run", ALL_RUNS)
 def test_v_at_a_radius_depends_on_that_radius_alone(run, request):
     # the panel holding r is split at r with its own samples of g, so the
     # other radii of a call move no bit of a value or bar; making every
@@ -274,13 +315,12 @@ def test_v_at_a_radius_depends_on_that_radius_alone(run, request):
     traj, _ = request.getfixturevalue(run)
     radii = np.unique(np.r_[0.0, np.geomspace(0.3, traj.r_max / 2, 6), traj.grid[60],
                             traj.r_max, 1.5 * traj.r_max])
+    order = represent._moment_pass(traj, radii)
     for j in range(traj.m):
-        def profile(at):
-            return compute_v(traj, at) if j == 0 else compute_lap_v(traj, j, at)
-
-        batch = profile(radii)
+        batch = order(j)
+        assert _bits(_view(traj, j, radii)) == _bits(batch), j
         for k, r in enumerate(radii):
-            one = profile([r])
+            one = _view(traj, j, [r])
             assert one.values.tobytes() == batch.values[k:k + 1].tobytes(), (j, r)
             assert one.err.tobytes() == batch.err[k:k + 1].tobytes(), (j, r)
 
@@ -356,22 +396,85 @@ def test_one_sided_split_keeps_every_bit(run, request):
                     assert got.tobytes() == ref.tobytes(), (p, side, log)
 
 
-@pytest.mark.parametrize("run", ["std1", "std2", "std3_500", "nonstd2"])
+@pytest.mark.parametrize("run", ALL_RUNS)
 def test_power_tables_keep_every_bit(run, request, monkeypatch):
-    # v and Delta^j v with their bars, against the moment pass as it was
-    if run == "std1":
-        traj, _ = shoot(standard_config(1))
-    else:
-        traj, _ = request.getfixturevalue(run)
+    # v and Delta^j v with their bars, read off one pass and through the
+    # public views, against the moment pass as it was
+    traj, _ = request.getfixturevalue(run)
     radii = np.unique(_radii(traj))
 
     def profiles():
-        out = [compute_v(traj, radii)]
-        out += [compute_lap_v(traj, j, radii) for j in range(1, traj.m)]
-        return [(prof.values.tobytes(), prof.err.tobytes()) for prof in out]
+        order = represent._moment_pass(traj, radii)
+        out = [_bits(order(j)) for j in range(traj.m)]
+        assert [_bits(_view(traj, j, radii)) for j in range(traj.m)] == out
+        return out
 
     got = profiles()
     monkeypatch.setattr(represent._SeparableIntegral, "_split",
                         lambda sep, p, side, log=False: _split_reference(sep, p, log)[
                             "PQ".index(side)])
     assert profiles() == got
+
+
+@pytest.mark.parametrize("run", ["std2", "std3_500", "big3"])
+def test_every_order_from_one_pass_forms_each_moment_once(run, request, monkeypatch):
+    # every moment that Delta^j v reads is one that v reads, so after v the
+    # other orders form no moment at all, and none is formed twice
+    traj, _ = request.getfixturevalue(run)
+    formed = collections.Counter()
+    split = represent._SeparableIntegral._split
+
+    def counted(sep, p, side, log=False):
+        formed[id(sep), p, side, log] += 1
+        return split(sep, p, side, log)
+
+    monkeypatch.setattr(represent._SeparableIntegral, "_split", counted)
+    order = represent._moment_pass(traj, np.unique(_radii(traj)))
+    order(0)
+    by_v = set(formed)
+    for j in range(1, traj.m):
+        order(j)
+    assert set(formed) == by_v
+    assert set(formed.values()) == {1}
+    assert len({key[0] for key in formed}) == 2  # the fine and decimated grids
+
+
+@pytest.mark.parametrize("run", ["std3_500", "big3"])
+def test_each_view_reads_only_its_own_order(run, request, monkeypatch):
+    traj, _ = request.getfixturevalue(run)
+    read = []
+    integral = represent._SeparableIntegral.integral
+
+    def recorded(sep, coeffs, j):
+        read.append(j)
+        return integral(sep, coeffs, j)
+
+    monkeypatch.setattr(represent._SeparableIntegral, "integral", recorded)
+    for j in range(traj.m):
+        read.clear()
+        _view(traj, j, np.unique(_radii(traj)))
+        assert read == [j, j], j  # the fine and decimated grids
+
+
+_LOG2 = math.log(2.0)
+
+
+@pytest.mark.parametrize("cfg, degree", [
+    # the round sphere at lambda = 0.05: v's bars reach 1.4e-6 while the w0
+    # estimate is 2.9e-10, and a floor of the estimate alone let the fit
+    # read v's quadrature error as r^2 (lead -2.2e-13), a wrong row (iv)
+    (ShootingConfig(m=2, initial_laplacians=standard_laplacians(2, 0.05)), 0),
+    (ShootingConfig(m=2, initial_derivatives=(_LOG2, -2.000001)), 2),
+    (ShootingConfig(m=3, initial_derivatives=(_LOG2, -2.2, 4.0), r_end=500.0), 4),
+    # the round sphere at lambda = 20 is not standard here: its far field of
+    # u is wrong, a defect of the shooter and not of the floor
+    (ShootingConfig(m=2, initial_laplacians=standard_laplacians(2, 20.0)), 2),
+], ids=["m2-lambda-0.05", "m2-d2-2.000001", "m3-r500", "m2-lambda-20"])
+def test_fit_floor_counts_the_bars_of_v(cfg, degree):
+    a = analyze(cfg)
+    assert a.fit.inferred_degree == degree
+    if degree == 0:
+        assert a.verdict.criteria["iv"] == (0.0, "standard")
+        assert a.verdict.overall == "standard"
+    if cfg.initial_derivatives == (_LOG2, -2.000001):
+        assert a.fit.leading_coefficient == pytest.approx(-1.745e-6, rel=1e-3)
