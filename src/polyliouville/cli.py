@@ -225,7 +225,7 @@ class Analysis:
     """One run through shoot -> v-profile -> u - v fit -> classify.
 
     vprof and fit are None when the run is not ready for the far field
-    (`represent.far_field_ready`) and no radii were asked for: there are
+    (`represent.far_field_refusal`) and no radii were asked for: there are
     no v samples to fit u - v on.  The verdict is then inconclusive
     because classify refuses to judge such runs by the same rule.
     """
@@ -246,7 +246,7 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
     """Shoot cfg, evaluate v, fit u - v and classify the run.
 
     With radii=None, v is evaluated on 24 geometric radii from
-    max(1, r_end/1000) to r_end/2 when `far_field_ready` accepts the run,
+    max(1, r_end/1000) to r_end/2 when `far_field_refusal` passes the run,
     and skipped otherwise (vprof and fit are then None); the `represent`
     command samples v there too.  Explicit radii are always evaluated, so
     compute_v's refusal of a truncated or slowly decaying run surfaces as
@@ -256,10 +256,10 @@ def analyze(cfg: ShootingConfig, radii=None) -> Analysis:
     """
     import numpy as np
 
-    from .represent import far_field_ready
+    from .represent import far_field_refusal
 
     traj, rep = shoot(cfg)
-    if radii is None and far_field_ready(traj, rep.w0_error_estimate):
+    if radii is None and far_field_refusal(traj, rep.w0_error_estimate) is None:
         radii = np.geomspace(max(1.0, traj.r_max / 1000.0), traj.r_max / 2.0, 24)
     if radii is None:
         vprof = fit = None
@@ -387,10 +387,10 @@ def _cmd_shoot(args) -> int:
 
 def _cmd_represent(args) -> int:
     """v and the u - v fit at --radii, else where `analyze` samples v: a run
-    that `far_field_ready` refuses then exits 3 and writes nothing."""
+    that `far_field_refusal` refuses then exits 3 and writes nothing."""
     import numpy as np
 
-    from .represent import _refusal
+    from .represent import far_field_refusal
     from .tailfit import min_samples
 
     cfg = _config(args)
@@ -406,9 +406,7 @@ def _cmd_represent(args) -> int:
                               f"got {float(args.radii[-1])!r}")
     a = analyze(cfg, args.radii)
     if a.vprof is None:
-        raise ValueError(_refusal(a.traj)[0] or (
-            f"the far-field rule (far_field_ready) refused the run at r_end = {cfg.r_end!r}"
-            f" with w0_error_estimate = {a.report.w0_error_estimate:.3g}; pass --radii"))
+        raise ValueError(far_field_refusal(a.traj, a.report.w0_error_estimate))
     out = _resolve_out(args)
     a.vprof.to_csv(out / "v_profile.csv", header=("r", "v", "err_bar"))
     _write_json(out / "fit.json", _fit_json(a.fit))

@@ -72,7 +72,7 @@ __all__ = [
     "KernelCache",
     "compute_v",
     "compute_lap_v",
-    "far_field_ready",
+    "far_field_refusal",
     "rescale_check",
 ]
 
@@ -148,11 +148,25 @@ def _log_moment_from_zero(x, coef, p: int):
 
 def _quadratic(left, right, mid, f_left, f_right, f_mid):
     """Coefficients (f0, d1, d2) of f0 + d1 tau + d2 tau^2, tau = s - left,
-    the quadratic through both panel ends and the midpoint."""
+    the quadratic through both panel ends and the midpoint.  A panel a few
+    ulps wide, whose rounded midpoint falls on an end, gets the constant
+    f_left instead of a division by zero."""
     h, tc = right - left, mid - left
     d2 = ((f_right - f_left) / h - (f_mid - f_left) / tc) / (h - tc)
     d1 = (f_mid - f_left) / tc - d2 * tc
-    return f_left, d1, d2
+    wide = (tc > 0) & (tc < h)
+    return f_left, np.where(wide, d1, 0.0), np.where(wide, d2, 0.0)
+
+
+def _scaled(c: float, r, e: int, moment):
+    """c r^e moment, taken in logs where the plain product is not finite: at
+    r below about 1e-308^(1/|e|) the power overflows while the prefix moment,
+    of order r^(|e|+2) and more, has underflowed to 0."""
+    out = c * r**e * moment
+    bad = ~np.isfinite(out) & (r > 0)
+    log_size = e * np.log(r[bad]) + np.log(np.abs(moment[bad]))
+    out[bad] = c * np.sign(moment[bad]) * np.exp(log_size)
+    return out
 
 
 class _SeparableIntegral:
@@ -168,9 +182,11 @@ class _SeparableIntegral:
         g_r, g_lower, g_upper = np.split(
             _density_at(traj, np.concatenate([r, 0.5 * (a + r), 0.5 * (r + b)])), 3)
         self.a, self.r, self.x_lower, self.x_upper = a, r, r - a, b - r
-        # quad: (whole panels, [a, r], [r, b]) for g and for g log s
+        # quad: (whole panels, [a, r], [r, b]) for g and for g log s; the
+        # g log s quadratic on [0, r], which overflows at tiny r, is never
+        # read (`_log_moment_from_zero` integrates the log exactly there)
         self.tables, self.memo, self.quad = {}, {}, {}
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for log in (False, True):
                 def f(s, g):
                     return np.where(s > 0, g * np.log(s), 0.0) if log else g
@@ -223,11 +239,11 @@ class _SeparableIntegral:
         n, radii = self.n, self.radii
         inner = np.zeros_like(radii)
         outer = np.zeros_like(radii)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for k, c in enumerate(coeffs[j]):
                 if c == 0.0:
                     continue
-                inner += c * radii ** (-2 * j - 2 * k) * self.moment(n - 1 + 2 * k, "P")
+                inner += _scaled(c, radii, -2 * j - 2 * k, self.moment(n - 1 + 2 * k, "P"))
                 outer += c * radii ** (2 * k) * self.moment(n - 1 - 2 * j - 2 * k, "Q")
             if j == 0:
                 inner += self.moment(n - 1, "P", True) - np.log(radii) * self.moment(n - 1, "P")
@@ -282,14 +298,19 @@ def _refusal(traj: RadialTrajectory):
     return None, decay
 
 
-def far_field_ready(traj: RadialTrajectory, w0_error_estimate: float) -> bool:
-    """Whether traj can be judged in the far field: it reached r_end >= 100,
-    compute_v accepts it, and the companion run's w0_error_estimate is at
-    most 1e-3 max(1, |u(r_end)|), a NaN estimate failing.  The one rule
-    behind `cli.analyze`'s default radii and `classify`'s gate."""
-    return (traj.r_max >= 100.0
-            and w0_error_estimate <= 1e-3 * max(1.0, abs(float(traj.u[-1])))
-            and _refusal(traj)[0] is None)
+def far_field_refusal(traj: RadialTrajectory, w0_error_estimate: float) -> str | None:
+    """Why traj cannot be judged in the far field, or None: compute_v's refusal,
+    else r_end < 100, else a companion-run w0_error_estimate (NaN included) above
+    1e-3 max(1, |u(r_end)|).  The one rule behind `cli.analyze`'s radii and `classify`."""
+    refusal, bound = _refusal(traj)[0], 1e-3 * max(1.0, abs(float(traj.u[-1])))
+    if refusal is None and traj.r_max < 100.0:
+        refusal = f"the far field needs r_end >= 100, got r_end = {traj.r_max!r}"
+    elif refusal is None and not w0_error_estimate <= bound:
+        refusal = (f"w0_error_estimate = {w0_error_estimate:.3g} is above the far field's "
+                   f"bound 1e-3 max(1, |u(r_end)|) = {bound:.3g}")
+    else:
+        return refusal
+    return refusal + "; explicit radii are still evaluated"
 
 
 def _tail_bound(traj, radii, log_c, q, j):

@@ -92,10 +92,11 @@ def fit_even_polynomial(
     """Least-squares fit of an even polynomial to the pair (r, values),
     with degree inference.
 
-    ``max_degree`` must be even.  Columns are scaled by r_max**(2k) so the
-    design matrix has unit-size columns.  A power 2k counts toward the
-    inferred degree only when |c_k| * r_max**(2k) exceeds ten times the
-    residual RMS, which filters out powers fitted to noise.
+    ``max_degree`` must be even and every sample finite.  Columns are
+    scaled by r_max**(2k) so the design matrix has unit-size columns.  A
+    power 2k counts toward the inferred degree only when |c_k| *
+    r_max**(2k) exceeds ten times the residual RMS, which filters out
+    powers fitted to noise.
 
     ``contribution_floor`` additionally requires each counted power to
     exceed that absolute contribution at r_max.  When fitting u - v,
@@ -112,6 +113,9 @@ def fit_even_polynomial(
     vals = np.asarray(vals, dtype=float)
     if r.shape != vals.shape or r.ndim != 1:
         raise ValueError("r and vals must be 1-d arrays of equal length")
+    # abs(nan) > cutoff is False: a NaN sample would pass as degree 0
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(vals))):
+        raise ValueError("r and vals must be finite")
     nterm = max_degree // 2 + 1
     if r.size < min_samples(max_degree):
         raise ValueError("not enough samples for the requested degree")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tailfit
-from .represent import far_field_ready
+from .represent import far_field_refusal
 from .shooter import RadialTrajectory, SolveReport
 
 __all__ = [
@@ -182,7 +182,7 @@ def classify(
     traj and report must come from the same run; fit is the even-polynomial
     fit of u - v samples (representation module), or None when no v samples
     were taken, which leaves criterion (iv) inconclusive.  A run that
-    `represent.far_field_ready` rejects yields all-inconclusive verdicts
+    `represent.far_field_refusal` refuses yields all-inconclusive verdicts
     with vacuous agreement rather than guesses.
     Criteria (v) and (vi) read the tail arrays that `diagnose` stored in
     report; every run judged here reached r_end >= 100 on the 1.01-ratio
@@ -198,7 +198,7 @@ def classify(
     if fit is not None and fit.r_max > traj.r_max * (1 + 1e-12):
         raise ValueError("fit uses samples beyond the trajectory range")
 
-    if not far_field_ready(traj, report.w0_error_estimate):
+    if far_field_refusal(traj, report.w0_error_estimate) is not None:
         criteria = dict.fromkeys(_TABLE, (math.nan, "inconclusive"))
     else:
         criteria = {name: _decide(row, traj, report, fit) for name, row in _TABLE.items()}

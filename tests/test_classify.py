@@ -18,7 +18,7 @@ from polyliouville import verdict
 from polyliouville.verdict import (EPS_GROWTH, EPS_STD, R_BIG, ClassificationReport,
                                    classify)
 from polyliouville.cli import _write_json, analyze
-from polyliouville.represent import far_field_ready
+from polyliouville.represent import far_field_refusal
 from polyliouville.shooter import ShootingConfig, diagnose, shoot, standard_config
 from polyliouville.tailfit import LimitEstimate, fit_even_polynomial
 
@@ -115,9 +115,9 @@ def test_error_gate_is_relative_to_u():
 
 def test_nan_error_estimate_is_refused(std2):
     traj, rep = std2
-    assert far_field_ready(traj, rep.w0_error_estimate)
+    assert far_field_refusal(traj, rep.w0_error_estimate) is None
     blind = dataclasses.replace(rep, w0_error_estimate=math.nan)
-    assert not far_field_ready(traj, blind.w0_error_estimate)
+    assert far_field_refusal(traj, blind.w0_error_estimate) is not None
     report = classify(traj, blind, None)
     assert {verdict for _, verdict in report.criteria.values()} == {"inconclusive"}
     assert report.overall == "inconclusive"
@@ -283,7 +283,7 @@ _ROWS = [
 @pytest.mark.parametrize("name, change, stat, want", _ROWS)
 def test_row_decision_at_its_edges(std2, monkeypatch, name, change, stat, want):
     # the far-field gate has its own tests; here every run is judged
-    monkeypatch.setattr(verdict, "far_field_ready", lambda traj, err: True)
+    monkeypatch.setattr(verdict, "far_field_refusal", lambda traj, err: None)
     traj, rep = std2
     change = dict(change)
     fit = change.pop("fit", None)

@@ -294,18 +294,51 @@ def test_represent_bad_radius_list_exits_2(radii, message, tmp_path, capsys):
 @pytest.mark.parametrize("r_end", ["1.5", "2", "2.0001", "4", "50"])
 def test_represent_short_r_end_without_radii_exits_3(r_end, tmp_path, capsys):
     # the lambda = 100 round sphere reaches r_end and compute_v accepts it,
-    # but far_field_ready refuses a run this short: without --radii there is
-    # no far field to sample, and radii packed near r = 1 (r_end 2.0001, 4)
-    # fit its constant u - v with degree 2
+    # but far_field_refusal refuses a run this short: without --radii there
+    # is no far field to sample, and radii packed near r = 1 (r_end 2.0001,
+    # 4) fit its constant u - v with degree 2.  The estimate passes, so the
+    # message names r_end alone
     out = tmp_path / "out"
     argv = ["represent", "--m", "1", "--u0", "5.298317366548036", "--r-end", r_end,
             "--out", str(out)]
     assert run(argv) == 3
     err = capsys.readouterr().err
-    assert "the far-field rule (far_field_ready) refused the run" in err
-    assert f"r_end = {float(r_end)!r} with w0_error_estimate = " in err
-    assert "pass --radii" in err
+    assert (f"the far field needs r_end >= 100, got r_end = {float(r_end)!r}; "
+            "explicit radii are still evaluated") in err
+    assert "w0_error_estimate" not in err
     assert not out.exists()
+
+
+def _flags(cfg):
+    """The shooting flags that give cfg, whose data it holds as Laplacians."""
+    return ["--m", str(cfg.m), "--r-end", repr(cfg.r_end),
+            "--laplacians", ",".join(map(repr, cfg.initial_laplacians))]
+
+
+@pytest.mark.parametrize("cfg", [
+    standard_config(2),
+    ShootingConfig(m=2, initial_derivatives=(math.log(2.0), -3.0)),
+    standard_config(3, r_end=500.0),
+    ShootingConfig(m=1, initial_derivatives=(5.298317366548036,), r_end=50.0),
+    ShootingConfig(m=2, initial_derivatives=(math.log(2.0), -1.7)),
+], ids=["std2", "nonstd2", "std3_500", "m1-lambda-100-r50", "m2-d2-1.7"])
+def test_one_far_field_rule_gates_v_the_verdict_and_represent(cfg, tmp_path, capsys):
+    # analyze, classify and the represent command all ask far_field_refusal
+    a = analyze(cfg)
+    refusal = represent.far_field_refusal(a.traj, a.report.w0_error_estimate)
+    assert (a.vprof is None) == (refusal is not None)
+    argv = ["represent", *_flags(cfg), "--out", str(tmp_path / "out")]
+    rc = run(argv)
+    err = capsys.readouterr().err
+    if refusal is None:
+        assert rc == 0 and a.fit is not None
+        assert a.verdict.overall != "inconclusive"
+        return
+    assert {v for _, v in a.verdict.criteria.values()} == {"inconclusive"}
+    assert a.verdict.overall == "inconclusive"
+    assert rc == 3
+    assert refusal in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_represent_samples_v_at_analyzes_radii(tmp_path):
@@ -339,6 +372,38 @@ def test_represent_radius_at_r_end_is_valid(tmp_path):
     assert run(argv) == 0
     rows = read(tmp_path / "v_profile.csv").decode().splitlines()[1:]
     assert float(rows[-1].split(",")[0]) == 200.0
+
+
+@pytest.mark.parametrize("tiny", ["1e-300", "5e-324"])
+def test_represent_at_a_tiny_radius_fits_as_near_it(tiny, tmp_path):
+    # v at r = 1e-300 once read NaN +- NaN and the fit of those samples
+    # degree 0; now it is v's r -> 0 limit, and the fit is 1e-100's
+    data = ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3"]
+    for name, r in (("tiny", tiny), ("near", "1e-100")):
+        argv = [*data, "--radii", f"0,{r},2,3,5,10", "--out", str(tmp_path / name)]
+        assert run(argv) == 0
+    rows = [line.split(",") for line in
+            read(tmp_path / "tiny" / "v_profile.csv").decode().splitlines()[1:]]
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+    fit = read(tmp_path / "tiny" / "fit.json")
+    assert fit == read(tmp_path / "near" / "fit.json")
+    assert json.loads(fit)["inferred_degree"] == 2
+
+
+def test_represent_refuses_to_fit_a_nan_v(tmp_path, capsys, monkeypatch):
+    # a NaN sample of v exits 3 instead of fitting as degree 0
+    def nan_v(traj, radii):
+        prof = represent.compute_v(traj, radii)
+        prof.values[1] = math.nan
+        return prof
+
+    monkeypatch.setattr(cli, "compute_v", nan_v)
+    out = tmp_path / "out"
+    argv = ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3", "--radii", "0,1,2,3,5,10",
+            "--out", str(out)]
+    assert run(argv) == 3
+    assert "r and vals must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.02])
@@ -538,10 +603,10 @@ def test_reproduce_paper_short_run_has_no_fit(tmp_path, monkeypatch):
     # a run the far-field rule refuses, as it refuses every run short of
     # r = 100, gets no u - v fit and no verdict
     def refuse(traj, w0_error_estimate):
-        return False
+        return "refused"
 
-    monkeypatch.setattr(represent, "far_field_ready", refuse)
-    monkeypatch.setattr(verdict, "far_field_ready", refuse)
+    monkeypatch.setattr(represent, "far_field_refusal", refuse)
+    monkeypatch.setattr(verdict, "far_field_refusal", refuse)
     assert run(["reproduce-paper", "--out", str(tmp_path)]) == 3
     summary = read(tmp_path / "summary.csv").decode().splitlines()
     rows = [line.split(",") for line in summary[1:]]

@@ -25,7 +25,7 @@ from polyliouville.represent import (
     _tail_bound,
     compute_lap_v,
     compute_v,
-    far_field_ready,
+    far_field_refusal,
     rescale_check,
 )
 from polyliouville.shooter import (
@@ -249,7 +249,7 @@ def test_standard_high_m_bars_finite_and_covering(m, r_end):
     # one; every returned value is skipped or covers the closed form, and
     # [4-300] is accepted with finite bars on every kernel
     traj, rep = shoot(standard_config(m, r_end=r_end))
-    assert not far_field_ready(traj, rep.w0_error_estimate)
+    assert far_field_refusal(traj, rep.w0_error_estimate) is not None
     strict = (m, r_end) == (4, 300.0)
     radii = np.r_[0.0, np.geomspace(0.1, r_end / 2, 30)]
     exact = standard_solution(m, 1.0, radii)
@@ -280,6 +280,49 @@ def test_refusal_prints_a_growing_density_once(std2):
     assert "exp(2mu) ~ s^4.00 (need q > 4+0.1" in str(exc.value)
     assert str(exc.value) == represent._refusal(grown)[0]
     assert "^--" not in str(exc.value)
+    # compute_v's refusal comes first in the far-field rule, word for word
+    assert far_field_refusal(grown, 0.0) == str(exc.value)
+
+
+_FAR = "; explicit radii are still evaluated"
+
+
+def test_far_field_refuses_a_run_that_stopped_early():
+    traj, rep = shoot(ShootingConfig(m=2, initial_derivatives=(math.log(2.0), -1.7)))
+    assert traj.termination == "not_entire"
+    assert far_field_refusal(traj, rep.w0_error_estimate) == (
+        "trajectory terminated with 'not_entire'; "
+        "the representation integral needs a full run to r_end")
+
+
+def test_far_field_refuses_a_short_run_for_its_length():
+    # the lambda = 100 round sphere: compute_v accepts it and its estimate
+    # passes, so the message names r_end alone
+    traj, rep = shoot(ShootingConfig(m=1, initial_derivatives=(5.298317366548036,),
+                                     r_end=50.0))
+    assert represent._refusal(traj)[0] is None
+    assert rep.w0_error_estimate <= 1e-3 * max(1.0, abs(float(traj.u[-1])))
+    assert far_field_refusal(traj, rep.w0_error_estimate) == (
+        "the far field needs r_end >= 100, got r_end = 50.0" + _FAR)
+
+
+def test_far_field_refuses_an_estimate_above_its_bound(std2):
+    traj, rep = std2
+    bound = 1e-3 * max(1.0, abs(float(traj.u[-1])))
+    assert far_field_refusal(traj, rep.w0_error_estimate) is None
+    assert far_field_refusal(traj, bound) is None
+    above = math.nextafter(bound, math.inf)
+    assert far_field_refusal(traj, above) == (
+        f"w0_error_estimate = {above:.3g} is above the far field's bound "
+        f"1e-3 max(1, |u(r_end)|) = {bound:.3g}" + _FAR)
+
+
+def test_far_field_refuses_a_nan_estimate(std2):
+    traj, _ = std2
+    bound = 1e-3 * max(1.0, abs(float(traj.u[-1])))
+    assert far_field_refusal(traj, math.nan) == (
+        f"w0_error_estimate = nan is above the far field's bound "
+        f"1e-3 max(1, |u(r_end)|) = {bound:.3g}" + _FAR)
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +457,64 @@ def test_power_tables_keep_every_bit(run, request, monkeypatch):
                         lambda sep, p, side, log=False: _split_reference(sep, p, log)[
                             "PQ".index(side)])
     assert profiles() == got
+
+
+_TINY = [5e-324, 1e-300, 1e-160, 1e-100, 1e-20]
+
+
+@pytest.mark.parametrize("run", ["std2", "nonstd2", "std3_500"])
+def test_tiny_radii_read_the_limit_at_zero(run, request):
+    # below about 1e-308^(1/(2m-2)) an inner sum's r^(-2j-2k) overflows
+    # against a prefix moment that has underflowed to 0, and at 5e-324 the
+    # split panel's midpoint rounds onto its end: both once gave NaN +- NaN
+    traj, _ = request.getfixturevalue(run)
+    radii = np.array([0.0, *_TINY])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        order = represent._moment_pass(traj, radii)
+        for j in range(traj.m):
+            prof = order(j)
+            assert np.all(np.isfinite(prof.values) & np.isfinite(prof.err)), j
+            # v(0) = 0 exactly and Delta^j v(0) is the limit; v(r) - v(0) is
+            # O(r^2), far below r at these radii
+            assert j > 0 or prof.values[0] == 0.0
+            gap = np.abs(prof.values[1:] - prof.values[0])
+            assert np.all(gap <= prof.err[1:] + radii[1:]), j
+
+
+def _unguarded_quadratic(left, right, mid, f_left, f_right, f_mid):
+    """`represent._quadratic` without its guard for a panel too narrow to
+    hold its own midpoint."""
+    h, tc = right - left, mid - left
+    d2 = ((f_right - f_left) / h - (f_mid - f_left) / tc) / (h - tc)
+    return f_left, (f_mid - f_left) / tc - d2 * tc, d2
+
+
+@pytest.mark.parametrize("run", ALL_RUNS)
+def test_narrow_panel_guards_move_no_finite_bit(run, request, monkeypatch):
+    # the guards replace only what read NaN or inf without them: the tiny
+    # radii, and a radius one ulp above a node, whose split panel is too
+    # narrow for a midpoint of its own
+    traj, _ = request.getfixturevalue(run)
+    nodes = traj.grid[[5, 60, 200]]
+    radii = np.unique(np.r_[_radii(traj), _TINY, nodes, np.nextafter(nodes, math.inf)])
+
+    def profiles():
+        order = represent._moment_pass(traj, radii)
+        return [order(j) for j in range(traj.m)]
+
+    guarded = profiles()
+    monkeypatch.setattr(represent, "_quadratic", _unguarded_quadratic)
+    monkeypatch.setattr(represent, "_scaled", lambda c, r, e, moment: c * r**e * moment)
+    with np.errstate(all="ignore"):
+        plain = profiles()
+    for j, (got, was) in enumerate(zip(guarded, plain)):
+        for new, old in ((got.values, was.values), (got.err, was.err)):
+            kept = np.isfinite(old)
+            assert new[kept].tobytes() == old[kept].tobytes(), j
+        mended = np.isin(radii, np.r_[_TINY, np.nextafter(nodes, math.inf)])
+        assert not np.all(np.isfinite(was.values[mended])), j
+        assert np.all(np.isfinite(got.values[mended])), j
 
 
 @pytest.mark.parametrize("run", ["std2", "std3_500", "big3"])

@@ -69,3 +69,14 @@ def test_fit_requires_enough_samples():
     r = np.linspace(1.0, 2.0, 3)
     with pytest.raises(ValueError):
         fit_even_polynomial((r, r**2), 4)
+
+
+@pytest.mark.parametrize("bad", ["r", "vals"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fit_refuses_non_finite_samples(bad, value):
+    # abs(nan) > cutoff is False: a NaN sample would pass as degree 0
+    r = np.linspace(1.0, 4.0, 10)
+    vals = 3.0 - 2.0 * r**2
+    (r if bad == "r" else vals)[4] = value
+    with pytest.raises(ValueError, match="r and vals must be finite"):
+        fit_even_polynomial((r, vals), 4)
