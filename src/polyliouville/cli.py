@@ -540,8 +540,10 @@ def _cmd_reproduce_paper(args) -> int:
           lambda row, traj: abs(row["lim_dau"]) <= 1e-3]),
         # m = 3 runs to 500: far enough that log-growth statistics settle,
         # short enough that the r^4-mode growth of the integration error
-        # stays out of the tail.  At 500 the tail R_g spans 29.94..29.99
-        # (target 30); at 1000 it spans -11.6..25.0.
+        # stays out of the tail.  At 500 the tail R_g spans 29.98..30.00
+        # (target 30) on the Haswell, Sandybridge and SkylakeX OpenBLAS
+        # kernels; at 1000 it spans 29.90..29.96 on SkylakeX but
+        # 17.5..28.5 on Haswell, so the row would depend on the kernel.
         ("standard m=3",
          standard_config(3, r_end=500.0),
          [is_standard, alpha_close(1e-3), rg_tail_spherical]),

@@ -279,9 +279,9 @@ def _refusal(traj: RadialTrajectory):
     """(why compute_v refuses traj or None, the tail decay fit (log C, q)).
 
     The run must reach r_end, its conformal volume must have converged and
-    exp(2mu) must decay faster than s^-(2m+0.1), or the truncated-tail
-    bound would be meaningless.  A run that ended early is refused before
-    the fit, which is then None."""
+    exp(2mu) must decay faster than s^-(2m+0.1) by a finite fit, or the
+    truncated-tail bound would be meaningless.  A run that ended early is
+    refused before the fit, which is then None."""
     if traj.termination != "reached_end":
         return (
             f"trajectory terminated with '{traj.termination}'; "
@@ -289,7 +289,8 @@ def _refusal(traj: RadialTrajectory):
         ), None
     decay = _tail_decay(traj)
     q = decay[1]
-    if not traj.alpha_converged() or q <= 2 * traj.m + 0.1:
+    # written so that a fit that is not finite (a NaN q included) is refused
+    if not (traj.alpha_converged() and math.isfinite(decay[0]) and q > 2 * traj.m + 0.1):
         return (
             "insufficient decay for the truncated representation integral: "
             f"alpha changed by {traj.alpha_tail_change():.2e} over the tail window and "
@@ -371,9 +372,10 @@ def _moment_pass(traj: RadialTrajectory, eval_radii):
         pref, value = _prefactor(m, j), fine.integral(coeffs, j)
         err = np.abs(value - coarse.integral(coeffs, j)) + _tail_bound(traj, radii, *decay, j)
         prof = RadialProfile(grid=radii, values=pref * value, m=m, err=abs(pref) * err)
-        if j:
-            skip = ~(prof.err <= 1e-5 * np.maximum(1.0, np.abs(prof.values)))
-            prof.values[skip], prof.err[skip] = math.nan, math.inf
+        # a NaN value or bar fails the test; Delta^j v also needs a small bar
+        cap = 1e-5 * np.maximum(1.0, np.abs(prof.values)) if j else math.inf
+        skip = np.isnan(prof.values) | ~(prof.err <= cap)
+        prof.values[skip], prof.err[skip] = math.nan, math.inf
         return prof
     return order
 
@@ -385,8 +387,10 @@ def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
     of exp(2mu) (see the module docstring); v(0) = 0 exactly.  The error
     bar adds the radial Richardson estimate and the truncated-tail bound.
     Radii past r_end use the moments of [0, r_end] and the same tail
-    bound.  Refuses trajectories whose conformal volume has not converged
-    (the tail bound would be meaningless)."""
+    bound.  A NaN value or bar comes back as NaN with an infinite bar, as
+    in compute_lap_v.  Refuses trajectories whose conformal volume has not
+    converged, or whose tail decay fit is not finite (the tail bound would
+    be meaningless)."""
     return _moment_pass(traj, eval_radii)(0)
 
 

@@ -20,10 +20,16 @@ pair with 7th-order dense output), called through this module's global
 `solve_ivp` so that it can be wrapped or replaced from outside.
 
 Initial data live at r = 0, either as A_j = Delta^j u(0) or as the even
-derivatives u^{(2j)}(0) (odd ones vanish for smooth radial data).  The
-integration starts at r0 = 1e-3 from a fourth-order Taylor expansion to
-sidestep the coordinate singularity of the radial Laplacian, and every run
-steps at rtol = 3e-12 and atol = 3e-14 (see _TOL_SAFETY).
+derivatives u^{(2j)}(0) (odd ones vanish for smooth radial data).  Near
+the origin the solution is its power series u = sum_k a_k r^{2k}, whose
+coefficients follow from the data by two short recurrences (`_series`).
+Each shot sums that series, exactly to rounding, on [0, r0], where r0 is
+a quarter of its radius of convergence (0.26 for the round sphere with
+lam = 1), and the stepper takes over at r0.  This sidesteps the
+coordinate singularity of the radial Laplacian and the stepper's work
+where the series alone is exact.  Every run steps at rtol = 3e-12 and
+atol = 3e-14 (see _TOL_SAFETY).  The sampling grid is geometric from
+r = 1e-3 whatever r0 is; its points below r0 come from the series.
 
 The closed-form family
 
@@ -37,7 +43,8 @@ reference for every w_j and p_j without finite differencing.
 A run ends in one of three terminations.  "reached_end": it got to
 r_end.  "not_entire" (m = 2 only): u' turned positive, which no entire
 finite-volume solution does (see `shoot`), so the run stops there; data
-with Delta u(0) >= 0 stop at the start radius without integrating.
+with Delta u(0) >= 0 stop at the first radius, 1e-3 or r0 if smaller,
+without integrating.
 "step_underflow": the step controller gave up short of r_end.  The
 exponential source is clamped at exp(700) inside the vector field so the
 right-hand side stays total past a blow-up.  A finite-radius blow-up goes
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -80,26 +88,37 @@ _EXP_CAP = 700.0  # exp argument clamp; keeps the vector field total
 # The step controller runs tighter than the requested trajectory accuracy:
 # local errors accumulate over ~10^3 steps and, for m >= 2, are further
 # amplified by the growing polyharmonic modes (up to r^{2m-2}) of the
-# linearized tail system.  Calibrated on the closed-form family with DOP853:
-# a request of 1e-10 returns u accurate to 7.5e-11 (m = 2) and 4.5e-9
-# (m = 3) on [0, 50].  A safety of 0.3 saves only 22% of the m = 2
-# evaluations and loses a factor 5 in that accuracy.
+# linearized tail system.  Calibrated on the closed-form family with DOP853
+# from a start at r = 1e-3: a request of 1e-10 returned u accurate to
+# 7.5e-11 (m = 2) and 4.5e-9 (m = 3) on [0, 50], and a safety of 0.3
+# saved only 22% of the m = 2 evaluations and lost a factor 5 in that
+# accuracy.  From the series start the same request gives 8.0e-11 (m = 2)
+# and 2.4e-11 to 2.4e-9 (m = 3, by OpenBLAS kernel).
 _TOL_SAFETY = 0.03
 _RTOL = 1e-10 * _TOL_SAFETY  # 3e-12: the step controller's fixed tolerances
 _ATOL = 1e-12 * _TOL_SAFETY  # 3e-14
-_R0 = 1e-3  # where `series_start` hands over to the stepper
+_R0 = 1e-3  # the first radius of the sampling grid
+
+# The radial power series (`_series`): its number of terms past the first,
+# in s = r^2, and the share of its radius of convergence it is used on.
+# At a quarter of that radius the terms fall like 16^-k, so 40 of them
+# leave the truncated tail far below float64 rounding.
+_SERIES_TERMS = 40
+_SERIES_REACH = 0.25
+_EPS = np.finfo(float).eps
 
 # Companion run for the error estimate integrates at this multiple of the
 # main tolerances; the end-value difference overestimates the main run's
 # own error.  On the closed-form family (m = 1, 2 to r = 1000, m = 3 to
-# r = 500) the estimate is 4.6x to 18x the true end-point error of u.
+# r = 500) the estimate is 4.8x to 21x the true end-point error of u, and
+# up to 1500x where the m = 3 run happens to end closer to the closed form.
 _COMPANION_FACTOR = 8.0
 
 # Ratio of consecutive radii of the sampling grid.
 _GRID_RATIO = 1.01
 
 # solve_ivp status -> termination label: 1 is the m = 2 event on u' > 0,
-# also given to m = 2 data with Delta u(0) >= 0, which stop at r0
+# also given to an m = 2 shot whose series turns u' > 0 below r0
 _TERMINATION = {0: "reached_end", 1: "not_entire", -1: "step_underflow"}
 
 
@@ -124,7 +143,7 @@ class ShootingConfig:
     Exactly one of initial_laplacians (A_0..A_{m-1}) and initial_derivatives
     (u(0), u''(0), ..., u^{(2m-2)}(0)) must be provided; derivatives are
     converted on construction, and the data must be finite.  r_end must be
-    finite and exceed the start radius r0 = 1e-3.  The accuracy is fixed:
+    finite and exceed the grid's start radius 1e-3.  The accuracy is fixed:
     every run uses the module's tolerances _RTOL and _ATOL.
     """
 
@@ -251,38 +270,92 @@ def rhs(state, r, m):
     return np.array(_vector_field(m)(r, state.tolist() + [0.0])[: 2 * m])
 
 
-def series_start(config: ShootingConfig):
-    """Taylor-expanded state at the start radius r0 = _R0.
+def _series(config: ShootingConfig):
+    """The radial power series of config's solution and the radius it earns.
 
-    Returns (r0, y0) with y0 = (w, p, alpha).  Each w_j is expanded to
-    O(r0^6) using A_m = sigma_m (2m-1)! exp(2m A_0) and, differentiating
-    the equation once with grad u(0) = 0, A_{m+1} = A_m * 2m * A_1 (for
-    m = 1 the value A_1 is A_m itself).
+    Returns (at, r0): at(radii) gives the state rows (w, p, alpha) at the
+    radii as an array of shape (2m+1, len(radii)), and r0 is where the
+    stepper takes over.  With s = r^2, u = sum_k a_k s^k and
+    exp(2mu) = sum_k b_k s^k, the equation and d/ds exp(2mu) = 2m u_s exp(2mu)
+    give
+
+        a_{k+m} C_{k+m} / C_k = sigma_m (2m-1)! b_k,
+        k b_k = 2m sum_{i=1..k} i a_i b_{k-i},
+
+    from a_j = A_j / C_j (j < m) and b_0 = exp(2m A_0), clamped as in the
+    vector field; C_k = Delta^k r^{2k}.  Every row follows termwise:
+    w_j = sum_l a_{l+j} (C_{l+j} / C_l) s^l, p_j = dw_j/dr, and alpha
+    integrates b_k s^k r^{2m-1}.  The coefficients are kept in x = s / S
+    with S = min(r_end^2, 1 / max_{k=1..m} |a_k|^(1/k)), the radius in s
+    that the data set, so that they stay of order one and never
+    overflow.  r0 is a quarter of the root test's
+    radius of convergence in r (from the upper half of the a_k), at most
+    half of r_end, and halved until the last two terms of every row are
+    below eps of its sum; each row is then exact to rounding on [0, r0].
     """
-    m, n = config.m, config.n
-    a = list(config.initial_laplacians)
+    m, n, terms = config.m, config.n, _SERIES_TERMS
+    # data-free factors: C_k / C_{k-m} (the a_k recurrence), and the
+    # factors C_{l+j} / C_l of w_j and 2(l+1) C_{l+1+j} / C_{l+1} of p_j
+    # on the a_k at index l + j (l + 1 + j for p_j), l = 0..terms
+    lift = [_iter_factor(k, m, n) for k in range(terms + m + 1)]
+    index = np.add.outer(np.arange(m), np.arange(terms + 1))
+    w_factor = np.array([[_iter_factor(l + j, j, n) for l in range(terms + 1)]
+                         for j in range(m)], dtype=float)
+    p_factor = np.array([[2 * (l + 1) * _iter_factor(l + 1 + j, j, n) for l in range(terms + 1)]
+                         for j in range(m)], dtype=float)
     tab = constant_table(m)
-    a_m = tab.sigma_m * math.factorial(2 * m - 1) * math.exp(
-        min(2 * m * a[0], _EXP_CAP)
-    )
-    a.append(a_m)
-    a.append(a_m * 2 * m * a[1])
-    r0 = _R0
-    w0 = np.array(
-        [
-            a[j] + a[j + 1] * r0**2 / (2 * n) + a[j + 2] * r0**4 / (8 * n * (n + 2))
-            for j in range(m)
-        ]
-    )
-    p0 = np.array(
-        [
-            a[j + 1] * r0 / n + a[j + 2] * r0**3 / (2 * n * (n + 2))
-            for j in range(m)
-        ]
-    )
+    source = tab.sigma_m * math.factorial(2 * m - 1)
     ratio = float(tab.omega_n / tab.vol_sphere_2m)
-    alpha0 = ratio * math.exp(min(2 * m * a[0], _EXP_CAP)) * r0 ** (2 * m) / (2 * m)
-    return r0, np.concatenate([w0, p0, [alpha0]])
+    a = [c / _iter_factor(j, j, n) for j, c in enumerate(config.initial_laplacians)]
+    b = [math.exp(min(2 * m * a[0], _EXP_CAP))]
+    reach = max(abs(c) ** (1 / k) for k, c in enumerate(a[1:] + [source * b[0] / lift[m]], 1))
+    scale = config.r_end**2 if reach * config.r_end**2 <= 1 else 1 / reach
+    a = [c * scale**j for j, c in enumerate(a)]
+    ia = [j * c for j, c in enumerate(a)]  # i a_i, the convolution's weights
+    source *= scale**m
+    for k in range(1, terms + m + 1):
+        if k >= m:
+            a.append(source * b[k - m] / lift[k])
+            ia.append(k * a[k])
+        if k <= terms:
+            b.append(2 * m / k * sum(map(operator.mul, ia[1 : k + 1], b[k - 1 :: -1])))
+    a = np.array(a)
+    k = np.arange(terms + 1)
+    alpha = ratio * np.array(b) / (2 * k + 2 * m)
+    coef = np.vstack([a[index] * w_factor, a[index + 1] * p_factor, alpha])
+    # row factors S^-j (w_j), S^-(j+1) r (p_j) and r^2m (alpha)
+    factor = np.array([scale**-j for j in range(m)] + [scale ** -(j + 1) for j in range(m)] + [1.0])
+    power = np.array([0] * m + [1] * m + [2 * m])
+
+    def at(radii):
+        r = np.asarray(radii, dtype=float)
+        x = r * r / scale
+        # Horner's rule in x, elementwise: a radius's value depends on that
+        # radius alone, whichever radii are evaluated with it
+        acc = np.repeat(coef[:, -1:], r.size, axis=1)
+        for c in coef[:, -2::-1].T:
+            acc *= x
+            acc += c[:, None]
+        return acc * factor[:, None] * r ** power[:, None]
+
+    def earns(r):
+        part = coef * (r * r / scale) ** k
+        return np.all(np.abs(part[:, -2:]).sum(axis=1) <= _EPS * np.abs(part.sum(axis=1)))
+
+    top = np.max(np.abs(a[terms // 2 : terms + 1]) ** (1 / k[terms // 2 :]))
+    r0 = 0.5 * config.r_end
+    if top > 0:
+        r0 = min(r0, _SERIES_REACH * math.sqrt(scale / top))
+    while r0 > 0 and not earns(r0):
+        r0 *= 0.5
+    return at, r0
+
+
+def series_start(config: ShootingConfig):
+    """Where the stepper starts: (r0, y0) with y0 = (w, p, alpha) from the
+    radial power series at the radius r0 it earns (see `_series`)."""
+    at, r0 = _series(config)
+    return r0, at([r0])[:, 0]
 
 
 @dataclass
@@ -293,7 +366,7 @@ class RadialTrajectory:
     normalized volume of B_r.  Off the grid, `sample_w` interpolates w_j
     from the stored w_j and p_j.  termination is "reached_end";
     "not_entire" (m = 2) when the run stopped at the first u' > 0, or at
-    the start radius when Delta u(0) >= 0; or
+    the first radius (1e-3, or r0 if smaller) when Delta u(0) >= 0; or
     "step_underflow" when the steps underflowed short of r_end (a blow-up).
     """
 
@@ -421,9 +494,8 @@ _m2_u_prime.terminal = True
 _m2_u_prime.direction = 1
 
 
-def _integrate(config: ShootingConfig, t_eval, looser=1.0, events=None):
-    """One run from the series start at `looser` times the fixed tolerances."""
-    r0, y0 = series_start(config)
+def _integrate(config: ShootingConfig, r0, y0, t_eval, looser=1.0, events=None):
+    """One run from (r0, y0) at `looser` times the fixed tolerances."""
     return solve_ivp(
         _vector_field(config.m),
         (r0, config.r_end),
@@ -438,14 +510,17 @@ def _integrate(config: ShootingConfig, t_eval, looser=1.0, events=None):
 def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     """Integrate one radial trajectory on [0, r_end] and diagnose its tail.
 
+    The grid is geometric, of ratio 1.01 from r = 1e-3.  Its points below
+    r0 come from the radial power series (`_series`), and from r0 on
     Dormand-Prince adaptive stepping (`dop853.solve_ivp`: 8th order, with
-    5th- and 3rd-order error estimates and 7th-order dense output), sampled
-    on a geometric grid of ratio 1.01.
-    The returned grid always contains r = 0 (exact data) and ends at the
-    last grid radius the run passed.  The report's w0_error_estimate comes
-    from a companion integration at 8x looser tolerance: the global error
+    5th- and 3rd-order error estimates and 7th-order dense output) starts
+    from the series state at r0 and samples the rest; the series costs no
+    nfev.  The returned grid always contains r = 0 (exact data) and ends
+    at the last grid radius the run passed.  The report's
+    w0_error_estimate comes from a companion integration from the same
+    start at 8x looser tolerance: the global error
     grows with the tolerance, so the end-value difference bounds the main
-    run's error (by 4.6x to 18x on the closed-form family).  No run
+    run's error (by 4.8x or more on the closed-form family).  No run
     raises; one that stops short of r_end ends in "not_entire" or
     "step_underflow".
 
@@ -461,24 +536,37 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     u' > 0 thus proves the data lie off every entire solution.  The
     event watches u' and not Delta u: u' ~ -2/r decays more slowly than
     Delta u ~ -4/r^2, so far-field rounding cannot push it across zero.
-    Data with Delta u(0) >= 0 break the same sign at r = 0 and start with
-    u' > 0 (at Delta u(0) = 0 through Delta^2 u(0) = 3! e^{4u(0)} > 0), so
-    no upward crossing could stop them.  Such a shot ends in "not_entire"
-    at the start radius, with the series-start state and no integration
-    (nfev 0).  The companion run has no event; it runs
-    only after "reached_end".  Other m carry no event: for m = 1,
+    The series segment keeps the same rule: if the series u' is > 0 at a
+    grid radius below r0, or at r0 itself, the shot ends there in
+    "not_entire" with the radii before the first such one, and
+    nfev 0.  It keeps at least its first radius: the grid's, or r0 when
+    that is smaller (large u(0)), as the series is read only up to r0.
+    That is the whole shot for data with Delta u(0) >= 0, which break the
+    sign at r = 0 and start with u' > 0 (at Delta u(0) = 0 through
+    Delta^2 u(0) = 3! e^{4u(0)} > 0).  The companion run has no event; it
+    runs only after "reached_end".  Other m carry no event: for m = 1,
     Delta u = -e^{2u} < 0 on every run, so u' never turns positive; for
     m >= 3 no sign theorem holds (m = 3 data (log 2, -2, 14) turn u' > 0
     near r = 1.46 and still reach r_end).
     """
     m = config.m
-    if m == 2 and config.initial_laplacians[1] >= 0:
-        r0, y0 = series_start(config)
-        t, y, status, nfev = np.array([r0]), y0[:, None], 1, 0
+    grid = _geometric_grid(_R0, config.r_end)
+    at, r0 = _series(config)
+    below = grid[grid < r0]
+    y = at(np.append(below, r0))
+    y0 = y[:, -1]
+    # the m = 2 event on the series segment: Delta u(0) >= 0, or the first
+    # radius with u' > 0, r0 included, ends the shot; its first radius,
+    # the grid's or r0 when that is smaller, is always kept
+    up = y[m] > 0
+    if m == 2 and (config.initial_laplacians[1] >= 0 or up.any()):
+        keep = max(np.argmax(up), 1)
+        t, y, status, nfev = np.append(below, r0)[:keep], y[:, :keep], 1, 0
     else:
-        grid = _geometric_grid(_R0, config.r_end)
-        sol = _integrate(config, grid, events=_m2_u_prime if m == 2 else None)
-        t, y, status, nfev = sol.t, sol.y, sol.status, sol.nfev
+        sol = _integrate(config, r0, y0, grid[grid >= r0],
+                         events=_m2_u_prime if m == 2 else None)
+        t, status, nfev = np.append(below, sol.t), sol.status, sol.nfev
+        y = np.column_stack([y[:, :-1], sol.y])
     termination = _TERMINATION[status]
 
     a0 = np.asarray(config.initial_laplacians, dtype=float)
@@ -497,7 +585,7 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
 
     w0_err = math.nan
     if termination == "reached_end":
-        coarse = _integrate(config, np.array([config.r_end]), _COMPANION_FACTOR)
+        coarse = _integrate(config, r0, y0, np.array([config.r_end]), _COMPANION_FACTOR)
         if coarse.status == 0:
             diff = abs(float(coarse.y[0, -1]) - traj.w[0, -1])
             floor = _RTOL * max(1.0, float(np.max(np.abs(traj.w[0]))))

@@ -76,12 +76,21 @@ def test_truncated_run_is_inconclusive():
     assert report.deltaa_estimate is None
 
 
-@pytest.mark.parametrize("r_end", [100.0, 1000.0])
-@pytest.mark.parametrize("m", range(1, 9))
-def test_standard_family_never_called_nonstandard(m, r_end):
+_STANDARD_RUNS = [(m, r_end, 1.0) for m in range(1, 9) for r_end in (100.0, 1000.0)]
+
+
+@pytest.mark.parametrize("m, r_end, lam", [
+    *_STANDARD_RUNS,
+    # lambda = 20 puts r_end 500 far out in the far field, whose roundoff
+    # the gate must refuse, not read as "nonstandard" with agreement
+    (3, 500.0, 20.0),
+], ids=[f"{m}-{r_end}" for m, r_end, _ in _STANDARD_RUNS] + ["3-500.0-lam20"])
+def test_standard_family_never_called_nonstandard(m, r_end, lam):
     # from m = 4 on the far field of u reads float64 roundoff; the companion
-    # run's end-error estimate, NaN at m = 6 and 8, shuts the gate there
-    assert analyze(standard_config(m, r_end=r_end)).verdict.overall != "nonstandard"
+    # run's end-error estimate, far above its bound from m = 5 on, shuts the
+    # gate there
+    cfg = standard_config(m, lam, r_end=r_end)
+    assert analyze(cfg).verdict.overall != "nonstandard"
 
 
 @pytest.mark.parametrize("r_end", [100.0, 300.0, 500.0])

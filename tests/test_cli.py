@@ -69,6 +69,8 @@ def test_commands_run_without_scipy(tmp_path):
         ["reproduce-paper"],
         ["classify", "--m", "2", "--u0", LOG2, "--d2", "-1.7"],
         ["shoot", "--m", "2", "--u0", LOG2, "--d2", "-1.7"],
+        # u' turns positive below the series start: the event on the series
+        ["shoot", "--m", "2", "--u0", LOG2, "--d2", "-0.01"],
         ["classify", "--m", "3", "--u0", LOG2, "--d2", "-2", "--d4", "12", "--r-end", "500"],
         ["a2m-check"],
         ["represent", "--m", "2", "--u0", LOG2, "--d2", "-3"],
@@ -83,7 +85,7 @@ def test_commands_run_without_scipy(tmp_path):
     assert "termination: not_entire" in proc.stdout
     assert "100/100 exact" in proc.stdout
     assert "Navier boundary residuals exactly zero: True" in proc.stdout
-    assert proc.stdout.splitlines()[-3:] == ["[0, 0, 0, 0, 0, 0, 0, 0, 0]", "[]", "False"]
+    assert proc.stdout.splitlines()[-3:] == ["[0, 0, 0, 0, 0, 0, 0, 0, 0, 0]", "[]", "False"]
 
 
 _IMPORT_CONTRACT = """

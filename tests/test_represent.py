@@ -284,6 +284,30 @@ def test_refusal_prints_a_growing_density_once(std2):
     assert far_field_refusal(grown, 0.0) == str(exc.value)
 
 
+def test_nan_in_u_is_refused_at_the_end_and_skipped_inside(std2):
+    traj, _ = std2
+    # at the end the tail decay fit is NaN, which must not pass q > 2m + 0.1
+    w = traj.w.copy()
+    w[0, -1] = math.nan
+    at_end = dataclasses.replace(traj, w=w)
+    refusal = represent._refusal(at_end)[0]
+    assert refusal is not None and "s^nan" in refusal
+    assert far_field_refusal(at_end, 0.0) == refusal
+    with pytest.raises(ValueError):
+        compute_v(at_end, [1.0])
+    # inside, every moment reads the NaN density: v follows compute_lap_v's
+    # rule, a NaN value or bar becomes NaN with an infinite bar
+    w = traj.w.copy()
+    w[0, np.searchsorted(traj.grid, 10.0)] = math.nan
+    inside = dataclasses.replace(traj, w=w)
+    assert far_field_refusal(inside, 0.0) is None
+    order = represent._moment_pass(inside, [0.0, 1.0, 5.0, 20.0, 200.0])
+    for j in range(traj.m):
+        prof = order(j)
+        assert np.all(np.isnan(prof.values)), j
+        assert np.all(prof.err == math.inf), j
+
+
 _FAR = "; explicit radii are still evaluated"
 
 
@@ -562,14 +586,16 @@ _LOG2 = math.log(2.0)
 
 @pytest.mark.parametrize("cfg, degree", [
     # the round sphere at lambda = 0.05: v's bars reach 1.4e-6 while the w0
-    # estimate is 2.9e-10, and a floor of the estimate alone let the fit
+    # estimate is 8e-10, and a floor of the estimate alone let the fit
     # read v's quadrature error as r^2 (lead -2.2e-13), a wrong row (iv)
     (ShootingConfig(m=2, initial_laplacians=standard_laplacians(2, 0.05)), 0),
     (ShootingConfig(m=2, initial_derivatives=(_LOG2, -2.000001)), 2),
     (ShootingConfig(m=3, initial_derivatives=(_LOG2, -2.2, 4.0), r_end=500.0), 4),
-    # the round sphere at lambda = 20 is not standard here: its far field of
-    # u is wrong, a defect of the shooter and not of the floor
-    (ShootingConfig(m=2, initial_laplacians=standard_laplacians(2, 20.0)), 2),
+    # the round sphere at lambda = 20: the far field's free modes amplify
+    # any error of the start (a 2e-11 error in u near r = 1e-3 grows to 0.65
+    # at r = 1000 and reads as degree 2); from the exact series start u ends
+    # 1.3e-5 off
+    (ShootingConfig(m=2, initial_laplacians=standard_laplacians(2, 20.0)), 0),
 ], ids=["m2-lambda-0.05", "m2-d2-2.000001", "m3-r500", "m2-lambda-20"])
 def test_fit_floor_counts_the_bars_of_v(cfg, degree):
     a = analyze(cfg)
@@ -577,5 +603,6 @@ def test_fit_floor_counts_the_bars_of_v(cfg, degree):
     if degree == 0:
         assert a.verdict.criteria["iv"] == (0.0, "standard")
         assert a.verdict.overall == "standard"
+        assert all(row != "nonstandard" for _, row in a.verdict.criteria.values())
     if cfg.initial_derivatives == (_LOG2, -2.000001):
         assert a.fit.leading_coefficient == pytest.approx(-1.745e-6, rel=1e-3)

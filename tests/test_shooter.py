@@ -6,6 +6,7 @@ equals 2m(2m-1) identically.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,9 +171,98 @@ class TestInitialData:
     def test_series_start_small_radius_expansion(self):
         cfg = ShootingConfig(m=1, initial_laplacians=(0.0,), r_end=10.0)
         r0, state = series_start(cfg)
-        # u = -r^2/4 + O(r^4) when u(0) = 0 and m = 1
-        assert state[0] == pytest.approx(-(r0**2) / 4, rel=1e-4)
-        assert state[1] == pytest.approx(-r0 / 2, rel=1e-4)
+        # u(0) = 0 at m = 1 is the closed form at lam = 1/2, u = -log(1 + r^2/4),
+        # whose series converges for r < 2
+        assert 0.4 < r0 < 0.6
+        assert state[0] == pytest.approx(-math.log1p(r0**2 / 4), rel=1e-15)
+        assert state[1] == pytest.approx(-r0 / (2 + r0**2 / 2), rel=1e-15)
+
+
+class TestSeries:
+    """The radial power series that every shot starts from (`_series`)."""
+
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 20.0])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_series_matches_closed_form(self, m, lam):
+        # the closed form's radius of convergence is 1/lam; on [0, r0] every
+        # row of the series is the closed form to rounding
+        at, r0 = shooter._series(standard_config(m, lam))
+        assert 0.2 < r0 * lam < 0.3
+        radii = r0 * np.array([0.0, 1e-3, 0.1, 0.5, 0.9, 1.0])
+        y = at(radii)
+        exact = standard_solution(m, lam, radii)
+        np.testing.assert_allclose(y[: 2 * m], np.vstack([exact.w, exact.p]), rtol=2e-14, atol=0)
+        if m == 1:
+            # the normalized area of a disc under the round metric, t / (1 + t)
+            t = (lam * radii) ** 2
+            np.testing.assert_allclose(y[2], t / (1 + t), rtol=2e-14, atol=0)
+
+    def test_start_is_halved_until_the_series_earns_it(self, monkeypatch):
+        # at the full radius of convergence (1.05 by the root test for the
+        # round sphere) the terms do not decay, so the tail rule halves it
+        r0 = shooter._series(standard_config(2))[1]
+        monkeypatch.setattr(shooter, "_SERIES_REACH", 1.0)
+        at, r1 = shooter._series(standard_config(2))
+        assert r1 == 2 * r0
+        exact = standard_solution(2, 1.0, [r1])
+        np.testing.assert_allclose(at([r1])[:4, 0], np.r_[exact.w[:, 0], exact.p[:, 0]],
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("cfg", [
+        standard_config(2),
+        ShootingConfig(m=2, initial_derivatives=(LOG2, -3.0)),
+        ShootingConfig(m=2, initial_derivatives=(LOG2, -10.0)),
+        ShootingConfig(m=3, initial_derivatives=(LOG2, -2.2, 4.0)),
+        ShootingConfig(m=4, initial_laplacians=(LOG2, 2.0, 0.0, 0.0)),
+        *(ShootingConfig(m=3, initial_derivatives=(LOG2, d2, d4))
+          for d2, d4 in np.random.default_rng(29).uniform((-3.0, 0.0), (-1.5, 30.0), (2, 2))),
+    ], ids=["standard m=2", "m=2 d2=-3", "m=2 d2=-10", "m=3 (-2.2, 4)", "m=4 blow-up",
+            "m=3 seeded 0", "m=3 seeded 1"])
+    def test_series_matches_the_stepper_past_r0(self, cfg):
+        # the stepper at 1/100 of the shooter's tolerances, from the series
+        # start, agrees with the series on [r0, 2 r0]
+        at, r0 = shooter._series(cfg)
+        radii = r0 * np.linspace(1.0, 2.0, 6)
+        sol = dop853.solve_ivp(shooter._vector_field(cfg.m), (r0, radii[-1]), at([r0])[:, 0],
+                               t_eval=radii, rtol=shooter._RTOL / 100, atol=shooter._ATOL / 100)
+        assert sol.status == 0
+        series = at(radii)
+        scale = np.max(np.abs(series), axis=1, keepdims=True)
+        assert np.all(np.abs(sol.y - series) <= 1e-12 * scale)
+
+    def test_radius_of_convergence_below_one(self):
+        # m = 2 at u''(0) = -10: a root-test radius near 0.67, so the start
+        # lies near 0.17, and the grid below it comes from the series
+        cfg = ShootingConfig(m=2, initial_derivatives=(LOG2, -10.0), r_end=10.0)
+        at, r0 = shooter._series(cfg)
+        assert 0.6 < 4 * r0 < 0.75
+        traj, _ = shoot(cfg)
+        below = (traj.grid > 0) & (traj.grid < r0)
+        y = at(traj.grid[below])
+        assert np.array_equal(traj.w[:, below], y[:2])
+        assert np.array_equal(traj.p[:, below], y[2:4])
+        assert np.array_equal(traj.alpha[below], y[4])
+        # a radius's value does not depend on the radii evaluated with it
+        assert all(np.array_equal(at(traj.grid[i : i + 1])[:, 0], y[:, i - 1])
+                   for i in np.flatnonzero(below)[::40])
+
+    @pytest.mark.parametrize("d2, r_max", [(-0.001, 0.0222981), (-0.01, 0.0700207),
+                                           (-0.1, 0.222078)])
+    def test_m2_event_fires_on_the_series_segment(self, d2, r_max, monkeypatch):
+        # u' turns positive below r0: the shot stops at the same grid radius
+        # as the stepper's event did, without integrating
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr("polyliouville.shooter.solve_ivp", no_solve)
+        cfg = ShootingConfig(m=2, initial_derivatives=(LOG2, d2))
+        assert series_start(cfg)[0] > r_max
+        traj, rep = shoot(cfg)
+        assert rep.termination == "not_entire"
+        assert traj.r_max == pytest.approx(r_max, rel=1e-5)  # grid radii are 1% apart
+        assert traj.nfev == 0
+        assert np.all(traj.p[0] <= 0.0)
+        assert shooter._series(cfg)[0]([traj.r_max * shooter._GRID_RATIO])[2, 0] > 0.0
 
 
 class TestStandardShots:
@@ -205,8 +295,8 @@ class TestStandardShots:
         assert np.max(np.abs(rg - 30.0)) <= 0.3
 
     def test_m2_main_run_cost(self, std2):
-        # evaluation counts repeat exactly: 2858 with the 8th-order pair,
-        # 7376 with the 5th-order one
+        # evaluation counts repeat exactly: 2282 with the 8th-order pair
+        # from the series start
         traj, _ = std2
         assert traj.nfev <= 4000
 
@@ -243,11 +333,17 @@ class TestStandardShots:
 
     def test_sample_w_interpolates_laplacian(self, std2, std3_500):
         # max |error| of every w_j on off-grid radii, at most that of a global
-        # cubic spline (w_j'(0) = 0, not-a-knot) through the same nodes of
-        # the same run, so the ceiling moves with the nodes' last bits
+        # cubic spline (w_j'(0) = 0, not-a-knot) through the same node values
+        # on each run's grid.  The nodes hold the closed form's exact w_j and
+        # p_j, so both sides measure interpolation error alone: a run's own
+        # nodes carry a far-field error that both interpolants share (3.1e-9
+        # in w_1 near r = 499 at m = 3, larger than either interpolation
+        # error there), and the comparison would turn on its last bits.
         interpolate = pytest.importorskip("scipy.interpolate")
         runs = (shoot(standard_config(1))[0], std2[0], std3_500[0])
         for run in runs:
+            nodes = standard_solution(run.m, 1.0, run.grid)
+            run = replace(run, w=nodes.w, p=nodes.p)
             radii = np.geomspace(1e-3, run.r_max, 10**4, endpoint=False)
             exact = standard_solution(run.m, 1.0, radii)
             for j in range(run.m):
@@ -307,6 +403,20 @@ class TestTermination:
         assert traj.p[0, -1] > 0.0
         assert math.isnan(rep.w0_error_estimate)
 
+    def test_m2_large_u0_stops_at_the_series_start(self):
+        # u(0) = 12 puts the series start r0 near 4e-6, below the grid's
+        # first radius: the shot stops at r0 itself, where the series holds,
+        # and never sums it at 1e-3, far outside its radius of convergence
+        cfg = ShootingConfig(m=2, initial_derivatives=(12.0, 1.0))
+        r0 = series_start(cfg)[0]
+        assert r0 < shooter._R0 / 100
+        traj, rep = shoot(cfg)
+        assert rep.termination == "not_entire"
+        assert traj.grid.tolist() == [0.0, r0]
+        assert np.all(np.isfinite(traj.w)) and np.all(np.isfinite(traj.p))
+        assert 0.0 < traj.alpha[-1] < 1.0
+        assert traj.p[0, -1] > 0.0
+
     @pytest.mark.parametrize("d2", [-1.9, -1.7, -1.5])
     def test_supercritical_m2_stops_at_first_positive_slope(self, d2):
         # every entire m = 2 solution has u' < 0, so the run stops where u'
@@ -319,7 +429,7 @@ class TestTermination:
         assert np.all(traj.p[0] <= 0.0)
         assert math.isnan(rep.w0_error_estimate)
 
-    @pytest.mark.parametrize("d2,nfev", [(-2.2, 2312), (-3.0, 2324), (-2.0001, 2723), (None, 2858)])
+    @pytest.mark.parametrize("d2,nfev", [(-2.2, 1721), (-3.0, 1691), (-2.0001, 2147), (None, 2282)])
     def test_entire_m2_runs_keep_their_cost(self, d2, nfev):
         # the u' event never fires on these runs and leaves the steps alone
         if d2 is None:
@@ -418,6 +528,7 @@ class TestStepperOracle:
             events = None
         else:
             t_eval = shooter._geometric_grid(shooter._R0, cfg.r_end)
+            t_eval = t_eval[t_eval >= series_start(cfg)[0]]
             events = shooter._m2_u_prime if cfg.m == 2 else None
         return cls._run_both(cfg, t_eval, rtol, atol, events)
 
@@ -460,7 +571,7 @@ class TestStepperOracle:
         # most steps hold no t_eval point here, unlike on the geometric grid;
         # "r0" and "r_end" are the ends of t_span
         cfg = _ORACLE_CONFIGS[name]
-        ends = {"r0": shooter._R0, "r_end": cfg.r_end}
+        ends = {"r0": series_start(cfg)[0], "r_end": cfg.r_end}
         t_eval = np.array([ends.get(p, p) for p in points])
         events = shooter._m2_u_prime if cfg.m == 2 else None
         mine, ref = self._run_both(cfg, t_eval, shooter._RTOL, shooter._ATOL, events)
@@ -474,8 +585,8 @@ class TestStepperOracle:
         cfg = _ORACLE_CONFIGS[name]
         r0, y0 = series_start(cfg)
         field = shooter._vector_field(cfg.m)
-        kwargs = dict(t_eval=shooter._geometric_grid(shooter._R0, cfg.r_end),
-                      rtol=shooter._RTOL, atol=shooter._ATOL,
+        grid = shooter._geometric_grid(shooter._R0, cfg.r_end)
+        kwargs = dict(t_eval=grid[grid >= r0], rtol=shooter._RTOL, atol=shooter._ATOL,
                       events=shooter._m2_u_prime if cfg.m == 2 else None)
         fused = dop853.solve_ivp(field, (r0, cfg.r_end), y0, **kwargs)
         plain = dop853.solve_ivp(lambda t, y: field(t, y), (r0, cfg.r_end), y0, **kwargs)
