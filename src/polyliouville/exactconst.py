@@ -265,11 +265,14 @@ def pizzetti_coefficients(n: int, count: int) -> list[Fraction]:
     """First `count` coefficients c_0 .. c_{count-1} for dimension n.
 
     c_i is the weight of R^{2i} (Delta^i h)(x0) in the exact ball-average
-    expansion of h over B_R(x0).
+    expansion of h over B_R(x0). count = 0 gives the empty list; a
+    negative count raises ValueError.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    out = [Fraction(1)]
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    out = [Fraction(1)] if count else []
     for i in range(1, count):
         c = Fraction(n, n + 2 * i) * Fraction(
             double_factorial(n - 2),

@@ -16,19 +16,27 @@ n / (n + |alpha|), leaving prod_i (alpha_i - 1)!! / prod_{j=1}^{|alpha|/2}
 the binomial expansion of each monomial about the centre, in integers,
 without ever building the translated polynomial.
 
-The exact layer of the Pizzetti sweep runs in integers: ball_average, the
-right-hand side of pizzetti_check and almansi_random work on integer
-numerators over one denominator and build a rational only at the end.
-
-PolynomialND coefficients are fractions.Fraction.
+The exact layer of the Pizzetti sweep runs in one integer form from the
+generator to the verdict. A PolynomialND holds its coefficients either as
+Fractions or as integer numerators N over one denominator D; almansi_random
+returns the integer form, and the Fraction `terms` are built only when
+read. ball_average and pizzetti_check read the integer form (computing and
+caching it once for a polynomial built from Fractions), and
+PizzettiReport.exact compares (numerator, denominator) pairs by
+cross-multiplication, so a sweep that only asks for verdicts builds no
+Fraction at all. `terms` is read-only, so a cached integer form can never
+disagree with it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .exactconst import double_factorial, pizzetti_coefficients
 
@@ -46,11 +54,14 @@ def _rat(x) -> Fraction:
 class PolynomialND:
     """Polynomial in n variables, stored as {exponent tuple: coefficient}.
 
-    Instances are immutable in spirit: all operations return new objects and
-    zero coefficients are dropped on construction.
+    Instances are immutable: all operations return new objects, zero
+    coefficients are dropped on construction, and `terms` is a read-only
+    mapping. Its Fractions may be built lazily from an integer form N / D
+    (see almansi_random); equality and hashing go through `terms`, so both
+    forms of one polynomial compare and hash equal.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_terms", "_den", "_nums")
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -61,7 +72,26 @@ class PolynomialND:
                 if len(mono) != n or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono} for n={n}")
                 clean[tuple(mono)] = c
-        self.terms = clean
+        self._terms = MappingProxyType(clean)
+        self._den = self._nums = None
+
+    @classmethod
+    def _over(cls, n: int, den: int, nums: dict) -> "PolynomialND":
+        """N / D from valid exponent tuples and nonzero integers, D > 0."""
+        P = cls.__new__(cls)
+        P.n, P._terms, P._den, P._nums = n, None, den, nums
+        return P
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only {exponent tuple: Fraction}, reduced."""
+        if self._terms is None:
+            D = self._den
+            self._terms = MappingProxyType({a: Fraction(c, D) for a, c in self._nums.items()})
+        return self._terms
+
+    def __reduce__(self):
+        return PolynomialND, (self.n, dict(self.terms))
 
     # -- constructors -------------------------------------------------
 
@@ -91,11 +121,12 @@ class PolynomialND:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._nums if self._terms is None else self._terms)
 
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
-        return max((sum(a) for a in self.terms), default=-1)
+        monos = self._nums if self._terms is None else self._terms
+        return max((sum(a) for a in monos), default=-1)
 
     def __eq__(self, other):
         return isinstance(other, PolynomialND) and self.n == other.n \
@@ -170,18 +201,31 @@ class PolynomialND:
 # -- coefficient dicts ---------------------------------------------------
 #
 # The exact layer runs on plain {exponent tuple: coefficient} dicts, mostly
-# integer numerators over one denominator kept alongside, and builds a
-# PolynomialND (or a Fraction) only at the end.
+# integer numerators over one denominator kept alongside. The tables below
+# depend only on small integers, so bounded caches keep them across the
+# cases of a sweep.
 
 
-def _laplacian_terms(terms: dict) -> dict:
+@functools.lru_cache(maxsize=4096)
+def _laplacian_edges(alpha: tuple) -> tuple:
+    """(beta, e (e - 1)) for each x_i^e of x^alpha with e >= 2: the
+    Laplacian of x^alpha is the sum of e (e - 1) x^beta."""
+    return tuple((alpha[:i] + (e - 2,) + alpha[i + 1:], e * (e - 1))
+                 for i, e in enumerate(alpha) if e >= 2)
+
+
+@functools.lru_cache(maxsize=4096)
+def _rsq_edges(alpha: tuple) -> tuple:
+    """The exponents of |x|^2 x^alpha, one per coordinate."""
+    return tuple(alpha[:i] + (e + 2,) + alpha[i + 1:] for i, e in enumerate(alpha))
+
+
+def _laplacian_terms(terms) -> dict:
     """Laplacian of a coefficient dict; zero sums may stay as entries."""
     out = {}
     for a, c in terms.items():
-        for i, e in enumerate(a):
-            if e >= 2:
-                key = a[:i] + (e - 2,) + a[i + 1:]
-                out[key] = out.get(key, 0) + c * (e * (e - 1))
+        for key, f in _laplacian_edges(a):
+            out[key] = out.get(key, 0) + c * f
     return out
 
 
@@ -189,8 +233,7 @@ def _times_rsq(terms: dict) -> dict:
     """|x|^2 times a coefficient dict."""
     out = {}
     for a, c in terms.items():
-        for i, e in enumerate(a):
-            key = a[:i] + (e + 2,) + a[i + 1:]
+        for key in _rsq_edges(a):
             out[key] = out.get(key, 0) + c
     return out
 
@@ -201,10 +244,14 @@ def _add_scaled(acc: dict, terms: dict, s: int) -> None:
         acc[a] = acc.get(a, 0) + s * c
 
 
-def _over_lcm(P: "PolynomialND") -> tuple[int, dict]:
-    """(C, N) with C the lcm of P's denominators and P = N / C, N integer."""
-    C = math.lcm(1, *(c.denominator for c in P.terms.values()))
-    return C, {a: c.numerator * (C // c.denominator) for a, c in P.terms.items()}
+def _over_common(P: "PolynomialND") -> tuple[int, dict]:
+    """(C, N) with P = N / C and N integer: the generator's own form, or C
+    the lcm of P's denominators, computed once and kept on P."""
+    if P._nums is None:
+        C = math.lcm(1, *(c.denominator for c in P._terms.values()))
+        P._den = C
+        P._nums = {a: c.numerator * (C // c.denominator) for a, c in P._terms.items()}
+    return P._den, P._nums
 
 
 # -- moments ------------------------------------------------------------
@@ -259,6 +306,62 @@ def _radius(R) -> Fraction:
     return R
 
 
+def _centre_radius(n: int, x0, R) -> tuple[int, list[int], int]:
+    """(q, a, b) with x0 = a / q and R = b / q over one q > 0.
+
+    All-int input skips the Fraction route; x0 and R must be exact (floats
+    raise TypeError), x0 of length n and R >= 0.
+    """
+    vals = [*x0, R]
+    if all(type(v) is int for v in vals):
+        q = 1
+    else:
+        vals = [_rat(v) for v in vals]
+        q = math.lcm(*(v.denominator for v in vals))
+        vals = [v.numerator * (q // v.denominator) for v in vals]
+    b = vals.pop()
+    if len(vals) != n:
+        raise ValueError(f"centre has length {len(vals)}, expected {n}")
+    if b < 0:
+        raise ValueError(f"radius must be nonnegative, got {Fraction(b, q)}")
+    return q, vals, b
+
+
+@functools.lru_cache(maxsize=1024)
+def _coordinate_list(a: int, e: int) -> tuple:
+    """C(e, 2t) a^{e-2t} (2t - 1)!! for t = 0..e/2: the even-power part of
+    (a + y)^e, each y^{2t} weighted by its moment numerator (2t - 1)!!."""
+    return tuple(math.comb(e, 2 * t) * a ** (e - 2 * t) * double_factorial(2 * t - 1)
+                 for t in range(e // 2 + 1))
+
+
+def _ball_sum(P: PolynomialND, q: int, a: list, b: int) -> tuple[int, int]:
+    """(numerator, denominator) of the average of P over B_{b/q}(a/q)."""
+    n = P.n
+    deg = max(P.degree(), 0)
+    C, N = _over_common(P)
+    b2 = b * b
+    # w[k] = b^{2k} L / prod_{j=1}^{k} (n + 2j), so w[0] = L
+    w = [b2 ** k * math.prod(range(n + 2 * k + 2, n + deg + 1, 2)) for k in range(deg // 2 + 1)]
+    total = 0
+    for alpha, c in N.items():
+        g = None
+        for ai, e in zip(a, alpha):
+            if e:
+                f = _coordinate_list(ai, e)
+                if g is None:
+                    g = f
+                    continue
+                h = [0] * (len(g) + e // 2)
+                for s, gs in enumerate(g):
+                    for t, ft in enumerate(f, s):
+                        h[t] += gs * ft
+                g = h
+        moment_sum = w[0] if g is None else sum(map(operator.mul, g, w))
+        total += c * q ** (deg - sum(alpha)) * moment_sum
+    return total, C * w[0] * q ** deg
+
+
 def ball_average(P: PolynomialND, x0, R) -> Fraction:
     """Exact average of P over the ball B_R(x0), by a direct moment sum.
 
@@ -267,52 +370,65 @@ def ball_average(P: PolynomialND, x0, R) -> Fraction:
     of y^beta, R^{|beta|} prod_i (beta_i - 1)!! / prod_{j=1}^{|beta|/2} (n + 2j);
     the translated polynomial is never built. Per monomial the beta-sum is a
     convolution over k = |beta|/2 of one short list per coordinate, summed
-    in integers: x0 = a/q and R = b/q over a common q, coefficients over
-    their lcm C, moments over L = prod_{j=1}^{deg/2} (n + 2j), every term
-    over q^deg. x0 and R must be exact (floats raise TypeError), R >= 0.
+    in integers: x0 = a/q and R = b/q over a common q (q = 1 for int x0
+    and R, with no Fraction built), P = N / C in its integer form, moments
+    over L = prod_{j=1}^{deg/2} (n + 2j), every term over q^deg. The one
+    Fraction is the result. x0 and R must be exact (floats raise
+    TypeError), R >= 0.
     """
-    n = P.n
-    x0 = [_rat(s) for s in x0]
-    if len(x0) != n:
-        raise ValueError(f"centre has length {len(x0)}, expected {n}")
-    R = _radius(R)
-    deg = max(P.degree(), 0)
-    q = math.lcm(R.denominator, *(s.denominator for s in x0))
-    a = [s.numerator * (q // s.denominator) for s in x0]
-    b2 = (R.numerator * (q // R.denominator)) ** 2
-    C, N = _over_lcm(P)
-    # w[k] = b^{2k} L / prod_{j=1}^{k} (n + 2j), so w[0] = L
-    w = [b2 ** k * math.prod(range(n + 2 * k + 2, n + deg + 1, 2)) for k in range(deg // 2 + 1)]
-    lists = {(i, e): [math.comb(e, 2 * t) * a[i] ** (e - 2 * t) * double_factorial(2 * t - 1)
-                      for t in range(e // 2 + 1)]
-             for i, e in {(i, e) for alpha in P.terms for i, e in enumerate(alpha) if e}}
-    total = 0
-    for alpha, c in N.items():
-        g = [1]
-        for i, e in enumerate(alpha):
-            if e:
-                f, h = lists[i, e], [0] * (len(g) + e // 2)
-                for s, gs in enumerate(g):
-                    for t, ft in enumerate(f):
-                        h[s + t] += gs * ft
-                g = h
-        moment_sum = sum(gk * wk for gk, wk in zip(g, w))
-        total += c * q ** (deg - sum(alpha)) * moment_sum
-    return Fraction(total, C * w[0] * q ** deg)
+    return Fraction(*_ball_sum(P, *_centre_radius(P.n, x0, R)))
 
 
 # -- Pizzetti check -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=64)
+def _pizzetti_integers(n: int, m: int) -> tuple[int, tuple]:
+    """(K, k) with c_i = k_i / K for the first m Pizzetti coefficients."""
+    cs = pizzetti_coefficients(n, m)
+    K = math.lcm(*(c.denominator for c in cs))
+    return K, tuple(c.numerator * (K // c.denominator) for c in cs)
+
+
 class PizzettiReport:
-    lhs: Fraction
-    rhs: Fraction
-    residual: Fraction
+    """Ball average (lhs) against the Pizzetti sum (rhs) of one check.
+
+    Both sides are kept as (numerator, denominator) integer pairs; `exact`
+    compares them by cross-multiplication, and lhs, rhs and residual =
+    lhs - rhs are reduced Fractions built when read.
+    """
+
+    __slots__ = ("_lhs", "_rhs")
+
+    def __init__(self, lhs: tuple[int, int], rhs: tuple[int, int]):
+        self._lhs, self._rhs = lhs, rhs
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(*self._lhs)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(*self._rhs)
+
+    @property
+    def residual(self) -> Fraction:
+        return self.lhs - self.rhs
 
     @property
     def exact(self) -> bool:
-        return self.residual == 0
+        (a, b), (c, d) = self._lhs, self._rhs
+        return a * d == c * b
+
+    def __eq__(self, other):
+        return isinstance(other, PizzettiReport) \
+            and (self.lhs, self.rhs) == (other.lhs, other.rhs)
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
+
+    def __repr__(self):
+        return f"PizzettiReport(lhs={self.lhs!r}, rhs={self.rhs!r}, residual={self.residual!r})"
 
 
 def pizzetti_check(P: PolynomialND, m: int, x0, R) -> PizzettiReport:
@@ -322,42 +438,46 @@ def pizzetti_check(P: PolynomialND, m: int, x0, R) -> PizzettiReport:
     rhs  = sum_{i=0}^{m-1} c_i R^{2i} (Delta^i P)(x0)
 
     The residual is exactly zero whenever Delta^m P = 0, and equals
-    c_m R^{2m} (Delta^m P)(x0) for any P of degree <= 2m. x0 and R must be
-    exact and R nonnegative, as for ball_average.
+    c_m R^{2m} (Delta^m P)(x0) for any P of degree <= 2m. m must be >= 1
+    (ValueError otherwise); x0 and R must be exact and R nonnegative, as
+    for ball_average.
 
-    rhs runs in integers, like ball_average: P = N / C over the lcm C of
-    its coefficients' denominators, x0 = a / q over a common q, and the
-    Laplacians act on the integer dict N. With deg_i the degree bound
-    deg P - 2i of Delta^i N, each term is one Fraction
+    Both sides run in integers, on one reading of P's integer form N / C
+    and of x0 = a / q, R = b / q (no Fraction built for int x0 and R). The
+    Laplacians act on N, and c_i = k_i / K over one K per (n, m). With
+    deg P's degree, every rhs term shares the denominator K C q^deg:
 
-        c_i R^{2i} sum_alpha (Delta^i N)_alpha a^alpha q^{deg_i - |alpha|} / (C q^{deg_i}).
+        rhs = sum_i k_i b^{2i} sum_alpha (Delta^i N)_alpha a^alpha q^{deg - 2i - |alpha|} / (K C q^deg).
+
+    The report keeps both sides as integer pairs; see PizzettiReport.
     """
-    R = _radius(R)
-    lhs = ball_average(P, x0, R)
-    x0 = [_rat(s) for s in x0]
-    q = math.lcm(1, *(s.denominator for s in x0))
-    a = [s.numerator * (q // s.denominator) for s in x0]
-    C, N = _over_lcm(P)
-    deg = P.degree()
-    rhs = Fraction(0)
-    for i, c in enumerate(pizzetti_coefficients(P.n, m)):
-        if not N:
-            break
-        total = 0
+    if m < 1:
+        raise ValueError("need m >= 1")
+    n = P.n
+    q, a, b = _centre_radius(n, x0, R)
+    lhs = _ball_sum(P, q, a, b)
+    C, N = _over_common(P)
+    K, ks = _pizzetti_integers(n, m)
+    deg = max(P.degree(), 0)
+    total = 0
+    for i, k in enumerate(ks):
+        if i:
+            N = _laplacian_terms(N)
+        t = 0
         for alpha, v in N.items():
             if v:
                 for ai, e in zip(a, alpha):
                     if e:
                         v *= ai ** e
-                total += v * q ** (deg - sum(alpha))
-        rhs += Fraction(c.numerator * R.numerator ** (2 * i) * total,
-                        c.denominator * R.denominator ** (2 * i) * C * q ** deg)
-        N = _laplacian_terms(N)
-        deg -= 2
-    return PizzettiReport(lhs=lhs, rhs=rhs, residual=lhs - rhs)
+                t += v * q ** (deg - 2 * i - sum(alpha))
+        total += k * b ** (2 * i) * t
+    return PizzettiReport(lhs, (total, K * C * q ** deg))
 
 
 # -- Almansi generator ------------------------------------------------------
+
+
+_NUMERATORS = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
 
 
 def _random_homogeneous(rng: random.Random, n: int, d: int) -> dict:
@@ -366,7 +486,7 @@ def _random_homogeneous(rng: random.Random, n: int, d: int) -> dict:
     for _ in range(1 + rng.randrange(2)):
         cuts = sorted(rng.randrange(d + 1) for _ in range(n - 1)) if n > 1 else []
         alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
-        num = rng.choice([c for c in range(-5, 6) if c])
+        num = rng.choice(_NUMERATORS)
         den = rng.choice([1, 1, 2, 3])
         terms[alpha] = terms.get(alpha, 0) + num * (6 // den)
     return terms
@@ -420,8 +540,10 @@ def almansi_random(m: int, n: int, d: int, seed: int) -> PolynomialND:
     n + 2d - 2 - 2i >= n + d - 2 is positive for 1 <= i <= J.
 
     Everything runs on integer dicts: q over 6, h = H / (6 K) by
-    _harmonic_part, then P = sum_k |x|^{2k} H_k / D_k over the lcm of the
-    D_k by Horner's rule in |x|^2; the one PolynomialND is built last.
+    _harmonic_part, then P = sum_k |x|^{2k} H_k / D_k over the lcm D of the
+    D_k by Horner's rule in |x|^2. The result holds those integer
+    numerators over D, which ball_average and pizzetti_check read as they
+    are; its read-only Fraction `terms` are built only when first read.
     """
     if m < 1 or n < 1 or d < 0:
         raise ValueError("need m >= 1, n >= 1, d >= 0")
@@ -441,4 +563,4 @@ def almansi_random(m: int, n: int, d: int, seed: int) -> PolynomialND:
     for H, den in reversed(layers):
         acc = _times_rsq(acc)
         _add_scaled(acc, H, D // den)
-    return PolynomialND(n, {a: Fraction(c, D) for a, c in acc.items() if c})
+    return PolynomialND._over(n, D, {a: c for a, c in acc.items() if c})

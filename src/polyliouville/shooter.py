@@ -599,7 +599,9 @@ def scalar_curvature(traj: RadialTrajectory) -> np.ndarray:
     R_g = -2 (2m-1) e^{-2u} (Delta u + (m-1) |grad u|^2); the m = 1 branch
     is the Gauss identity R = 2 e^{-2u} (-Delta u) with Delta u = -e^{2u}
     read from the equation itself.  Overflow of e^{-2u} (deeply negative u)
-    maps to +-inf rather than raising.
+    maps to +-inf rather than raising; where it meets a zero bracket (at
+    m = 1, e^{2u} underflows to 0 there) the product is NaN, not a wrong
+    number.
     """
     m = traj.m
     w0 = traj.w[0]
@@ -608,7 +610,7 @@ def scalar_curvature(traj: RadialTrajectory) -> np.ndarray:
     else:
         lap = traj.w[1]
     bracket = lap + (m - 1) * traj.p[0] ** 2
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return -2 * (2 * m - 1) * np.exp(-2 * w0) * bracket
 
 

@@ -78,6 +78,14 @@ def test_pizzetti_coefficients_closed_form(n):
         assert c == ball_pizzetti_weight(n, k)
 
 
+def test_pizzetti_coefficients_count_is_exact():
+    assert pizzetti_coefficients(4, 0) == []
+    assert pizzetti_coefficients(4, 1) == [1]
+    assert len(pizzetti_coefficients(4, 3)) == 3
+    with pytest.raises(ValueError):
+        pizzetti_coefficients(4, -1)
+
+
 def test_pizzetti_table_matches_free_function():
     table = constant_table(2)
     free = pizzetti_coefficients(4, len(table.pizzetti_c))

@@ -7,11 +7,13 @@ ball_average's direct moment sum, is kept here as its oracle. Likewise the
 Fischer recursion for the harmonic part, a route independent of
 almansi_random's closed form, is kept here as that generator's oracle, and
 the Fraction-valued evaluate route as the oracle of pizzetti_check's
-integer right-hand side. Two frozen digests pin the exact layer's outputs
-byte for byte.
+integer right-hand side. The generator's integer form is checked against
+the Fraction form it stands for, and two frozen digests pin the exact
+layer's outputs byte for byte.
 """
 
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -258,6 +260,74 @@ def test_pizzetti_rhs_matches_evaluate_route():
             assert rep.residual == rep.lhs - rep.rhs
         if case % 2 == 0:
             assert pizzetti_check(P, m, x0, R).exact
+
+
+def test_almansi_integer_form_equals_fraction_form():
+    # the generator's integer form and the same polynomial built from its
+    # Fractions compare and hash equal, and the Fractions are reduced
+    for seed in range(12):
+        P = almansi_random(1 + seed % 3, 2 + seed % 5, seed % 7, seed)
+        Q = PolynomialND(P.n, P.terms)
+        assert P == Q and hash(P) == hash(Q)
+        assert all(type(c) is Fraction and c == Fraction(c.numerator, c.denominator)
+                   for c in P.terms.values())
+        assert pickle.loads(pickle.dumps(P)) == P
+
+
+def test_terms_are_read_only():
+    for P in (almansi_random(2, 3, 4, seed=1), PolynomialND.rsq(3)):
+        alpha = next(iter(P.terms))
+        with pytest.raises(TypeError):
+            P.terms[alpha] = Fraction(7)
+        with pytest.raises(AttributeError):
+            P.terms = {}
+
+
+def test_integer_path_keeps_exact_input_rules():
+    P = almansi_random(2, 2, 4, seed=3)
+    for check in (lambda x0, R: ball_average(P, x0, R),
+                  lambda x0, R: pizzetti_check(P, 2, x0, R)):
+        with pytest.raises(TypeError, match="floats are not accepted"):
+            check((1, 0.5), 2)
+        with pytest.raises(TypeError, match="floats are not accepted"):
+            check((1, 0), 2.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            check((1, 0), -1)
+
+
+def test_integer_path_matches_fraction_route():
+    # int centres and radii, R = 0 and the zero polynomial included, give
+    # the answers of the same Fraction inputs and of the oracles
+    for case in range(24):
+        n, m = 1 + case % 4, 1 + case % 3
+        P = PolynomialND.zero(n) if case == 0 else almansi_random(m, n, case % 6, seed=case)
+        x0 = tuple((case >> k) % 3 - 1 for k in range(n))
+        R = case % 4
+        frac_x0, frac_R = tuple(Fraction(x) for x in x0), Fraction(R)
+        assert ball_average(P, x0, R) == ball_average(P, frac_x0, frac_R) \
+            == oracle_ball_average(P, x0, R), case
+        rep = pizzetti_check(P, m, x0, R)
+        assert rep.exact and rep.residual == 0, case
+        assert rep.rhs == pizzetti_check(P, m, frac_x0, frac_R).rhs \
+            == oracle_pizzetti_rhs(P, m, x0, R), case
+
+
+def test_non_polyharmonic_integer_case_is_not_exact():
+    # Delta^m P != 0: the residual is the evaluate route's, not zero
+    P = almansi_random(2, 3, 4, seed=8) + PolynomialND.monomial(3, (2, 2, 2), 5)
+    x0 = (1, -1, 2)
+    for order in (1, 2, 3):
+        rep = pizzetti_check(P, order, x0, 3)
+        assert not rep.exact
+        assert rep.residual == ball_average(P, x0, 3) - oracle_pizzetti_rhs(P, order, x0, 3) != 0
+
+
+def test_pizzetti_check_refuses_m_below_one():
+    # the empty sum is 0, so an m = 0 check would have residual 5, not 0
+    P = PolynomialND.monomial(2, (0, 0), 5)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            pizzetti_check(P, m, (0, 0), 1)
 
 
 def _sha256_lines(lines):

@@ -6,6 +6,7 @@ equals 2m(2m-1) identically.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -373,6 +374,17 @@ class TestNonstandardShot:
         traj, rep = nonstd2
         assert rep.delta_limits[0].value < -1e-3
         assert np.min(scalar_curvature(traj)) < -1e6
+
+    def test_overflowed_factor_on_zero_bracket_is_nan(self):
+        # u(0) = -400: e^{-2u} overflows and, at m = 1, e^{2u} underflows to
+        # a zero bracket; inf * 0 gives R_g NaN (never a wrong number) and
+        # the shot still reaches r_end with RuntimeWarning as an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj, rep = shoot(ShootingConfig(m=1, initial_laplacians=(-400.0,)))
+            rg = scalar_curvature(traj)
+        assert rep.termination == "reached_end"
+        assert np.isnan(rg).all()
 
 
 class TestTermination:
