@@ -16,16 +16,14 @@ n / (n + |alpha|), leaving prod_i (alpha_i - 1)!! / prod_{j=1}^{|alpha|/2}
 the binomial expansion of each monomial about the centre, in integers,
 without ever building the translated polynomial.
 
-The exact layer of the Pizzetti sweep runs in one integer form from the
-generator to the verdict. A PolynomialND holds its coefficients either as
-Fractions or as integer numerators N over one denominator D; almansi_random
-returns the integer form, and the Fraction `terms` are built only when
-read. ball_average and pizzetti_check read the integer form (computing and
-caching it once for a polynomial built from Fractions), and
+A PolynomialND has one form: integer numerators N over one denominator D,
+with gcd(D, all N) = 1. The ring operations, the Laplacian, the generator,
+ball_average and pizzetti_check all run on N and D, so the exact layer of
+the Pizzetti sweep runs in integers from the generator to the verdict;
 PizzettiReport.exact compares (numerator, denominator) pairs by
-cross-multiplication, so a sweep that only asks for verdicts builds no
-Fraction at all. `terms` is read-only, so a cached integer form can never
-disagree with it.
+cross-multiplication, and a sweep that only asks for verdicts builds no
+Fraction at all. Fractions appear only where read: the read-only `terms`
+view, evaluate, and the reported averages.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ from types import MappingProxyType
 
 from .exactconst import double_factorial, pizzetti_coefficients
 
-_ZERO = Fraction(0)
-
 
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -52,16 +48,17 @@ def _rat(x) -> Fraction:
 
 
 class PolynomialND:
-    """Polynomial in n variables, stored as {exponent tuple: coefficient}.
+    """Polynomial in n variables with rational coefficients.
 
-    Instances are immutable: all operations return new objects, zero
-    coefficients are dropped on construction, and `terms` is a read-only
-    mapping. Its Fractions may be built lazily from an integer form N / D
-    (see almansi_random); equality and hashing go through `terms`, so both
-    forms of one polynomial compare and hash equal.
+    Stored as integer numerators N, a dict {exponent tuple: nonzero int},
+    over one denominator D > 0 with gcd(D, all N) = 1, so each polynomial
+    has exactly one (D, N). Instances are immutable: all operations return
+    new objects, run on the integer numerators, and compare and hash by
+    (n, D, N). `terms` is a read-only {exponent tuple: Fraction} view built
+    on each read.
     """
 
-    __slots__ = ("n", "_terms", "_den", "_nums")
+    __slots__ = ("n", "_den", "_nums")
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -72,26 +69,32 @@ class PolynomialND:
                 if len(mono) != n or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono} for n={n}")
                 clean[tuple(mono)] = c
-        self._terms = MappingProxyType(clean)
-        self._den = self._nums = None
+        # the lcm of reduced denominators leaves gcd(D, all N) = 1
+        D = math.lcm(1, *(c.denominator for c in clean.values()))
+        self._den = D
+        self._nums = {a: c.numerator * (D // c.denominator) for a, c in clean.items()}
 
     @classmethod
     def _over(cls, n: int, den: int, nums: dict) -> "PolynomialND":
-        """N / D from valid exponent tuples and nonzero integers, D > 0."""
+        """N / D from valid exponent tuples, integers N and D > 0; zero
+        entries are dropped and the common gcd divided out."""
+        nums = {a: c for a, c in nums.items() if c}
+        g = math.gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {a: c // g for a, c in nums.items()}
         P = cls.__new__(cls)
-        P.n, P._terms, P._den, P._nums = n, None, den, nums
+        P.n, P._den, P._nums = n, den, nums
         return P
 
     @property
     def terms(self) -> MappingProxyType:
         """Read-only {exponent tuple: Fraction}, reduced."""
-        if self._terms is None:
-            D = self._den
-            self._terms = MappingProxyType({a: Fraction(c, D) for a, c in self._nums.items()})
-        return self._terms
+        D = self._den
+        return MappingProxyType({a: Fraction(c, D) for a, c in self._nums.items()})
 
     def __reduce__(self):
-        return PolynomialND, (self.n, dict(self.terms))
+        return PolynomialND._over, (self.n, self._den, self._nums)
 
     # -- constructors -------------------------------------------------
 
@@ -110,73 +113,76 @@ class PolynomialND:
     @classmethod
     def rsq(cls, n: int) -> "PolynomialND":
         """|x|^2 as a polynomial."""
-        terms = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = 2
-            terms[tuple(e)] = 1
-        return cls(n, terms)
+        return cls._over(n, 1, _times_rsq({(0,) * n: 1}))
 
     # -- basics --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not (self._nums if self._terms is None else self._terms)
+        return not self._nums
 
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
-        monos = self._nums if self._terms is None else self._terms
-        return max((sum(a) for a in monos), default=-1)
+        return max((sum(a) for a in self._nums), default=-1)
 
     def __eq__(self, other):
-        return isinstance(other, PolynomialND) and self.n == other.n \
-            and self.terms == other.terms
+        return isinstance(other, PolynomialND) \
+            and (self.n, self._den, self._nums) == (other.n, other._den, other._nums)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
         if self.is_zero:
             return "0"
+        terms = self.terms
         bits = []
-        for alpha in sorted(self.terms, key=lambda a: (sum(a), a), reverse=True):
-            c = self.terms[alpha]
+        for alpha in sorted(terms, key=lambda a: (sum(a), a), reverse=True):
             mono = "*".join(f"x{i}^{e}" for i, e in enumerate(alpha) if e)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+            bits.append(f"{terms[alpha]}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "PolynomialND") -> "PolynomialND":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, _ZERO) + c
-        return PolynomialND(self.n, out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "PolynomialND") -> "PolynomialND":
-        return self + (other * -1)
+        return self._plus(other, -1)
+
+    def _plus(self, other, s: int):
+        """self + s * other over the lcm of the two denominators."""
+        if not isinstance(other, PolynomialND):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        D = math.lcm(self._den, other._den)
+        out: dict = {}
+        _add_scaled(out, self._nums, D // self._den)
+        _add_scaled(out, other._nums, s * (D // other._den))
+        return PolynomialND._over(self.n, D, out)
 
     def __mul__(self, other):
         if not isinstance(other, PolynomialND):
             c = _rat(other)
-            return PolynomialND(self.n, {a: v * c for a, v in self.terms.items()})
+            out: dict = {}
+            _add_scaled(out, self._nums, c.numerator)
+            return PolynomialND._over(self.n, self._den * c.denominator, out)
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         out = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, _ZERO) + ca * cb
-        return PolynomialND(self.n, out)
+        for a, ca in self._nums.items():
+            for b, cb in other._nums.items():
+                key = tuple(map(operator.add, a, b))
+                out[key] = out.get(key, 0) + ca * cb
+        return PolynomialND._over(self.n, self._den * other._den, out)
 
     __rmul__ = __mul__
 
     # -- calculus --------------------------------------------------------
 
     def laplacian(self) -> "PolynomialND":
-        return PolynomialND(self.n, _laplacian_terms(self.terms))
+        return PolynomialND._over(self.n, self._den, _laplacian_terms(self._nums))
 
     def iterated_laplacian(self, j: int) -> "PolynomialND":
         out = self
@@ -188,7 +194,7 @@ class PolynomialND:
         if len(point) != self.n:
             raise ValueError(f"point has length {len(point)}, expected {self.n}")
         pt = [_rat(x) for x in point]
-        total = _ZERO
+        total = Fraction(0)
         for a, c in self.terms.items():
             v = c
             for x, e in zip(pt, a):
@@ -200,10 +206,9 @@ class PolynomialND:
 
 # -- coefficient dicts ---------------------------------------------------
 #
-# The exact layer runs on plain {exponent tuple: coefficient} dicts, mostly
-# integer numerators over one denominator kept alongside. The tables below
-# depend only on small integers, so bounded caches keep them across the
-# cases of a sweep.
+# The exact layer runs on plain {exponent tuple: integer numerator} dicts
+# over a denominator kept alongside. The tables below depend only on small
+# integers, so bounded caches keep them across the cases of a sweep.
 
 
 @functools.lru_cache(maxsize=4096)
@@ -242,16 +247,6 @@ def _add_scaled(acc: dict, terms: dict, s: int) -> None:
     """acc += s * terms, in place."""
     for a, c in terms.items():
         acc[a] = acc.get(a, 0) + s * c
-
-
-def _over_common(P: "PolynomialND") -> tuple[int, dict]:
-    """(C, N) with P = N / C and N integer: the generator's own form, or C
-    the lcm of P's denominators, computed once and kept on P."""
-    if P._nums is None:
-        C = math.lcm(1, *(c.denominator for c in P._terms.values()))
-        P._den = C
-        P._nums = {a: c.numerator * (C // c.denominator) for a, c in P._terms.items()}
-    return P._den, P._nums
 
 
 # -- moments ------------------------------------------------------------
@@ -339,7 +334,7 @@ def _ball_sum(P: PolynomialND, q: int, a: list, b: int) -> tuple[int, int]:
     """(numerator, denominator) of the average of P over B_{b/q}(a/q)."""
     n = P.n
     deg = max(P.degree(), 0)
-    C, N = _over_common(P)
+    C, N = P._den, P._nums
     b2 = b * b
     # w[k] = b^{2k} L / prod_{j=1}^{k} (n + 2j), so w[0] = L
     w = [b2 ** k * math.prod(range(n + 2 * k + 2, n + deg + 1, 2)) for k in range(deg // 2 + 1)]
@@ -371,7 +366,7 @@ def ball_average(P: PolynomialND, x0, R) -> Fraction:
     the translated polynomial is never built. Per monomial the beta-sum is a
     convolution over k = |beta|/2 of one short list per coordinate, summed
     in integers: x0 = a/q and R = b/q over a common q (q = 1 for int x0
-    and R, with no Fraction built), P = N / C in its integer form, moments
+    and R, with no Fraction built), P = N / C as it is stored, moments
     over L = prod_{j=1}^{deg/2} (n + 2j), every term over q^deg. The one
     Fraction is the result. x0 and R must be exact (floats raise
     TypeError), R >= 0.
@@ -442,8 +437,8 @@ def pizzetti_check(P: PolynomialND, m: int, x0, R) -> PizzettiReport:
     (ValueError otherwise); x0 and R must be exact and R nonnegative, as
     for ball_average.
 
-    Both sides run in integers, on one reading of P's integer form N / C
-    and of x0 = a / q, R = b / q (no Fraction built for int x0 and R). The
+    Both sides run in integers, on P's stored numerators N over C
+    and on x0 = a / q, R = b / q (no Fraction built for int x0 and R). The
     Laplacians act on N, and c_i = k_i / K over one K per (n, m). With
     deg P's degree, every rhs term shares the denominator K C q^deg:
 
@@ -456,7 +451,7 @@ def pizzetti_check(P: PolynomialND, m: int, x0, R) -> PizzettiReport:
     n = P.n
     q, a, b = _centre_radius(n, x0, R)
     lhs = _ball_sum(P, q, a, b)
-    C, N = _over_common(P)
+    C, N = P._den, P._nums
     K, ks = _pizzetti_integers(n, m)
     deg = max(P.degree(), 0)
     total = 0
@@ -541,9 +536,9 @@ def almansi_random(m: int, n: int, d: int, seed: int) -> PolynomialND:
 
     Everything runs on integer dicts: q over 6, h = H / (6 K) by
     _harmonic_part, then P = sum_k |x|^{2k} H_k / D_k over the lcm D of the
-    D_k by Horner's rule in |x|^2. The result holds those integer
-    numerators over D, which ball_average and pizzetti_check read as they
-    are; its read-only Fraction `terms` are built only when first read.
+    D_k by Horner's rule in |x|^2. The result is those integer numerators
+    over D, put in lowest terms (zero entries dropped, the common gcd
+    divided out) as every PolynomialND is.
     """
     if m < 1 or n < 1 or d < 0:
         raise ValueError("need m >= 1, n >= 1, d >= 0")
@@ -563,4 +558,4 @@ def almansi_random(m: int, n: int, d: int, seed: int) -> PolynomialND:
     for H, den in reversed(layers):
         acc = _times_rsq(acc)
         _add_scaled(acc, H, D // den)
-    return PolynomialND._over(n, D, {a: c for a, c in acc.items() if c})
+    return PolynomialND._over(n, D, acc)

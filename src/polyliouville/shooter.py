@@ -723,18 +723,14 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         verdict_inputs: dict = {}
-        if self.scalar_curvature_tail is not None:
-            r, vals = self.scalar_curvature_tail
-            verdict_inputs["scalar_curvature_tail"] = {
-                "r": [float(x) for x in r],
-                "value": [float(x) for x in vals],
-            }
-        if self.rho1_tail is not None:
-            r, vals = self.rho1_tail
-            verdict_inputs["rho1_tail"] = {
-                "r": [float(x) for x in r],
-                "value": [float(x) for x in vals],
-            }
+        for name in ("scalar_curvature_tail", "rho1_tail"):
+            tail = getattr(self, name)
+            if tail is not None:
+                r, vals = tail
+                verdict_inputs[name] = {
+                    "r": [float(x) for x in r],
+                    "value": [float(x) for x in vals],
+                }
         return {
             "m": self.m,
             "termination": self.termination,

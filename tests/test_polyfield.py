@@ -8,8 +8,9 @@ Fischer recursion for the harmonic part, a route independent of
 almansi_random's closed form, is kept here as that generator's oracle, and
 the Fraction-valued evaluate route as the oracle of pizzetti_check's
 integer right-hand side. The generator's integer form is checked against
-the Fraction form it stands for, and two frozen digests pin the exact
-layer's outputs byte for byte.
+the Fraction form it stands for, the integer ring operations against plain
+Fraction-dict sums, products and Laplacians, and two frozen digests pin the
+exact layer's outputs byte for byte.
 """
 
 import hashlib
@@ -283,6 +284,13 @@ def test_terms_are_read_only():
             P.terms = {}
 
 
+def test_adding_a_non_polynomial_raises_type_error():
+    P = PolynomialND.monomial(2, (1, 0))
+    for op in (lambda: P + 1, lambda: P - 1, lambda: 1 + P, lambda: 1 - P):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_integer_path_keeps_exact_input_rules():
     P = almansi_random(2, 2, 4, seed=3)
     for check in (lambda x0, R: ball_average(P, x0, R),
@@ -451,7 +459,7 @@ def test_moment_average_validates_alpha_length():
         moment_average((1, 2), 3)
 
 
-coeff_st = st.integers(min_value=-5, max_value=5)
+coeff_st = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7]))
 alpha_st = st.tuples(st.integers(0, 3), st.integers(0, 3))
 items_st = st.lists(st.tuples(alpha_st, coeff_st), min_size=1, max_size=5)
 point_st = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -466,6 +474,42 @@ def test_translate_evaluate_identity(items, shift, x):
     assert lhs == rhs
 
 
+# -- Fraction-dict ring operations, the oracle of the stored integer form ----
+
+
+def fraction_dict(items):
+    out = {}
+    for alpha, c in items:
+        out[alpha] = out.get(alpha, Fraction(0)) + c
+    return out
+
+
+def fraction_sum(f, g):
+    out = dict(f)
+    for alpha, c in g.items():
+        out[alpha] = out.get(alpha, Fraction(0)) + c
+    return out
+
+
+def fraction_product(f, g):
+    out = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return out
+
+
+def fraction_laplacian(f):
+    out = {}
+    for alpha, c in f.items():
+        for i, e in enumerate(alpha):
+            if e >= 2:
+                key = alpha[:i] + (e - 2,) + alpha[i + 1:]
+                out[key] = out.get(key, Fraction(0)) + c * e * (e - 1)
+    return out
+
+
 @given(a=items_st, b=items_st, x=point_st)
 @settings(max_examples=60, deadline=None)
 def test_ring_homomorphism_at_points(a, b, x):
@@ -474,6 +518,12 @@ def test_ring_homomorphism_at_points(a, b, x):
     assert (P + Q).evaluate(x) == P.evaluate(x) + Q.evaluate(x)
     assert (P * Q).evaluate(x) == P.evaluate(x) * Q.evaluate(x)
     assert (P + Q).laplacian() == P.laplacian() + Q.laplacian()
+    # the integer ring operations land on the one form of the Fraction result
+    f, g = fraction_dict(a), fraction_dict(b)
+    for got, want in ((P + Q, fraction_sum(f, g)), (P * Q, fraction_product(f, g)),
+                      (P.laplacian(), fraction_laplacian(f))):
+        want = PolynomialND(2, want)
+        assert got == want and hash(got) == hash(want)
 
 
 @given(a=items_st, b=items_st)
