@@ -464,7 +464,9 @@ def _cmd_a2m_check(args) -> int:
     p_crit = gamma / (2.0 * f_mass)
     label = "exp integrability at p*|f|_L1 = gamma_m/2: "
     if not math.isfinite(p_crit):
-        rows.append((label + "gamma_m overflows a float", False))
+        # gamma_m is finite up to m = 113, but p* overflows from m = 85
+        name = "gamma_m" if math.isinf(gamma) else "p* = gamma_m / (2 |f|_L1)"
+        rows.append((label + f"{name} overflows a float", False))
     else:
         crit = exp_integrability(v1, p=p_crit)
         finite = math.isfinite(crit.value) and not crit.overflow

@@ -17,6 +17,11 @@ Conventions, with n = 2m the ambient dimension::
 
 Double factorials use the convention 0!! = (-1)!! = 1.
 
+Exact input is an int, a Fraction or another numbers.Rational (numpy
+integers included).  `_exact` turns it into a Fraction and raises
+TypeError on anything else: floats, numpy floats, str, Decimal.  It is
+the one rule, for PiRational and for every entry point of `polyfield`.
+
 Pizzetti coefficients (ball averages of polyharmonic functions)::
 
     c_0 = 1
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
@@ -60,6 +66,18 @@ def _pi_scaled(bits: int) -> int:
 
     pi = 16 * arccot(5) - 4 * arccot(239)
     return (pi + (1 << (guard - 1))) >> guard
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction; TypeError unless x is rational (see the module
+    docstring).  int() keeps numpy's fixed-width integers out of it."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    if isinstance(x, numbers.Real):
+        raise TypeError(f"exact input only, floats are not accepted: got {x!r}")
+    raise TypeError(f"exact input must be int or Fraction, not {type(x).__name__}")
 
 
 def _to_float(x: Fraction) -> float:
@@ -95,7 +113,7 @@ class PiRational:
     pi_power: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "fraction", Fraction(self.fraction))
+        object.__setattr__(self, "fraction", _exact(self.fraction))
         if not isinstance(self.pi_power, int):
             raise TypeError("pi_power must be an integer")
         # normal form: zero has pi_power 0 so equality is structural
@@ -114,16 +132,11 @@ class PiRational:
 
     @staticmethod
     def _coerce(other) -> "PiRational":
-        if isinstance(other, PiRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PiRational(Fraction(other), 0)
-        return NotImplemented  # type: ignore[return-value]
+        """other as a PiRational; an inexact scalar raises TypeError."""
+        return other if isinstance(other, PiRational) else PiRational(other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if self.fraction == 0:
             return other
         if other.fraction == 0:
@@ -141,8 +154,6 @@ class PiRational:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -150,24 +161,18 @@ class PiRational:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return PiRational(self.fraction * other.fraction, self.pi_power + other.pi_power)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if other.fraction == 0:
             raise ZeroDivisionError("division by zero PiRational")
         return PiRational(self.fraction / other.fraction, self.pi_power - other.pi_power)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __pow__(self, k: int):

@@ -24,6 +24,11 @@ PizzettiReport.exact compares (numerator, denominator) pairs by
 cross-multiplication, and a sweep that only asks for verdicts builds no
 Fraction at all. Fractions appear only where read: the read-only `terms`
 view, evaluate, and the reported averages.
+
+Every number handed in (coefficients, scalar factors, points, centres and
+radii) must be exact: an int or Fraction, or another numbers.Rational such
+as a numpy integer. A float, str or Decimal raises TypeError; the rule is
+exactconst._exact, the one shared with PiRational.
 """
 
 from __future__ import annotations
@@ -36,15 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .exactconst import double_factorial, pizzetti_coefficients
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise TypeError("polyfield is exact, floats are not accepted")
-    return Fraction(x)
+from .exactconst import _exact, double_factorial, pizzetti_coefficients
 
 
 class PolynomialND:
@@ -64,7 +61,7 @@ class PolynomialND:
         self.n = n
         clean = {}
         for mono, coeff in (terms or {}).items():
-            c = _rat(coeff)
+            c = _exact(coeff)
             if c != 0:
                 if len(mono) != n or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono} for n={n}")
@@ -164,7 +161,7 @@ class PolynomialND:
 
     def __mul__(self, other):
         if not isinstance(other, PolynomialND):
-            c = _rat(other)
+            c = _exact(other)
             out: dict = {}
             _add_scaled(out, self._nums, c.numerator)
             return PolynomialND._over(self.n, self._den * c.denominator, out)
@@ -193,7 +190,7 @@ class PolynomialND:
     def evaluate(self, point) -> Fraction:
         if len(point) != self.n:
             raise ValueError(f"point has length {len(point)}, expected {self.n}")
-        pt = [_rat(x) for x in point]
+        pt = [_exact(x) for x in point]
         total = Fraction(0)
         for a, c in self.terms.items():
             v = c
@@ -264,7 +261,7 @@ class MomentValue:
     def value(self) -> Fraction:
         if self.radius is None:
             raise ValueError("no numeric radius attached")
-        return Fraction(self.coefficient) * Fraction(self.radius) ** self.exponent
+        return self.coefficient * self.radius ** self.exponent
 
 
 def moment_average(alpha, n: int, radius=None) -> MomentValue:
@@ -274,15 +271,17 @@ def moment_average(alpha, n: int, radius=None) -> MomentValue:
     ----------
     alpha : multi-index (length n)
     n : ambient dimension
-    radius : optional exact radius R >= 0 (a float raises TypeError, a
-        negative value ValueError); when given, .value is available
+    radius : optional exact radius R >= 0 (a negative one raises
+        ValueError); when given, .value is available
 
     Returns zero (as a MomentValue) when any entry of alpha is odd.
     """
     if len(alpha) != n:
         raise ValueError("alpha length must equal n")
     deg = sum(alpha)
-    rad = None if radius is None else _radius(radius)
+    rad = None if radius is None else _exact(radius)
+    if rad is not None and rad < 0:
+        raise ValueError(f"radius must be nonnegative, got {rad}")
     if any(a % 2 for a in alpha):
         return MomentValue(Fraction(0), deg, rad)
     num = 1
@@ -294,24 +293,17 @@ def moment_average(alpha, n: int, radius=None) -> MomentValue:
     return MomentValue(Fraction(num, den) * Fraction(n, n + deg), deg, rad)
 
 
-def _radius(R) -> Fraction:
-    R = _rat(R)
-    if R < 0:
-        raise ValueError(f"radius must be nonnegative, got {R}")
-    return R
-
-
 def _centre_radius(n: int, x0, R) -> tuple[int, list[int], int]:
     """(q, a, b) with x0 = a / q and R = b / q over one q > 0.
 
-    All-int input skips the Fraction route; x0 and R must be exact (floats
-    raise TypeError), x0 of length n and R >= 0.
+    All-int input skips the Fraction route; x0 and R must be exact, x0 of
+    length n and R >= 0.
     """
     vals = [*x0, R]
     if all(type(v) is int for v in vals):
         q = 1
     else:
-        vals = [_rat(v) for v in vals]
+        vals = [_exact(v) for v in vals]
         q = math.lcm(*(v.denominator for v in vals))
         vals = [v.numerator * (q // v.denominator) for v in vals]
     b = vals.pop()
@@ -368,8 +360,7 @@ def ball_average(P: PolynomialND, x0, R) -> Fraction:
     in integers: x0 = a/q and R = b/q over a common q (q = 1 for int x0
     and R, with no Fraction built), P = N / C as it is stored, moments
     over L = prod_{j=1}^{deg/2} (n + 2j), every term over q^deg. The one
-    Fraction is the result. x0 and R must be exact (floats raise
-    TypeError), R >= 0.
+    Fraction is the result. x0 and R must be exact, R >= 0.
     """
     return Fraction(*_ball_sum(P, *_centre_radius(P.n, x0, R)))
 

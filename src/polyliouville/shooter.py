@@ -45,11 +45,13 @@ r_end.  "not_entire" (m = 2 only): u' turned positive, which no entire
 finite-volume solution does (see `shoot`), so the run stops there; data
 with Delta u(0) >= 0 stop at the first radius, 1e-3 or r0 if smaller,
 without integrating.
-"step_underflow": the step controller gave up short of r_end.  The
-exponential source is clamped at exp(700) inside the vector field so the
-right-hand side stays total past a blow-up.  A finite-radius blow-up goes
-like u ~ -log(R - r), so u climbs to about 30 before R - r falls to
-float64 resolution and the steps underflow.
+"step_underflow": the step controller gave up short of r_end.  A
+finite-radius blow-up ends so: it goes like u ~ -log(R - r), so u climbs
+to about 30 before R - r falls to float64 resolution and the steps
+underflow.  A solver failure can end so too: standard m = 8 is entire,
+yet it stops at r = 17.874 after 27 359 nfev.  The label does not tell
+the two apart.  The exponential source is clamped at exp(700) inside the
+vector field so the right-hand side stays total past a blow-up.
 """
 
 from __future__ import annotations
@@ -367,7 +369,8 @@ class RadialTrajectory:
     from the stored w_j and p_j.  termination is "reached_end";
     "not_entire" (m = 2) when the run stopped at the first u' > 0, or at
     the first radius (1e-3, or r0 if smaller) when Delta u(0) >= 0; or
-    "step_underflow" when the steps underflowed short of r_end (a blow-up).
+    "step_underflow" when the step controller gave up short of r_end (a
+    blow-up or a solver failure).
     """
 
     m: int
@@ -755,7 +758,7 @@ def diagnose(traj: RadialTrajectory, w0_error_estimate: float = math.nan) -> Sol
 
     Limits of Delta^j u are fitted as a + b/r^2 over the outer 20% of the
     run, and the scalar curvature and rho_1 are sampled on the same tail
-    window.  Both are skipped when the run blew up or died early.
+    window.  Both are skipped unless the run reached r_end.
     """
     m = traj.m
     ran_full = traj.termination == "reached_end"

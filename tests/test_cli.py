@@ -571,6 +571,18 @@ def test_a2m_check_names_an_infinite_integral(capsys):
     assert "nan finite" not in out
 
 
+def test_a2m_check_names_an_overflowed_p_star(capsys):
+    # gamma_85 = 4.49e219 is a float, but p* = gamma_m / (2 |f|_L1) is not:
+    # the row must blame p*, not gamma_m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["a2m-check", "--m", "85", "--points", "101"]) == 3
+    out = capsys.readouterr().out
+    assert "PASS  positivity" in out
+    assert ("FAIL  exp integrability at p*|f|_L1 = gamma_m/2: "
+            "p* = gamma_m / (2 |f|_L1) overflows a float") in out
+
+
 def test_report_json_is_strict(tmp_path):
     # the -3 run's R_g tail holds -inf, the -1.7 run's w0 error estimate is
     # NaN: both are written as strings, never as Infinity or NaN tokens

@@ -16,8 +16,10 @@ exact layer's outputs byte for byte.
 import hashlib
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from polyliouville.polyfield import (
     moment_average,
     pizzetti_check,
 )
-from polyliouville.exactconst import pizzetti_coefficients
+from polyliouville.exactconst import PiRational, pizzetti_coefficients
 
 
 def poly_from(n, items):
@@ -301,6 +303,33 @@ def test_integer_path_keeps_exact_input_rules():
             check((1, 0), 2.0)
         with pytest.raises(ValueError, match="nonnegative"):
             check((1, 0), -1)
+        # str and Decimal are not exact numbers, though Fraction() parses them
+        for x0, R in (((1, "1/2"), 2), ((1, 0), "2"),
+                      ((1, Decimal("0.5")), 2), ((1, 0), Decimal(2))):
+            with pytest.raises(TypeError):
+                check(x0, R)
+
+
+def test_exact_input_is_int_or_fraction():
+    # one rule for PiRational and every polyfield entry point: floats, str
+    # and Decimal raise, numpy integers count as the ints they are
+    P = almansi_random(2, 2, 4, seed=3)
+    for bad in (lambda: PiRational(0.5), lambda: PiRational("1/3", 1),
+                lambda: PiRational(Decimal("0.5")),
+                lambda: PolynomialND(2, {(1, 0): "1/2"}), lambda: P * "1/2",
+                lambda: P.evaluate(("1/3", 0)),
+                lambda: moment_average((2, 0), 2, radius="1/2")):
+        with pytest.raises(TypeError):
+            bad()
+    for three in (3, Fraction(3), np.int64(3)):
+        x = PiRational(three, 1)
+        assert x == PiRational(Fraction(3), 1) and str(x) == "3 * pi"
+        assert type(x.numerator) is int
+        assert P * three == P * Fraction(3)
+        assert PolynomialND(2, {(1, 0): three}) == PolynomialND.monomial(2, (1, 0), 3)
+        assert P.evaluate((three, 1)) == P.evaluate((Fraction(3), Fraction(1)))
+        assert ball_average(P, (three, 0), 2) == oracle_ball_average(P, (3, 0), 2)
+        assert moment_average((2, 0), 2, radius=three).value == Fraction(9, 4)
 
 
 def test_integer_path_matches_fraction_route():
