@@ -119,19 +119,14 @@ def green_ball(m: int) -> GreenBall:
     table = constant_table(m)
     a = PiRational(Fraction((-1) ** (m + 1))) / table.gamma_m
 
-    # triangular solve, top condition first
+    # triangular solve, top condition first; at i = 0 it reads
+    # b_0 = -sum_k b_k, as Delta^0 log r vanishes at r = 1
     bhat: list[PiRational | None] = [None] * m
-    for i in range(m - 1, 0, -1):
+    for i in range(m - 1, -1, -1):
         acc = a * _dlog_iter_value(m, i)
         for k in range(i + 1, m):
             acc = acc + bhat[k] * _iter_factor(k, i, n)
         bhat[i] = -acc / _iter_factor(i, i, n)
-    bhat[0] = PiRational(0)
-    if m > 1:
-        s = PiRational(0)
-        for k in range(1, m):
-            s = s + bhat[k]
-        bhat[0] = -s
 
     # sign constants c_i = (-1)^i d/dr Delta^{m-1-i} G at r = 1
     sce = []
@@ -268,12 +263,11 @@ def navier_solve_radial(f: RadialProfile) -> RadialProfile:
 
 @dataclass(frozen=True)
 class ExpIntegral:
-    """Result of the exponential integrability functional."""
+    """Value of the exponential integrability functional, and whether its
+    exponent overflowed (the value is then +inf)."""
 
     value: float
     overflow: bool
-    p: float
-    m: int
 
 
 _EXP_CAP = 700.0  # exp overflows float64 just above this
@@ -290,7 +284,6 @@ def exp_integrability(v: RadialProfile, p: float = 1.0) -> ExpIntegral:
     expo = 2.0 * m * p * np.abs(v.values)
     omega = float(constant_table(m).omega_n)
     if np.max(expo) > _EXP_CAP:
-        return ExpIntegral(value=math.inf, overflow=True, p=p, m=m)
+        return ExpIntegral(value=math.inf, overflow=True)
     integrand = np.exp(expo) * v.grid ** (2 * m - 1)
-    return ExpIntegral(value=omega * float(_simpson(integrand, v.grid)),
-                       overflow=False, p=p, m=m)
+    return ExpIntegral(value=omega * float(_simpson(integrand, v.grid)), overflow=False)

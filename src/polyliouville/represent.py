@@ -278,7 +278,8 @@ def _tail_decay(traj: RadialTrajectory):
 def _refusal(traj: RadialTrajectory):
     """(why compute_v refuses traj or None, the tail decay fit (log C, q)).
 
-    The run must reach r_end, its conformal volume must have converged and
+    The run must reach r_end, its conformal volume must have converged (alpha
+    changed by at most 1e-3, relative, over the tail window) and
     exp(2mu) must decay faster than s^-(2m+0.1) by a finite fit, or the
     truncated-tail bound would be meaningless.  A run that ended early is
     refused before the fit, which is then None."""
@@ -289,11 +290,12 @@ def _refusal(traj: RadialTrajectory):
         ), None
     decay = _tail_decay(traj)
     q = decay[1]
+    change = traj.alpha_tail_change()
     # written so that a fit that is not finite (a NaN q included) is refused
-    if not (traj.alpha_converged() and math.isfinite(decay[0]) and q > 2 * traj.m + 0.1):
+    if not (change <= 1e-3 and math.isfinite(decay[0]) and q > 2 * traj.m + 0.1):
         return (
             "insufficient decay for the truncated representation integral: "
-            f"alpha changed by {traj.alpha_tail_change():.2e} over the tail window and "
+            f"alpha changed by {change:.2e} over the tail window and "
             f"exp(2mu) ~ s^{-q:.2f} (need q > {2*traj.m}+0.1 and change <= 1e-3)"
         ), decay
     return None, decay

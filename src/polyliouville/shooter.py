@@ -364,13 +364,14 @@ def series_start(config: ShootingConfig):
 class RadialTrajectory:
     """Sampled radial solution with its running conformal volume.
 
-    grid starts at r = 0; w and p have shape (m, len(grid)); alpha is the
-    normalized volume of B_r.  Off the grid, `sample_w` interpolates w_j
-    from the stored w_j and p_j.  termination is "reached_end";
-    "not_entire" (m = 2) when the run stopped at the first u' > 0, or at
-    the first radius (1e-3, or r0 if smaller) when Delta u(0) >= 0; or
-    "step_underflow" when the step controller gave up short of r_end (a
-    blow-up or a solver failure).
+    grid starts at r = 0, so the r = 0 column of w holds the initial data
+    A_j = Delta^j u(0) and that of p is 0; w and p have shape
+    (m, len(grid)); alpha is the normalized volume of B_r.  Off the grid,
+    `sample_w` interpolates w_j from the stored w_j and p_j.  termination
+    is "reached_end"; "not_entire" (m = 2) when the run stopped at the
+    first u' > 0, or at the first radius (1e-3, or r0 if smaller) when
+    Delta u(0) >= 0; or "step_underflow" when the step controller gave up
+    short of r_end (a blow-up or a solver failure).
     """
 
     m: int
@@ -379,7 +380,6 @@ class RadialTrajectory:
     p: np.ndarray
     alpha: np.ndarray
     termination: str
-    config: ShootingConfig
     nfev: int = 0
 
     def __post_init__(self):
@@ -425,43 +425,22 @@ class RadialTrajectory:
         a_end = self.alpha_final
         return abs(a_end - self.alpha[self.tail_indices()[0]]) / max(abs(a_end), 1e-300)
 
-    def alpha_converged(self) -> bool:
-        """Whether the conformal volume has converged: alpha changed by at
-        most 1e-3 (relative) over the tail window."""
-        return self.alpha_tail_change() <= 1e-3
-
     def rescaled(self, scale: float) -> "RadialTrajectory":
-        """Trajectory of u_s(x) = u(s x) + log s, the conformal rescaling.
+        """Trajectory of u_s(x) = u(s x) + log s, the conformal rescaling,
+        for a finite scale s > 0.
 
         Iterated Laplacians pick up s^{2j}, radial derivatives one more s,
-        and the normalized volume alpha is invariant.
+        and the normalized volume alpha is invariant.  The r = 0 column is
+        the rescaled initial data.
         """
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (scale > 0 and math.isfinite(scale)):
+            raise ValueError(f"scale must be positive and finite, got {scale!r}")
         s = float(scale)
         powers = s ** (2 * np.arange(self.m))
         w = self.w * powers[:, None]
         w[0] = w[0] + math.log(s)
-        p = self.p * (s * powers)[:, None]
-        cfg = replace(
-            self.config,
-            initial_laplacians=tuple(
-                a * s ** (2 * j) + (math.log(s) if j == 0 else 0.0)
-                for j, a in enumerate(self.config.initial_laplacians)
-            ),
-            initial_derivatives=None,
-            r_end=self.config.r_end / s,
-        )
-        return RadialTrajectory(
-            m=self.m,
-            grid=self.grid / s,
-            w=w,
-            p=p,
-            alpha=self.alpha.copy(),
-            termination=self.termination,
-            config=cfg,
-            nfev=self.nfev,
-        )
+        return replace(self, grid=self.grid / s, w=w, p=self.p * (s * powers)[:, None],
+                       alpha=self.alpha.copy())
 
     def to_csv(self, path) -> None:
         """Columns r, w0, p0, w1, p1, ..., alpha_R, R_scalar at 17 digits."""
@@ -582,7 +561,6 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
         p=full_y[m : 2 * m],
         alpha=full_y[2 * m],
         termination=termination,
-        config=config,
         nfev=nfev,
     )
 
@@ -662,14 +640,11 @@ def _horner(c: list[int], x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class StandardSolution:
     """Closed-form profile u = log(2 lam / (1 + lam^2 r^2)) and its
-    Laplacian chain.
+    Laplacian chain at the radii `standard_solution` was given.
 
     w[j], p[j] hold Delta^j u and its radial derivative for j = 0..m-1.
     """
 
-    m: int
-    lam: float
-    r: np.ndarray
     w: np.ndarray
     p: np.ndarray
 
@@ -692,7 +667,7 @@ def standard_solution(m: int, lam: float, r) -> StandardSolution:
     for j, c in enumerate(_standard_chain(m), start=1):
         w[j] = lam ** (2 * j) * _horner(c, x)
         p[j] = 2 * lam ** (2 * j + 2) * r * _horner(_t_derivative(c), x)
-    return StandardSolution(m=m, lam=lam, r=r, w=w, p=p)
+    return StandardSolution(w=w, p=p)
 
 
 def standard_laplacians(m: int, lam: float) -> tuple[float, ...]:
@@ -710,6 +685,19 @@ def standard_config(m: int, lam: float = 1.0, **kwargs) -> ShootingConfig:
 
 
 # --- post-run diagnostics ---
+
+def json_safe(obj):
+    """obj with every non-finite float written as its str ("-inf", "nan"):
+    strict JSON has no Infinity or NaN token.  Dicts, lists and tuples are
+    walked; everything else is returned as it is."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {key: json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(value) for value in obj]
+    return obj
+
 
 @dataclass
 class SolveReport:
@@ -734,7 +722,7 @@ class SolveReport:
                     "r": [float(x) for x in r],
                     "value": [float(x) for x in vals],
                 }
-        return {
+        return json_safe({
             "m": self.m,
             "termination": self.termination,
             "r_reached": self.r_reached,
@@ -750,7 +738,7 @@ class SolveReport:
             ],
             "w0_error_estimate": self.w0_error_estimate,
             "verdict_inputs": verdict_inputs,
-        }
+        })
 
 
 def diagnose(traj: RadialTrajectory, w0_error_estimate: float = math.nan) -> SolveReport:

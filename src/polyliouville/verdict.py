@@ -31,7 +31,7 @@ import numpy as np
 
 from . import tailfit
 from .represent import far_field_refusal
-from .shooter import RadialTrajectory, SolveReport
+from .shooter import RadialTrajectory, SolveReport, json_safe
 
 __all__ = [
     "ClassificationReport",
@@ -47,19 +47,6 @@ EPS_GROWTH = 1e-4   # tolerance on the r^2 growth rate of u + 2 alpha log r
 R_BIG = 1e4         # curvature below -R_BIG counts as unbounded
 _RHO1_STD = 0.5     # rho_1 above half its tail max counts as bounded away from 0
 _RHO1_DECAYED = 1e-3
-
-
-def json_safe(obj):
-    """obj with every non-finite float written as its str ("-inf", "nan"):
-    strict JSON has no Infinity or NaN token.  Dicts, lists and tuples are
-    walked; everything else is returned as it is."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else str(obj)
-    if isinstance(obj, dict):
-        return {key: json_safe(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_safe(value) for value in obj]
-    return obj
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyliouville import verdict
+from polyliouville import shooter, verdict
 from polyliouville.verdict import (EPS_GROWTH, EPS_STD, R_BIG, ClassificationReport,
                                    classify)
 from polyliouville.cli import _write_json, analyze
@@ -192,6 +192,8 @@ def test_json_serializes_infinities():
     stats = {entry["name"]: entry["statistic"] for entry in json.loads(text)["criteria"]}
     assert stats["ii"] == "-inf"
     assert stats["iii"] == "nan"
+    # one rule for every report: the verdict's json_safe is the shooter's
+    assert verdict.json_safe is shooter.json_safe
 
 
 def test_classification_sweep_demo(capsys):

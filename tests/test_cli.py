@@ -583,6 +583,20 @@ def test_a2m_check_names_an_overflowed_p_star(capsys):
             "p* = gamma_m / (2 |f|_L1) overflows a float") in out
 
 
+def test_a2m_check_names_an_underflowed_integral(capsys):
+    # omega_260 underflows to 0, and I(1) with it: the scaling row fails and
+    # says so instead of dividing by 0 (or raising on 4^520), and the other
+    # rows still print
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["a2m-check", "--m", "260", "--points", "101"]) == 3
+    out = capsys.readouterr().out
+    rows = out.splitlines()
+    assert len(rows) == 3 and all(row.startswith(("PASS  ", "FAIL  ")) for row in rows)
+    assert rows[1] == "FAIL  scaling covariance I(R) = R^520 I(1): I(1) underflows to 0"
+    assert rows[2] == "FAIL  exp integrability at p*|f|_L1 = gamma_m/2: gamma_m overflows a float"
+
+
 def test_report_json_is_strict(tmp_path):
     # the -3 run's R_g tail holds -inf, the -1.7 run's w0 error estimate is
     # NaN: both are written as strings, never as Infinity or NaN tokens

@@ -5,6 +5,7 @@ every accuracy claim; its conformal volume is 1 and its curvature statistic
 equals 2m(2m-1) identically.
 """
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -465,6 +466,17 @@ class TestTermination:
         assert rep.termination == "reached_end"
         assert np.max(traj.p[0]) > 0.0
 
+    @pytest.mark.parametrize("d2", [-3.0, -1.7])
+    def test_report_json_dict_is_strict(self, d2):
+        # -3: e^{-2u} overflows in the curvature tail (-inf); -1.7 stops at
+        # the u' event and has a NaN w0_error_estimate
+        traj, rep = shoot(ShootingConfig(m=2, initial_derivatives=(LOG2, d2)))
+        blob = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
+        if d2 == -3.0:
+            assert "-inf" in blob["verdict_inputs"]["scalar_curvature_tail"]["value"]
+        else:
+            assert blob["w0_error_estimate"] == "nan"
+
     def test_diagnose_consistent_with_trajectory(self, std2):
         traj, _ = std2
         rep = diagnose(traj)
@@ -490,6 +502,34 @@ class TestTrajectoryCsv:
         exact = standard_solution(2, 2.0, resc.grid).u
         # far-field integration error of the underlying shot dominates here
         assert np.max(np.abs(resc.u - exact)) < 5e-6
+
+    def test_rescaled_origin_column_is_the_rescaled_data(self, std2):
+        # u(s x) + log s: A_0 gains log s, A_j the factor s^{2j}, p stays 0
+        traj, _ = std2
+        s = 1 / 3
+        resc = traj.rescaled(s)
+        a = traj.w[:, 0]
+        np.testing.assert_allclose(resc.w[:, 0], [a[0] + math.log(s), a[1] * s**2], rtol=1e-15)
+        assert resc.p[:, 0].tolist() == [0.0, 0.0]
+        assert resc.alpha.tolist() == traj.alpha.tolist()
+        assert resc.alpha is not traj.alpha
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rescaled_refuses_a_scale_that_is_not_finite_and_positive(self, std2, scale):
+        # refused up front: +inf in the arithmetic would warn first
+        traj, _ = std2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                traj.rescaled(scale)
+
+    def test_rescaled_takes_a_scale_that_ends_below_the_grid_start(self, std2):
+        # r_end / s = 1e-4 lies below the shooter's start radius 1e-3: a
+        # rescaled trajectory is no new shot, and takes it
+        traj, _ = std2
+        resc = traj.rescaled(1e7)
+        assert resc.r_max == traj.r_max / 1e7
+        assert resc.termination == traj.termination and resc.nfev == traj.nfev
 
 
 # the runs the stepper must reproduce bit for bit: the standard family, two
