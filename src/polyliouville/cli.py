@@ -210,8 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, default=2)
     p.add_argument("--points", type=_grid_size, default=801)
 
-    p = sub.add_parser("reproduce-paper", parents=[writes], allow_abbrev=False,
+    p = sub.add_parser("reproduce-paper", allow_abbrev=False,
                        help="fixed verification suite")
+    p.add_argument("--out", help="directory for summary.csv (default $POLYLIOUVILLE_OUT; "
+                   "if neither is set, no file is written)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="accepted for compatibility; the solve rows run in order")
 
@@ -460,7 +462,9 @@ def _cmd_a2m_check(args) -> int:
             f_scaled = RadialProfile(grid=scale * grid, values=f_vals / scale**n, m=m)
             i_scaled = exp_integrability(navier_solve_radial(f_scaled), p=1.0).value
             worst = max(worst, abs(i_scaled - scale**n * i1) / (scale**n * i1))
-        rows.append((label + f", rel err {worst:.2e} <= 1e-8", worst <= 1e-8))
+        # from m = 218 at 101 points I(1) is subnormal: rel err counts its lost digits
+        tiny = f" (I(1) = {i1:.3g} is subnormal)" if i1 < sys.float_info.min else ""
+        rows.append((label + f", rel err {worst:.2e} <= 1e-8{tiny}", worst <= 1e-8))
 
     omega = float(constant_table(m).omega_n)
     f_mass = omega * float(np.trapezoid(f_vals * grid ** (n - 1), grid))

@@ -6,9 +6,10 @@ The Green function with pole at the center is radial and has the exact form
     a = (-1)^{m+1} / gamma_m,
 
 where the polynomial coefficients are fixed by the Navier conditions
-Delta^i G = 0 on |x| = 1 for i = 0 .. m-1. The system is triangular
-because Delta^i r^{2k} vanishes at the boundary for k < i, so everything
-is solved exactly in PiRational arithmetic.
+Delta^i G = 0 on |x| = 1 for i = 0 .. m-1.  One exact rule,
+`_boundary_jet`, gives (d/dr)^d Delta^i G at r = 1 for d = 0, 1, and the
+triangular solve (Delta^i r^{2k} vanishes at r = 1 for k < i), the
+residuals and the sign constants all read it.
 
 navier_solve_radial inverts (-Delta)^m with Navier conditions on a radial
 grid by m iterated Dirichlet inversions of -Delta,
@@ -86,14 +87,9 @@ class GreenBall:
         All entries are exactly zero by construction; exposed so tests can
         assert it in PiRational arithmetic.
         """
-        n = 2 * self.m
-        out = []
-        for i in range(self.m):
-            acc = self.log_coeff * _dlog_iter_value(self.m, i)
-            for k in range(i, self.m):
-                acc = acc + self.poly_coeffs[k] * _iter_factor(k, i, n)
-            out.append(acc)
-        return out
+        laplog = laplog_coefficients(self.m)
+        return [_boundary_jet(self.log_coeff, self.poly_coeffs, i, 0, laplog)
+                for i in range(self.m)]
 
     def evaluate(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -103,45 +99,38 @@ class GreenBall:
         return out
 
 
-def _dlog_iter_value(m: int, i: int):
-    """Delta^i log(r) at r = 1, exact: 0 for i = 0, else (-1)^{i+1} Lc_i."""
-    if i == 0:
-        return Fraction(0)
-    lc = laplog_coefficients(m)[i - 1]
-    return Fraction((-1) ** (i + 1)) * lc
+def _boundary_jet(a, b, i: int, d: int, laplog) -> PiRational:
+    """(d/dr)^d Delta^i G at r = 1, d = 0 or 1, for G = a log r + sum_k
+    b[k] r^{2k} in R^{2m}, m = len(b), with laplog_coefficients(m) given.
+
+    Delta^i log r is log r at i = 0, else (-1)^{i+1} laplog[i-1] r^{-2i},
+    and Delta^i r^{2k} = _iter_factor(k, i, 2m) r^{2(k-i)}: 0 for k < i,
+    and a constant at k = i, whose d/dr is 0, so the sum starts at i + d."""
+    n = 2 * len(b)
+    log_term = Fraction(d) if i == 0 else (-1) ** (i + 1) * laplog[i - 1] * (-2 * i) ** d
+    acc = a * log_term
+    for k in range(i + d, len(b)):
+        acc = acc + b[k] * Fraction(_iter_factor(k, i, n) * (2 * (k - i)) ** d)
+    return acc
 
 
 def green_ball(m: int) -> GreenBall:
-    """Exact Navier Green function of Delta^m on the unit ball in R^{2m}."""
+    """Exact Navier Green function of Delta^m on the unit ball in R^{2m}.
+
+    Navier condition i fixes b_i = -(Delta^i G(1) with b_i still 0) /
+    _iter_factor(i, i, 2m), top down from i = m-1, and c_i = (-1)^i d/dr
+    Delta^{m-1-i} G(1): both are read from `_boundary_jet`."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = 2 * m
     table = constant_table(m)
+    laplog = table.laplog_coeff
     a = PiRational(Fraction((-1) ** (m + 1))) / table.gamma_m
-
-    # triangular solve, top condition first; at i = 0 it reads
-    # b_0 = -sum_k b_k, as Delta^0 log r vanishes at r = 1
-    bhat: list[PiRational | None] = [None] * m
+    b = [0] * m
     for i in range(m - 1, -1, -1):
-        acc = a * _dlog_iter_value(m, i)
-        for k in range(i + 1, m):
-            acc = acc + bhat[k] * _iter_factor(k, i, n)
-        bhat[i] = -acc / _iter_factor(i, i, n)
-
-    # sign constants c_i = (-1)^i d/dr Delta^{m-1-i} G at r = 1
-    sce = []
-    for i in range(m):
-        q = m - 1 - i
-        if q == 0:
-            acc = a * Fraction(1)
-        else:
-            acc = a * (_dlog_iter_value(m, q) * Fraction(-2 * q))
-        for k in range(max(q, 1), m):
-            acc = acc + bhat[k] * Fraction(_iter_factor(k, q, n) * 2 * (k - q))
-        sce.append(acc * Fraction((-1) ** i))
-
-    return GreenBall(m=m, log_coeff=a, poly_coeffs=tuple(bhat),
-                     sign_constants_exact=tuple(sce))
+        b[i] = -_boundary_jet(a, b, i, 0, laplog) / _iter_factor(i, i, 2 * m)
+    sce = tuple(_boundary_jet(a, b, m - 1 - i, 1, laplog) * Fraction((-1) ** i)
+                for i in range(m))
+    return GreenBall(m=m, log_coeff=a, poly_coeffs=tuple(b), sign_constants_exact=sce)
 
 
 # -- radial Navier solve ---------------------------------------------------

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -145,8 +146,9 @@ class ShootingConfig:
     Exactly one of initial_laplacians (A_0..A_{m-1}) and initial_derivatives
     (u(0), u''(0), ..., u^{(2m-2)}(0)) must be provided; derivatives are
     converted on construction, and the data must be finite.  r_end must be
-    finite and exceed the grid's start radius 1e-3.  The accuracy is fixed:
-    every run uses the module's tolerances _RTOL and _ATOL.
+    finite and exceed the grid's start radius 1e-3.  m is a Python or numpy
+    integer, kept as an int; a bool or a float is refused.  The accuracy is
+    fixed: every run uses the module's tolerances _RTOL and _ATOL.
     """
 
     m: int
@@ -155,8 +157,9 @@ class ShootingConfig:
     r_end: float = 1000.0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         if (self.initial_laplacians is None) == (self.initial_derivatives is None):
             raise ValueError(
                 "provide exactly one of initial_laplacians and initial_derivatives"

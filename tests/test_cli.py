@@ -171,6 +171,17 @@ def test_help_lists_each_commands_flags(command, flags, capsys):
     assert set(re.findall(r"--([a-z0-9-]+)", usage)) == flags
 
 
+def test_reproduce_paper_help_says_when_summary_is_written(capsys):
+    # reproduce-paper writes summary.csv only with --out or $POLYLIOUVILLE_OUT;
+    # the other writers fall back to the working directory
+    assert run(["reproduce-paper", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "summary.csv" in text and "or ." not in text
+    for command in ("green", "shoot", "represent", "classify"):
+        assert run([command, "--help"]) == 0
+        assert "(default $POLYLIOUVILLE_OUT or .)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_pizzetti_all_exact(capsys):
     assert run(["pizzetti", "--m", "2", "--n", "4", "--cases", "100", "--seed", "3"]) == 0
     assert "100/100 exact" in capsys.readouterr().out
@@ -595,6 +606,20 @@ def test_a2m_check_names_an_underflowed_integral(capsys):
     assert len(rows) == 3 and all(row.startswith(("PASS  ", "FAIL  ")) for row in rows)
     assert rows[1] == "FAIL  scaling covariance I(R) = R^520 I(1): I(1) underflows to 0"
     assert rows[2] == "FAIL  exp integrability at p*|f|_L1 = gamma_m/2: gamma_m overflows a float"
+
+
+def test_a2m_check_names_a_subnormal_integral(capsys):
+    # I(1) is subnormal from m = 218 at 101 points: the scaling row still
+    # fails on the digits it lost, and now says why
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["a2m-check", "--m", "224", "--points", "101"]) == 3
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3
+    row = re.fullmatch(r"FAIL  scaling covariance I\(R\) = R\^448 I\(1\), rel err (\S+) <= 1e-8 "
+                       r"\(I\(1\) = (\S+) is subnormal\)", rows[1])
+    assert row, rows[1]
+    assert float(row[1]) > 1e-8 and 0 < float(row[2]) < sys.float_info.min
 
 
 def test_report_json_is_strict(tmp_path):

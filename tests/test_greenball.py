@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyliouville.exactconst import PiRational
+from polyliouville.exactconst import PiRational, _iter_factor, constant_table
 from polyliouville.greenball import (
     RadialProfile,
     _cumulative_trapezoid,
@@ -70,6 +70,52 @@ def test_sign_constants_strictly_positive(m):
     g = green_ball(m)
     assert len(g.sign_constants_exact) == m
     assert all(c.is_positive for c in g.sign_constants_exact)
+
+
+def navier_v_at_origin(m):
+    """v(0) for (-Delta)^m v = 1 on the unit ball of R^{2m}, Navier data,
+    by m exact inversions of -Delta on powers of r: -Delta z = r^{2k}
+    with z(1) = 0 is z = (1 - r^{2k+2}) / ((2k+2)(2k+2m))."""
+    coeffs = [Fraction(1)]  # coeffs[k] multiplies r^{2k}
+    for _ in range(m):
+        out = [Fraction(0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            step = c / ((2 * k + 2) * (2 * k + 2 * m))
+            out[0] += step
+            out[k + 1] -= step
+        coeffs = out
+    return coeffs[0]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_green_representation_at_the_center(m):
+    # v(0) = int_B (-1)^m G dy for the v above, an oracle for every b_k that
+    # shares no formula with the boundary solve:
+    # int_0^1 r^{2m-1} log r dr = -1/(2m)^2, int_0^1 r^{2k+2m-1} dr = 1/(2k+2m)
+    g = green_ball(m)
+    integral = g.log_coeff * Fraction(-1, (2 * m) ** 2)
+    for k, b in enumerate(g.poly_coeffs):
+        integral = integral + b * Fraction(1, 2 * k + 2 * m)
+    omega = constant_table(m).omega_n
+    assert omega * integral * (-1) ** m == PiRational(navier_v_at_origin(m))
+
+
+def test_navier_v_at_origin_hand_values():
+    assert [navier_v_at_origin(m) for m in (1, 2, 3)] == [
+        Fraction(1, 4), Fraction(1, 96), Fraction(13, 69120)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_green_representation_on_the_boundary(m):
+    # for u = r^{2j}, j < m, Delta^m u = 0, so Green's formula leaves only
+    # boundary terms: u(0) = omega_{2m} sum_i (-1)^i c_i Delta^i u(1)
+    g = green_ball(m)
+    omega = constant_table(m).omega_n
+    for j in range(m):
+        acc = PiRational(0)
+        for i, c in enumerate(g.sign_constants_exact):
+            acc = acc + c * ((-1) ** i * _iter_factor(j, i, 2 * m))
+        assert omega * acc == PiRational(int(j == 0)), j
 
 
 def test_invert_minus_laplacian_constant_source():

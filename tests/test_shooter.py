@@ -161,6 +161,21 @@ class TestInitialData:
         with pytest.raises(ValueError):
             ShootingConfig(m=2, initial_laplacians=(0.1,))
 
+    @pytest.mark.parametrize("m, data", [
+        (2.0, (0.69, -8.0)),
+        (True, (0.69,)),
+        (np.float64(1.0), (0.69,)),
+    ])
+    def test_config_rejects_a_non_integer_m(self, m, data):
+        # shoot used to fail on these with a TypeError deep in the integrator
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            ShootingConfig(m=m, initial_laplacians=data)
+
+    @pytest.mark.parametrize("m", [2, np.int64(2), np.int32(2)])
+    def test_config_accepts_python_and_numpy_integers(self, m):
+        cfg = ShootingConfig(m=m, initial_laplacians=(0.69, -8.0))
+        assert type(cfg.m) is int and cfg.n == 4
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_config_rejects_non_finite_data(self, bad):
         with pytest.raises(ValueError, match="initial data must be finite"):
