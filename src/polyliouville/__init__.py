@@ -11,32 +11,25 @@ Modules:
     verdict      numeric classification standard vs non-standard (classify)
     cli          command line entry points and the analyze pipeline
 
-What loads at import: only exactconst and polyfield, which need nothing
-beyond the standard library, so `import polyliouville` loads neither numpy
-nor any other third-party module.  Every other public name is looked up
-in `_HOME` on first access (PEP 562 `__getattr__`), which imports its
-module and caches the value as a module global.  The first numeric name
-used therefore pays numpy's import, once per process.  No submodule
-shares its name with a public name, so the attribute the import system
-binds for each submodule it loads never shadows a function.
+What loads at import: nothing but the package's `__init__`, so
+`import polyliouville` loads no submodule, no third-party module and none
+of the standard library's heavier modules (fractions, decimal,
+dataclasses).  Every public name is looked up in `_HOME` on first access
+(PEP 562 `__getattr__`), which imports its module and caches the value as
+a module global.  The first exact name used therefore pays the exact
+layer's import and the first numeric name numpy's, once per process.  No
+submodule shares its name with a public name, so the attribute the import
+system binds for each submodule it loads never shadows a function.
 
 shoot, compute_v, compute_lap_v and fit_even_polynomial are bound from the
 start, as forwarders that import their module and call the real function
-on every call; cli imports the first three from here.  perfbench's tracer
-swaps these attributes for wrappers and back, so they must exist before
-first use and must never rebind themselves.
+on every call; cli imports the first three from here and builds its other
+forwarders with `_forwarder`.  perfbench's tracer swaps these attributes
+for wrappers and back, so they must exist before first use and must never
+rebind themselves.
 """
 
 import importlib
-
-from .exactconst import (
-    ConstantTable,
-    PiRational,
-    constant_table,
-    pizzetti_coefficients,
-    verify_gamma_identity,
-)
-from .polyfield import PolynomialND, almansi_random, ball_average, pizzetti_check
 
 __version__ = "0.1.0"
 
@@ -50,7 +43,7 @@ def _forwarder(module: str, name: str):
         return getattr(importlib.import_module(path), name)(*args, **kwargs)
 
     forward.__name__ = forward.__qualname__ = name
-    forward.__doc__ = f"Calls {path}.{name}, which imports numpy on first use."
+    forward.__doc__ = f"Calls {path}.{name}, importing {path} on first use."
     return forward
 
 
@@ -63,6 +56,15 @@ fit_even_polynomial = _forwarder("tailfit", "fit_even_polynomial")
 _HOME = {
     "Analysis": "cli",
     "analyze": "cli",
+    "ConstantTable": "exactconst",
+    "PiRational": "exactconst",
+    "constant_table": "exactconst",
+    "pizzetti_coefficients": "exactconst",
+    "verify_gamma_identity": "exactconst",
+    "PolynomialND": "polyfield",
+    "almansi_random": "polyfield",
+    "ball_average": "polyfield",
+    "pizzetti_check": "polyfield",
     "ClassificationReport": "verdict",
     "classify": "verdict",
     "GreenBall": "greenball",
@@ -77,10 +79,9 @@ _HOME = {
     "standard_config": "shooter",
     "standard_solution": "shooter",
 }
-# submodules that load on first access; exactconst and polyfield are bound
-# at import
-_LAZY_SUBMODULES = frozenset(
-    ("cli", "dop853", "greenball", "represent", "shooter", "tailfit", "verdict"))
+# submodules, each loaded on first access
+_LAZY_SUBMODULES = frozenset(("cli", "dop853", "exactconst", "greenball", "polyfield",
+                              "represent", "shooter", "tailfit", "verdict"))
 
 
 def __getattr__(name):

@@ -17,15 +17,16 @@ package also exports for library use.  It reaches those four stages
 through this module's globals, which perfbench/spans.py wraps to trace
 each layer.
 
-What loads when: importing this module loads the standard library, the
-package and its two stdlib-only modules, exactconst and polyfield, which
-is all that --help, constants and pizzetti need.  numpy and the numeric
-modules (shooter, represent, tailfit, verdict, greenball) are imported
-inside the handlers and the argparse type (`_radii`) that use them.  The
-numeric names that perfbench wraps (shoot, compute_v, fit_even_polynomial,
-classify, green_ball) are module globals all the same: forwarders that
-import the real function on each call and never rebind themselves, so the
-tracer can swap them in and out.  The first three are the package's own.
+What loads when: importing this module loads argparse and the package's
+`__init__`, which is all --help needs.  Every function of another module
+is a module global built by `_forwarder`: it imports its module on each
+call (a dictionary lookup once loaded) and never rebinds itself, so the
+tracer in perfbench/spans.py can swap it in and out.  shoot, compute_v and
+fit_even_polynomial are the package's own; classify, green_ball and the
+five exact-layer functions are built here.  constants therefore loads
+exactconst, pizzetti polyfield and the numeric commands numpy, which the
+handlers and the argparse type `_radii` import where they use it; json
+loads with the first JSON file written.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Identical argv
 (and seed) produce byte-identical CSV/JSON outputs.  The subcommands
@@ -39,18 +40,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _forwarder, compute_v, fit_even_polynomial, shoot
-from .exactconst import constant_table, format_table, verify_gamma_identity
-from .polyfield import almansi_random, pizzetti_check
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,6 +61,11 @@ __all__ = ["Analysis", "analyze", "run", "main"]
 
 classify = _forwarder("verdict", "classify")
 green_ball = _forwarder("greenball", "green_ball")
+constant_table = _forwarder("exactconst", "constant_table")
+format_table = _forwarder("exactconst", "format_table")
+verify_gamma_identity = _forwarder("exactconst", "verify_gamma_identity")
+almansi_random = _forwarder("polyfield", "almansi_random")
+pizzetti_check = _forwarder("polyfield", "pizzetti_check")
 
 
 _NEGATIVE = re.compile(r"-[\d.]")
@@ -95,6 +97,8 @@ def _resolve_out(args) -> Path:
 
 def _write_json(path: Path, payload: dict) -> None:
     """Write payload as strict JSON, each non-finite float as its str."""
+    import json
+
     from .shooter import json_safe
 
     with open(path, "w") as fh:
@@ -223,8 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- the analysis pipeline ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """One run through shoot -> v-profile -> u - v fit -> classify.
 
     vprof and fit are None when the run is not ready for the far field

@@ -21,6 +21,9 @@ Exact input is an int, a Fraction or another numbers.Rational (numpy
 integers included).  `_exact` turns it into a Fraction and raises
 TypeError on anything else: floats, numpy floats, str, Decimal.  It is
 the one rule, for PiRational and for every entry point of `polyfield`.
+An order m passes `_order` in the same way: a Python or numpy integer
+>= 1, kept as an int; a bool or a float raises ValueError.  It is the rule
+of `constant_table`, `greenball.green_ball` and `shooter.ShootingConfig`.
 
 Pizzetti coefficients (ball averages of polyharmonic functions)::
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
@@ -78,6 +82,14 @@ def _exact(x) -> Fraction:
     if isinstance(x, numbers.Real):
         raise TypeError(f"exact input only, floats are not accepted: got {x!r}")
     raise TypeError(f"exact input must be int or Fraction, not {type(x).__name__}")
+
+
+def _order(m) -> int:
+    """m as an int; ValueError unless m is an integer >= 1 (see the module
+    docstring)."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    return operator.index(m)
 
 
 def _to_float(x: Fraction) -> float:
@@ -318,8 +330,7 @@ class ConstantTable:
 
 def constant_table(m: int) -> ConstantTable:
     """Build the exact constant table for a given order m >= 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _order(m)
     n = 2 * m
     omega = PiRational(Fraction(2 ** m, double_factorial(2 * m - 2)), m)
     vol = PiRational(Fraction(2 ** (m + 1), double_factorial(2 * m - 1)), m)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactconst import PiRational, _iter_factor, constant_table, laplog_coefficients
+from .exactconst import PiRational, _iter_factor, _order, constant_table, laplog_coefficients
 
 
 @dataclass
@@ -120,8 +120,7 @@ def green_ball(m: int) -> GreenBall:
     Navier condition i fixes b_i = -(Delta^i G(1) with b_i still 0) /
     _iter_factor(i, i, 2m), top down from i = m-1, and c_i = (-1)^i d/dr
     Delta^{m-1-i} G(1): both are read from `_boundary_jet`."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _order(m)
     table = constant_table(m)
     laplog = table.laplog_coeff
     a = PiRational(Fraction((-1) ** (m + 1))) / table.gamma_m

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -66,7 +65,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dop853 import solve_ivp
-from .exactconst import _iter_factor, constant_table
+from .exactconst import _iter_factor, _order, constant_table
 from .tailfit import LimitEstimate, tail_limit
 
 __all__ = [
@@ -157,9 +156,7 @@ class ShootingConfig:
     r_end: float = 1000.0
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _order(self.m))
         if (self.initial_laplacians is None) == (self.initial_derivatives is None):
             raise ValueError(
                 "provide exactly one of initial_laplacians and initial_derivatives"
@@ -275,6 +272,36 @@ def rhs(state, r, m):
     return np.array(_vector_field(m)(r, state.tolist() + [0.0])[: 2 * m])
 
 
+@functools.cache
+def _series_tables(m: int):
+    """The data-free tables of `_series` at order m, built once per m; its
+    arrays are read-only.
+
+    C_k for k < m (diag); C_k / C_{k-m} (lift, the a_k recurrence); the
+    index l + j of the a_k that row w_j reads at power l (l + 1 + j for
+    p_j), l = 0..terms, with the factors C_{l+j} / C_l of w_j (w_factor)
+    and 2(l+1) C_{l+1+j} / C_{l+1} of p_j (p_factor); the powers ks =
+    0..terms; the power of r on each row; the source constant
+    sigma_m (2m-1)! and the alpha row's ratio omega_{2m} / |S^{2m}|.
+    """
+    n, terms = 2 * m, _SERIES_TERMS
+    diag = tuple(_iter_factor(j, j, n) for j in range(m))
+    lift = tuple(_iter_factor(k, m, n) for k in range(terms + m + 1))
+    index = np.add.outer(np.arange(m), np.arange(terms + 1))
+    w_factor = np.array([[_iter_factor(l + j, j, n) for l in range(terms + 1)]
+                         for j in range(m)], dtype=float)
+    p_factor = np.array([[2 * (l + 1) * _iter_factor(l + 1 + j, j, n) for l in range(terms + 1)]
+                         for j in range(m)], dtype=float)
+    ks = np.arange(terms + 1)
+    power = np.array([0] * m + [1] * m + [2 * m])
+    for table in (index, w_factor, p_factor, ks, power):
+        table.setflags(write=False)
+    tab = constant_table(m)
+    source = tab.sigma_m * math.factorial(2 * m - 1)
+    ratio = float(tab.omega_n / tab.vol_sphere_2m)
+    return diag, lift, index, w_factor, p_factor, ks, power, source, ratio
+
+
 def _series(config: ShootingConfig):
     """The radial power series of config's solution and the radius it earns.
 
@@ -298,20 +325,9 @@ def _series(config: ShootingConfig):
     half of r_end, and halved until the last two terms of every row are
     below eps of its sum; each row is then exact to rounding on [0, r0].
     """
-    m, n, terms = config.m, config.n, _SERIES_TERMS
-    # data-free factors: C_k / C_{k-m} (the a_k recurrence), and the
-    # factors C_{l+j} / C_l of w_j and 2(l+1) C_{l+1+j} / C_{l+1} of p_j
-    # on the a_k at index l + j (l + 1 + j for p_j), l = 0..terms
-    lift = [_iter_factor(k, m, n) for k in range(terms + m + 1)]
-    index = np.add.outer(np.arange(m), np.arange(terms + 1))
-    w_factor = np.array([[_iter_factor(l + j, j, n) for l in range(terms + 1)]
-                         for j in range(m)], dtype=float)
-    p_factor = np.array([[2 * (l + 1) * _iter_factor(l + 1 + j, j, n) for l in range(terms + 1)]
-                         for j in range(m)], dtype=float)
-    tab = constant_table(m)
-    source = tab.sigma_m * math.factorial(2 * m - 1)
-    ratio = float(tab.omega_n / tab.vol_sphere_2m)
-    a = [c / _iter_factor(j, j, n) for j, c in enumerate(config.initial_laplacians)]
+    m, terms = config.m, _SERIES_TERMS
+    diag, lift, index, w_factor, p_factor, ks, power, source, ratio = _series_tables(m)
+    a = [c / diag[j] for j, c in enumerate(config.initial_laplacians)]
     b = [math.exp(min(2 * m * a[0], _EXP_CAP))]
     reach = max(abs(c) ** (1 / k) for k, c in enumerate(a[1:] + [source * b[0] / lift[m]], 1))
     scale = config.r_end**2 if reach * config.r_end**2 <= 1 else 1 / reach
@@ -325,12 +341,10 @@ def _series(config: ShootingConfig):
         if k <= terms:
             b.append(2 * m / k * sum(map(operator.mul, ia[1 : k + 1], b[k - 1 :: -1])))
     a = np.array(a)
-    k = np.arange(terms + 1)
-    alpha = ratio * np.array(b) / (2 * k + 2 * m)
+    alpha = ratio * np.array(b) / (2 * ks + 2 * m)
     coef = np.vstack([a[index] * w_factor, a[index + 1] * p_factor, alpha])
     # row factors S^-j (w_j), S^-(j+1) r (p_j) and r^2m (alpha)
     factor = np.array([scale**-j for j in range(m)] + [scale ** -(j + 1) for j in range(m)] + [1.0])
-    power = np.array([0] * m + [1] * m + [2 * m])
 
     def at(radii):
         r = np.asarray(radii, dtype=float)
@@ -344,10 +358,10 @@ def _series(config: ShootingConfig):
         return acc * factor[:, None] * r ** power[:, None]
 
     def earns(r):
-        part = coef * (r * r / scale) ** k
+        part = coef * (r * r / scale) ** ks
         return np.all(np.abs(part[:, -2:]).sum(axis=1) <= _EPS * np.abs(part.sum(axis=1)))
 
-    top = np.max(np.abs(a[terms // 2 : terms + 1]) ** (1 / k[terms // 2 :]))
+    top = np.max(np.abs(a[terms // 2 : terms + 1]) ** (1 / ks[terms // 2 :]))
     r0 = 0.5 * config.r_end
     if top > 0:
         r0 = min(r0, _SERIES_REACH * math.sqrt(scale / top))

@@ -89,16 +89,21 @@ def test_commands_run_without_scipy(tmp_path):
 
 
 _IMPORT_CONTRACT = """
-import contextlib, io, json, sys, types
+import sys
+bare = set(sys.modules)
+import contextlib, io, types
 import polyliouville
 import polyliouville.cli as cli
 
 def loaded():
     return sorted({{k.split(".")[0] for k in sys.modules}} & {{"numpy", "mpmath"}})
 
-out = {{"import": loaded()}}
+out = {{"import": loaded(), "codes": [], "watched": []}}
 with contextlib.redirect_stdout(io.StringIO()):
-    out["codes"] = [cli.run(argv) for argv in {argvs!r}]
+    for argv in {argvs!r}:
+        out["codes"].append(cli.run(argv))
+        # the watched modules loaded so far that a bare interpreter had not
+        out["watched"].append(sorted(set({watched!r}) & set(sys.modules) - bare))
 out["commands"] = loaded()
 out["missing"] = sorted([n for n in {cli_names!r} if n not in vars(cli)]
                         + ["polyliouville." + n for n in {pkg_names!r}
@@ -116,31 +121,47 @@ import polyliouville.verdict as mod
 out["verdict"] = isinstance(mod, types.ModuleType)
 out["classify"] = isinstance(polyliouville.classify, types.FunctionType)
 out["plain"] = type(sys.modules["polyliouville"]) is types.ModuleType
+import json
 print(json.dumps(out))
 """
 
 
-def test_exact_commands_load_neither_numpy_nor_mpmath():
-    # the package and cli import only the standard library and the exact
-    # layer; the names perfbench/spans.py wraps exist before numpy loads;
-    # polyliouville.verdict is the module and polyliouville.classify the
-    # function, whichever of the two is looked up first
+def test_exact_commands_load_neither_numpy_nor_mpmath(tmp_path):
+    # the package and cli import only the standard library; the names
+    # perfbench/spans.py wraps exist before numpy loads; polyliouville.verdict
+    # is the module and polyliouville.classify the function, whichever of the
+    # two is looked up first.  --help loads neither the exact layer nor the
+    # heavier stdlib modules, constants only exactconst of the exact layer,
+    # and classify no polyfield
     env = dict(os.environ, PYTHONPATH=str(Path(polyliouville.__file__).parents[1]))
-    for verdict_first in (False, True):
+    exact = [["--help"], ["constants", "--m", "3"],
+             ["pizzetti", "--m", "2", "--n", "4", "--cases", "20"]]
+    numeric = [["--help"], ["classify", "--m", "2", "--u0", LOG2, "--d2", "-1.7",
+                            "--out", str(tmp_path)]]
+    for verdict_first, argvs, loads in ((False, exact, []), (True, exact, []),
+                                        (False, numeric, ["numpy"])):
         script = _IMPORT_CONTRACT.format(
-            argvs=[["--help"], ["constants", "--m", "3"],
-                   ["pizzetti", "--m", "2", "--n", "4", "--cases", "20"]],
+            argvs=argvs,
             cli_names=["shoot", "compute_v", "fit_even_polynomial", "classify",
                        "pizzetti_check", "almansi_random", "green_ball",
                        "verify_gamma_identity"],
             pkg_names=["shoot", "compute_v", "compute_lap_v", "fit_even_polynomial"],
+            watched=["polyliouville.exactconst", "polyliouville.polyfield", "dataclasses",
+                     "inspect", "json", "fractions", "decimal"],
             verdict_first=verdict_first)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {
-            "import": [], "codes": [0, 0, 0], "commands": [], "missing": [], "own": [],
-            "star": [], "verdict": True, "classify": True, "plain": True}, verdict_first
+        out = json.loads(proc.stdout)
+        watched = out.pop("watched")
+        assert watched[0] == [], "--help"
+        assert "polyliouville.polyfield" not in watched[1], argvs[1][0]
+        if argvs is exact:
+            assert "polyliouville.exactconst" in watched[1]
+        assert out == {
+            "import": [], "codes": [0] * len(argvs), "commands": loads, "missing": [],
+            "own": [], "star": [], "verdict": True, "classify": True,
+            "plain": True}, verdict_first
 
 
 def test_parser_is_built_once_and_parses_each_call_afresh(capsys):

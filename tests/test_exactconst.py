@@ -8,6 +8,7 @@ radial Laplacians of log(1/r).
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,21 @@ def test_sigma_alternates(m):
 def test_constant_table_rejects_m0():
     with pytest.raises(ValueError):
         constant_table(0)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_constant_table_takes_numpy_integers(m, kind):
+    # a numpy integer m is the int m: same table, same printed table
+    table = constant_table(kind(m))
+    assert type(table.m) is int and table == constant_table(m)
+    assert format_table(table) == format_table(constant_table(m))
+
+
+@pytest.mark.parametrize("m", [True, 2.0, np.float64(2.0)])
+def test_constant_table_refuses_a_bool_or_float_m(m):
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        constant_table(m)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

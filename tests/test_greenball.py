@@ -57,6 +57,11 @@ def test_green_m2_sign_constants():
     )
 
 
+def test_green_ball_takes_numpy_integers():
+    assert green_ball(np.int64(3)) == green_ball(3)
+    assert green_ball(np.int32(2)) == green_ball(2)
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_navier_residuals_exactly_zero(m):
     g = green_ball(m)
