@@ -126,9 +126,27 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _grid_size(text: str) -> int:
-    # a2m-check's density (1 - r^2)^2 r^(n-1) vanishes at r = 0 and r = 1,
-    # so its trapezoid mass (a divisor) needs an inner node
+    # with two nodes a2m-check's integrands read r^(n-1) = 0 at r = 0 and
+    # v(1) = 0 at r = 1, so neither integral row would see v
     return _int_at_least(text, 3)
+
+
+def _critical_p(m: int) -> int:
+    """a2m-check's p* = gamma_m / (2 |f|_L1) for f = (1 - r^2)^2 on B_1 in R^2m.
+
+    omega_n cancels: gamma_m = omega_n 4^(m-1) ((m-1)!)^2 and
+    |f|_L1 = omega_n int_0^1 (1 - r^2)^2 r^(n-1) dr = omega_n 8 / (n (n+2) (n+4)).
+    """
+    return 4 ** (m - 1) * math.factorial(m - 1) ** 2 * m * (m + 1) * (m + 2) // 2
+
+
+def _a2m_order(text: str) -> int:
+    value = _positive_int(text)
+    if value > 84:
+        raise argparse.ArgumentTypeError(
+            f"must be <= 84, got {value}: p* = 4^(m-1) ((m-1)!)^2 m(m+1)(m+2)/2 "
+            "overflows a float from m = 85")
+    return value
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -211,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("a2m-check", allow_abbrev=False,
                        help="Navier positivity, scaling covariance, integrability")
-    p.add_argument("--m", type=_positive_int, default=2)
+    p.add_argument("--m", type=_a2m_order, default=2)
     p.add_argument("--points", type=_grid_size, default=801)
 
     p = sub.add_parser("reproduce-paper", allow_abbrev=False,
@@ -450,41 +468,22 @@ def _cmd_a2m_check(args) -> int:
     v1 = navier_solve_radial(f1)
     rows = []
 
-    positive = bool(np.all(v1.values >= -1e-14))
+    positive = bool(np.all(v1.values >= 0.0))
     rows.append(("positivity: f >= 0 gives v >= 0 at all nodes", positive))
 
     i1 = exp_integrability(v1, p=1.0).value
-    label = f"scaling covariance I(R) = R^{n} I(1)"
-    if i1 == 0.0:
-        # I(1) carries the factor omega_n, which underflows: I(1) is 0 from
-        # m = 227 at 101 points, and at every m from 256, where 4^n overflows
-        rows.append((label + ": I(1) underflows to 0", False))
-    else:
-        worst = 0.0
-        for scale in (2.0, 4.0):
-            f_scaled = RadialProfile(grid=scale * grid, values=f_vals / scale**n, m=m)
-            i_scaled = exp_integrability(navier_solve_radial(f_scaled), p=1.0).value
-            worst = max(worst, abs(i_scaled - scale**n * i1) / (scale**n * i1))
-        # from m = 218 at 101 points I(1) is subnormal: rel err counts its lost digits
-        tiny = f" (I(1) = {i1:.3g} is subnormal)" if i1 < sys.float_info.min else ""
-        rows.append((label + f", rel err {worst:.2e} <= 1e-8{tiny}", worst <= 1e-8))
+    worst = 0.0
+    for scale in (2.0, 4.0):
+        f_scaled = RadialProfile(grid=scale * grid, values=f_vals / scale**n, m=m)
+        i_scaled = exp_integrability(navier_solve_radial(f_scaled), p=1.0).value
+        worst = max(worst, abs(i_scaled - scale**n * i1) / (scale**n * i1))
+    rows.append((f"scaling covariance I(R) = R^{n} I(1), rel err {worst:.2e} <= 1e-8",
+                 worst <= 1e-8))
 
-    omega = float(constant_table(m).omega_n)
-    f_mass = omega * float(np.trapezoid(f_vals * grid ** (n - 1), grid))
-    gamma = float(constant_table(m).gamma_m)
-    # |f|_L1 carries omega_n too and is 0 from m = 224 at 101 points, where
-    # gamma_m has long overflowed: p* is then not divided out
-    p_crit = math.inf if math.isinf(gamma) else gamma / (2.0 * f_mass)
-    label = "exp integrability at p*|f|_L1 = gamma_m/2: "
-    if not math.isfinite(p_crit):
-        # gamma_m is finite up to m = 113, but p* overflows from m = 85
-        name = "gamma_m" if math.isinf(gamma) else "p* = gamma_m / (2 |f|_L1)"
-        rows.append((label + f"{name} overflows a float", False))
-    else:
-        crit = exp_integrability(v1, p=p_crit)
-        finite = math.isfinite(crit.value) and not crit.overflow
-        rows.append((label + f"I = {crit.value:.6g} "
-                     + ("finite" if finite else "is not finite"), finite))
+    crit = exp_integrability(v1, p=float(_critical_p(m)))
+    finite = math.isfinite(crit.value) and not crit.overflow
+    rows.append(("exp integrability at p*|f|_L1 = gamma_m/2: "
+                 f"I = {crit.value:.6g} " + ("finite" if finite else "is not finite"), finite))
 
     failed = False
     for label, ok in rows:

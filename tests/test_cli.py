@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -590,57 +591,43 @@ def test_a2m_check_passes_at_large_m(capsys):
     assert "I = 8.10623e-53 finite" in out
 
 
-def test_a2m_check_names_an_infinite_integral(capsys):
-    # gamma_120 overflows a float; the row must say so instead of integrating
-    # at p = inf, and numpy must warn of nothing
-    # (101 nodes: the default 801 take 13 s at m = 120)
+@pytest.mark.parametrize("m", [85, 120, 224, 260])
+def test_a2m_check_refuses_m_past_the_last_float_p_star(m, capsys):
+    # p* overflows a float from m = 85: a usage error before any row runs
+    assert run(["a2m-check", "--m", str(m), "--points", "101"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be <= 84" in err and "p*" in err
+
+
+def test_a2m_check_passes_at_the_largest_m(capsys):
+    # m = 84 has the largest float p* (4.47e304); numpy must warn of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run(["a2m-check", "--m", "120", "--points", "101"]) == 3
-    out = capsys.readouterr().out
-    assert "PASS  positivity" in out
-    assert "FAIL  exp integrability at p*|f|_L1 = gamma_m/2: gamma_m overflows a float" in out
-    assert "nan finite" not in out
-
-
-def test_a2m_check_names_an_overflowed_p_star(capsys):
-    # gamma_85 = 4.49e219 is a float, but p* = gamma_m / (2 |f|_L1) is not:
-    # the row must blame p*, not gamma_m
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run(["a2m-check", "--m", "85", "--points", "101"]) == 3
-    out = capsys.readouterr().out
-    assert "PASS  positivity" in out
-    assert ("FAIL  exp integrability at p*|f|_L1 = gamma_m/2: "
-            "p* = gamma_m / (2 |f|_L1) overflows a float") in out
-
-
-def test_a2m_check_names_an_underflowed_integral(capsys):
-    # omega_260 underflows to 0, and I(1) with it: the scaling row fails and
-    # says so instead of dividing by 0 (or raising on 4^520), and the other
-    # rows still print
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run(["a2m-check", "--m", "260", "--points", "101"]) == 3
-    out = capsys.readouterr().out
-    rows = out.splitlines()
-    assert len(rows) == 3 and all(row.startswith(("PASS  ", "FAIL  ")) for row in rows)
-    assert rows[1] == "FAIL  scaling covariance I(R) = R^520 I(1): I(1) underflows to 0"
-    assert rows[2] == "FAIL  exp integrability at p*|f|_L1 = gamma_m/2: gamma_m overflows a float"
-
-
-def test_a2m_check_names_a_subnormal_integral(capsys):
-    # I(1) is subnormal from m = 218 at 101 points: the scaling row still
-    # fails on the digits it lost, and now says why
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run(["a2m-check", "--m", "224", "--points", "101"]) == 3
+        assert run(["a2m-check", "--m", "84", "--points", "101"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 3
-    row = re.fullmatch(r"FAIL  scaling covariance I\(R\) = R\^448 I\(1\), rel err (\S+) <= 1e-8 "
-                       r"\(I\(1\) = (\S+) is subnormal\)", rows[1])
-    assert row, rows[1]
-    assert float(row[1]) > 1e-8 and 0 < float(row[2]) < sys.float_info.min
+    assert len(rows) == 3 and all(row.startswith("PASS  ") for row in rows)
+
+
+def test_a2m_check_p_star_is_exact_on_a_coarse_grid(capsys):
+    # a trapezoid |f|_L1 on three nodes made p* 18% too large (I = 5.90904)
+    assert run(["a2m-check", "--m", "2", "--points", "3"]) == 0
+    assert "I = 5.72543 finite" in capsys.readouterr().out
+
+
+def test_a2m_check_p_star_is_the_closed_form():
+    # p* = gamma_m / (2 |f|_L1), |f|_L1 = omega_n 8 / (n (n+2) (n+4)): pi cancels
+    from polyliouville.exactconst import PiRational, constant_table
+
+    for m in range(1, 85):
+        n = 2 * m
+        table = constant_table(m)
+        f_mass = table.omega_n * Fraction(8, n * (n + 2) * (n + 4))
+        assert table.gamma_m / (2 * f_mass) == PiRational(cli._critical_p(m))
+    # the bound on a2m-check --m: the last m whose p* is a float
+    assert math.isfinite(float(cli._critical_p(84)))
+    with pytest.raises(OverflowError):
+        float(cli._critical_p(85))
 
 
 def test_report_json_is_strict(tmp_path):
