@@ -552,14 +552,8 @@ def _cmd_reproduce_paper(args) -> int:
          standard_config(2),
          [is_standard, alpha_close(1e-4), rg_spherical, rg_tail_spherical,
           lambda row, traj: abs(row["lim_dau"]) <= 1e-3]),
-        # m = 3 runs to 500: far enough that log-growth statistics settle,
-        # short enough that the r^4-mode growth of the integration error
-        # stays out of the tail.  At 500 the tail R_g spans 29.98..30.00
-        # (target 30) on the Haswell, Sandybridge and SkylakeX OpenBLAS
-        # kernels; at 1000 it spans 29.90..29.96 on SkylakeX but
-        # 17.5..28.5 on Haswell, so the row would depend on the kernel.
         ("standard m=3",
-         standard_config(3, r_end=500.0),
+         standard_config(3),
          [is_standard, alpha_close(1e-3), rg_tail_spherical]),
         ("perturbed m=2 (u''(0) = -2.2)",
          ShootingConfig(m=2, initial_derivatives=(log2, -2.2)),

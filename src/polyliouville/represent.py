@@ -6,12 +6,20 @@ conformal volume, the representation
     v(x) = ((2m-1)!/gamma_m) * int log(|y|/|x-y|) exp(2m u(y)) dy
 
 differs from u by a polynomial p = u - v of even degree at most 2m-2, and
-v(0) = 0 by construction.  For radial u the 2m-dimensional integral reduces
-to a 1D radial integral of g(s) = exp(2m u(s)) against spherical averages
-of the kernel,
+v(0) = 0 by construction.  A trajectory is u = u_mu + W about the round
+sphere u_mu with the same u(0) (see `shooter`), and v splits the same
+way: v = v_mu + V.  v_mu = -log(1 + mu^2 r^2) is the closed form
+(u_mu - v_mu = log 2 mu), Delta^j v_mu = Delta^j u_mu, and only V, the
+same integral over the deviation density e^{2mu} - E_mu with
+E_mu = exp(2m u_mu), needs quadrature.  The density is formed as
+E_mu expm1(2m W_0), never as e^{2mu} - E_mu, which would lose
+eps/(2m|W_0|) relative; it is 0 where W is, and then V and its bars are
+exactly 0.  For radial u the 2m-dimensional integral reduces to a 1D
+radial integral of the density g(s) against spherical averages of the
+kernel,
 
-    avg over |y| = s, |x| = r  of  log(s/|x-y|)        (for v), or
-    avg of |x-y|^{-2j}                                  (for Delta^j v).
+    avg over |y| = s, |x| = r  of  log(s/|x-y|)        (for V), or
+    avg of |x-y|^{-2j}                                  (for Delta^j V).
 
 Both averages are terminating hypergeometric sums in t = (min/max)^2
 (KernelCache), so they split into powers of r times powers of s on each
@@ -28,8 +36,8 @@ interpolated quadratically on each panel of the trajectory grid through
 its ends and midpoint and integrated exactly against s^p by binomial
 moments (`greenball.panel_moment`; on the panel starting at s = 0 the log
 is integrated exactly against the quadratic of g instead).  Midpoint
-values of g come from u interpolated by `RadialTrajectory.sample_w`
-(cubic Hermite on u and u').
+values of g come from W_0 interpolated by
+`RadialTrajectory.sample_deviation` (cubic Hermite on W_0 and W_0').
 The panel holding r is split at r, and both parts get their own
 quadratic through fresh samples of g taken the same way, so the kink of
 the kernel at s = r costs no accuracy.  Suffix moments are
@@ -47,9 +55,12 @@ sums.
 Error bars are additive and conservative: a radial Richardson term (the
 same scheme on the 2x-decimated grid, odd nodes acting as midpoints) plus
 a closed-form bound on the truncated tail s > r_end.  There
-exp(2m u) <= C s^-q, with q fitted to the log density 2m u on the
-trajectory tail and log C kept in logs, so nothing overflows; the kernel
-bound integrates against C s^(2m-1-q) in closed form (`_tail_bound`).
+|e^{2mu} - E_mu| <= e^{2mu} + E_mu: exp(2m u) <= C s^-q, with q fitted to
+the log density 2m u on the trajectory tail and log C kept in logs, so
+nothing overflows, and E_mu <= (2/mu)^{2m} s^{-4m}; the kernel bound
+integrates against each in closed form (`_tail_bound`).  The tail bound
+is 0 when W = 0.  Whether a run can be represented at all (`_refusal`)
+is judged on e^{2mu} itself.
 
 There is no point-kernel API: the averages enter only through the moment
 pass.  `KernelCache.average_many` evaluates them at given source radii for
@@ -66,7 +77,7 @@ import numpy as np
 
 from .exactconst import constant_table
 from .greenball import RadialProfile, panel_moment, powers
-from .shooter import _EXP_CAP, RadialTrajectory
+from .shooter import _EXP_CAP, RadialTrajectory, standard_solution
 
 __all__ = [
     "KernelCache",
@@ -170,7 +181,7 @@ def _scaled(c: float, r, e: int, moment):
 
 
 class _SeparableIntegral:
-    """Prefix and suffix moments of g = exp(2mu) at fixed radii on one grid,
+    """Prefix and suffix moments of the density g at fixed radii on one grid,
     and the kernel integrals built from them (see the module docstring)."""
 
     def __init__(self, nodes, mids, g_nodes, g_mids, radii, traj: RadialTrajectory):
@@ -252,12 +263,22 @@ class _SeparableIntegral:
         return inner + outer
 
 
+def _deviation_density(traj: RadialTrajectory, radii, w0) -> np.ndarray:
+    """e^{2mu} - E_mu at the radii, formed as E_mu expm1(2m W_0) from W_0's
+    values there (never as a difference, which would lose eps/(2m|W_0|)
+    relative), with E_mu = (2 mu / (1 + mu^2 r^2))^(2m) = e^{2m u_mu} and
+    2m W_0 clamped at 700."""
+    family = (2 * traj.mu / (1.0 + (traj.mu * radii) ** 2)) ** (2 * traj.m)
+    return family * np.expm1(np.minimum(2 * traj.m * w0, _EXP_CAP))
+
+
 def _density(traj: RadialTrajectory) -> np.ndarray:
-    return np.exp(np.minimum(2 * traj.m * traj.w[0], _EXP_CAP))
+    return _deviation_density(traj, traj.grid, traj.W[0])
 
 
 def _density_at(traj: RadialTrajectory, radii) -> np.ndarray:
-    return np.exp(np.minimum(2 * traj.m * traj.sample_w(0, radii), _EXP_CAP))
+    return _deviation_density(traj, np.asarray(radii, dtype=float),
+                              traj.sample_deviation(0, radii))
 
 
 def _tail_decay(traj: RadialTrajectory):
@@ -349,8 +370,14 @@ def _prefactor(m: int, j: int) -> float:
 
 def _moment_pass(traj: RadialTrajectory, eval_radii):
     """order(j) -> Delta^j v (v at j = 0) at eval_radii, every order from one
-    setup: the radii checks, `_refusal`'s decay fit, the densities and the
-    fine and decimated grids, which form each moment once for all orders."""
+    setup: the radii checks, `_refusal`'s decay fit, the deviation
+    densities and the fine and decimated grids, which form each moment
+    once for all orders, and the closed form of v_mu.
+
+    v = v_mu + V with v_mu = -log(1 + mu^2 r^2), Delta^j v_mu = Delta^j u_mu,
+    and V the representation integral of e^{2mu} - E_mu.  V's truncated
+    tail is bounded by that of e^{2mu} (the fitted C s^-q) plus that of
+    E_mu <= (2/mu)^(2m) s^(-4m); it is 0 when W = 0, where V is 0 too."""
     radii = np.asarray(eval_radii, dtype=float)
     # NaN fails every comparison, so each test is written to pass only on good radii
     if radii.ndim != 1 or not (np.all(np.isfinite(radii)) and np.all(radii >= 0)
@@ -359,7 +386,9 @@ def _moment_pass(traj: RadialTrajectory, eval_radii):
     refusal, decay = _refusal(traj)
     if refusal is not None:
         raise ValueError(refusal)
-    m, grid, coeffs = traj.m, traj.grid, KernelCache(traj.m).coeffs
+    m, mu, grid, coeffs = traj.m, traj.mu, traj.grid, KernelCache(traj.m).coeffs
+    family = [-np.log1p((mu * radii) ** 2), *standard_solution(m, mu, radii).w[1:]]
+    tails = [decay, (2 * m * math.log(2 / mu), 4.0 * m)] if traj.W.any() else []
     mids = 0.5 * (grid[:-1] + grid[1:])
     g_grid, g_mid = _density(traj), _density_at(traj, mids)
     fine = _SeparableIntegral(grid, mids, g_grid, g_mid, radii, traj)
@@ -372,8 +401,11 @@ def _moment_pass(traj: RadialTrajectory, eval_radii):
 
     def order(j: int) -> RadialProfile:
         pref, value = _prefactor(m, j), fine.integral(coeffs, j)
-        err = np.abs(value - coarse.integral(coeffs, j)) + _tail_bound(traj, radii, *decay, j)
-        prof = RadialProfile(grid=radii, values=pref * value, m=m, err=abs(pref) * err)
+        err = np.abs(value - coarse.integral(coeffs, j))
+        for log_c, q in tails:
+            err = err + _tail_bound(traj, radii, log_c, q, j)
+        prof = RadialProfile(grid=radii, values=family[j] + pref * value, m=m,
+                             err=abs(pref) * err)
         # a NaN value or bar fails the test; Delta^j v also needs a small bar
         cap = 1e-5 * np.maximum(1.0, np.abs(prof.values)) if j else math.inf
         skip = np.isnan(prof.values) | ~(prof.err <= cap)
@@ -385,9 +417,11 @@ def _moment_pass(traj: RadialTrajectory, eval_radii):
 def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
     """Evaluate the representation integral at the requested radii.
 
-    All radii come from one pass over the prefix, suffix and log moments
-    of exp(2mu) (see the module docstring); v(0) = 0 exactly.  The error
-    bar adds the radial Richardson estimate and the truncated-tail bound.
+    v = v_mu + V: all radii of V come from one pass over the prefix,
+    suffix and log moments of e^{2mu} - E_mu (see the module docstring);
+    v(0) = 0 exactly, and on data with W = 0, v is the closed form with
+    bars of 0.  The error bar adds the radial Richardson estimate and the
+    truncated-tail bound.
     Radii past r_end use the moments of [0, r_end] and the same tail
     bound.  A NaN value or bar comes back as NaN with an infinite bar, as
     in compute_lap_v.  Refuses trajectories whose conformal volume has not
@@ -397,8 +431,9 @@ def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
 
 
 def compute_lap_v(traj: RadialTrajectory, j: int, eval_radii) -> RadialProfile:
-    """Delta^j v at the requested radii through the power kernel and the
-    closed-form constant (-1)^j 2^{2j} (j-1)! (m-1)! / ((m-j-1)! |S^{2m}|).
+    """Delta^j v = Delta^j u_mu + Delta^j V at the requested radii, Delta^j V
+    through the power kernel and the closed-form constant
+    (-1)^j 2^{2j} (j-1)! (m-1)! / ((m-j-1)! |S^{2m}|).
 
     Same prefix/suffix moment pass and error bar as compute_v.  A radius
     whose bar exceeds 1e-5 max(1, |value|), or is NaN, is skipped: its

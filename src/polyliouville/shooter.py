@@ -1,18 +1,43 @@
 """Radial shooting integrator for (-Delta)^m u = (2m-1)! exp(2m u) on R^{2m}.
 
-A radial solution is evolved as the first-order system in the iterated
-Laplacians
+A radial solution is written in the iterated Laplacians
 
     w_j = Delta^j u,   p_j = d/dr w_j,        j = 0 .. m-1,
 
-which closes because Delta w_j = w_{j+1} and Delta^m u is supplied by the
-equation itself: w_m = sigma_m (2m-1)! exp(2m w_0) with sigma_m = (-1)^m.
-The conformal volume
+which close as a first-order system because Delta w_j = w_{j+1} and
+Delta^m u is supplied by the equation itself: w_m = sigma_m (2m-1)!
+exp(2m w_0) with sigma_m = (-1)^m.
 
-    alpha(R) = (1 / |S^{2m}|) * omega_{2m} * int_0^R exp(2m w_0(s)) s^{2m-1} ds
+The closed-form family
 
-rides along as one extra quadrature state, so every trajectory carries its
-own normalized volume without post-hoc integration error.
+    u_lam(x) = log(2 lam / (1 + lam^2 |x|^2)),
+
+the pullback of the round-sphere metric, has Delta^j u_lam = lam^{2j} G_j(t)
+with t = lam^2 r^2, and each G_j is a polynomial with integer coefficients
+in x = 1/(1+t).  It is evaluated by Horner's rule in x (`standard_solution`),
+and its conformal volume is the incomplete beta function I_{t/(1+t)}(m, m)
+(`standard_volume`).
+
+A shot integrates the deviation from the family member with the same
+u(0): mu = e^{A_0}/2 (`reference_mu`) and W = u - u_mu, whose iterated
+Laplacians W_j and derivatives P_j = W_j' obey the same linear chain with
+
+    Delta^m W = sigma_m (2m-1)! E_mu expm1(2m W_0),   E_mu = (2 mu / (1 + mu^2 r^2))^{2m},
+
+W_j(0) = A_j - A_j^std(mu), W_0(0) = 0 (`_vector_field`).  Roundoff then
+scales with |W|, not with |u|, so the free modes r^{2k} of the far field
+amplify only the deviation's own error.  Data equal in floats to
+`standard_laplacians(m, mu)` give W = 0 exactly, and the trajectory is the
+closed form at every node: the lam = 1 data of every m, and lam = 3 and
+20 too, are such data.  From m = 4 on, those float data are not exactly
+on the family, so a W = 0 shot solves the data snapped to it, which the
+trajectory's `on_family` and the reports' data_on_family say.  The
+conformal volume
+
+    alpha(R) = (1 / |S^{2m}|) * omega_{2m} * int_0^R exp(2m u(s)) s^{2m-1} ds
+
+is the closed form of u_mu plus one quadrature row of the deviation,
+int E_mu expm1(2m W_0) s^{2m-1} ds, carried as an extra state.
 
 The system is integrated by the package's own DOP853 stepper
 (`dop853.solve_ivp`, Hairer-Norsett-Wanner's 8th-order Dormand-Prince
@@ -21,37 +46,28 @@ pair with 7th-order dense output), called through this module's global
 
 Initial data live at r = 0, either as A_j = Delta^j u(0) or as the even
 derivatives u^{(2j)}(0) (odd ones vanish for smooth radial data).  Near
-the origin the solution is its power series u = sum_k a_k r^{2k}, whose
-coefficients follow from the data by two short recurrences (`_series`).
-Each shot sums that series, exactly to rounding, on [0, r0], where r0 is
-a quarter of its radius of convergence (0.26 for the round sphere with
-lam = 1), and the stepper takes over at r0.  This sidesteps the
-coordinate singularity of the radial Laplacian and the stepper's work
-where the series alone is exact.  Every run steps at rtol = 3e-12 and
-atol = 3e-14 (see _TOL_SAFETY).  The sampling grid is geometric from
-r = 1e-3 whatever r0 is; its points below r0 come from the series.
-
-The closed-form family
-
-    u_lam(x) = log(2 lam / (1 + lam^2 |x|^2)),
-
-the pullback of the round-sphere metric, has Delta^j u_lam = lam^{2j} G_j(t)
-with t = lam^2 r^2, and each G_j is a polynomial with integer coefficients
-in x = 1/(1+t).  It is evaluated by Horner's rule in x and serves as the
-reference for every w_j and p_j without finite differencing.
+the origin W is its power series W = sum_k a_k r^{2k}, whose coefficients
+follow from the data by short recurrences (`_series`).  Each shot sums
+that series, exactly to rounding, on [0, r0], where r0 is a quarter of
+its radius of convergence (half of r_end when W = 0), and the stepper
+takes over at r0.  This sidesteps the coordinate singularity of the
+radial Laplacian and the stepper's work where the series alone is exact.
+Every run steps at rtol = 3e-12 and atol = 3e-14 (see _TOL_SAFETY).  The
+sampling grid is geometric from r = 1e-3 whatever r0 is; its points below
+r0 come from the series.
 
 A run ends in one of three terminations.  "reached_end": it got to
-r_end.  "not_entire" (m = 2 only): u' turned positive, which no entire
-finite-volume solution does (see `shoot`), so the run stops there; data
-with Delta u(0) >= 0 stop at the first radius, 1e-3 or r0 if smaller,
-without integrating.
-"step_underflow": the step controller gave up short of r_end.  A
-finite-radius blow-up ends so: it goes like u ~ -log(R - r), so u climbs
-to about 30 before R - r falls to float64 resolution and the steps
-underflow.  A solver failure can end so too: standard m = 8 is entire,
-yet it stops at r = 17.874 after 27 359 nfev.  The label does not tell
-the two apart.  The exponential source is clamped at exp(700) inside the
-vector field so the right-hand side stays total past a blow-up.
+r_end, as standard m = 8, which is entire, does with W = 0.
+"not_entire" (m = 2 only): u' = u_mu' + W_0' turned positive, which no
+entire finite-volume solution does (see `shoot`), so the run stops
+there; data with Delta u(0) >= 0 stop at the first radius, 1e-3 or r0 if
+smaller, without integrating.  "step_underflow": the step controller
+gave up short of r_end.  A finite-radius blow-up ends so: it goes like
+u ~ -log(R - r), so u climbs to about 30 before R - r falls to float64
+resolution and the steps underflow.  A solver failure would end so too;
+the label does not tell the two apart.  The exponential source is
+clamped at exp(700) inside the vector field (on 2m u = log E_mu + 2m W_0)
+so the right-hand side stays total past a blow-up.
 """
 
 from __future__ import annotations
@@ -59,7 +75,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +90,7 @@ __all__ = [
     "SolveReport",
     "StandardSolution",
     "rhs",
+    "reference_mu",
     "series_start",
     "derivs_to_laplacians",
     "shoot",
@@ -81,6 +98,7 @@ __all__ = [
     "standard_solution",
     "standard_laplacians",
     "standard_config",
+    "standard_volume",
     "scalar_curvature",
     "conformal_factor_ratio",
 ]
@@ -94,8 +112,9 @@ _EXP_CAP = 700.0  # exp argument clamp; keeps the vector field total
 # from a start at r = 1e-3: a request of 1e-10 returned u accurate to
 # 7.5e-11 (m = 2) and 4.5e-9 (m = 3) on [0, 50], and a safety of 0.3
 # saved only 22% of the m = 2 evaluations and lost a factor 5 in that
-# accuracy.  From the series start the same request gives 8.0e-11 (m = 2)
-# and 2.4e-11 to 2.4e-9 (m = 3, by OpenBLAS kernel).
+# accuracy.  From the series start the same request gave 8.0e-11 (m = 2)
+# and 2.4e-11 to 2.4e-9 (m = 3, by OpenBLAS kernel).  Those shots
+# integrated u itself; the family's own data now give W = 0 exactly.
 _TOL_SAFETY = 0.03
 _RTOL = 1e-10 * _TOL_SAFETY  # 3e-12: the step controller's fixed tolerances
 _ATOL = 1e-12 * _TOL_SAFETY  # 3e-14
@@ -112,8 +131,10 @@ _EPS = np.finfo(float).eps
 # Companion run for the error estimate integrates at this multiple of the
 # main tolerances; the end-value difference overestimates the main run's
 # own error.  On the closed-form family (m = 1, 2 to r = 1000, m = 3 to
-# r = 500) the estimate is 4.8x to 21x the true end-point error of u, and
-# up to 1500x where the m = 3 run happens to end closer to the closed form.
+# r = 500), shot as u itself, the estimate was 4.8x to 21x the true
+# end-point error of u, and up to 1500x where the m = 3 run happened to end
+# closer to the closed form.  The deviation from it is 0 there, and the
+# estimate is its floor _RTOL max(1, |u|).
 _COMPANION_FACTOR = 8.0
 
 # Ratio of consecutive radii of the sampling grid.
@@ -188,88 +209,130 @@ class ShootingConfig:
 
 
 _FIELD_SOURCE = """\
-def field(r, y):
-    {w}, {p}, _ = y
-    {body}
+def make(c, mu2, xsafe):
+    def field(r, y):
+        {w}, {p}, _ = y
+        {body}
 
-def stage(r, y, dy, h):
-    {stage_args}
-    {body}
+    def stage(r, y, dy, h):
+        {stage_args}
+        {body}
+
+    field.stage = stage
+    return field
 """
 
 _FIELD_BODY = (
     "x = {two_m} * w0",
-    "expo = exp({cap!r} if x > {cap!r} else x)",
+    "e = (c / (1.0 + mu2 * r * r)) ** {two_m}",
+    "dev = e * expm1(x) if x <= xsafe else clamped(x, e)",
     "damp = {damp} / r",
     "return [{p}, {dp}, {alpha}]",
 )
 
 
+def _clamped_source(x: float, e: float) -> float:
+    """E_mu expm1(x) with the vector field's clamp on 2m u = log E_mu + x:
+    exp(min(log E_mu + x, 700)) - E_mu, and E_mu expm1(x) wherever that
+    product is finite and below the clamp.  NaN stays NaN."""
+    log_total = x + math.log(e) if e > 0 else -math.inf
+    if log_total <= _EXP_CAP and x <= _EXP_CAP:
+        return e * math.expm1(x)
+    return math.exp(_EXP_CAP if log_total > _EXP_CAP else log_total) - e
+
+
 @functools.cache
 def _vector_field(m: int):
-    """The augmented vector field (r, y) -> dy/dr of the radial system,
-    with its fused stage kernel as the attribute `stage`.
+    """The factory make(c, mu2, xsafe) of the deviation system's vector
+    field at order m; `_field` calls it once per shot.
 
-    y = (w_0..w_{m-1}, p_0..p_{m-1}, alpha) is a sequence of floats, and
-    the field returns a list of floats in the same layout.  The equation
-    is written once, in the template _FIELD_SOURCE, and serves both
-    `shoot` and `rhs`.  For each m the template is filled in as
-    straight-line float code: y is unpacked into w0.., p0.. (alpha' does
-    not depend on alpha), the constants become literals, and
+    The field (r, y) -> dy/dr carries its fused stage kernel as the
+    attribute `stage`.  y = (W_0..W_{m-1}, P_0..P_{m-1}, alpha_dev) is a
+    sequence of floats, and the field returns a list of floats in the same
+    layout.  The equation is written once, in the template _FIELD_SOURCE.
+    For each m the template is filled in as straight-line float code: y is
+    unpacked into w0.., p0.. (alpha_dev' does not depend on alpha_dev), the
+    constants become literals, the shot's reference mu enters through the
+    closure's c = 2 mu and mu2 = mu^2, and
 
-        expo = exp(min(2m w_0, 700)),   damp = -(2m-1) / r,
-        p_j' = damp p_j + w_{j+1}   (j < m-1),
-        p_{m-1}' = damp p_{m-1} + sigma_m (2m-1)! expo,
-        alpha' = (omega_{2m} / |S^{2m}|) expo r^(2m-1),
+        x = 2m W_0,   E_mu = (c / (1 + mu2 r^2))^(2m),   damp = -(2m-1) / r,
+        dev = E_mu expm1(x)   (the source e^{2mu} - E_mu, never formed so),
+        P_j' = damp P_j + W_{j+1}   (j < m-1),
+        P_{m-1}' = damp P_{m-1} + sigma_m (2m-1)! dev,
+        alpha_dev' = (omega_{2m} / |S^{2m}|) dev r^(2m-1),
 
-    in this order of operations.  The clamp is written
-    `700.0 if x > 700.0 else x`, which is how the builtin min(x, 700.0)
-    decides, NaN included, without the call.
+    in this order of operations.  For x <= xsafe = 700 - max(0, 2m log 2mu)
+    the total exponent log E_mu + x is at most 700 at every r; above it
+    `_clamped_source` applies the clamp of 2m u at 700, NaN included, so
+    the field stays total past a blow-up.
 
     `field.stage(r, y, dy, h)` is the same body on the stage argument
     y + dy h, which a Runge-Kutta stage would otherwise build as a list:
     it equals field(r, [yi + di * h for yi, di in zip(y, dy)]) bit for
     bit, as w0 = y[0] + dy[0] * h, ... is the same product and sum per
-    component, and it skips the alpha component, which the field ignores.
-    `dop853.solve_ivp` calls it for every stage.  Both functions are
-    compiled once per m and cached: they are pure, and at m = 2 a call
-    costs well under a microsecond.
+    component, and it skips the alpha_dev component, which the field
+    ignores.  `dop853.solve_ivp` calls it for every stage.  The factory is
+    compiled once per m and cached; the field is pure, and at m = 2 a
+    stage costs about half a microsecond.
     """
     tab = constant_table(m)
     w = [f"w{j}" for j in range(m)]
     p = [f"p{j}" for j in range(m)]
     dp = [f"damp * {pj} + {wj}" for pj, wj in zip(p, w[1:])]
-    dp.append(f"damp * {p[-1]} + {tab.sigma_m * math.factorial(2 * m - 1)} * expo")
+    dp.append(f"damp * {p[-1]} + {tab.sigma_m * math.factorial(2 * m - 1)} * dev")
     ratio = float(tab.omega_n / tab.vol_sphere_2m)
-    body = "\n    ".join(_FIELD_BODY).format(
-        p=", ".join(p), dp=", ".join(dp), two_m=2 * m, cap=_EXP_CAP,
-        damp=-(2 * m - 1), alpha=f"{ratio!r} * expo * r ** {2 * m - 1}",
+    body = "\n        ".join(_FIELD_BODY).format(
+        p=", ".join(p), dp=", ".join(dp), two_m=2 * m,
+        damp=-(2 * m - 1), alpha=f"{ratio!r} * dev * r ** {2 * m - 1}",
     )
-    stage_args = "\n    ".join(f"{name} = y[{i}] + dy[{i}] * h" for i, name in enumerate(w + p))
+    stage_args = "\n        ".join(f"{name} = y[{i}] + dy[{i}] * h"
+                                  for i, name in enumerate(w + p))
     source = _FIELD_SOURCE.format(
         w=", ".join(w), p=", ".join(p), body=body, stage_args=stage_args
     )
-    namespace = {"exp": math.exp}
+    namespace = {"expm1": math.expm1, "clamped": _clamped_source}
     exec(compile(source, f"<vector field m={m}>", "exec"), namespace)
-    field = namespace["field"]
-    field.stage = namespace["stage"]
-    return field
+    return namespace["make"]
+
+
+def reference_mu(config: ShootingConfig) -> float:
+    """The family member u_mu that a shot of config deviates from:
+    mu = e^{A_0}/2, so that u_mu(0) = A_0, with A_0 clipped to
+    [-700, 350/m].  The clip keeps mu > 0 and E_mu(0) = (2 mu)^{2m}
+    = e^{2m A_0} within e^{700}, the clamp of the vector field; data past
+    it start with W_0(0) != 0."""
+    a0 = min(max(config.initial_laplacians[0], -_EXP_CAP), _EXP_CAP / (2 * config.m))
+    return math.exp(a0) / 2
+
+
+def _field(m: int, mu: float):
+    """The deviation system's vector field about u_mu (see `_vector_field`)."""
+    xsafe = _EXP_CAP - max(0.0, 2 * m * math.log(2 * mu))
+    return _vector_field(m)(2 * mu, mu * mu, xsafe)
 
 
 def rhs(state, r, m):
-    """Vector field of the 2m-dimensional radial system at radius r > 0.
+    """Vector field of the 2m-dimensional radial system in u itself at
+    radius r > 0.
 
-    state = (w_0..w_{m-1}, p_0..p_{m-1}).  This is the field `shoot`
-    integrates, without its alpha quadrature row, so the reduction can be
-    checked against closed-form solutions.
+    state = (w_0..w_{m-1}, p_0..p_{m-1}) with w_j = Delta^j u and
+    p_j = w_j':  p_j' = -(2m-1)/r p_j + w_{j+1}, with
+    w_m = sigma_m (2m-1)! exp(min(2m w_0, 700)), so the reduction can be
+    checked against closed-form solutions.  `shoot` integrates the same
+    system written for the deviation W = u - u_mu (`_vector_field`).
     """
     if r <= 0:
         raise ValueError("the radial system is defined for r > 0")
     state = np.asarray(state, dtype=float)
     if state.shape != (2 * m,):
         raise ValueError(f"state must have length {2 * m}")
-    # the field also unpacks alpha, on which no derivative depends
-    return np.array(_vector_field(m)(r, state.tolist() + [0.0])[: 2 * m])
+    w, p = state[:m].tolist(), state[m:].tolist()
+    x = 2 * m * w[0]
+    damp = -(2 * m - 1) / r
+    tab = constant_table(m)
+    source = tab.sigma_m * math.factorial(2 * m - 1) * math.exp(_EXP_CAP if x > _EXP_CAP else x)
+    dp = [damp * pj + wj for pj, wj in zip(p, w[1:])]
+    return np.array(p + dp + [damp * p[-1] + source])
 
 
 @functools.cache
@@ -302,57 +365,79 @@ def _series_tables(m: int):
     return diag, lift, index, w_factor, p_factor, ks, power, source, ratio
 
 
-def _series(config: ShootingConfig):
-    """The radial power series of config's solution and the radius it earns.
+def _series(config: ShootingConfig, mu: float):
+    """The radial power series of the deviation W = u - u_mu of config's
+    solution, and the radius it earns.
 
-    Returns (at, r0): at(radii) gives the state rows (w, p, alpha) at the
-    radii as an array of shape (2m+1, len(radii)), and r0 is where the
-    stepper takes over.  With s = r^2, u = sum_k a_k s^k and
-    exp(2mu) = sum_k b_k s^k, the equation and d/ds exp(2mu) = 2m u_s exp(2mu)
-    give
+    Returns (at, r0): at(radii) gives the state rows (W, P, alpha_dev) at
+    the radii as an array of shape (2m+1, len(radii)), and r0 is where the
+    stepper takes over.  With s = r^2, W = sum_k a_k s^k,
+    expm1(2m W) = sum_k g_k s^k, E_mu = sum_k e_k s^k and the deviation
+    source D = E_mu expm1(2m W) = sum_k d_k s^k, the equation
+    Delta^m W = sigma_m (2m-1)! D and d/ds exp(2mW) = 2m W_s exp(2mW) give
 
-        a_{k+m} C_{k+m} / C_k = sigma_m (2m-1)! b_k,
-        k b_k = 2m sum_{i=1..k} i a_i b_{k-i},
+        a_{k+m} C_{k+m} / C_k = sigma_m (2m-1)! d_k,
+        k g_k = 2m sum_{i=1..k} i a_i h_{k-i},   d_k = sum_{i=0..k} e_i g_{k-i},
 
-    from a_j = A_j / C_j (j < m) and b_0 = exp(2m A_0), clamped as in the
-    vector field; C_k = Delta^k r^{2k}.  Every row follows termwise:
-    w_j = sum_l a_{l+j} (C_{l+j} / C_l) s^l, p_j = dw_j/dr, and alpha
-    integrates b_k s^k r^{2m-1}.  The coefficients are kept in x = s / S
-    with S = min(r_end^2, 1 / max_{k=1..m} |a_k|^(1/k)), the radius in s
-    that the data set, so that they stay of order one and never
-    overflow.  r0 is a quarter of the root test's
-    radius of convergence in r (from the upper half of the a_k), at most
-    half of r_end, and halved until the last two terms of every row are
-    below eps of its sum; each row is then exact to rounding on [0, r0].
+    with h_0 = exp(2m a_0) and h_k = g_k, from the general start
+    a_j = W_j(0) / C_j (j < m), g_0 = expm1(2m a_0), so that
+    d_0 = (2 mu)^{2m} expm1(2m W_0(0)); e_k = (2 mu)^{2m} binom(-2m, k) mu^{2k}
+    and C_k = Delta^k r^{2k}.  2m a_0 is clamped so that 2m u(0) <= 700, as
+    in the vector field.  Data equal to `standard_laplacians(m, mu)` in
+    floats give W = 0 and every row 0.  Every row follows termwise:
+    W_j = sum_l a_{l+j} (C_{l+j} / C_l) s^l, P_j = dW_j/dr, and alpha_dev
+    integrates d_k s^k r^{2m-1}.  The coefficients are kept in x = s / S
+    with S = min(r_end^2, 1 / max(mu^2, max_{k=1..m} |a_k|^(1/k))), the
+    radius in s that the data and E_mu set, so that they stay of order one
+    and never overflow.  r0 is a quarter of the root test's radius of
+    convergence in r (from the upper half of the a_k), at most half of
+    r_end, and halved until the last two terms of every row are below eps
+    of its sum; each row is then exact to rounding on [0, r0].  W = 0
+    earns half of r_end.
     """
     m, terms = config.m, _SERIES_TERMS
     diag, lift, index, w_factor, p_factor, ks, power, source, ratio = _series_tables(m)
-    a = [c / diag[j] for j, c in enumerate(config.initial_laplacians)]
-    b = [math.exp(min(2 * m * a[0], _EXP_CAP))]
-    reach = max(abs(c) ** (1 / k) for k, c in enumerate(a[1:] + [source * b[0] / lift[m]], 1))
+    base = standard_laplacians(m, mu)
+    a = [(c - b) / diag[j] for j, (c, b) in enumerate(zip(config.initial_laplacians, base))]
+    x0 = min(2 * m * a[0], _EXP_CAP - 2 * m * math.log(2 * mu))
+    h, g = [math.exp(x0)], [math.expm1(x0)]
+    # |a_m|^(1/m) for a_m = source (2 mu)^{2m} g_0 / lift[m], without the power
+    root_m = (2 * mu) ** 2 * abs(source * g[0] / lift[m]) ** (1 / m)
+    reach = max([mu * mu, root_m] + [abs(c) ** (1 / k) for k, c in enumerate(a[1:], 1)])
     scale = config.r_end**2 if reach * config.r_end**2 <= 1 else 1 / reach
     a = [c * scale**j for j, c in enumerate(a)]
+    # e_k and d_k are kept relative to E_mu(0) = (2 mu)^{2m}, which the
+    # source takes as E_mu(0) S^m = (4 mu^2 S)^m <= 4^m, since S <= 1 / mu^2
+    source *= ((2 * mu) ** 2 * scale) ** m
+    step = -mu * mu * scale
+    e = [1.0]
+    for k in range(1, terms + 1):
+        e.append(e[-1] * step * (2 * m + k - 1) / k)
     ia = [j * c for j, c in enumerate(a)]  # i a_i, the convolution's weights
-    source *= scale**m
-    for k in range(1, terms + m + 1):
-        if k >= m:
-            a.append(source * b[k - m] / lift[k])
-            ia.append(k * a[k])
-        if k <= terms:
-            b.append(2 * m / k * sum(map(operator.mul, ia[1 : k + 1], b[k - 1 :: -1])))
+    d = [g[0]]
+    a.append(source * d[0] / lift[m])
+    ia.append(m * a[m])
+    for k in range(1, terms + 1):
+        h.append(2 * m / k * sum(map(operator.mul, ia[1 : k + 1], h[k - 1 :: -1])))
+        g.append(h[k])
+        d.append(sum(map(operator.mul, e[: k + 1], g[k::-1])))
+        a.append(source * d[k] / lift[k + m])
+        ia.append((k + m) * a[k + m])
     a = np.array(a)
-    alpha = ratio * np.array(b) / (2 * ks + 2 * m)
+    alpha = ratio * (2 * mu) ** (2 * m) * np.array(d) / (2 * ks + 2 * m)
     coef = np.vstack([a[index] * w_factor, a[index + 1] * p_factor, alpha])
-    # row factors S^-j (w_j), S^-(j+1) r (p_j) and r^2m (alpha)
+    # row factors S^-j (W_j), S^-(j+1) r (P_j) and r^2m (alpha_dev)
     factor = np.array([scale**-j for j in range(m)] + [scale ** -(j + 1) for j in range(m)] + [1.0])
+    # trailing zero terms change no bit of Horner's sum: W = 0 sums none
+    used = coef[:, : max(np.flatnonzero(coef.any(axis=0)), default=0) + 1]
 
     def at(radii):
         r = np.asarray(radii, dtype=float)
         x = r * r / scale
         # Horner's rule in x, elementwise: a radius's value depends on that
         # radius alone, whichever radii are evaluated with it
-        acc = np.repeat(coef[:, -1:], r.size, axis=1)
-        for c in coef[:, -2::-1].T:
+        acc = np.repeat(used[:, -1:], r.size, axis=1)
+        for c in used[:, -2::-1].T:
             acc *= x
             acc += c[:, None]
         return acc * factor[:, None] * r ** power[:, None]
@@ -365,50 +450,67 @@ def _series(config: ShootingConfig):
     r0 = 0.5 * config.r_end
     if top > 0:
         r0 = min(r0, _SERIES_REACH * math.sqrt(scale / top))
-    while r0 > 0 and not earns(r0):
-        r0 *= 0.5
+        while r0 > 0 and not earns(r0):
+            r0 *= 0.5
     return at, r0
 
 
 def series_start(config: ShootingConfig):
-    """Where the stepper starts: (r0, y0) with y0 = (w, p, alpha) from the
-    radial power series at the radius r0 it earns (see `_series`)."""
-    at, r0 = _series(config)
+    """Where the stepper starts: (r0, y0) with y0 = (W, P, alpha_dev), the
+    deviation from u_mu (mu = `reference_mu(config)`), from its radial
+    power series at the radius r0 it earns (see `_series`)."""
+    at, r0 = _series(config, reference_mu(config))
     return r0, at([r0])[:, 0]
 
 
 @dataclass
 class RadialTrajectory:
-    """Sampled radial solution with its running conformal volume.
+    """Sampled radial solution u = u_mu + W with its running conformal volume.
 
-    grid starts at r = 0, so the r = 0 column of w holds the initial data
-    A_j = Delta^j u(0) and that of p is 0; w and p have shape
-    (m, len(grid)); alpha is the normalized volume of B_r.  Off the grid,
-    `sample_w` interpolates w_j from the stored w_j and p_j.  termination
-    is "reached_end"; "not_entire" (m = 2) when the run stopped at the
-    first u' > 0, or at the first radius (1e-3, or r0 if smaller) when
-    Delta u(0) >= 0; or "step_underflow" when the step controller gave up
-    short of r_end (a blow-up or a solver failure).
+    grid starts at r = 0.  mu is the family member u_mu the shot deviates
+    from (`reference_mu`), W[j] = Delta^j (u - u_mu) and P[j] = W[j]',
+    of shape (m, len(grid)): the r = 0 column of W holds
+    A_j - A_j^std(mu) and that of P is 0.  w = w_mu + W and p = p_mu + P,
+    the iterated Laplacians of u and their radial derivatives, are built
+    once from `standard_solution`; alpha is the normalized volume of B_r.
+    Off the grid, `sample_w` adds the closed form to W_j interpolated from
+    the stored W_j and P_j.  termination is "reached_end"; "not_entire"
+    (m = 2) when the run stopped at the first u' > 0, or at the first
+    radius (1e-3, or r0 if smaller) when Delta u(0) >= 0; or
+    "step_underflow" when the step controller gave up short of r_end (a
+    blow-up or a solver failure).
     """
 
     m: int
     grid: np.ndarray
-    w: np.ndarray
-    p: np.ndarray
+    mu: float
+    W: np.ndarray
+    P: np.ndarray
     alpha: np.ndarray
     termination: str
     nfev: int = 0
+    w: np.ndarray = field(init=False, repr=False)
+    p: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         npts = self.grid.size
-        if self.w.shape != (self.m, npts) or self.p.shape != (self.m, npts):
-            raise ValueError("w and p must have shape (m, len(grid))")
+        if self.W.shape != (self.m, npts) or self.P.shape != (self.m, npts):
+            raise ValueError("W and P must have shape (m, len(grid))")
         if self.alpha.shape != (npts,):
             raise ValueError("alpha must match the grid")
+        family = standard_solution(self.m, self.mu, self.grid)
+        self.w = family.w + self.W
+        self.p = family.p + self.P
 
     @property
     def u(self) -> np.ndarray:
         return self.w[0]
+
+    @property
+    def on_family(self) -> bool:
+        """True when every W_j(0) is 0.0: the data are u_mu's in floats,
+        and the shot solved u_mu itself."""
+        return not np.any(self.W[:, 0])
 
     @property
     def r_max(self) -> float:
@@ -418,20 +520,26 @@ class RadialTrajectory:
     def alpha_final(self) -> float:
         return float(self.alpha[-1])
 
-    def sample_w(self, j: int, radii) -> np.ndarray:
-        """w_j at the given radii by piecewise cubic Hermite interpolation.
+    def sample_deviation(self, j: int, radii) -> np.ndarray:
+        """W_j at the given radii by piecewise cubic Hermite interpolation.
 
-        Each panel's cubic matches the stored w_j and p_j = w_j' at both
-        ends, so node values come back exactly and w_j'(0) = 0 holds
-        through p_j(0) = 0.  Radii outside the grid take the cubic of the
+        Each panel's cubic matches the stored W_j and P_j = W_j' at both
+        ends, so node values come back exactly and W_j'(0) = 0 holds
+        through P_j(0) = 0.  Radii outside the grid take the cubic of the
         nearest end panel."""
         r = np.asarray(radii, dtype=float)
-        grid, w, p = self.grid, self.w[j], self.p[j]
+        grid, w, p = self.grid, self.W[j], self.P[j]
         i = np.clip(np.searchsorted(grid, r, side="right") - 1, 0, grid.size - 2)
         h = grid[i + 1] - grid[i]
         t = (r - grid[i]) / h
         return ((1 + 2 * t) * (1 - t) ** 2 * w[i] + t**2 * (3 - 2 * t) * w[i + 1]
                 + h * t * (1 - t) * ((1 - t) * p[i] - t * p[i + 1]))
+
+    def sample_w(self, j: int, radii) -> np.ndarray:
+        """w_j at the given radii: the closed form of u_mu plus
+        `sample_deviation`, so node values come back exactly."""
+        r = np.asarray(radii, dtype=float)
+        return standard_solution(self.m, self.mu, r).w[j] + self.sample_deviation(j, r)
 
     def tail_indices(self) -> np.ndarray:
         """Grid indices of the tail window r >= 0.8 r_max."""
@@ -446,18 +554,16 @@ class RadialTrajectory:
         """Trajectory of u_s(x) = u(s x) + log s, the conformal rescaling,
         for a finite scale s > 0.
 
-        Iterated Laplacians pick up s^{2j}, radial derivatives one more s,
-        and the normalized volume alpha is invariant.  The r = 0 column is
-        the rescaled initial data.
+        u_mu(s x) + log s is u_{s mu}(x), so mu becomes s mu; iterated
+        Laplacians of W pick up s^{2j}, radial derivatives one more s, and
+        the normalized volume alpha is invariant.
         """
         if not (scale > 0 and math.isfinite(scale)):
             raise ValueError(f"scale must be positive and finite, got {scale!r}")
         s = float(scale)
         powers = s ** (2 * np.arange(self.m))
-        w = self.w * powers[:, None]
-        w[0] = w[0] + math.log(s)
-        return replace(self, grid=self.grid / s, w=w, p=self.p * (s * powers)[:, None],
-                       alpha=self.alpha.copy())
+        return replace(self, grid=self.grid / s, mu=self.mu * s, W=self.W * powers[:, None],
+                       P=self.P * (s * powers)[:, None], alpha=self.alpha.copy())
 
     def to_csv(self, path) -> None:
         """Columns r, w0, p0, w1, p1, ..., alpha_R, R_scalar at 17 digits."""
@@ -484,19 +590,25 @@ def _geometric_grid(r0: float, r_end: float) -> np.ndarray:
     return np.append(pts, r_end)
 
 
-def _m2_u_prime(r, y):
-    """Terminal event of m = 2 runs: p_0 = u' (y[2]) crossing zero upwards."""
-    return y[2]
+def _m2_event(mu: float):
+    """Terminal event of m = 2 runs about u_mu: u' = u_mu' + W_0' (y[2])
+    crossing zero upwards.  u_mu' is written as `standard_solution` writes
+    p_0, so the event reads the same bits as the trajectory's p_0."""
+    slope = -2 * mu**2
+
+    def u_prime(r, y):
+        t = mu * r
+        return y[2] + slope * r / (1.0 + t * t)
+
+    u_prime.terminal = True
+    u_prime.direction = 1
+    return u_prime
 
 
-_m2_u_prime.terminal = True
-_m2_u_prime.direction = 1
-
-
-def _integrate(config: ShootingConfig, r0, y0, t_eval, looser=1.0, events=None):
-    """One run from (r0, y0) at `looser` times the fixed tolerances."""
+def _integrate(fun, config: ShootingConfig, r0, y0, t_eval, looser=1.0, events=None):
+    """One run of fun from (r0, y0) at `looser` times the fixed tolerances."""
     return solve_ivp(
-        _vector_field(config.m),
+        fun,
         (r0, config.r_end),
         y0,
         t_eval=t_eval,
@@ -506,25 +618,38 @@ def _integrate(config: ShootingConfig, r0, y0, t_eval, looser=1.0, events=None):
     )
 
 
+def standard_volume(m: int, mu: float, r) -> np.ndarray:
+    """alpha of u_mu on B_r: I_x(m, m), the regularized incomplete beta
+    function at x = t / (1 + t), t = (mu r)^2, summed as its finite
+    binomial series sum_{j=m}^{2m-1} binom(2m-1, j) x^j (1-x)^(2m-1-j)."""
+    t = (mu * np.asarray(r, dtype=float)) ** 2
+    y = 1.0 / (1.0 + t)
+    x = t * y
+    return sum(math.comb(2 * m - 1, j) * x**j * y ** (2 * m - 1 - j) for j in range(m, 2 * m))
+
+
 def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     """Integrate one radial trajectory on [0, r_end] and diagnose its tail.
 
-    The grid is geometric, of ratio 1.01 from r = 1e-3.  Its points below
-    r0 come from the radial power series (`_series`), and from r0 on
-    Dormand-Prince adaptive stepping (`dop853.solve_ivp`: 8th order, with
-    5th- and 3rd-order error estimates and 7th-order dense output) starts
-    from the series state at r0 and samples the rest; the series costs no
-    nfev.  The returned grid always contains r = 0 (exact data) and ends
-    at the last grid radius the run passed.  The report's
-    w0_error_estimate comes from a companion integration from the same
-    start at 8x looser tolerance: the global error
-    grows with the tolerance, so the end-value difference bounds the main
-    run's error (by 4.8x or more on the closed-form family).  No run
-    raises; one that stops short of r_end ends in "not_entire" or
-    "step_underflow".
+    The shot integrates the deviation W = u - u_mu from the family member
+    with the same u(0), mu = `reference_mu(config)` (see `_vector_field`),
+    and alpha = `standard_volume` + alpha_dev.  Data equal in floats to
+    `standard_laplacians(m, mu)` give W = 0 exactly, so the trajectory is
+    the closed form at every node.  The grid is geometric, of ratio 1.01
+    from r = 1e-3.  Its points below r0 come from the radial power series
+    of W (`_series`), and from r0 on Dormand-Prince adaptive stepping
+    (`dop853.solve_ivp`: 8th order, with 5th- and 3rd-order error
+    estimates and 7th-order dense output) starts from the series state at
+    r0 and samples the rest; the series costs no nfev.  The returned grid
+    always contains r = 0 (exact data) and ends at the last grid radius
+    the run passed.  The report's w0_error_estimate comes from a companion
+    integration of W from the same start at 8x looser tolerance: the
+    global error grows with the tolerance, so the end-value difference
+    bounds the main run's error.  No run raises; one that stops short of
+    r_end ends in "not_entire" or "step_underflow".
 
-    For m = 2 the main run stops at the first upward zero of u'
-    ("not_entire"), because every entire solution with finite volume has
+    For m = 2 the main run stops at the first upward zero of
+    u' = u_mu' + W_0' ("not_entire"), because every entire solution with finite volume has
     u' < 0 for r > 0.  Such a solution is u = v + p with
     v(x) = (3!/gamma_2) int log(|y|/|x - y|) e^{4u(y)} dy (see `represent`)
     and p a polynomial of degree <= 2 with Delta p = lim Delta u <= 0 as
@@ -549,43 +674,48 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     near r = 1.46 and still reach r_end).
     """
     m = config.m
+    mu = reference_mu(config)
+    fun = _field(m, mu)
     grid = _geometric_grid(_R0, config.r_end)
-    at, r0 = _series(config)
+    at, r0 = _series(config, mu)
     below = grid[grid < r0]
-    y = at(np.append(below, r0))
+    radii = np.append(below, r0)
+    y = at(radii)
     y0 = y[:, -1]
     # the m = 2 event on the series segment: Delta u(0) >= 0, or the first
     # radius with u' > 0, r0 included, ends the shot; its first radius,
     # the grid's or r0 when that is smaller, is always kept
-    up = y[m] > 0
+    up = standard_solution(m, mu, radii).p[0] + y[m] > 0
     if m == 2 and (config.initial_laplacians[1] >= 0 or up.any()):
         keep = max(np.argmax(up), 1)
-        t, y, status, nfev = np.append(below, r0)[:keep], y[:, :keep], 1, 0
+        t, y, status, nfev = radii[:keep], y[:, :keep], 1, 0
     else:
-        sol = _integrate(config, r0, y0, grid[grid >= r0],
-                         events=_m2_u_prime if m == 2 else None)
+        sol = _integrate(fun, config, r0, y0, grid[grid >= r0],
+                         events=_m2_event(mu) if m == 2 else None)
         t, status, nfev = np.append(below, sol.t), sol.status, sol.nfev
         y = np.column_stack([y[:, :-1], sol.y])
     termination = _TERMINATION[status]
 
-    a0 = np.asarray(config.initial_laplacians, dtype=float)
+    data = np.asarray(config.initial_laplacians, dtype=float)
     full_t = np.concatenate([[0.0], t])
-    full_y = np.column_stack([np.concatenate([a0, np.zeros(m), [0.0]]), y])
+    start = np.concatenate([data - standard_laplacians(m, mu), np.zeros(m), [0.0]])
+    full_y = np.column_stack([start, y])
     traj = RadialTrajectory(
         m=m,
         grid=full_t,
-        w=full_y[:m],
-        p=full_y[m : 2 * m],
-        alpha=full_y[2 * m],
+        mu=mu,
+        W=full_y[:m],
+        P=full_y[m : 2 * m],
+        alpha=standard_volume(m, mu, full_t) + full_y[2 * m],
         termination=termination,
         nfev=nfev,
     )
 
     w0_err = math.nan
     if termination == "reached_end":
-        coarse = _integrate(config, r0, y0, np.array([config.r_end]), _COMPANION_FACTOR)
+        coarse = _integrate(fun, config, r0, y0, np.array([config.r_end]), _COMPANION_FACTOR)
         if coarse.status == 0:
-            diff = abs(float(coarse.y[0, -1]) - traj.w[0, -1])
+            diff = abs(float(coarse.y[0, -1]) - traj.W[0, -1])
             floor = _RTOL * max(1.0, float(np.max(np.abs(traj.w[0]))))
             w0_err = max(diff, floor)
     return traj, diagnose(traj, w0_error_estimate=w0_err)
@@ -718,7 +848,10 @@ def json_safe(obj):
 
 @dataclass
 class SolveReport:
-    """Tail diagnostics of one trajectory, the classifier's raw input."""
+    """Tail diagnostics of one trajectory, the classifier's raw input.
+
+    reference_mu and data_on_family say what was solved: the deviation
+    from u_mu, and whether the data were u_mu's own in floats (W = 0)."""
 
     m: int
     termination: str
@@ -728,6 +861,8 @@ class SolveReport:
     scalar_curvature_tail: tuple[np.ndarray, np.ndarray] | None
     rho1_tail: tuple[np.ndarray, np.ndarray] | None
     w0_error_estimate: float
+    reference_mu: float = math.nan
+    data_on_family: bool = False
 
     def to_json_dict(self) -> dict:
         verdict_inputs: dict = {}
@@ -754,6 +889,8 @@ class SolveReport:
                 for j, est in enumerate(self.delta_limits)
             ],
             "w0_error_estimate": self.w0_error_estimate,
+            "reference_mu": self.reference_mu,
+            "data_on_family": self.data_on_family,
             "verdict_inputs": verdict_inputs,
         })
 
@@ -787,4 +924,6 @@ def diagnose(traj: RadialTrajectory, w0_error_estimate: float = math.nan) -> Sol
         scalar_curvature_tail=curout,
         rho1_tail=rhoout,
         w0_error_estimate=w0_error_estimate,
+        reference_mu=traj.mu,
+        data_on_family=traj.on_family,
     )

@@ -58,7 +58,11 @@ class ClassificationReport:
     is true when every decided verdict names the same class (vacuously true
     if nothing is decided).  deltaa_estimate is the pair (j, a) for the
     largest j with a nonvanishing limit of Delta^j u, present only on
-    nonstandard reports; the limit a is negative there.
+    nonstandard reports; the limit a is negative there.  reference_mu is
+    the family member u_mu the shot deviated from, and data_on_family is
+    true when the data were u_mu's own in floats (every W_j(0) = 0), so
+    that the shot solved u_mu itself: from m = 4 on, a "standard" verdict
+    on the lam = 1 float data then judges the data snapped to the family.
     """
 
     m: int
@@ -66,6 +70,8 @@ class ClassificationReport:
     overall: str
     agreement: bool
     deltaa_estimate: tuple[int, float] | None
+    reference_mu: float = math.nan
+    data_on_family: bool = False
 
     def to_json_dict(self) -> dict:
         crits = [
@@ -86,6 +92,8 @@ class ClassificationReport:
             "overall": self.overall,
             "agreement": self.agreement,
             "deltaa_estimate": dd,
+            "reference_mu": self.reference_mu,
+            "data_on_family": self.data_on_family,
         })
 
 
@@ -207,4 +215,6 @@ def classify(
         overall=overall,
         agreement=agreement,
         deltaa_estimate=deltaa,
+        reference_mu=traj.mu,
+        data_on_family=traj.on_family,
     )

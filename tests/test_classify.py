@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import runpy
+import types
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,17 @@ def test_round_sphere_is_standard_at_short_range(m, r_end):
     assert report.criteria["ii"][1] == ("inconclusive" if m == 1 else "standard")
     assert report.overall == "standard"
     assert report.agreement
+
+
+@pytest.mark.parametrize("lam", [0.05, 20.0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_round_sphere_off_lambda_1_has_no_nonstandard_row(m, lam):
+    # standard_laplacians(m, 0.05) sit a few ulps off the family of
+    # mu = e^{A_0}/2 = 0.05000000000000001, so W starts at a few ulps and
+    # grows with the free modes; those of lam = 20 are u_20's own
+    a = analyze(standard_config(m, lam))
+    assert a.verdict.data_on_family == (lam == 20.0)
+    assert all(row != "nonstandard" for _, row in a.verdict.criteria.values())
 
 
 @pytest.mark.parametrize("d2", [-2.2, -3.0, -2.0001])
@@ -304,9 +316,12 @@ def test_row_decision_at_its_edges(std2, monkeypatch, name, change, stat, want):
         u = c * grid**2
         if u_end is not None:
             u[-1] = u_end
-        zeros = np.zeros_like(grid)
-        traj = dataclasses.replace(traj, grid=grid, w=np.array([u, zeros]),
-                                   p=np.array([zeros, zeros]), alpha=zeros)
+        # a stand-in run that holds u itself, with no volume: criterion (iii)
+        # reads u at r_end, at the node r_end / 2 and alpha, and nothing else
+        traj = types.SimpleNamespace(
+            m=traj.m, termination=traj.termination, r_max=float(grid[-1]), u=u,
+            alpha_final=0.0, mu=traj.mu, on_family=False,
+            sample_w=lambda j, radii: u[np.searchsorted(grid, radii)])
         change["r_reached"] = traj.r_max
     got = classify(traj, dataclasses.replace(rep, **change), fit).criteria[name]
     assert got[1] == want

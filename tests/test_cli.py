@@ -675,6 +675,31 @@ def test_reproduce_paper_short_run_has_no_fit(tmp_path, monkeypatch):
     assert all(row[2] == "-" and row[-2:] == ["inconclusive", "False"] for row in rows)
 
 
+def test_reproduce_paper_runs_every_row_to_1000(tmp_path, monkeypatch):
+    ends = []
+
+    def recorded(cfg, radii=None):
+        ends.append(cfg.r_end)
+        return analyze(cfg, radii)
+
+    monkeypatch.setattr(cli, "analyze", recorded)
+    assert run(["reproduce-paper", "--out", str(tmp_path)]) == 0
+    assert ends == [1000.0] * 5
+
+
+@pytest.mark.parametrize("d2, mu, on_family", [("-2", 1.0, True), ("-3", 1.0, False)])
+def test_json_says_what_was_judged(d2, mu, on_family, tmp_path):
+    # reference_mu = e^{A_0}/2 and whether every W_j(0) is 0.0, in the
+    # report and in the classification
+    base = ["--m", "2", "--u0", LOG2, "--d2", d2]
+    assert run(["shoot", *base, "--out", str(tmp_path / "s")]) == 0
+    assert run(["classify", *base, "--out", str(tmp_path / "c")]) == 0
+    report = json.loads(read(tmp_path / "s" / "report.json"))
+    for blob in (report, report["classification"],
+                 json.loads(read(tmp_path / "c" / "classification.json"))):
+        assert (blob["reference_mu"], blob["data_on_family"]) == (mu, on_family)
+
+
 def test_reproduce_paper_jobs_below_1_exits_2():
     assert run(["reproduce-paper", "--jobs", "0"]) == 2
 

@@ -143,12 +143,14 @@ def test_compute_v_covers_closed_form_on_and_off_grid(std2):
 
 
 def test_compute_v_far_field_m3_exact_density(std3_500):
-    # with the closed-form density only quadrature error is left; the r^4
+    # u_1 written about the reference mu = 1.25, with the exact deviation
+    # W = u_1 - u_1.25 at the nodes: v = v_1.25 + V, and with the
+    # closed-form density only V's quadrature error is left; the r^4
     # factor on the suffix moments amplifies any cancellation in them
     traj, _ = std3_500
-    w = traj.w.copy()
-    w[0] = np.log(2.0 / (1.0 + traj.grid**2))
-    exact_traj = dataclasses.replace(traj, w=w)
+    nodes = [standard_solution(3, lam, traj.grid) for lam in (1.0, 1.25)]
+    exact_traj = dataclasses.replace(traj, mu=1.25, W=nodes[0].w - nodes[1].w,
+                                     P=nodes[0].p - nodes[1].p)
     radii = np.geomspace(50.0, 500.0, 8)
     prof = compute_v(exact_traj, radii)
     err = np.abs(prof.values + np.log1p(radii**2))
@@ -242,39 +244,58 @@ def test_tail_bound_covers_quadrature_of_kernel_bound(m):
 @pytest.mark.parametrize("m, r_end", [(4, 300.0), (4, 500.0), (4, 1000.0),
                                       (5, 100.0), (5, 300.0)])
 def test_standard_high_m_bars_finite_and_covering(m, r_end):
-    # these far fields read float64 roundoff, and what the representation
-    # makes of them depends on the OpenBLAS kernel: a refusal (a negative
-    # fitted q, or a shot ending in step_underflow), or values near the
-    # float range with bars to match.  The far-field gate refuses every
-    # one; every returned value is skipped or covers the closed form, and
-    # [4-300] is accepted with finite bars on every kernel
+    # these far fields once read float64 roundoff of a shot of u, which the
+    # far-field gate refused.  The lam = 1 float data are u_1's, so the shot
+    # of the deviation is 0 and passes the gate, and v and every Delta^j v
+    # are the closed form, with bars of 0 that cover it
     traj, rep = shoot(standard_config(m, r_end=r_end))
-    assert far_field_refusal(traj, rep.w0_error_estimate) is not None
-    strict = (m, r_end) == (4, 300.0)
+    assert traj.on_family
+    assert far_field_refusal(traj, rep.w0_error_estimate) is None
     radii = np.r_[0.0, np.geomspace(0.1, r_end / 2, 30)]
     exact = standard_solution(m, 1.0, radii)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        try:
-            order = represent._moment_pass(traj, radii)
-        except ValueError as exc:
-            assert not strict
-            assert str(exc) == represent._refusal(traj)[0]
-            return
+        order = represent._moment_pass(traj, radii)
         for j, want in enumerate([-np.log1p(radii**2), *exact.w[1:m]]):
             prof = order(j)
-            skipped = np.isnan(prof.values) & (prof.err == math.inf)
-            assert np.all(skipped | (np.abs(prof.values - want) <= prof.err)), j
-            assert not strict or np.all(np.isfinite(prof.err)), j
+            assert np.array_equal(prof.values, want), j
+            assert not np.any(prof.err), j
+
+
+@pytest.mark.parametrize("r_end", [30.0, 1000.0])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_standard_v_is_the_closed_form_with_bars_of_0(m, r_end):
+    # on the family's float data W = 0, so V and its bars are 0 and v is
+    # v_1 = -log(1 + r^2), Delta^j v = Delta^j u_1, at and past r_end
+    traj, _ = shoot(standard_config(m, r_end=r_end))
+    radii = np.r_[0.0, np.geomspace(1e-3, 1.5 * r_end, 40)]
+    v = compute_v(traj, radii)
+    assert np.array_equal(v.values, -np.log1p(radii**2))
+    assert not np.any(v.err)
+    exact = standard_solution(m, 1.0, radii)
+    for j in range(1, m):
+        lap = compute_lap_v(traj, j, radii)
+        assert np.array_equal(lap.values, exact.w[j]), j
+        assert not np.any(lap.err), j
+
+
+def test_near_standard_bars_come_from_the_deviation(std2):
+    # u''(0) = -2.000001: W is small, and so are V's quadrature error and
+    # its bars, which now cover no quadrature of e^{4u} itself
+    traj, _ = shoot(ShootingConfig(m=2, initial_derivatives=(math.log(2.0), -2.000001)))
+    radii = np.geomspace(0.5, 400.0, 12)
+    v = compute_v(traj, radii)
+    assert np.all(v.err > 0) and np.max(v.err) < 1e-9
+    assert np.all(np.abs(v.values + np.log1p(radii**2)) < 1e-3)
 
 
 def test_refusal_prints_a_growing_density_once(std2):
     # u + 3 log r makes the tail density grow like s^4, a fitted q of -4:
     # the exponent reads s^4.00, never s^--4.00
     traj, _ = std2
-    w = traj.w.copy()
-    w[0, 1:] += 3 * np.log(traj.grid[1:])
-    grown = dataclasses.replace(traj, w=w)
+    dev = traj.W.copy()
+    dev[0, 1:] += 3 * np.log(traj.grid[1:])
+    grown = dataclasses.replace(traj, W=dev)
     with pytest.raises(ValueError) as exc:
         compute_v(grown, [1.0])
     assert "exp(2mu) ~ s^4.00 (need q > 4+0.1" in str(exc.value)
@@ -287,9 +308,9 @@ def test_refusal_prints_a_growing_density_once(std2):
 def test_nan_in_u_is_refused_at_the_end_and_skipped_inside(std2):
     traj, _ = std2
     # at the end the tail decay fit is NaN, which must not pass q > 2m + 0.1
-    w = traj.w.copy()
-    w[0, -1] = math.nan
-    at_end = dataclasses.replace(traj, w=w)
+    dev = traj.W.copy()
+    dev[0, -1] = math.nan
+    at_end = dataclasses.replace(traj, W=dev)
     refusal = represent._refusal(at_end)[0]
     assert refusal is not None and "s^nan" in refusal
     assert far_field_refusal(at_end, 0.0) == refusal
@@ -297,9 +318,9 @@ def test_nan_in_u_is_refused_at_the_end_and_skipped_inside(std2):
         compute_v(at_end, [1.0])
     # inside, every moment reads the NaN density: v follows compute_lap_v's
     # rule, a NaN value or bar becomes NaN with an infinite bar
-    w = traj.w.copy()
-    w[0, np.searchsorted(traj.grid, 10.0)] = math.nan
-    inside = dataclasses.replace(traj, w=w)
+    dev = traj.W.copy()
+    dev[0, np.searchsorted(traj.grid, 10.0)] = math.nan
+    inside = dataclasses.replace(traj, W=dev)
     assert far_field_refusal(inside, 0.0) is None
     order = represent._moment_pass(inside, [0.0, 1.0, 5.0, 20.0, 200.0])
     for j in range(traj.m):

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyliouville import dop853, shooter
 from polyliouville.exactconst import constant_table
@@ -20,6 +22,7 @@ from polyliouville.shooter import (
     conformal_factor_ratio,
     derivs_to_laplacians,
     diagnose,
+    reference_mu,
     rhs,
     scalar_curvature,
     series_start,
@@ -27,6 +30,7 @@ from polyliouville.shooter import (
     standard_config,
     standard_laplacians,
     standard_solution,
+    standard_volume,
 )
 
 LOG2 = math.log(2.0)
@@ -74,8 +78,9 @@ class TestVectorField:
 
     @staticmethod
     def _reference_field(m):
-        """The field as a list-comprehension closure over slices of y, the
-        form it had before it was generated from a template."""
+        """The u system as a list-comprehension closure over slices of y,
+        the form the shooter's field had before it was generated from a
+        template; `rhs` is this system."""
         n = 2 * m
         tab = constant_table(m)
         sig_fact = tab.sigma_m * math.factorial(2 * m - 1)
@@ -91,30 +96,59 @@ class TestVectorField:
 
         return field
 
+    @staticmethod
+    def _reference_deviation_field(m, mu):
+        """The deviation system about u_mu written out plainly, with the
+        clamp of 2m u = log E_mu + 2m W_0 at 700."""
+        tab = constant_table(m)
+        sig_fact = tab.sigma_m * math.factorial(2 * m - 1)
+        ratio = float(tab.omega_n / tab.vol_sphere_2m)
+
+        def field(r, y):
+            w, p = y[:m], y[m : 2 * m]
+            x = 2 * m * w[0]
+            e = (2 * mu / (1.0 + mu * mu * r * r)) ** (2 * m)
+            total = x + math.log(e)
+            if x <= 700.0 and total <= 700.0:
+                dev = e * math.expm1(x)
+            else:
+                dev = math.exp(min(total, 700.0)) - e
+            damp = -(2 * m - 1) / r
+            dp = [damp * pj + wj for pj, wj in zip(p, w[1:])]
+            dp.append(damp * p[-1] + sig_fact * dev)
+            return p + dp + [ratio * dev * r ** (2 * m - 1)]
+
+        return field
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_generated_field_matches_reference(self, m):
         # the same float operations in the same order: equal bits, also
-        # past the exp clamp (2m w_0 > 700) and for r from 1e-6 to 1e4
+        # past the clamp (2m w_0 > 700) and for r from 1e-6 to 1e4, for
+        # references below, at and above the data's scale; rhs is the u
+        # system of the reference without its alpha row
         rng = np.random.default_rng(m)
-        field, reference = shooter._vector_field(m), self._reference_field(m)
-        for k in range(400):
-            y = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
-            if k % 4 == 0:
-                y[0] = rng.uniform(700.0, 800.0) / (2 * m)
-            r = 10.0 ** rng.uniform(-6.0, 4.0)
-            want = reference(r, y)
-            assert [x.hex() for x in field(r, y)] == [x.hex() for x in want]
-            state = np.array(y[: 2 * m])
-            got = rhs(state, r, m)
-            assert got.dtype == np.float64
-            assert np.array_equal(got, np.array(want)[: 2 * m])
+        reference = self._reference_field(m)
+        for mu in (0.05, 1.0, 20.0):
+            field = shooter._field(m, mu)
+            deviation = self._reference_deviation_field(m, mu)
+            for k in range(400):
+                y = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
+                if k % 4 == 0:
+                    y[0] = rng.uniform(700.0, 800.0) / (2 * m)
+                r = 10.0 ** rng.uniform(-6.0, 4.0)
+                assert [x.hex() for x in field(r, y)] == [x.hex() for x in deviation(r, y)]
+                want = reference(r, y)
+                state = np.array(y[: 2 * m])
+                got = rhs(state, r, m)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, np.array(want)[: 2 * m])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_stage_kernel_matches_field_on_stage_argument(self, m):
         # field.stage(r, y, dy, h) is field on [yi + di h]: the same bits,
-        # also past the exp clamp and with NaN entries (NaN where NaN)
+        # also past the clamp and with NaN entries (NaN where NaN)
         rng = np.random.default_rng(100 + m)
-        field = shooter._vector_field(m)
+        field = shooter._field(m, 1.0)
         for k in range(400):
             y = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
             dy = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
@@ -186,13 +220,17 @@ class TestInitialData:
             ShootingConfig(m=2, initial_derivatives=(LOG2, -2.0), r_end=abs(bad))
 
     def test_series_start_small_radius_expansion(self):
-        cfg = ShootingConfig(m=1, initial_laplacians=(0.0,), r_end=10.0)
-        r0, state = series_start(cfg)
         # u(0) = 0 at m = 1 is the closed form at lam = 1/2, u = -log(1 + r^2/4),
-        # whose series converges for r < 2
-        assert 0.4 < r0 < 0.6
-        assert state[0] == pytest.approx(-math.log1p(r0**2 / 4), rel=1e-15)
-        assert state[1] == pytest.approx(-r0 / (2 + r0**2 / 2), rel=1e-15)
+        # and mu = e^0 / 2 is 1/2 exactly: the deviation's series is 0, so it
+        # earns half of r_end, and the shot is the closed form
+        cfg = ShootingConfig(m=1, initial_laplacians=(0.0,), r_end=10.0)
+        assert reference_mu(cfg) == 0.5
+        r0, state = series_start(cfg)
+        assert r0 == 5.0
+        assert state.tolist() == [0.0, 0.0, 0.0]
+        traj, _ = shoot(cfg)
+        assert traj.on_family
+        assert np.array_equal(traj.u, -np.log1p(traj.grid**2 / 4))
 
 
 class TestSeries:
@@ -201,29 +239,48 @@ class TestSeries:
     @pytest.mark.parametrize("lam", [0.05, 1.0, 20.0])
     @pytest.mark.parametrize("m", range(1, 9))
     def test_series_matches_closed_form(self, m, lam):
-        # the closed form's radius of convergence is 1/lam; on [0, r0] every
-        # row of the series is the closed form to rounding
-        at, r0 = shooter._series(standard_config(m, lam))
-        assert 0.2 < r0 * lam < 0.3
+        # u_lam's data about the reference mu = 1.25 lam: W = u_lam - u_mu,
+        # with W_0(0) = log(lam / mu) != 0, is a difference of closed forms
+        # whose radius of convergence is 1/mu; on [0, r0] every row of the
+        # series, alpha_dev too, is that difference to the rounding of the
+        # two closed forms
+        mu = 1.25 * lam
+        at, r0 = shooter._series(standard_config(m, lam), mu)
+        assert 0.2 < r0 * mu < 0.3
         radii = r0 * np.array([0.0, 1e-3, 0.1, 0.5, 0.9, 1.0])
         y = at(radii)
-        exact = standard_solution(m, lam, radii)
-        np.testing.assert_allclose(y[: 2 * m], np.vstack([exact.w, exact.p]), rtol=2e-14, atol=0)
+        rows = [standard_solution(m, lam, radii), standard_solution(m, mu, radii)]
+        rows = [np.vstack([sol.w, sol.p, standard_volume(m, x, radii)])
+                for sol, x in zip(rows, (lam, mu))]
+        scale = np.maximum(np.abs(rows[0]), np.abs(rows[1]))
+        assert np.all(np.abs(y - (rows[0] - rows[1])) <= 2e-14 * scale)
         if m == 1:
             # the normalized area of a disc under the round metric, t / (1 + t)
             t = (lam * radii) ** 2
-            np.testing.assert_allclose(y[2], t / (1 + t), rtol=2e-14, atol=0)
+            np.testing.assert_allclose(rows[0][2], t / (1 + t), rtol=2e-16, atol=0)
 
     def test_start_is_halved_until_the_series_earns_it(self, monkeypatch):
-        # at the full radius of convergence (1.05 by the root test for the
-        # round sphere) the terms do not decay, so the tail rule halves it
-        r0 = shooter._series(standard_config(2))[1]
+        # the round sphere's data about mu = 1.25: at the full radius of
+        # convergence (0.84 by the root test) the terms do not decay, so the
+        # tail rule halves it
+        r0 = shooter._series(standard_config(2), 1.25)[1]
         monkeypatch.setattr(shooter, "_SERIES_REACH", 1.0)
-        at, r1 = shooter._series(standard_config(2))
+        at, r1 = shooter._series(standard_config(2), 1.25)
         assert r1 == 2 * r0
-        exact = standard_solution(2, 1.0, [r1])
-        np.testing.assert_allclose(at([r1])[:4, 0], np.r_[exact.w[:, 0], exact.p[:, 0]],
+        exact = [standard_solution(2, lam, [r1]) for lam in (1.0, 1.25)]
+        np.testing.assert_allclose(at([r1])[:4, 0], np.r_[exact[0].w[:, 0] - exact[1].w[:, 0],
+                                                         exact[0].p[:, 0] - exact[1].p[:, 0]],
                                    rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_series_of_data_on_the_family_is_zero(self, m):
+        # standard_laplacians(m, 1) are u_1's data in floats (mu = e^{fl(log 2)}/2
+        # is 1.0 exactly), so every row of W is 0 and the series earns r_end / 2
+        cfg = standard_config(m, r_end=300.0)
+        assert reference_mu(cfg) == 1.0
+        at, r0 = shooter._series(cfg, 1.0)
+        assert r0 == 150.0
+        assert not np.any(at(np.geomspace(1e-3, r0, 50)))
 
     @pytest.mark.parametrize("cfg", [
         standard_config(2),
@@ -238,9 +295,10 @@ class TestSeries:
     def test_series_matches_the_stepper_past_r0(self, cfg):
         # the stepper at 1/100 of the shooter's tolerances, from the series
         # start, agrees with the series on [r0, 2 r0]
-        at, r0 = shooter._series(cfg)
+        mu = reference_mu(cfg)
+        at, r0 = shooter._series(cfg, mu)
         radii = r0 * np.linspace(1.0, 2.0, 6)
-        sol = dop853.solve_ivp(shooter._vector_field(cfg.m), (r0, radii[-1]), at([r0])[:, 0],
+        sol = dop853.solve_ivp(shooter._field(cfg.m, mu), (r0, radii[-1]), at([r0])[:, 0],
                                t_eval=radii, rtol=shooter._RTOL / 100, atol=shooter._ATOL / 100)
         assert sol.status == 0
         series = at(radii)
@@ -251,14 +309,15 @@ class TestSeries:
         # m = 2 at u''(0) = -10: a root-test radius near 0.67, so the start
         # lies near 0.17, and the grid below it comes from the series
         cfg = ShootingConfig(m=2, initial_derivatives=(LOG2, -10.0), r_end=10.0)
-        at, r0 = shooter._series(cfg)
+        at, r0 = shooter._series(cfg, reference_mu(cfg))
         assert 0.6 < 4 * r0 < 0.75
         traj, _ = shoot(cfg)
         below = (traj.grid > 0) & (traj.grid < r0)
         y = at(traj.grid[below])
-        assert np.array_equal(traj.w[:, below], y[:2])
-        assert np.array_equal(traj.p[:, below], y[2:4])
-        assert np.array_equal(traj.alpha[below], y[4])
+        assert np.array_equal(traj.W[:, below], y[:2])
+        assert np.array_equal(traj.P[:, below], y[2:4])
+        assert np.array_equal(traj.alpha[below],
+                              standard_volume(2, traj.mu, traj.grid[below]) + y[4])
         # a radius's value does not depend on the radii evaluated with it
         assert all(np.array_equal(at(traj.grid[i : i + 1])[:, 0], y[:, i - 1])
                    for i in np.flatnonzero(below)[::40])
@@ -279,7 +338,9 @@ class TestSeries:
         assert traj.r_max == pytest.approx(r_max, rel=1e-5)  # grid radii are 1% apart
         assert traj.nfev == 0
         assert np.all(traj.p[0] <= 0.0)
-        assert shooter._series(cfg)[0]([traj.r_max * shooter._GRID_RATIO])[2, 0] > 0.0
+        r_next = traj.r_max * shooter._GRID_RATIO
+        slope = shooter._series(cfg, traj.mu)[0]([r_next])[2, 0]
+        assert standard_solution(2, traj.mu, [r_next]).p[0, 0] + slope > 0.0
 
 
 class TestStandardShots:
@@ -312,8 +373,8 @@ class TestStandardShots:
         assert np.max(np.abs(rg - 30.0)) <= 0.3
 
     def test_m2_main_run_cost(self, std2):
-        # evaluation counts repeat exactly: 2282 with the 8th-order pair
-        # from the series start
+        # evaluation counts repeat exactly: 134 for the deviation from u_1,
+        # which is 0
         traj, _ = std2
         assert traj.nfev <= 4000
 
@@ -349,26 +410,82 @@ class TestStandardShots:
             assert run.grid[0] == 0.0
 
     def test_sample_w_interpolates_laplacian(self, std2, std3_500):
-        # max |error| of every w_j on off-grid radii, at most that of a global
-        # cubic spline (w_j'(0) = 0, not-a-knot) through the same node values
-        # on each run's grid.  The nodes hold the closed form's exact w_j and
-        # p_j, so both sides measure interpolation error alone: a run's own
-        # nodes carry a far-field error that both interpolants share (3.1e-9
-        # in w_1 near r = 499 at m = 3, larger than either interpolation
-        # error there), and the comparison would turn on its last bits.
+        # u_1 written about the reference mu = 1.25 on each run's grid, with
+        # the exact deviation W = u_1 - u_1.25 at the nodes: off the grid,
+        # the max |error| of every w_j from `sample_w` (the closed form of
+        # u_mu plus the Hermite cubic of W_j) is at most that of a global
+        # cubic spline (W_j'(0) = 0, not-a-knot) through the same W_j nodes
+        # added to the same closed form.  Both sides measure interpolation
+        # error of W alone.
         interpolate = pytest.importorskip("scipy.interpolate")
         runs = (shoot(standard_config(1))[0], std2[0], std3_500[0])
         for run in runs:
-            nodes = standard_solution(run.m, 1.0, run.grid)
-            run = replace(run, w=nodes.w, p=nodes.p)
+            nodes = [standard_solution(run.m, lam, run.grid) for lam in (1.0, 1.25)]
+            run = replace(run, mu=1.25, W=nodes[0].w - nodes[1].w, P=nodes[0].p - nodes[1].p)
             radii = np.geomspace(1e-3, run.r_max, 10**4, endpoint=False)
             exact = standard_solution(run.m, 1.0, radii)
+            family = standard_solution(run.m, 1.25, radii)
             for j in range(run.m):
-                spline = interpolate.CubicSpline(run.grid, run.w[j],
+                spline = interpolate.CubicSpline(run.grid, run.W[j],
                                                  bc_type=((1, 0.0), "not-a-knot"))
-                ceiling = np.max(np.abs(spline(radii) - exact.w[j])) * (1 + 1e-4)
+                ceiling = np.max(np.abs(family.w[j] + spline(radii) - exact.w[j])) * (1 + 1e-4)
                 err = np.max(np.abs(run.sample_w(j, radii) - exact.w[j]))
                 assert err <= ceiling, (run.m, j, err, ceiling)
+
+
+class TestDeviationForm:
+    """shoot integrates W = u - u_mu, mu = e^{A_0}/2; on the family's float
+    data W is 0 and the trajectory is the closed form."""
+
+    @pytest.mark.parametrize("r_end", [30.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_standard_shot_is_the_closed_form_at_every_node(self, m, r_end):
+        # standard m = 8 included: it is entire, and its W = 0 reaches r_end
+        traj, rep = shoot(standard_config(m, r_end=r_end))
+        assert traj.termination == rep.termination == "reached_end"
+        assert traj.r_max == r_end
+        assert traj.mu == rep.reference_mu == 1.0
+        assert traj.on_family and rep.data_on_family
+        assert not np.any(traj.W) and not np.any(traj.P)
+        exact = standard_solution(m, 1.0, traj.grid)
+        assert traj.w.tobytes() == exact.w.tobytes()
+        # p_mu(0) is -0.0 and p(0) = -0.0 + 0.0 is +0.0; every other node
+        # keeps the closed form's bits
+        assert traj.p[:, 1:].tobytes() == exact.p[:, 1:].tobytes()
+        assert traj.p[:, 0].tolist() == [0.0] * m
+        assert traj.alpha.tobytes() == standard_volume(m, 1.0, traj.grid).tobytes()
+        assert traj.nfev <= 200
+
+    def test_data_off_the_family_say_so(self, nonstd2):
+        traj, rep = nonstd2
+        assert traj.mu == rep.reference_mu == 1.0
+        assert not traj.on_family and not rep.data_on_family
+        assert traj.W[:, 0].tolist() == [0.0, -4.0]  # A_1 = -12 against -8
+
+    def test_standard_volume_is_the_round_sphere_volume(self):
+        # m = 1: t / (1 + t); m = 2: 3 x^2 - 2 x^3 with x = t / (1 + t);
+        # 1/2 at r = 1/mu, the equator, for every m
+        r = np.array([0.0, 0.3, 1.0, 7.0])
+        t = r**2
+        x = t / (1 + t)
+        np.testing.assert_allclose(standard_volume(1, 1.0, r), x, rtol=1e-15)
+        np.testing.assert_allclose(standard_volume(2, 1.0, r), 3 * x**2 - 2 * x**3, rtol=1e-15)
+        for m in range(1, 9):
+            assert standard_volume(m, 4.0, 0.25) == pytest.approx(0.5, rel=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(min_value=1e-3, max_value=1e3))
+    def test_rescaled_maps_mu_to_s_mu(self, nonstd2, s):
+        # u(s x) + log s = u_{s mu}(x) + W(s x): mu becomes s mu, W_j picks
+        # up s^{2j} and nothing else, and w follows within rounding
+        traj, _ = nonstd2
+        resc = traj.rescaled(s)
+        assert resc.mu == s * traj.mu
+        powers = s ** (2 * np.arange(2))
+        assert np.array_equal(resc.W, traj.W * powers[:, None])
+        assert np.array_equal(resc.P, traj.P * (s * powers)[:, None])
+        exact = traj.w[0] + math.log(s)
+        assert np.all(np.abs(resc.w[0] - exact) <= 1e-15 * np.maximum(1.0, np.abs(exact)) * 8)
 
 
 class TestNonstandardShot:
@@ -445,6 +562,22 @@ class TestTermination:
         assert 0.0 < traj.alpha[-1] < 1.0
         assert traj.p[0, -1] > 0.0
 
+    @pytest.mark.parametrize("m, data, termination", [
+        (1, (400.0,), "reached_end"),
+        (1, (-800.0,), "reached_end"),
+        (2, (200.0, -1.0), "not_entire"),
+    ])
+    def test_data_past_the_reference_clip_still_shoot(self, m, data, termination):
+        # A_0 outside [-700, 350/m]: mu comes from the clipped A_0, W_0(0) is
+        # the rest, and the shot ends as a shot does, with finite values
+        cfg = ShootingConfig(m=m, initial_laplacians=data, r_end=50.0)
+        a0 = min(max(data[0], -700.0), 350.0 / m)
+        assert reference_mu(cfg) == math.exp(a0) / 2
+        traj, rep = shoot(cfg)
+        assert rep.termination == termination
+        assert not traj.on_family
+        assert np.all(np.isfinite(traj.W)) and np.all(np.isfinite(traj.alpha))
+
     @pytest.mark.parametrize("d2", [-1.9, -1.7, -1.5])
     def test_supercritical_m2_stops_at_first_positive_slope(self, d2):
         # every entire m = 2 solution has u' < 0, so the run stops where u'
@@ -457,7 +590,7 @@ class TestTermination:
         assert np.all(traj.p[0] <= 0.0)
         assert math.isnan(rep.w0_error_estimate)
 
-    @pytest.mark.parametrize("d2,nfev", [(-2.2, 1721), (-3.0, 1691), (-2.0001, 2147), (None, 2282)])
+    @pytest.mark.parametrize("d2,nfev", [(-2.2, 1676), (-3.0, 1739), (-2.0001, 1154), (None, 134)])
     def test_entire_m2_runs_keep_their_cost(self, d2, nfev):
         # the u' event never fires on these runs and leaves the steps alone
         if d2 is None:
@@ -578,7 +711,7 @@ class TestStepperOracle:
     def _run_both(cfg, t_eval, rtol, atol, events):
         scipy_integrate = pytest.importorskip("scipy.integrate")
         r0, y0 = series_start(cfg)
-        field = shooter._vector_field(cfg.m)
+        field = shooter._field(cfg.m, reference_mu(cfg))
         kwargs = dict(t_eval=t_eval, rtol=rtol, atol=atol, events=events)
         mine = dop853.solve_ivp(field, (r0, cfg.r_end), y0, **kwargs)
         # scipy hands the field ndarrays; ours takes and returns float lists
@@ -596,7 +729,7 @@ class TestStepperOracle:
         else:
             t_eval = shooter._geometric_grid(shooter._R0, cfg.r_end)
             t_eval = t_eval[t_eval >= series_start(cfg)[0]]
-            events = shooter._m2_u_prime if cfg.m == 2 else None
+            events = shooter._m2_event(reference_mu(cfg)) if cfg.m == 2 else None
         return cls._run_both(cfg, t_eval, rtol, atol, events)
 
     @staticmethod
@@ -622,10 +755,11 @@ class TestStepperOracle:
 
     @pytest.mark.parametrize("name, points, status, count", [
         ("standard m=2", [], 0, 0),
-        ("standard m=2", [0.37, 11.0, 800.0], 0, 3),
+        # the standard runs' W is 0, so their stepper starts at r_end / 2
+        ("standard m=2", [600.0, 800.0, 950.0], 0, 3),
         ("m=3 (-2.2, 4)", [0.37, 11.0, 400.0], 0, 3),
         ("m=2 d2=-3", ["r0", 2.0, "r_end"], 0, 3),
-        ("m=1 lam=1.7", ["r0", 2.0, "r_end"], 0, 3),
+        ("m=1 lam=1.7", ["r0", 700.0, "r_end"], 0, 3),
         # the u' event fires near r = 1.550826 in a step that ends near
         # r = 1.5581: first with no point before it, then with points of
         # the crossing step on either side of the zero, which must be
@@ -640,7 +774,7 @@ class TestStepperOracle:
         cfg = _ORACLE_CONFIGS[name]
         ends = {"r0": series_start(cfg)[0], "r_end": cfg.r_end}
         t_eval = np.array([ends.get(p, p) for p in points])
-        events = shooter._m2_u_prime if cfg.m == 2 else None
+        events = shooter._m2_event(reference_mu(cfg)) if cfg.m == 2 else None
         mine, ref = self._run_both(cfg, t_eval, shooter._RTOL, shooter._ATOL, events)
         self._assert_same(mine, ref, cfg)
         assert (mine.status, len(mine.t)) == (status, count)
@@ -651,10 +785,11 @@ class TestStepperOracle:
         # must give the run of the fused kernel: the event and the blow-up
         cfg = _ORACLE_CONFIGS[name]
         r0, y0 = series_start(cfg)
-        field = shooter._vector_field(cfg.m)
+        mu = reference_mu(cfg)
+        field = shooter._field(cfg.m, mu)
         grid = shooter._geometric_grid(shooter._R0, cfg.r_end)
         kwargs = dict(t_eval=grid[grid >= r0], rtol=shooter._RTOL, atol=shooter._ATOL,
-                      events=shooter._m2_u_prime if cfg.m == 2 else None)
+                      events=shooter._m2_event(mu) if cfg.m == 2 else None)
         fused = dop853.solve_ivp(field, (r0, cfg.r_end), y0, **kwargs)
         plain = dop853.solve_ivp(lambda t, y: field(t, y), (r0, cfg.r_end), y0, **kwargs)
         assert (plain.status, plain.nfev) == (fused.status, fused.nfev) != (0, 0)
@@ -720,7 +855,7 @@ class TestStepperOracle:
         np.testing.assert_allclose(dop853.B @ dop853.C[:12, None] ** k, 1 / (k + 1), atol=1e-14)
 
     def test_rejects_bad_input(self):
-        field = shooter._vector_field(1)
+        field = shooter._field(1, 1.0)
         y0 = np.array([0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             dop853.solve_ivp(field, (1.0, 0.5), y0, t_eval=[0.5], rtol=1e-6, atol=1e-9)
