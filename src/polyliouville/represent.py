@@ -13,8 +13,9 @@ way: v = v_mu + V.  v_mu = -log(1 + mu^2 r^2) is the closed form
 same integral over the deviation density e^{2mu} - E_mu with
 E_mu = exp(2m u_mu), needs quadrature.  The density is formed as
 E_mu expm1(2m W_0), never as e^{2mu} - E_mu, which would lose
-eps/(2m|W_0|) relative; it is 0 where W is, and then V and its bars are
-exactly 0.  For radial u the 2m-dimensional integral reduces to a 1D
+eps/(2m|W_0|) relative, and as the vector field forms it past the clamp
+of 2m u or where E_mu underflows (`shooter._source_past_clamp`); it is 0
+where W is, and then V and its bars are exactly 0.  For radial u the 2m-dimensional integral reduces to a 1D
 radial integral of the density g(s) against spherical averages of the
 kernel,
 
@@ -77,7 +78,14 @@ import numpy as np
 
 from .exactconst import constant_table
 from .greenball import RadialProfile, panel_moment, powers
-from .shooter import _EXP_CAP, RadialTrajectory, standard_solution
+from .shooter import (
+    _EXP_CAP,
+    _TINY,
+    RadialTrajectory,
+    _source_past_clamp,
+    _xsafe,
+    standard_solution,
+)
 
 __all__ = [
     "KernelCache",
@@ -264,12 +272,21 @@ class _SeparableIntegral:
 
 
 def _deviation_density(traj: RadialTrajectory, radii, w0) -> np.ndarray:
-    """e^{2mu} - E_mu at the radii, formed as E_mu expm1(2m W_0) from W_0's
-    values there (never as a difference, which would lose eps/(2m|W_0|)
-    relative), with E_mu = (2 mu / (1 + mu^2 r^2))^(2m) = e^{2m u_mu} and
-    2m W_0 clamped at 700."""
-    family = (2 * traj.mu / (1.0 + (traj.mu * radii) ** 2)) ** (2 * traj.m)
-    return family * np.expm1(np.minimum(2 * traj.m * w0, _EXP_CAP))
+    """e^{2mu} - E_mu at the radii, the vector field's deviation source:
+    E_mu expm1(2m W_0) from W_0's values there (never a difference, which
+    would lose eps/(2m|W_0|) relative), with E_mu = (2 mu / (1 + mu^2 r^2))^(2m)
+    = e^{2m u_mu}, and `shooter._source_past_clamp` wherever that product
+    may fail: past the clamp of 2m u at 700, or where E_mu is not a normal
+    float."""
+    m, mu = traj.m, traj.mu
+    x = 2 * m * w0
+    family = (2 * mu / (1.0 + (mu * radii) ** 2)) ** (2 * m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = family * np.expm1(x)
+    for i in np.flatnonzero(~((x <= _xsafe(m, mu)) & (family >= _TINY))):
+        log_e = 2 * m * (math.log(2 * mu) - math.log1p((mu * radii[i]) ** 2))
+        dev[i] = _source_past_clamp(x[i], family[i], log_e)
+    return dev
 
 
 def _density(traj: RadialTrajectory) -> np.ndarray:

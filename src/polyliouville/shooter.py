@@ -19,7 +19,8 @@ and its conformal volume is the incomplete beta function I_{t/(1+t)}(m, m)
 (`standard_volume`).
 
 A shot integrates the deviation from the family member with the same
-u(0): mu = e^{A_0}/2 (`reference_mu`) and W = u - u_mu, whose iterated
+u(0): mu = e^{A_0}/2 (`reference_mu`, with A_0 clipped to [-350/m, 350/m]
+so that E_mu(0) is a normal float) and W = u - u_mu, whose iterated
 Laplacians W_j and derivatives P_j = W_j' obey the same linear chain with
 
     Delta^m W = sigma_m (2m-1)! E_mu expm1(2m W_0),   E_mu = (2 mu / (1 + mu^2 r^2))^{2m},
@@ -64,10 +65,13 @@ there; data with Delta u(0) >= 0 stop at the first radius, 1e-3 or r0 if
 smaller, without integrating.  "step_underflow": the step controller
 gave up short of r_end.  A finite-radius blow-up ends so: it goes like
 u ~ -log(R - r), so u climbs to about 30 before R - r falls to float64
-resolution and the steps underflow.  A solver failure would end so too;
-the label does not tell the two apart.  The exponential source is
-clamped at exp(700) inside the vector field (on 2m u = log E_mu + 2m W_0)
-so the right-hand side stays total past a blow-up.
+resolution and the steps underflow.  A solver failure would end so too,
+and so does a shot whose series earns no radius (a source past float
+range at r = 0); the label does not tell them apart.  The exponential
+source is clamped at exp(700) inside the vector field (on
+2m u = log E_mu + 2m W_0) so the right-hand side stays total past a
+blow-up; past the clamp, and where E_mu underflows, the source is taken
+from log E_mu + 2m W_0, so it acts however small E_mu is.
 """
 
 from __future__ import annotations
@@ -127,6 +131,7 @@ _R0 = 1e-3  # the first radius of the sampling grid
 _SERIES_TERMS = 40
 _SERIES_REACH = 0.25
 _EPS = np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)  # the least normal float64
 
 # Companion run for the error estimate integrates at this multiple of the
 # main tolerances; the end-value difference overestimates the main run's
@@ -209,7 +214,7 @@ class ShootingConfig:
 
 
 _FIELD_SOURCE = """\
-def make(c, mu2, xsafe):
+def make(c, mu2, xsafe, clamped):
     def field(r, y):
         {w}, {p}, _ = y
         {body}
@@ -222,34 +227,55 @@ def make(c, mu2, xsafe):
     return field
 """
 
+# The source lines of the two systems the template writes: the deviation
+# W = u - u_mu (`_field`, what a shot integrates) and u itself (`rhs`).
+_SOURCES = {
+    "deviation": (
+        "e = (c / (1.0 + mu2 * r * r)) ** {two_m}",
+        "dev = e * expm1(x) if x <= xsafe and e >= {tiny!r} else clamped(x, e, r)",
+    ),
+    "u": ("dev = exp({cap!r} if x > {cap!r} else x)",),
+}
+
 _FIELD_BODY = (
     "x = {two_m} * w0",
-    "e = (c / (1.0 + mu2 * r * r)) ** {two_m}",
-    "dev = e * expm1(x) if x <= xsafe else clamped(x, e)",
+    "{source}",
     "damp = {damp} / r",
     "return [{p}, {dp}, {alpha}]",
 )
 
 
-def _clamped_source(x: float, e: float) -> float:
-    """E_mu expm1(x) with the vector field's clamp on 2m u = log E_mu + x:
-    exp(min(log E_mu + x, 700)) - E_mu, and E_mu expm1(x) wherever that
-    product is finite and below the clamp.  NaN stays NaN."""
-    log_total = x + math.log(e) if e > 0 else -math.inf
-    if log_total <= _EXP_CAP and x <= _EXP_CAP:
-        return e * math.expm1(x)
-    return math.exp(_EXP_CAP if log_total > _EXP_CAP else log_total) - e
+def _source_past_clamp(x: float, e: float, log_e: float) -> float:
+    """E_mu expm1(x), the deviation source, where its product form may
+    fail: x = 2m W_0, e = E_mu and log_e = log E_mu.  Past the clamp of
+    2m u = log_e + x at 700 it is exp(700) - E_mu; below it, for x > 0,
+    e^{2mu} (1 - e^{-x}), which stays exact to rounding where E_mu is
+    subnormal or 0.0; else E_mu expm1(x), below E_mu in size.  NaN stays
+    NaN."""
+    total = log_e + x
+    if total > _EXP_CAP:
+        return math.exp(_EXP_CAP) - e
+    if x > 0:
+        return -math.exp(total) * math.expm1(-x)
+    return e * math.expm1(x)
+
+
+def _pow_limit(k: int) -> float:
+    """A radius below which r^k is finite: float r ** k raises past it."""
+    return float(np.finfo(float).max ** (1 / k) * (1 - 1e-12))
 
 
 @functools.cache
-def _vector_field(m: int):
-    """The factory make(c, mu2, xsafe) of the deviation system's vector
-    field at order m; `_field` calls it once per shot.
+def _vector_field(m: int, system: str = "deviation"):
+    """The factory make(c, mu2, xsafe, clamped) of the vector field of
+    `system` at order m: "deviation", which `_field` calls once per shot,
+    or "u", which `rhs` uses and which ignores the factory's arguments.
 
     The field (r, y) -> dy/dr carries its fused stage kernel as the
     attribute `stage`.  y = (W_0..W_{m-1}, P_0..P_{m-1}, alpha_dev) is a
     sequence of floats, and the field returns a list of floats in the same
-    layout.  The equation is written once, in the template _FIELD_SOURCE.
+    layout.  The equation is written once, in the template _FIELD_SOURCE,
+    and the two systems differ only in their source line (_SOURCES).
     For each m the template is filled in as straight-line float code: y is
     unpacked into w0.., p0.. (alpha_dev' does not depend on alpha_dev), the
     constants become literals, the shot's reference mu enters through the
@@ -262,9 +288,13 @@ def _vector_field(m: int):
         alpha_dev' = (omega_{2m} / |S^{2m}|) dev r^(2m-1),
 
     in this order of operations.  For x <= xsafe = 700 - max(0, 2m log 2mu)
-    the total exponent log E_mu + x is at most 700 at every r; above it
-    `_clamped_source` applies the clamp of 2m u at 700, NaN included, so
-    the field stays total past a blow-up.
+    the total exponent log E_mu + x is at most 700 at every r, and where
+    E_mu is also a normal float the product is exact to rounding.
+    Elsewhere `clamped(x, e, r)`, which `_field` builds over
+    `_source_past_clamp`, clamps 2m u at 700, keeps the source where E_mu
+    underflows, and propagates NaN, so the field stays total past a
+    blow-up.  The u system has dev = exp(min(2m u, 700)) and its y holds
+    (w, p, alpha).
 
     `field.stage(r, y, dy, h)` is the same body on the stage argument
     y + dy h, which a Runge-Kutta stage would otherwise build as a list:
@@ -281,58 +311,66 @@ def _vector_field(m: int):
     dp = [f"damp * {pj} + {wj}" for pj, wj in zip(p, w[1:])]
     dp.append(f"damp * {p[-1]} + {tab.sigma_m * math.factorial(2 * m - 1)} * dev")
     ratio = float(tab.omega_n / tab.vol_sphere_2m)
-    body = "\n        ".join(_FIELD_BODY).format(
-        p=", ".join(p), dp=", ".join(dp), two_m=2 * m,
-        damp=-(2 * m - 1), alpha=f"{ratio!r} * dev * r ** {2 * m - 1}",
+    source = "\n        ".join(_SOURCES[system])
+    body = "\n        ".join(_FIELD_BODY).replace("{source}", source).format(
+        p=", ".join(p), dp=", ".join(dp), two_m=2 * m, tiny=_TINY, cap=_EXP_CAP,
+        damp=-(2 * m - 1),
+        alpha=f"({ratio!r} * dev * r ** {2 * m - 1} if r < {_pow_limit(2 * m - 1)!r} "
+              "else dev * inf if dev else 0.0)",
     )
     stage_args = "\n        ".join(f"{name} = y[{i}] + dy[{i}] * h"
                                   for i, name in enumerate(w + p))
     source = _FIELD_SOURCE.format(
         w=", ".join(w), p=", ".join(p), body=body, stage_args=stage_args
     )
-    namespace = {"expm1": math.expm1, "clamped": _clamped_source}
-    exec(compile(source, f"<vector field m={m}>", "exec"), namespace)
+    namespace = {"expm1": math.expm1, "exp": math.exp, "inf": math.inf}
+    exec(compile(source, f"<{system} field m={m}>", "exec"), namespace)
     return namespace["make"]
 
 
 def reference_mu(config: ShootingConfig) -> float:
     """The family member u_mu that a shot of config deviates from:
     mu = e^{A_0}/2, so that u_mu(0) = A_0, with A_0 clipped to
-    [-700, 350/m].  The clip keeps mu > 0 and E_mu(0) = (2 mu)^{2m}
-    = e^{2m A_0} within e^{700}, the clamp of the vector field; data past
-    it start with W_0(0) != 0."""
-    a0 = min(max(config.initial_laplacians[0], -_EXP_CAP), _EXP_CAP / (2 * config.m))
-    return math.exp(a0) / 2
+    [-350/m, 350/m].  The clip keeps E_mu(0) = (2 mu)^{2m} = e^{2m A_0}
+    a normal float within e^{+-700}, the clamp of the vector field; data
+    past it start with W_0(0) != 0."""
+    cap = _EXP_CAP / (2 * config.m)
+    return math.exp(min(max(config.initial_laplacians[0], -cap), cap)) / 2
+
+
+def _xsafe(m: int, mu: float) -> float:
+    """The bound on x = 2m W_0 below which log E_mu + x <= 700 at every r."""
+    return _EXP_CAP - max(0.0, 2 * m * math.log(2 * mu))
 
 
 def _field(m: int, mu: float):
     """The deviation system's vector field about u_mu (see `_vector_field`)."""
-    xsafe = _EXP_CAP - max(0.0, 2 * m * math.log(2 * mu))
-    return _vector_field(m)(2 * mu, mu * mu, xsafe)
+    log_c, mu2 = math.log(2 * mu), mu * mu
+
+    def clamped(x, e, r):
+        return _source_past_clamp(x, e, 2 * m * (log_c - math.log1p(mu2 * r * r)))
+
+    return _vector_field(m)(2 * mu, mu2, _xsafe(m, mu), clamped)
 
 
 def rhs(state, r, m):
     """Vector field of the 2m-dimensional radial system in u itself at
-    radius r > 0.
+    radius r > 0, for checks against closed-form solutions and u-system
+    runs.
 
     state = (w_0..w_{m-1}, p_0..p_{m-1}) with w_j = Delta^j u and
     p_j = w_j':  p_j' = -(2m-1)/r p_j + w_{j+1}, with
-    w_m = sigma_m (2m-1)! exp(min(2m w_0, 700)), so the reduction can be
-    checked against closed-form solutions.  `shoot` integrates the same
-    system written for the deviation W = u - u_mu (`_vector_field`).
+    w_m = sigma_m (2m-1)! exp(min(2m w_0, 700)).  It is the template of
+    `_vector_field` with the u system's source line; `shoot` integrates
+    the deviation W = u - u_mu.
     """
     if r <= 0:
         raise ValueError("the radial system is defined for r > 0")
     state = np.asarray(state, dtype=float)
     if state.shape != (2 * m,):
         raise ValueError(f"state must have length {2 * m}")
-    w, p = state[:m].tolist(), state[m:].tolist()
-    x = 2 * m * w[0]
-    damp = -(2 * m - 1) / r
-    tab = constant_table(m)
-    source = tab.sigma_m * math.factorial(2 * m - 1) * math.exp(_EXP_CAP if x > _EXP_CAP else x)
-    dp = [damp * pj + wj for pj, wj in zip(p, w[1:])]
-    return np.array(p + dp + [damp * p[-1] + source])
+    field = _vector_field(m, "u")(None, None, None, None)
+    return np.array(field(r, state.tolist() + [0.0])[: 2 * m])
 
 
 @functools.cache
@@ -392,8 +430,11 @@ def _series(config: ShootingConfig, mu: float):
     and never overflow.  r0 is a quarter of the root test's radius of
     convergence in r (from the upper half of the a_k), at most half of
     r_end, and halved until the last two terms of every row are below eps
-    of its sum; each row is then exact to rounding on [0, r0].  W = 0
-    earns half of r_end.
+    of its sum, and of the sum of e^{2mW} = sum_k h_k s^k too; each row is
+    then exact to rounding on [0, r0].  The exponential's check matters
+    where the source starts far below float range, as for data below the
+    clip of `reference_mu`: the a_k are then all but a polynomial's, while
+    the source they omit grows like e^{2mW}.  W = 0 earns half of r_end.
     """
     m, terms = config.m, _SERIES_TERMS
     diag, lift, index, w_factor, p_factor, ks, power, source, ratio = _series_tables(m)
@@ -424,7 +465,10 @@ def _series(config: ShootingConfig, mu: float):
         a.append(source * d[k] / lift[k + m])
         ia.append((k + m) * a[k + m])
     a = np.array(a)
-    alpha = ratio * (2 * mu) ** (2 * m) * np.array(d) / (2 * ks + 2 * m)
+    # past float range (a source far past the clamp) the row is inf, and
+    # the series earns no radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = ratio * (2 * mu) ** (2 * m) * np.array(d) / (2 * ks + 2 * m)
     coef = np.vstack([a[index] * w_factor, a[index + 1] * p_factor, alpha])
     # row factors S^-j (W_j), S^-(j+1) r (P_j) and r^2m (alpha_dev)
     factor = np.array([scale**-j for j in range(m)] + [scale ** -(j + 1) for j in range(m)] + [1.0])
@@ -437,21 +481,32 @@ def _series(config: ShootingConfig, mu: float):
         # Horner's rule in x, elementwise: a radius's value depends on that
         # radius alone, whichever radii are evaluated with it
         acc = np.repeat(used[:, -1:], r.size, axis=1)
-        for c in used[:, -2::-1].T:
-            acc *= x
-            acc += c[:, None]
-        return acc * factor[:, None] * r ** power[:, None]
+        # a zero row stays 0 where its power of r overflows; rows past float
+        # range (a series that earns no radius) are inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in used[:, -2::-1].T:
+                acc *= x
+                acc += c[:, None]
+            return np.where(acc == 0.0, 0.0, acc * factor[:, None] * r ** power[:, None])
+
+    # the exponential's series e^{2mW} = sum_k h_k x^k must earn r0 too:
+    # where the source starts far below float range its terms vanish from
+    # the a_k, which look like a polynomial's, while e^{2mW} still grows
+    checked = np.vstack([coef, h])
 
     def earns(r):
-        part = coef * (r * r / scale) ** ks
-        return np.all(np.abs(part[:, -2:]).sum(axis=1) <= _EPS * np.abs(part.sum(axis=1)))
+        # a zero term stays 0 where its power of x overflows; a row with an
+        # infinite term never earns r
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = np.where(checked == 0.0, 0.0, checked * (r * r / scale) ** ks)
+            return np.all(np.abs(part[:, -2:]).sum(axis=1) <= _EPS * np.abs(part.sum(axis=1)))
 
     top = np.max(np.abs(a[terms // 2 : terms + 1]) ** (1 / ks[terms // 2 :]))
     r0 = 0.5 * config.r_end
     if top > 0:
         r0 = min(r0, _SERIES_REACH * math.sqrt(scale / top))
-        while r0 > 0 and not earns(r0):
-            r0 *= 0.5
+    while coef.any() and r0 > 0 and not earns(r0):
+        r0 *= 0.5
     return at, r0
 
 
@@ -478,7 +533,7 @@ class RadialTrajectory:
     (m = 2) when the run stopped at the first u' > 0, or at the first
     radius (1e-3, or r0 if smaller) when Delta u(0) >= 0; or
     "step_underflow" when the step controller gave up short of r_end (a
-    blow-up or a solver failure).
+    blow-up or a solver failure) or the series earned no radius.
     """
 
     m: int
@@ -686,7 +741,11 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     # radius with u' > 0, r0 included, ends the shot; its first radius,
     # the grid's or r0 when that is smaller, is always kept
     up = standard_solution(m, mu, radii).p[0] + y[m] > 0
-    if m == 2 and (config.initial_laplacians[1] >= 0 or up.any()):
+    if r0 == 0:
+        # the series earns no radius, as where the source overflows float
+        # range at r = 0: the shot ends there, as when the steps underflow
+        t, y, status, nfev = radii[:0], y[:, :0], -1, 0
+    elif m == 2 and (config.initial_laplacians[1] >= 0 or up.any()):
         keep = max(np.argmax(up), 1)
         t, y, status, nfev = radii[:keep], y[:, :keep], 1, 0
     else:

@@ -627,3 +627,26 @@ def test_fit_floor_counts_the_bars_of_v(cfg, degree):
         assert all(row != "nonstandard" for _, row in a.verdict.criteria.values())
     if cfg.initial_derivatives == (_LOG2, -2.000001):
         assert a.fit.leading_coefficient == pytest.approx(-1.745e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_deviation_density_is_the_fields_source(m):
+    # the density V integrates is the source the shot integrated: E_mu
+    # expm1(2m W_0) where that product holds, and the field's form past the
+    # clamp of 2m u at 700 and where E_mu is subnormal or 0.0, for a
+    # reference at the low clip of reference_mu and at mu = 1
+    from polyliouville import shooter
+
+    rng = np.random.default_rng(40 + m)
+    sig_fact = (-1) ** m * math.factorial(2 * m - 1)
+    for mu in (1.0, math.exp(-350.0 / m) / 2):
+        field = shooter._field(m, mu)
+        radii = np.sort(10.0 ** rng.uniform(-3.0, 1.0, 300) / mu ** rng.uniform(0.0, 1.2, 300))
+        log_e = 2 * m * (math.log(2 * mu) - np.log1p((mu * radii) ** 2))
+        w0 = (rng.uniform(-750.0, 800.0, radii.size) - log_e) / (2 * m)
+        traj = types.SimpleNamespace(m=m, mu=mu)
+        got = represent._deviation_density(traj, radii, w0)
+        want = [field(r, [x] + [0.0] * (2 * m))[2 * m - 1] / sig_fact
+                for r, x in zip(radii.tolist(), w0.tolist())]
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)

@@ -79,8 +79,7 @@ class TestVectorField:
     @staticmethod
     def _reference_field(m):
         """The u system as a list-comprehension closure over slices of y,
-        the form the shooter's field had before it was generated from a
-        template; `rhs` is this system."""
+        written plainly; `rhs` is this system, from the shooter's template."""
         n = 2 * m
         tab = constant_table(m)
         sig_fact = tab.sigma_m * math.factorial(2 * m - 1)
@@ -97,51 +96,71 @@ class TestVectorField:
         return field
 
     @staticmethod
-    def _reference_deviation_field(m, mu):
-        """The deviation system about u_mu written out plainly, with the
-        clamp of 2m u = log E_mu + 2m W_0 at 700."""
-        tab = constant_table(m)
-        sig_fact = tab.sigma_m * math.factorial(2 * m - 1)
-        ratio = float(tab.omega_n / tab.vol_sphere_2m)
-
-        def field(r, y):
-            w, p = y[:m], y[m : 2 * m]
-            x = 2 * m * w[0]
-            e = (2 * mu / (1.0 + mu * mu * r * r)) ** (2 * m)
-            total = x + math.log(e)
-            if x <= 700.0 and total <= 700.0:
-                dev = e * math.expm1(x)
-            else:
-                dev = math.exp(min(total, 700.0)) - e
-            damp = -(2 * m - 1) / r
-            dp = [damp * pj + wj for pj, wj in zip(p, w[1:])]
-            dp.append(damp * p[-1] + sig_fact * dev)
-            return p + dp + [ratio * dev * r ** (2 * m - 1)]
-
-        return field
+    def _reference_source(m, mu, r, w0):
+        """e^{2mu} - E_mu for u = u_mu + W_0 at 40 digits, with 2m u clamped
+        at 700, from the same float mu, r and W_0."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            mu, r, w0 = mp.mpf(mu), mp.mpf(r), mp.mpf(w0)
+            log_e = 2 * m * (mp.log(2 * mu) - mp.log(1 + mu * mu * r * r))
+            return float(mp.exp(min(log_e + 2 * m * w0, 700)) - mp.exp(log_e))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_generated_field_matches_reference(self, m):
-        # the same float operations in the same order: equal bits, also
-        # past the clamp (2m w_0 > 700) and for r from 1e-6 to 1e4, for
-        # references below, at and above the data's scale; rhs is the u
-        # system of the reference without its alpha row
+        # rhs is the plain u system bit for bit.  The deviation field's
+        # source, read off its P_{m-1}' at P = 0, is sigma_m (2m-1)! times
+        # e^{2mu} - E_mu of the
+        # same u = u_mu + W_0 to rounding, for 2m u from -750 to past the
+        # clamp at 700; for references below, at and above the data's scale
+        # and at both clips of reference_mu, where E_mu(0) is e^{-+700}; and
+        # out to radii where E_mu is subnormal or 0.0 and only e^{2mu} is
+        # left of the source
         rng = np.random.default_rng(m)
         reference = self._reference_field(m)
-        for mu in (0.05, 1.0, 20.0):
+        sig_fact = constant_table(m).sigma_m * math.factorial(2 * m - 1)
+        for k in range(400):
+            y = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
+            if k % 4 == 0:
+                y[0] = rng.uniform(700.0, 800.0) / (2 * m)
+            r = 10.0 ** rng.uniform(-6.0, 4.0)
+            want = reference(r, y)
+            got = rhs(np.array(y[: 2 * m]), r, m)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.array(want)[: 2 * m])
+        for mu in (0.05, 1.0, 20.0, math.exp(-350.0 / m) / 2, math.exp(350.0 / m) / 2):
             field = shooter._field(m, mu)
-            deviation = self._reference_deviation_field(m, mu)
-            for k in range(400):
-                y = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
-                if k % 4 == 0:
-                    y[0] = rng.uniform(700.0, 800.0) / (2 * m)
-                r = 10.0 ** rng.uniform(-6.0, 4.0)
-                assert [x.hex() for x in field(r, y)] == [x.hex() for x in deviation(r, y)]
-                want = reference(r, y)
-                state = np.array(y[: 2 * m])
-                got = rhs(state, r, m)
-                assert got.dtype == np.float64
-                assert np.array_equal(got, np.array(want)[: 2 * m])
+            for k in range(100):
+                r = min(10.0 ** rng.uniform(-6.0, 4.0) / min(mu, 1.0) ** rng.uniform(0.0, 1.2),
+                        1e150 / mu)
+                log_e = 2 * m * (math.log(2 * mu) - math.log1p((mu * r) ** 2))
+                w0 = (rng.uniform(-750.0, 800.0) - log_e) / (2 * m)
+                y = [w0] + (rng.standard_normal(m - 1) * 10.0).tolist() + [0.0] * (m + 1)
+                # sigma_m (2m-1)! times the source, inf where both overflow
+                want = sig_fact * self._reference_source(m, mu, r, w0)
+                out = field(r, y)
+                assert out[:m] == [0.0] * m
+                assert math.isclose(out[2 * m - 1], want, rel_tol=1e-12, abs_tol=1e-300), \
+                    (mu, r, w0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_field_matches_closed_form_derivatives(self, m):
+        # W = u_lam - u_mu, the difference of two closed forms, solves the
+        # deviation system about u_mu, so the field `shoot` integrates must
+        # return (P, dP/dr, alpha_dev') there; the derivatives by central
+        # difference at h = 1e-6
+        h = 1e-6
+        for lam, mu in ((1.0, 0.5), (1.0, 1.3), (0.2, 0.3)):
+            field = shooter._field(m, mu)
+            for r in (0.3, 1.0, 2.5, 7.0, 40.0):
+                radii = np.array([r - h, r, r + h])
+                sols = [standard_solution(m, x, radii) for x in (lam, mu)]
+                w, p = sols[0].w - sols[1].w, sols[0].p - sols[1].p
+                alpha = standard_volume(m, lam, radii) - standard_volume(m, mu, radii)
+                out = np.array(field(r, np.r_[w[:, 1], p[:, 1], alpha[1]].tolist()))
+                assert np.array_equal(out[:m], p[:, 1])
+                want = np.r_[(p[:, 2] - p[:, 0]) / (2 * h), (alpha[2] - alpha[0]) / (2 * h)]
+                scale = max(1.0, float(np.max(np.abs(want))))
+                np.testing.assert_allclose(out[m:], want, rtol=0, atol=1e-6 * scale)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_stage_kernel_matches_field_on_stage_argument(self, m):
@@ -568,15 +587,62 @@ class TestTermination:
         (2, (200.0, -1.0), "not_entire"),
     ])
     def test_data_past_the_reference_clip_still_shoot(self, m, data, termination):
-        # A_0 outside [-700, 350/m]: mu comes from the clipped A_0, W_0(0) is
-        # the rest, and the shot ends as a shot does, with finite values
+        # A_0 outside [-350/m, 350/m]: mu comes from the clipped A_0, W_0(0)
+        # is the rest, and the shot ends as a shot does, with finite values
         cfg = ShootingConfig(m=m, initial_laplacians=data, r_end=50.0)
-        a0 = min(max(data[0], -700.0), 350.0 / m)
+        a0 = min(max(data[0], -350.0 / m), 350.0 / m)
         assert reference_mu(cfg) == math.exp(a0) / 2
         traj, rep = shoot(cfg)
         assert rep.termination == termination
         assert not traj.on_family
         assert np.all(np.isfinite(traj.W)) and np.all(np.isfinite(traj.alpha))
+
+    # trial steps that overshoot past the clamp overflow the stepper's error
+    # sums and are rejected, with numpy's RuntimeWarnings in the stepper
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning:polyliouville.dop853")
+    @pytest.mark.parametrize("m, data, termination", [
+        (3, (-150.0, 1.0, 0.0), "reached_end"),
+        (8, (-50.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "step_underflow"),
+    ])
+    def test_source_below_the_reference_clip_acts(self, m, data, termination):
+        # 2m u(0) far below -700: the source starts below float range and
+        # acts only where u has grown to about 0, near r = 40.  The shot
+        # agrees on every grid radius with a run of the u system itself
+        # (`rhs`) from the same series start at the same tolerances; without
+        # the source, u would grow like r^2 / (4m) to r_end
+        cfg = ShootingConfig(m=m, initial_laplacians=data, r_end=100.0)
+        traj, rep = shoot(cfg)
+        r0, y0 = series_start(cfg)
+        assert r0 < 10.0
+        family = standard_solution(m, traj.mu, [r0])
+        start = np.r_[family.w[:, 0] + y0[:m], family.p[:, 0] + y0[m : 2 * m]]
+        grid = shooter._geometric_grid(shooter._R0, cfg.r_end)
+        sol = dop853.solve_ivp(lambda r, y: rhs(y, r, m).tolist(), (r0, cfg.r_end), start,
+                               t_eval=grid[grid >= r0], rtol=shooter._RTOL, atol=shooter._ATOL)
+        assert rep.termination == shooter._TERMINATION[sol.status] == termination
+        after = traj.grid >= r0
+        assert np.array_equal(traj.grid[after], sol.t)
+        u = sol.y[0]
+        assert np.all(np.abs(traj.u[after] - u) <= 1e-9 * np.maximum(1.0, np.abs(u)))
+        assert traj.u.max() < 2.0
+
+    def test_series_that_earns_no_radius_ends_at_the_origin(self):
+        # 2m u(0) = 800 is past the clamp: the series' volume row overflows,
+        # no radius is earned, and the shot ends at r = 0 without a warning
+        # (it used to raise ValueError on a NaN start)
+        traj, rep = shoot(ShootingConfig(m=4, initial_laplacians=(100.0, 100.0, 0.0, 0.0)))
+        assert rep.termination == "step_underflow"
+        assert traj.grid.tolist() == [0.0] and traj.nfev == 0
+
+    def test_radii_past_the_volume_rows_power_limit(self):
+        # r^15 overflows a float from r = 3.6e20: the volume row of standard
+        # m = 8 stays 0 past it, and the shot is still the closed form (a
+        # float power used to raise OverflowError there)
+        traj, rep = shoot(standard_config(8, r_end=1e25))
+        assert rep.termination == "reached_end" and traj.r_max == 1e25
+        family = standard_solution(8, 1.0, traj.grid)
+        assert np.array_equal(traj.w, family.w) and np.array_equal(traj.p, family.p)
+        assert traj.alpha_final == 1.0
 
     @pytest.mark.parametrize("d2", [-1.9, -1.7, -1.5])
     def test_supercritical_m2_stops_at_first_positive_slope(self, d2):
