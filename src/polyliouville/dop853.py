@@ -273,6 +273,11 @@ def _interpolate(F, step, t_old, y_old, h, t):
     return y.T
 
 
+# a trial step that overshoots into a blow-up, or past the field's clamp,
+# holds inf in its stages; numpy's products and quotients then overflow or
+# give NaN, and the step is rejected on its error norm.  One errstate per
+# call silences numpy's RuntimeWarnings for them, and costs nothing per step
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, events=None) -> OdeResult:
     """Integrate y' = fun(t, y) forward over t_span with DOP853 and return
     the solution at the sorted points t_eval.

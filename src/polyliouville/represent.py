@@ -11,11 +11,12 @@ sphere u_mu with the same u(0) (see `shooter`), and v splits the same
 way: v = v_mu + V.  v_mu = -log(1 + mu^2 r^2) is the closed form
 (u_mu - v_mu = log 2 mu), Delta^j v_mu = Delta^j u_mu, and only V, the
 same integral over the deviation density e^{2mu} - E_mu with
-E_mu = exp(2m u_mu), needs quadrature.  The density is formed as
-E_mu expm1(2m W_0), never as e^{2mu} - E_mu, which would lose
-eps/(2m|W_0|) relative, and as the vector field forms it past the clamp
-of 2m u or where E_mu underflows (`shooter._source_past_clamp`); it is 0
-where W is, and then V and its bars are exactly 0.  For radial u the 2m-dimensional integral reduces to a 1D
+E_mu = exp(2m u_mu), needs quadrature.  The density is the shot's own
+source, formed by `shooter.deviation_source` as the vector field forms
+it: E_mu expm1(2m W_0), never e^{2mu} - E_mu, which would lose
+eps/(2m|W_0|) relative, with the field's rule past the clamp of 2m u and
+where E_mu underflows.  It is 0 where W is, and then V and its bars are
+exactly 0.  For radial u the 2m-dimensional integral reduces to a 1D
 radial integral of the density g(s) against spherical averages of the
 kernel,
 
@@ -78,14 +79,7 @@ import numpy as np
 
 from .exactconst import constant_table
 from .greenball import RadialProfile, panel_moment, powers
-from .shooter import (
-    _EXP_CAP,
-    _TINY,
-    RadialTrajectory,
-    _source_past_clamp,
-    _xsafe,
-    standard_solution,
-)
+from .shooter import _EXP_CAP, RadialTrajectory, deviation_source, standard_solution
 
 __all__ = [
     "KernelCache",
@@ -271,31 +265,12 @@ class _SeparableIntegral:
         return inner + outer
 
 
-def _deviation_density(traj: RadialTrajectory, radii, w0) -> np.ndarray:
-    """e^{2mu} - E_mu at the radii, the vector field's deviation source:
-    E_mu expm1(2m W_0) from W_0's values there (never a difference, which
-    would lose eps/(2m|W_0|) relative), with E_mu = (2 mu / (1 + mu^2 r^2))^(2m)
-    = e^{2m u_mu}, and `shooter._source_past_clamp` wherever that product
-    may fail: past the clamp of 2m u at 700, or where E_mu is not a normal
-    float."""
-    m, mu = traj.m, traj.mu
-    x = 2 * m * w0
-    family = (2 * mu / (1.0 + (mu * radii) ** 2)) ** (2 * m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = family * np.expm1(x)
-    for i in np.flatnonzero(~((x <= _xsafe(m, mu)) & (family >= _TINY))):
-        log_e = 2 * m * (math.log(2 * mu) - math.log1p((mu * radii[i]) ** 2))
-        dev[i] = _source_past_clamp(x[i], family[i], log_e)
-    return dev
-
-
 def _density(traj: RadialTrajectory) -> np.ndarray:
-    return _deviation_density(traj, traj.grid, traj.W[0])
+    return deviation_source(traj.m, traj.mu, traj.grid, traj.W[0])
 
 
 def _density_at(traj: RadialTrajectory, radii) -> np.ndarray:
-    return _deviation_density(traj, np.asarray(radii, dtype=float),
-                              traj.sample_deviation(0, radii))
+    return deviation_source(traj.m, traj.mu, radii, traj.sample_deviation(0, radii))
 
 
 def _tail_decay(traj: RadialTrajectory):

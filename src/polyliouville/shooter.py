@@ -25,8 +25,10 @@ Laplacians W_j and derivatives P_j = W_j' obey the same linear chain with
 
     Delta^m W = sigma_m (2m-1)! E_mu expm1(2m W_0),   E_mu = (2 mu / (1 + mu^2 r^2))^{2m},
 
-W_j(0) = A_j - A_j^std(mu), W_0(0) = 0 (`_vector_field`).  Roundoff then
-scales with |W|, not with |u|, so the free modes r^{2k} of the far field
+W_j(0) = A_j - A_j^std(mu), W_0(0) = 0.  That is the one system the
+module compiles (`_vector_field`), and `deviation_source` forms its
+source on arrays, for `represent`'s density.  Roundoff then scales
+with |W|, not with |u|, so the free modes r^{2k} of the far field
 amplify only the deviation's own error.  Data equal in floats to
 `standard_laplacians(m, mu)` give W = 0 exactly, and the trajectory is the
 closed form at every node: the lam = 1 data of every m, and lam = 3 and
@@ -93,8 +95,8 @@ __all__ = [
     "RadialTrajectory",
     "SolveReport",
     "StandardSolution",
-    "rhs",
     "reference_mu",
+    "deviation_source",
     "series_start",
     "derivs_to_laplacians",
     "shoot",
@@ -227,32 +229,24 @@ def make(c, mu2, xsafe, clamped):
     return field
 """
 
-# The source lines of the two systems the template writes: the deviation
-# W = u - u_mu (`_field`, what a shot integrates) and u itself (`rhs`).
-_SOURCES = {
-    "deviation": (
-        "e = (c / (1.0 + mu2 * r * r)) ** {two_m}",
-        "dev = e * expm1(x) if x <= xsafe and e >= {tiny!r} else clamped(x, e, r)",
-    ),
-    "u": ("dev = exp({cap!r} if x > {cap!r} else x)",),
-}
-
 _FIELD_BODY = (
     "x = {two_m} * w0",
-    "{source}",
+    "e = (c / (1.0 + mu2 * r * r)) ** {two_m}",
+    "dev = e * expm1(x) if x <= xsafe and e >= {tiny!r} else clamped(x, e, r)",
     "damp = {damp} / r",
     "return [{p}, {dp}, {alpha}]",
 )
 
 
-def _source_past_clamp(x: float, e: float, log_e: float) -> float:
-    """E_mu expm1(x), the deviation source, where its product form may
-    fail: x = 2m W_0, e = E_mu and log_e = log E_mu.  Past the clamp of
-    2m u = log_e + x at 700 it is exp(700) - E_mu; below it, for x > 0,
-    e^{2mu} (1 - e^{-x}), which stays exact to rounding where E_mu is
-    subnormal or 0.0; else E_mu expm1(x), below E_mu in size.  NaN stays
-    NaN."""
-    total = log_e + x
+def _source_past_clamp(m: int, mu: float, x: float, e: float, r: float) -> float:
+    """E_mu expm1(x), the deviation source about u_mu at radius r, where
+    its product form may fail: x = 2m W_0 and e = E_mu, with log E_mu
+    taken as 2m (log 2mu - log1p(mu^2 r^2)), not from the rounded e.  Past
+    the clamp of 2m u = log E_mu + x at 700 it is exp(700) - E_mu; below
+    it, for x > 0, e^{2mu} (1 - e^{-x}), which stays exact to rounding
+    where E_mu is subnormal or 0.0; else E_mu expm1(x), below E_mu in
+    size.  NaN stays NaN."""
+    total = 2 * m * (math.log(2 * mu) - math.log1p(mu * mu * r * r)) + x
     if total > _EXP_CAP:
         return math.exp(_EXP_CAP) - e
     if x > 0:
@@ -266,16 +260,16 @@ def _pow_limit(k: int) -> float:
 
 
 @functools.cache
-def _vector_field(m: int, system: str = "deviation"):
-    """The factory make(c, mu2, xsafe, clamped) of the vector field of
-    `system` at order m: "deviation", which `_field` calls once per shot,
-    or "u", which `rhs` uses and which ignores the factory's arguments.
+def _vector_field(m: int):
+    """The factory make(c, mu2, xsafe, clamped) of the vector field at
+    order m of the deviation W = u - u_mu, the one system a shot
+    integrates; `_field` calls it once per shot.
 
     The field (r, y) -> dy/dr carries its fused stage kernel as the
     attribute `stage`.  y = (W_0..W_{m-1}, P_0..P_{m-1}, alpha_dev) is a
     sequence of floats, and the field returns a list of floats in the same
-    layout.  The equation is written once, in the template _FIELD_SOURCE,
-    and the two systems differ only in their source line (_SOURCES).
+    layout.  The equation is written once, in the template _FIELD_SOURCE
+    with the body _FIELD_BODY.
     For each m the template is filled in as straight-line float code: y is
     unpacked into w0.., p0.. (alpha_dev' does not depend on alpha_dev), the
     constants become literals, the shot's reference mu enters through the
@@ -290,11 +284,10 @@ def _vector_field(m: int, system: str = "deviation"):
     in this order of operations.  For x <= xsafe = 700 - max(0, 2m log 2mu)
     the total exponent log E_mu + x is at most 700 at every r, and where
     E_mu is also a normal float the product is exact to rounding.
-    Elsewhere `clamped(x, e, r)`, which `_field` builds over
+    Elsewhere `clamped(x, e, r)`, which `_field` binds to
     `_source_past_clamp`, clamps 2m u at 700, keeps the source where E_mu
     underflows, and propagates NaN, so the field stays total past a
-    blow-up.  The u system has dev = exp(min(2m u, 700)) and its y holds
-    (w, p, alpha).
+    blow-up.  `deviation_source` is the same rule on arrays.
 
     `field.stage(r, y, dy, h)` is the same body on the stage argument
     y + dy h, which a Runge-Kutta stage would otherwise build as a list:
@@ -311,9 +304,8 @@ def _vector_field(m: int, system: str = "deviation"):
     dp = [f"damp * {pj} + {wj}" for pj, wj in zip(p, w[1:])]
     dp.append(f"damp * {p[-1]} + {tab.sigma_m * math.factorial(2 * m - 1)} * dev")
     ratio = float(tab.omega_n / tab.vol_sphere_2m)
-    source = "\n        ".join(_SOURCES[system])
-    body = "\n        ".join(_FIELD_BODY).replace("{source}", source).format(
-        p=", ".join(p), dp=", ".join(dp), two_m=2 * m, tiny=_TINY, cap=_EXP_CAP,
+    body = "\n        ".join(_FIELD_BODY).format(
+        p=", ".join(p), dp=", ".join(dp), two_m=2 * m, tiny=_TINY,
         damp=-(2 * m - 1),
         alpha=f"({ratio!r} * dev * r ** {2 * m - 1} if r < {_pow_limit(2 * m - 1)!r} "
               "else dev * inf if dev else 0.0)",
@@ -323,8 +315,8 @@ def _vector_field(m: int, system: str = "deviation"):
     source = _FIELD_SOURCE.format(
         w=", ".join(w), p=", ".join(p), body=body, stage_args=stage_args
     )
-    namespace = {"expm1": math.expm1, "exp": math.exp, "inf": math.inf}
-    exec(compile(source, f"<{system} field m={m}>", "exec"), namespace)
+    namespace = {"expm1": math.expm1, "inf": math.inf}
+    exec(compile(source, f"<field m={m}>", "exec"), namespace)
     return namespace["make"]
 
 
@@ -345,32 +337,25 @@ def _xsafe(m: int, mu: float) -> float:
 
 def _field(m: int, mu: float):
     """The deviation system's vector field about u_mu (see `_vector_field`)."""
-    log_c, mu2 = math.log(2 * mu), mu * mu
-
-    def clamped(x, e, r):
-        return _source_past_clamp(x, e, 2 * m * (log_c - math.log1p(mu2 * r * r)))
-
-    return _vector_field(m)(2 * mu, mu2, _xsafe(m, mu), clamped)
+    clamped = functools.partial(_source_past_clamp, m, mu)
+    return _vector_field(m)(2 * mu, mu * mu, _xsafe(m, mu), clamped)
 
 
-def rhs(state, r, m):
-    """Vector field of the 2m-dimensional radial system in u itself at
-    radius r > 0, for checks against closed-form solutions and u-system
-    runs.
-
-    state = (w_0..w_{m-1}, p_0..p_{m-1}) with w_j = Delta^j u and
-    p_j = w_j':  p_j' = -(2m-1)/r p_j + w_{j+1}, with
-    w_m = sigma_m (2m-1)! exp(min(2m w_0, 700)).  It is the template of
-    `_vector_field` with the u system's source line; `shoot` integrates
-    the deviation W = u - u_mu.
-    """
-    if r <= 0:
-        raise ValueError("the radial system is defined for r > 0")
-    state = np.asarray(state, dtype=float)
-    if state.shape != (2 * m,):
-        raise ValueError(f"state must have length {2 * m}")
-    field = _vector_field(m, "u")(None, None, None, None)
-    return np.array(field(r, state.tolist() + [0.0])[: 2 * m])
+def deviation_source(m: int, mu: float, r, w0) -> np.ndarray:
+    """e^{2mu} - E_mu for u = u_mu + W_0, elementwise at radii r with W_0 =
+    w0 there: the source the field forms, as E_mu expm1(2m W_0) (never a
+    difference, which would lose eps/(2m|W_0|) relative), with
+    E_mu = (2 mu / (1 + mu^2 r^2))^(2m) = e^{2m u_mu}, and
+    `_source_past_clamp` wherever that product may fail: past the clamp of
+    2m u at 700, or where E_mu is not a normal float."""
+    r = np.asarray(r, dtype=float)
+    x = 2 * m * np.asarray(w0, dtype=float)
+    family = (2 * mu / (1.0 + (mu * r) ** 2)) ** (2 * m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = family * np.expm1(x)
+    for i in np.flatnonzero(~((x <= _xsafe(m, mu)) & (family >= _TINY))):
+        dev[i] = _source_past_clamp(m, mu, float(x[i]), float(family[i]), float(r[i]))
+    return dev
 
 
 @functools.cache
@@ -648,7 +633,8 @@ def _geometric_grid(r0: float, r_end: float) -> np.ndarray:
 def _m2_event(mu: float):
     """Terminal event of m = 2 runs about u_mu: u' = u_mu' + W_0' (y[2])
     crossing zero upwards.  u_mu' is written as `standard_solution` writes
-    p_0, so the event reads the same bits as the trajectory's p_0."""
+    p_0, so the event reads the same bits as the trajectory's p_0.  It
+    takes arrays too: `shoot` reads it on the series segment's radii."""
     slope = -2 * mu**2
 
     def u_prime(r, y):
@@ -737,20 +723,20 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     radii = np.append(below, r0)
     y = at(radii)
     y0 = y[:, -1]
+    event = _m2_event(mu) if m == 2 else None
     # the m = 2 event on the series segment: Delta u(0) >= 0, or the first
     # radius with u' > 0, r0 included, ends the shot; its first radius,
     # the grid's or r0 when that is smaller, is always kept
-    up = standard_solution(m, mu, radii).p[0] + y[m] > 0
+    up = event(radii, y) > 0 if event else None
     if r0 == 0:
         # the series earns no radius, as where the source overflows float
         # range at r = 0: the shot ends there, as when the steps underflow
         t, y, status, nfev = radii[:0], y[:, :0], -1, 0
-    elif m == 2 and (config.initial_laplacians[1] >= 0 or up.any()):
+    elif event and (config.initial_laplacians[1] >= 0 or up.any()):
         keep = max(np.argmax(up), 1)
         t, y, status, nfev = radii[:keep], y[:, :keep], 1, 0
     else:
-        sol = _integrate(fun, config, r0, y0, grid[grid >= r0],
-                         events=_m2_event(mu) if m == 2 else None)
+        sol = _integrate(fun, config, r0, y0, grid[grid >= r0], events=event)
         t, status, nfev = np.append(below, sol.t), sol.status, sol.nfev
         y = np.column_stack([y[:, :-1], sol.y])
     termination = _TERMINATION[status]

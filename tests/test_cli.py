@@ -42,6 +42,19 @@ def test_module_entry_point_prints_no_warning():
     assert proc.stderr == ""
 
 
+def test_trial_steps_past_the_clamp_print_no_warning(tmp_path):
+    # m = 3 data (-150, 1, 0): trial steps that overshoot past the source
+    # clamp hold inf in their stages, overflow the stepper's error sums and
+    # are rejected; numpy must not warn about them, even as an error
+    env = dict(os.environ, PYTHONPATH=str(Path(polyliouville.__file__).parents[1]),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.run([sys.executable, "-m", "polyliouville.cli", "classify", "--m", "3",
+                           "--laplacians", "-150,1,0", "--r-end", "100", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 _SCIPY_BLOCKED = """
 import sys
 

@@ -142,15 +142,40 @@ def test_compute_v_covers_closed_form_on_and_off_grid(std2):
     assert np.all(err <= prof.err)
 
 
-def test_compute_v_far_field_m3_exact_density(std3_500):
-    # u_1 written about the reference mu = 1.25, with the exact deviation
-    # W = u_1 - u_1.25 at the nodes: v = v_1.25 + V, and with the
-    # closed-form density only V's quadrature error is left; the r^4
-    # factor on the suffix moments amplifies any cancellation in them
-    traj, _ = std3_500
-    nodes = [standard_solution(3, lam, traj.grid) for lam in (1.0, 1.25)]
-    exact_traj = dataclasses.replace(traj, mu=1.25, W=nodes[0].w - nodes[1].w,
-                                     P=nodes[0].p - nodes[1].p)
+def _about_mu(run, mu=1.25):
+    """A standard run's u_1 written about the reference mu, with the exact
+    deviation W = u_1 - u_mu at the nodes: v = v_mu + V, and V integrates
+    a closed-form density that is not 0, unlike that of the run itself."""
+    traj, rep = run
+    nodes = [standard_solution(traj.m, lam, traj.grid) for lam in (1.0, mu)]
+    off = dataclasses.replace(traj, mu=mu, W=nodes[0].w - nodes[1].w, P=nodes[0].p - nodes[1].p)
+    assert off.W.any()
+    return off, rep
+
+
+@pytest.fixture(scope="module")
+def off1(std1):
+    """std1's u_1 written about mu = 1.25 (`_about_mu`)."""
+    return _about_mu(std1)
+
+
+@pytest.fixture(scope="module")
+def off2(std2):
+    """std2's u_1 written about mu = 1.25 (`_about_mu`)."""
+    return _about_mu(std2)
+
+
+@pytest.fixture(scope="module")
+def off3_500(std3_500):
+    """std3_500's u_1 written about mu = 1.25 (`_about_mu`)."""
+    return _about_mu(std3_500)
+
+
+def test_compute_v_far_field_m3_exact_density(off3_500):
+    # with the closed-form density of u_1 about mu = 1.25, only V's
+    # quadrature error is left; the r^4 factor on the suffix moments
+    # amplifies any cancellation in them
+    exact_traj, _ = off3_500
     radii = np.geomspace(50.0, 500.0, 8)
     prof = compute_v(exact_traj, radii)
     err = np.abs(prof.values + np.log1p(radii**2))
@@ -392,7 +417,10 @@ def _bits(prof):
     return prof.values.tobytes(), prof.err.tobytes()
 
 
-ALL_RUNS = ["std1", "std2", "std3_500", "nonstd2", "big3"]
+# the std runs have W = 0 and integrate a density that is 0 everywhere;
+# off1, off2 and off3_500 integrate the same u with a density that is not
+OFF_RUNS = ["off1", "off2", "off3_500"]
+ALL_RUNS = ["std1", "std2", "std3_500", "nonstd2", "big3", *OFF_RUNS]
 
 
 @pytest.mark.parametrize("run", ALL_RUNS)
@@ -465,7 +493,7 @@ def _radii(traj):
                  traj.r_max, 1.5 * traj.r_max]
 
 
-@pytest.mark.parametrize("run", ["nonstd2", "std3_500"])
+@pytest.mark.parametrize("run", ["nonstd2", "std3_500", *OFF_RUNS])
 def test_one_sided_split_keeps_every_bit(run, request):
     traj, _ = request.getfixturevalue(run)
     grid = traj.grid
@@ -507,7 +535,7 @@ def test_power_tables_keep_every_bit(run, request, monkeypatch):
 _TINY = [5e-324, 1e-300, 1e-160, 1e-100, 1e-20]
 
 
-@pytest.mark.parametrize("run", ["std2", "nonstd2", "std3_500"])
+@pytest.mark.parametrize("run", ["std2", "nonstd2", "std3_500", *OFF_RUNS])
 def test_tiny_radii_read_the_limit_at_zero(run, request):
     # below about 1e-308^(1/(2m-2)) an inner sum's r^(-2j-2k) overflows
     # against a prefix moment that has underflowed to 0, and at 5e-324 the
@@ -562,7 +590,7 @@ def test_narrow_panel_guards_move_no_finite_bit(run, request, monkeypatch):
         assert np.all(np.isfinite(got.values[mended])), j
 
 
-@pytest.mark.parametrize("run", ["std2", "std3_500", "big3"])
+@pytest.mark.parametrize("run", ["std2", "std3_500", "big3", *OFF_RUNS])
 def test_every_order_from_one_pass_forms_each_moment_once(run, request, monkeypatch):
     # every moment that Delta^j v reads is one that v reads, so after v the
     # other orders form no moment at all, and none is formed twice
@@ -585,7 +613,7 @@ def test_every_order_from_one_pass_forms_each_moment_once(run, request, monkeypa
     assert len({key[0] for key in formed}) == 2  # the fine and decimated grids
 
 
-@pytest.mark.parametrize("run", ["std3_500", "big3"])
+@pytest.mark.parametrize("run", ["std3_500", "big3", *OFF_RUNS])
 def test_each_view_reads_only_its_own_order(run, request, monkeypatch):
     traj, _ = request.getfixturevalue(run)
     read = []
@@ -631,10 +659,11 @@ def test_fit_floor_counts_the_bars_of_v(cfg, degree):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_deviation_density_is_the_fields_source(m):
-    # the density V integrates is the source the shot integrated: E_mu
-    # expm1(2m W_0) where that product holds, and the field's form past the
-    # clamp of 2m u at 700 and where E_mu is subnormal or 0.0, for a
-    # reference at the low clip of reference_mu and at mu = 1
+    # the density V integrates (`shooter.deviation_source`) is the source
+    # the shot integrated: E_mu expm1(2m W_0) where that product holds, and
+    # the field's form past the clamp of 2m u at 700 and where E_mu is
+    # subnormal or 0.0, for a reference at the low clip of reference_mu and
+    # at mu = 1
     from polyliouville import shooter
 
     rng = np.random.default_rng(40 + m)
@@ -644,8 +673,7 @@ def test_deviation_density_is_the_fields_source(m):
         radii = np.sort(10.0 ** rng.uniform(-3.0, 1.0, 300) / mu ** rng.uniform(0.0, 1.2, 300))
         log_e = 2 * m * (math.log(2 * mu) - np.log1p((mu * radii) ** 2))
         w0 = (rng.uniform(-750.0, 800.0, radii.size) - log_e) / (2 * m)
-        traj = types.SimpleNamespace(m=m, mu=mu)
-        got = represent._deviation_density(traj, radii, w0)
+        got = shooter.deviation_source(m, mu, radii, w0)
         want = [field(r, [x] + [0.0] * (2 * m))[2 * m - 1] / sig_fact
                 for r, x in zip(radii.tolist(), w0.tolist())]
         assert np.all(np.isfinite(got))

@@ -23,7 +23,6 @@ from polyliouville.shooter import (
     derivs_to_laplacians,
     diagnose,
     reference_mu,
-    rhs,
     scalar_curvature,
     series_start,
     shoot,
@@ -63,35 +62,40 @@ class TestStandardSolution:
 class TestVectorField:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_rhs_matches_closed_form_derivatives(self, m):
-        # (w, p) of the closed form is a solution, so rhs must return
+        # (w, p) of the closed form is a solution, so the right-hand side
+        # of the plain u system, the oracle of u-system runs, must return
         # (p, dp/dr); dp/dr by central difference at h = 1e-6, whose
         # rounding error is a few 1e-10 of the largest entry
         h = 1e-6
+        field = self._reference_field(m)
         for r in (0.3, 1.0, 2.5, 7.0, 40.0):
             sol = standard_solution(m, 1.0, np.array([r - h, r, r + h]))
-            state = np.concatenate([sol.w[:, 1], sol.p[:, 1]])
+            state = np.r_[sol.w[:, 1], sol.p[:, 1], 0.0].tolist()
             dp = (sol.p[:, 2] - sol.p[:, 0]) / (2 * h)
-            got = rhs(state, r, m)
+            got = np.array(field(r, state)[: 2 * m])
             np.testing.assert_array_equal(got[:m], sol.p[:, 1])
             scale = max(1.0, float(np.max(np.abs(dp))))
             np.testing.assert_allclose(got[m:], dp, rtol=0, atol=1e-6 * scale)
 
     @staticmethod
-    def _reference_field(m):
-        """The u system as a list-comprehension closure over slices of y,
-        written plainly; `rhs` is this system, from the shooter's template."""
-        n = 2 * m
+    def _chain(m, r, y, source):
+        """dy/dr of the radial chain in y = (w, p, alpha) for the given
+        value of the source, written plainly: the field of u itself for
+        source = e^{2mu}, and of the deviation W for e^{2mu} - E_mu."""
         tab = constant_table(m)
         sig_fact = tab.sigma_m * math.factorial(2 * m - 1)
         ratio = float(tab.omega_n / tab.vol_sphere_2m)
+        w, p = y[:m], y[m : 2 * m]
+        damp = -(2 * m - 1) / r
+        dp = [damp * pj + wj for pj, wj in zip(p, w[1:])]
+        dp.append(damp * p[-1] + sig_fact * source)
+        return p + dp + [ratio * source * r ** (2 * m - 1)]
 
+    @classmethod
+    def _reference_field(cls, m):
+        """The u system, y = (w, p, alpha), with 2m u clamped at 700."""
         def field(r, y):
-            w, p = y[:m], y[m : 2 * m]
-            expo = math.exp(min(2 * m * w[0], 700.0))
-            damp = -(n - 1) / r
-            dp = [damp * pj + wj for pj, wj in zip(p, w[1:])]
-            dp.append(damp * p[-1] + sig_fact * expo)
-            return p + dp + [ratio * expo * r ** (2 * m - 1)]
+            return cls._chain(m, r, y, math.exp(min(2 * m * y[0], 700.0)))
 
         return field
 
@@ -107,7 +111,8 @@ class TestVectorField:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_generated_field_matches_reference(self, m):
-        # rhs is the plain u system bit for bit.  The deviation field's
+        # At W_0 = 0 the source is exactly 0.0, and the field `shoot`
+        # integrates is the plainly written chain bit for bit.  Its
         # source, read off its P_{m-1}' at P = 0, is sigma_m (2m-1)! times
         # e^{2mu} - E_mu of the
         # same u = u_mu + W_0 to rounding, for 2m u from -750 to past the
@@ -116,17 +121,17 @@ class TestVectorField:
         # out to radii where E_mu is subnormal or 0.0 and only e^{2mu} is
         # left of the source
         rng = np.random.default_rng(m)
-        reference = self._reference_field(m)
         sig_fact = constant_table(m).sigma_m * math.factorial(2 * m - 1)
-        for k in range(400):
-            y = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
-            if k % 4 == 0:
-                y[0] = rng.uniform(700.0, 800.0) / (2 * m)
-            r = 10.0 ** rng.uniform(-6.0, 4.0)
-            want = reference(r, y)
-            got = rhs(np.array(y[: 2 * m]), r, m)
-            assert got.dtype == np.float64
-            assert np.array_equal(got, np.array(want)[: 2 * m])
+        for mu in (0.05, 1.0, 20.0, math.exp(-350.0 / m) / 2, math.exp(350.0 / m) / 2):
+            field = shooter._field(m, mu)
+            for k in range(80):
+                y = (rng.standard_normal(2 * m + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
+                y[0] = 0.0
+                # r^(2m-1) stays finite, as the plain chain needs
+                r = min(10.0 ** rng.uniform(-6.0, 4.0) / min(mu, 1.0) ** rng.uniform(0.0, 1.2),
+                        1e300 ** (1 / (2 * m - 1)))
+                got, want = np.array(field(r, y)), np.array(self._chain(m, r, y, 0.0))
+                assert got.tobytes() == want.tobytes(), (mu, r)
         for mu in (0.05, 1.0, 20.0, math.exp(-350.0 / m) / 2, math.exp(350.0 / m) / 2):
             field = shooter._field(m, mu)
             for k in range(100):
@@ -183,12 +188,6 @@ class TestVectorField:
             nan = np.isnan(want)
             assert np.array_equal(np.isnan(got), nan)
             assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
-
-    def test_rhs_validates_input(self):
-        with pytest.raises(ValueError):
-            rhs(np.zeros(4), 0.0, 2)
-        with pytest.raises(ValueError):
-            rhs(np.zeros(3), 1.0, 2)
 
 
 class TestInitialData:
@@ -597,9 +596,6 @@ class TestTermination:
         assert not traj.on_family
         assert np.all(np.isfinite(traj.W)) and np.all(np.isfinite(traj.alpha))
 
-    # trial steps that overshoot past the clamp overflow the stepper's error
-    # sums and are rejected, with numpy's RuntimeWarnings in the stepper
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning:polyliouville.dop853")
     @pytest.mark.parametrize("m, data, termination", [
         (3, (-150.0, 1.0, 0.0), "reached_end"),
         (8, (-50.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "step_underflow"),
@@ -608,8 +604,8 @@ class TestTermination:
         # 2m u(0) far below -700: the source starts below float range and
         # acts only where u has grown to about 0, near r = 40.  The shot
         # agrees on every grid radius with a run of the u system itself
-        # (`rhs`) from the same series start at the same tolerances; without
-        # the source, u would grow like r^2 / (4m) to r_end
+        # from the same series start at the same tolerances; without the
+        # source, u would grow like r^2 / (4m) to r_end
         cfg = ShootingConfig(m=m, initial_laplacians=data, r_end=100.0)
         traj, rep = shoot(cfg)
         r0, y0 = series_start(cfg)
@@ -617,8 +613,13 @@ class TestTermination:
         family = standard_solution(m, traj.mu, [r0])
         start = np.r_[family.w[:, 0] + y0[:m], family.p[:, 0] + y0[m : 2 * m]]
         grid = shooter._geometric_grid(shooter._R0, cfg.r_end)
-        sol = dop853.solve_ivp(lambda r, y: rhs(y, r, m).tolist(), (r0, cfg.r_end), start,
-                               t_eval=grid[grid >= r0], rtol=shooter._RTOL, atol=shooter._ATOL)
+        reference = TestVectorField._reference_field(m)
+
+        def u_system(r, y):
+            return reference(r, y + [0.0])[: 2 * m]
+
+        sol = dop853.solve_ivp(u_system, (r0, cfg.r_end), start, t_eval=grid[grid >= r0],
+                               rtol=shooter._RTOL, atol=shooter._ATOL)
         assert rep.termination == shooter._TERMINATION[sol.status] == termination
         after = traj.grid >= r0
         assert np.array_equal(traj.grid[after], sol.t)
