@@ -15,8 +15,9 @@ E_mu = exp(2m u_mu), needs quadrature.  The density is the shot's own
 source, formed by `shooter.deviation_source` as the vector field forms
 it: E_mu expm1(2m W_0), never e^{2mu} - E_mu, which would lose
 eps/(2m|W_0|) relative, with the field's rule past the clamp of 2m u and
-where E_mu underflows.  It is 0 where W is, and then V and its bars are
-exactly 0.  For radial u the 2m-dimensional integral reduces to a 1D
+where E_mu underflows.  On data with W = 0 it is 0, so V and its bars
+are exactly 0, and v is v_mu, taken as it is without forming a moment.
+For radial u the 2m-dimensional integral reduces to a 1D
 radial integral of the density g(s) against spherical averages of the
 kernel,
 
@@ -60,9 +61,9 @@ a closed-form bound on the truncated tail s > r_end.  There
 |e^{2mu} - E_mu| <= e^{2mu} + E_mu: exp(2m u) <= C s^-q, with q fitted to
 the log density 2m u on the trajectory tail and log C kept in logs, so
 nothing overflows, and E_mu <= (2/mu)^{2m} s^{-4m}; the kernel bound
-integrates against each in closed form (`_tail_bound`).  The tail bound
-is 0 when W = 0.  Whether a run can be represented at all (`_refusal`)
-is judged on e^{2mu} itself.
+integrates against each in closed form (`_tail_bound`).  Whether a run
+can be represented at all (`_refusal`) is judged on e^{2mu} itself, on
+W = 0 data too.
 
 There is no point-kernel API: the averages enter only through the moment
 pass.  `KernelCache.average_many` evaluates them at given source radii for
@@ -369,7 +370,10 @@ def _moment_pass(traj: RadialTrajectory, eval_radii):
     v = v_mu + V with v_mu = -log(1 + mu^2 r^2), Delta^j v_mu = Delta^j u_mu,
     and V the representation integral of e^{2mu} - E_mu.  V's truncated
     tail is bounded by that of e^{2mu} (the fitted C s^-q) plus that of
-    E_mu <= (2/mu)^(2m) s^(-4m); it is 0 when W = 0, where V is 0 too."""
+    E_mu <= (2/mu)^(2m) s^(-4m).  When W and W' are 0 at every node, the
+    density is 0 on every panel: after the radii checks and the refusal,
+    order(j) is the closed form Delta^j v_mu with bars of 0.0 (v(0) is
+    +0.0), and no density, grid or moment is formed."""
     radii = np.asarray(eval_radii, dtype=float)
     # NaN fails every comparison, so each test is written to pass only on good radii
     if radii.ndim != 1 or not (np.all(np.isfinite(radii)) and np.all(radii >= 0)
@@ -380,7 +384,12 @@ def _moment_pass(traj: RadialTrajectory, eval_radii):
         raise ValueError(refusal)
     m, mu, grid, coeffs = traj.m, traj.mu, traj.grid, KernelCache(traj.m).coeffs
     family = [-np.log1p((mu * radii) ** 2), *standard_solution(m, mu, radii).w[1:]]
-    tails = [decay, (2 * m * math.log(2 / mu), 4.0 * m)] if traj.W.any() else []
+    if not (traj.W.any() or traj.P.any()):
+        # the density, read from W_0 and P_0, is 0 on every panel: V and its
+        # bars are 0, and + 0.0 makes v(0) = -log1p(0) come back as +0.0
+        return lambda j: RadialProfile(grid=radii, values=family[j] + 0.0, m=m,
+                                       err=np.zeros_like(radii))
+    tails = [decay, (2 * m * math.log(2 / mu), 4.0 * m)]
     mids = 0.5 * (grid[:-1] + grid[1:])
     g_grid, g_mid = _density(traj), _density_at(traj, mids)
     fine = _SeparableIntegral(grid, mids, g_grid, g_mid, radii, traj)
@@ -411,9 +420,9 @@ def compute_v(traj: RadialTrajectory, eval_radii) -> RadialProfile:
 
     v = v_mu + V: all radii of V come from one pass over the prefix,
     suffix and log moments of e^{2mu} - E_mu (see the module docstring);
-    v(0) = 0 exactly, and on data with W = 0, v is the closed form with
-    bars of 0.  The error bar adds the radial Richardson estimate and the
-    truncated-tail bound.
+    v(0) = 0 exactly.  On data with W = 0, v is the closed form v_mu with
+    bars of 0, returned without that pass.  The error bar adds the radial
+    Richardson estimate and the truncated-tail bound.
     Radii past r_end use the moments of [0, r_end] and the same tail
     bound.  A NaN value or bar comes back as NaN with an infinite bar, as
     in compute_lap_v.  Refuses trajectories whose conformal volume has not

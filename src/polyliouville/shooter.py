@@ -31,9 +31,10 @@ source on arrays, for `represent`'s density.  Roundoff then scales
 with |W|, not with |u|, so the free modes r^{2k} of the far field
 amplify only the deviation's own error.  Data equal in floats to
 `standard_laplacians(m, mu)` give W = 0 exactly, and the trajectory is the
-closed form at every node: the lam = 1 data of every m, and lam = 3 and
-20 too, are such data.  From m = 4 on, those float data are not exactly
-on the family, so a W = 0 shot solves the data snapped to it, which the
+closed form at every node, taken as it is: no series, no stepper and no
+companion run.  The lam = 1 data of every m, and lam = 3 and 20 too, are
+such data.  From m = 4 on, those float data are not exactly on the
+family, so a W = 0 shot solves the data snapped to it, which the
 trajectory's `on_family` and the reports' data_on_family say.  The
 conformal volume
 
@@ -50,11 +51,11 @@ pair with 7th-order dense output), called through this module's global
 Initial data live at r = 0, either as A_j = Delta^j u(0) or as the even
 derivatives u^{(2j)}(0) (odd ones vanish for smooth radial data).  Near
 the origin W is its power series W = sum_k a_k r^{2k}, whose coefficients
-follow from the data by short recurrences (`_series`).  Each shot sums
-that series, exactly to rounding, on [0, r0], where r0 is a quarter of
-its radius of convergence (half of r_end when W = 0), and the stepper
-takes over at r0.  This sidesteps the coordinate singularity of the
-radial Laplacian and the stepper's work where the series alone is exact.
+follow from the data by short recurrences (`_series`).  Each shot off
+the family sums that series, exactly to rounding, on [0, r0], where r0
+is a quarter of its radius of convergence, and the stepper takes over at
+r0.  This sidesteps the coordinate singularity of the radial Laplacian
+and the stepper's work where the series alone is exact.
 Every run steps at rtol = 3e-12 and atol = 3e-14 (see _TOL_SAFETY).  The
 sampling grid is geometric from r = 1e-3 whatever r0 is; its points below
 r0 come from the series.
@@ -140,8 +141,8 @@ _TINY = float(np.finfo(float).tiny)  # the least normal float64
 # own error.  On the closed-form family (m = 1, 2 to r = 1000, m = 3 to
 # r = 500), shot as u itself, the estimate was 4.8x to 21x the true
 # end-point error of u, and up to 1500x where the m = 3 run happened to end
-# closer to the closed form.  The deviation from it is 0 there, and the
-# estimate is its floor _RTOL max(1, |u|).
+# closer to the closed form.  The deviation from it is 0 there: no
+# companion run is made, and the estimate is the floor _RTOL max(1, |u|).
 _COMPANION_FACTOR = 8.0
 
 # Ratio of consecutive radii of the sampling grid.
@@ -675,8 +676,10 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     The shot integrates the deviation W = u - u_mu from the family member
     with the same u(0), mu = `reference_mu(config)` (see `_vector_field`),
     and alpha = `standard_volume` + alpha_dev.  Data equal in floats to
-    `standard_laplacians(m, mu)` give W = 0 exactly, so the trajectory is
-    the closed form at every node.  The grid is geometric, of ratio 1.01
+    `standard_laplacians(m, mu)` give W = 0 exactly: the shot returns
+    W = P = alpha_dev = 0 on the whole grid, "reached_end", with nfev 0,
+    no series and no companion run, so the trajectory is the closed form
+    at every node.  The grid is geometric, of ratio 1.01
     from r = 1e-3.  Its points below r0 come from the radial power series
     of W (`_series`), and from r0 on Dormand-Prince adaptive stepping
     (`dop853.solve_ivp`: 8th order, with 5th- and 3rd-order error
@@ -686,8 +689,10 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     the run passed.  The report's w0_error_estimate comes from a companion
     integration of W from the same start at 8x looser tolerance: the
     global error grows with the tolerance, so the end-value difference
-    bounds the main run's error.  No run raises; one that stops short of
-    r_end ends in "not_entire" or "step_underflow".
+    bounds the main run's error.  It is floored at the roundoff of u,
+    _RTOL max(1, max |u|), which is the whole estimate when W = 0.  No
+    run raises; one that stops short of r_end ends in "not_entire" or
+    "step_underflow".
 
     For m = 2 the main run stops at the first upward zero of
     u' = u_mu' + W_0' ("not_entire"), because every entire solution with finite volume has
@@ -716,35 +721,40 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
     """
     m = config.m
     mu = reference_mu(config)
-    fun = _field(m, mu)
     grid = _geometric_grid(_R0, config.r_end)
-    at, r0 = _series(config, mu)
-    below = grid[grid < r0]
-    radii = np.append(below, r0)
-    y = at(radii)
-    y0 = y[:, -1]
-    event = _m2_event(mu) if m == 2 else None
-    # the m = 2 event on the series segment: Delta u(0) >= 0, or the first
-    # radius with u' > 0, r0 included, ends the shot; its first radius,
-    # the grid's or r0 when that is smaller, is always kept
-    up = event(radii, y) > 0 if event else None
-    if r0 == 0:
-        # the series earns no radius, as where the source overflows float
-        # range at r = 0: the shot ends there, as when the steps underflow
-        t, y, status, nfev = radii[:0], y[:, :0], -1, 0
-    elif event and (config.initial_laplacians[1] >= 0 or up.any()):
-        keep = max(np.argmax(up), 1)
-        t, y, status, nfev = radii[:keep], y[:, :keep], 1, 0
+    w_start = np.asarray(config.initial_laplacians, dtype=float) - standard_laplacians(m, mu)
+    on_family = not w_start.any()
+    if on_family:
+        # W = 0 solves the data exactly: its source E_mu expm1(0) is +0,
+        # so the series and every stage of a run would give +0.0 too
+        t, y, status, nfev = grid, np.zeros((2 * m + 1, grid.size)), 0, 0
     else:
-        sol = _integrate(fun, config, r0, y0, grid[grid >= r0], events=event)
-        t, status, nfev = np.append(below, sol.t), sol.status, sol.nfev
-        y = np.column_stack([y[:, :-1], sol.y])
+        fun = _field(m, mu)
+        at, r0 = _series(config, mu)
+        below = grid[grid < r0]
+        radii = np.append(below, r0)
+        y = at(radii)
+        y0 = y[:, -1]
+        event = _m2_event(mu) if m == 2 else None
+        # the m = 2 event on the series segment: Delta u(0) >= 0, or the
+        # first radius with u' > 0, r0 included, ends the shot; its first
+        # radius, the grid's or r0 when that is smaller, is always kept
+        up = event(radii, y) > 0 if event else None
+        if r0 == 0:
+            # the series earns no radius, as where the source overflows float
+            # range at r = 0: the shot ends there, as when the steps underflow
+            t, y, status, nfev = radii[:0], y[:, :0], -1, 0
+        elif event and (config.initial_laplacians[1] >= 0 or up.any()):
+            keep = max(np.argmax(up), 1)
+            t, y, status, nfev = radii[:keep], y[:, :keep], 1, 0
+        else:
+            sol = _integrate(fun, config, r0, y0, grid[grid >= r0], events=event)
+            t, status, nfev = np.append(below, sol.t), sol.status, sol.nfev
+            y = np.column_stack([y[:, :-1], sol.y])
     termination = _TERMINATION[status]
 
-    data = np.asarray(config.initial_laplacians, dtype=float)
     full_t = np.concatenate([[0.0], t])
-    start = np.concatenate([data - standard_laplacians(m, mu), np.zeros(m), [0.0]])
-    full_y = np.column_stack([start, y])
+    full_y = np.column_stack([np.concatenate([w_start, np.zeros(m + 1)]), y])
     traj = RadialTrajectory(
         m=m,
         grid=full_t,
@@ -758,11 +768,14 @@ def shoot(config: ShootingConfig) -> tuple[RadialTrajectory, "SolveReport"]:
 
     w0_err = math.nan
     if termination == "reached_end":
-        coarse = _integrate(fun, config, r0, y0, np.array([config.r_end]), _COMPANION_FACTOR)
-        if coarse.status == 0:
-            diff = abs(float(coarse.y[0, -1]) - traj.W[0, -1])
-            floor = _RTOL * max(1.0, float(np.max(np.abs(traj.w[0]))))
-            w0_err = max(diff, floor)
+        # the roundoff floor, and the whole estimate when W = 0 is exact
+        w0_err = _RTOL * max(1.0, float(np.max(np.abs(traj.w[0]))))
+        if not on_family:
+            coarse = _integrate(fun, config, r0, y0, np.array([config.r_end]), _COMPANION_FACTOR)
+            if coarse.status == 0:
+                w0_err = max(abs(float(coarse.y[0, -1]) - traj.W[0, -1]), w0_err)
+            else:
+                w0_err = math.nan
     return traj, diagnose(traj, w0_error_estimate=w0_err)
 
 

@@ -82,14 +82,13 @@ _STANDARD_RUNS = [(m, r_end, 1.0) for m in range(1, 9) for r_end in (100.0, 1000
 
 @pytest.mark.parametrize("m, r_end, lam", [
     *_STANDARD_RUNS,
-    # lambda = 20 puts r_end 500 far out in the far field, whose roundoff
-    # the gate must refuse, not read as "nonstandard" with agreement
+    # lambda = 20 puts r_end 500 far out in the far field, which must never
+    # read as "nonstandard"
     (3, 500.0, 20.0),
 ], ids=[f"{m}-{r_end}" for m, r_end, _ in _STANDARD_RUNS] + ["3-500.0-lam20"])
 def test_standard_family_never_called_nonstandard(m, r_end, lam):
-    # from m = 4 on the far field of u reads float64 roundoff; the companion
-    # run's end-error estimate, far above its bound from m = 5 on, shuts the
-    # gate there
+    # the family's float data give W = 0 at every m: u is the closed form at
+    # every node, with no step and no companion run, and reads "standard"
     cfg = standard_config(m, lam, r_end=r_end)
     assert analyze(cfg).verdict.overall != "nonstandard"
 

@@ -417,10 +417,40 @@ def _bits(prof):
     return prof.values.tobytes(), prof.err.tobytes()
 
 
-# the std runs have W = 0 and integrate a density that is 0 everywhere;
-# off1, off2 and off3_500 integrate the same u with a density that is not
+# the std runs have W = 0, and `_moment_pass` returns their closed form
+# without forming a moment; off1, off2 and off3_500 integrate the same u
+# with a density that is not 0, and so reach the moment machinery
+STD_RUNS = ["std1", "std2", "std3_500"]
 OFF_RUNS = ["off1", "off2", "off3_500"]
-ALL_RUNS = ["std1", "std2", "std3_500", "nonstd2", "big3", *OFF_RUNS]
+ALL_RUNS = [*STD_RUNS, "nonstd2", "big3", *OFF_RUNS]
+
+
+@pytest.mark.parametrize("run", STD_RUNS)
+def test_family_data_skip_the_moment_machinery(run, request, monkeypatch):
+    # W = 0: v is v_mu and Delta^j v is Delta^j u_mu bit for bit, with
+    # bars of 0.0, and no _SeparableIntegral is built
+    traj, _ = request.getfixturevalue(run)
+    radii = np.unique(_radii(traj))
+
+    def never(*args, **kwargs):
+        raise AssertionError("_SeparableIntegral built on W = 0")
+
+    monkeypatch.setattr(represent, "_SeparableIntegral", never)
+    family = [-np.log1p((traj.mu * radii) ** 2),
+              *standard_solution(traj.m, traj.mu, radii).w[1:]]
+    order = represent._moment_pass(traj, radii)
+    for j in range(traj.m):
+        prof = order(j)
+        assert prof.values.tobytes() == (family[j] + 0.0).tobytes(), j
+        assert prof.err.tobytes() == np.zeros_like(radii).tobytes(), j
+        assert _bits(_view(traj, j, radii)) == _bits(prof), j
+    assert math.copysign(1.0, order(0).values[0]) == 1.0  # v(0) is +0.0
+    # refusal and the radii checks still come first
+    with pytest.raises(ValueError, match="terminated with 'step_underflow'"):
+        represent._moment_pass(dataclasses.replace(traj, termination="step_underflow"), radii)
+    for bad in ([1.0, math.nan], [-1.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="eval_radii must be finite"):
+            represent._moment_pass(traj, bad)
 
 
 @pytest.mark.parametrize("run", ALL_RUNS)
@@ -563,7 +593,7 @@ def _unguarded_quadratic(left, right, mid, f_left, f_right, f_mid):
     return f_left, (f_mid - f_left) / tc - d2 * tc, d2
 
 
-@pytest.mark.parametrize("run", ALL_RUNS)
+@pytest.mark.parametrize("run", ["nonstd2", "big3", *OFF_RUNS])
 def test_narrow_panel_guards_move_no_finite_bit(run, request, monkeypatch):
     # the guards replace only what read NaN or inf without them: the tiny
     # radii, and a radius one ulp above a node, whose split panel is too
@@ -590,7 +620,7 @@ def test_narrow_panel_guards_move_no_finite_bit(run, request, monkeypatch):
         assert np.all(np.isfinite(got.values[mended])), j
 
 
-@pytest.mark.parametrize("run", ["std2", "std3_500", "big3", *OFF_RUNS])
+@pytest.mark.parametrize("run", ["big3", *OFF_RUNS])
 def test_every_order_from_one_pass_forms_each_moment_once(run, request, monkeypatch):
     # every moment that Delta^j v reads is one that v reads, so after v the
     # other orders form no moment at all, and none is formed twice
@@ -613,7 +643,7 @@ def test_every_order_from_one_pass_forms_each_moment_once(run, request, monkeypa
     assert len({key[0] for key in formed}) == 2  # the fine and decimated grids
 
 
-@pytest.mark.parametrize("run", ["std3_500", "big3", *OFF_RUNS])
+@pytest.mark.parametrize("run", ["big3", *OFF_RUNS])
 def test_each_view_reads_only_its_own_order(run, request, monkeypatch):
     traj, _ = request.getfixturevalue(run)
     read = []
@@ -634,16 +664,18 @@ _LOG2 = math.log(2.0)
 
 
 @pytest.mark.parametrize("cfg, degree", [
-    # the round sphere at lambda = 0.05: v's bars reach 1.4e-6 while the w0
-    # estimate is 8e-10, and a floor of the estimate alone let the fit
-    # read v's quadrature error as r^2 (lead -2.2e-13), a wrong row (iv)
+    # the round sphere at lambda = 0.05, off the family in floats: v's bars
+    # reach 1.5e-6 while the w0 estimate is 3e-11, and a floor of the
+    # estimate alone let the fit read v's quadrature error as r^2 (lead
+    # -2.2e-13), a wrong row (iv)
     (ShootingConfig(m=2, initial_laplacians=standard_laplacians(2, 0.05)), 0),
     (ShootingConfig(m=2, initial_derivatives=(_LOG2, -2.000001)), 2),
     (ShootingConfig(m=3, initial_derivatives=(_LOG2, -2.2, 4.0), r_end=500.0), 4),
-    # the round sphere at lambda = 20: the far field's free modes amplify
-    # any error of the start (a 2e-11 error in u near r = 1e-3 grows to 0.65
-    # at r = 1000 and reads as degree 2); from the exact series start u ends
-    # 1.3e-5 off
+    # the round sphere at lambda = 20: its float data are u_20's, so W = 0
+    # and u and v are the closed form at every node, with no step and bars
+    # of 0 (when u itself was shot from r = 1e-3, the far field's free
+    # modes grew a 2e-11 error of the start to 0.65 at r = 1000, read as
+    # degree 2)
     (ShootingConfig(m=2, initial_laplacians=standard_laplacians(2, 20.0)), 0),
 ], ids=["m2-lambda-0.05", "m2-d2-2.000001", "m3-r500", "m2-lambda-20"])
 def test_fit_floor_counts_the_bars_of_v(cfg, degree):

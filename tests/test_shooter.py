@@ -391,8 +391,7 @@ class TestStandardShots:
         assert np.max(np.abs(rg - 30.0)) <= 0.3
 
     def test_m2_main_run_cost(self, std2):
-        # evaluation counts repeat exactly: 134 for the deviation from u_1,
-        # which is 0
+        # the deviation from u_1 is 0 exactly, so the shot takes no evaluation
         traj, _ = std2
         assert traj.nfev <= 4000
 
@@ -657,7 +656,7 @@ class TestTermination:
         assert np.all(traj.p[0] <= 0.0)
         assert math.isnan(rep.w0_error_estimate)
 
-    @pytest.mark.parametrize("d2,nfev", [(-2.2, 1676), (-3.0, 1739), (-2.0001, 1154), (None, 134)])
+    @pytest.mark.parametrize("d2,nfev", [(-2.2, 1676), (-3.0, 1739), (-2.0001, 1154), (None, 0)])
     def test_entire_m2_runs_keep_their_cost(self, d2, nfev):
         # the u' event never fires on these runs and leaves the steps alone
         if d2 is None:
@@ -673,6 +672,45 @@ class TestTermination:
         traj, rep = shoot(standard_config(2, r_end=1e5))
         assert rep.termination == "reached_end"
         assert traj.r_max == 1e5
+
+    @pytest.mark.parametrize("lam, nfev", [(0.05, 182), (7.0, 329)])
+    def test_off_family_m2_far_field_does_not_trip_the_event(self, lam, nfev):
+        # these lam are off the family in floats, so the stepper and the u'
+        # event run out to r = 1e5 (max u' about -5e-6 and -2e-5)
+        traj, rep = shoot(standard_config(2, lam, r_end=1e5))
+        assert not traj.on_family
+        assert rep.termination == "reached_end"
+        assert traj.r_max == 1e5
+        assert traj.nfev == nfev
+        assert np.max(traj.p[0, 1:]) < 0.0
+
+    @pytest.mark.parametrize("lam", [1.0, 3.0, 20.0])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_family_data_never_step(self, m, lam, monkeypatch):
+        # on the family's float data W = 0 is exact: no series, no main run
+        # and no companion run, and the estimate is the roundoff floor
+        def never(*args, **kwargs):
+            raise AssertionError("called on the family's data")
+
+        cfg = standard_config(m, lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(shooter, "solve_ivp", never)
+            patch.setattr(shooter, "_series", never)
+            traj, rep = shoot(cfg)
+        assert rep.termination == "reached_end"
+        assert traj.nfev == 0
+        assert np.array_equal(traj.grid[1:], shooter._geometric_grid(shooter._R0, cfg.r_end))
+        assert not (traj.W.any() or traj.P.any())
+        floor = shooter._RTOL * max(1.0, float(np.max(np.abs(traj.u))))
+        assert rep.w0_error_estimate == floor
+        # one ulp off in A_{m-1} steps: the check is float equality.  At
+        # m = 1 that is A_0, which moves mu with it, and at lam = 3 and 20
+        # the next float of A_0 is still the data of the family's u_mu
+        last = math.nextafter(cfg.initial_laplacians[-1], math.inf)
+        traj, _ = shoot(replace(cfg, initial_laplacians=(*cfg.initial_laplacians[:-1], last),
+                                r_end=10.0))
+        assert m == 1 or not traj.on_family
+        assert (traj.nfev > 0) == (not traj.on_family)
 
     def test_m3_keeps_running_past_positive_slope(self):
         # no sign theorem for m = 3: u' > 0 from r ~ 1.46, yet r_end is reached
